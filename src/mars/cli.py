@@ -12,8 +12,8 @@ import numpy as np
 from . import synth
 from .data import RawTable, discretize, discretization_report, encode_with_specs, parse_label
 from .errors import MarsError
-from .model import RuleSet, rule_covers
-from .model_io import Model, load_model, render_rules, save_model, training_metadata
+from .model import first_covering_rule
+from .model_io import load_model, render_rules, save_model, training_metadata
 from .scoring import Hyperparams
 from .search import SearchConfig, run
 
@@ -50,33 +50,43 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _search_config(args) -> SearchConfig:
-    return SearchConfig(
-        n_iter=args.iters,
-        t0=args.t0,
-        explore_prob=args.explore,
-        random_seed=args.seed,
-        n_restarts=args.restarts,
-        neighbor_budget=args.neighbor_budget,
-    )
+    try:
+        return SearchConfig(
+            n_iter=args.iters,
+            t0=args.t0,
+            explore_prob=args.explore,
+            random_seed=args.seed,
+            n_restarts=args.restarts,
+            neighbor_budget=args.neighbor_budget,
+        )
+    except ValueError as exc:
+        raise MarsError(f"invalid search setting: {exc}") from exc
 
 
 def _parse_hyper_file(path) -> dict:
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise MarsError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
-            key, _, value = text.partition("=")
-            key = key.strip().lower()
-            if key not in HYPER_KEYS:
-                raise MarsError(f"{path}:{lineno}: unknown hyperparameter {key!r}")
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise MarsError(f"cannot read hyperparameter file {path}: {exc}") from exc
+    for lineno, line in enumerate(lines, start=1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise MarsError(f"{path}:{lineno}: expected key=value, got {line.rstrip()!r}")
+        key, _, value = text.partition("=")
+        key = key.strip().lower()
+        if key not in HYPER_KEYS:
+            raise MarsError(f"{path}:{lineno}: unknown hyperparameter {key!r}")
+        try:
             if key == "theta" and "," in value:
                 out[key] = tuple(float(v) for v in value.split(","))
             else:
                 out[key] = float(value)
+        except ValueError:
+            raise MarsError(f"{path}:{lineno}: {key} is not a number: {value.strip()!r}") from None
     return out
 
 
@@ -88,14 +98,17 @@ def _hyperparams(args, n_features: int) -> Hyperparams:
         value = getattr(args, key, None)
         if value is not None:
             overrides[key] = value
-    return Hyperparams.defaults(n_features, **overrides)
+    try:
+        return Hyperparams.defaults(n_features, **overrides)
+    except ValueError as exc:
+        raise MarsError(f"invalid hyperparameter: {exc}") from exc
 
 
 def cmd_train(args) -> int:
+    cfg = _search_config(args)
     table = RawTable.from_csv(args.csv, label_column=args.label)
     data = discretize(table, n_bins=args.bins, scheme=args.scheme)
     hyper = _hyperparams(args, data.n_features)
-    cfg = _search_config(args)
     rules, best, runlog = run(data, hyper, cfg)
 
     meta = training_metadata(cfg.random_seed, cfg.n_iter, best, data.n_rows)
@@ -115,24 +128,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _predictions(model: Model, rows: np.ndarray) -> list[tuple[int, int]]:
-    """(prediction, index of first covering rule or -1) per row."""
-    out = []
-    for row in rows:
-        hit = -1
-        for k, rule in enumerate(model.rules.rules):
-            if rule_covers(rule, row):
-                hit = k
-                break
-        out.append((1 if hit >= 0 else 0, hit))
-    return out
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
     table = RawTable.from_csv(args.csv)
-    rows = encode_with_specs(table, model.features)
-    preds = _predictions(model, rows)
+    hit = first_covering_rule(model.rules, encode_with_specs(table, model.features))
+    preds = zip((hit >= 0).astype(int).tolist(), hit.tolist())
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(sink)
@@ -150,7 +150,7 @@ def cmd_evaluate(args) -> int:
     table = RawTable.from_csv(args.csv, label_column=label)
     rows = encode_with_specs(table, model.features)
     labels = np.array([parse_label(c, label) for c in table.column(label)])
-    preds = np.array([p for p, _ in _predictions(model, rows)], dtype=bool)
+    preds = first_covering_rule(model.rules, rows) >= 0
     accuracy = float((preds == labels).mean())
     rules = model.rules
     print(f"rows: {len(labels)}")
@@ -168,15 +168,21 @@ def cmd_show(args) -> int:
     return 0
 
 
+def _synth_spec(args) -> synth.SynthSpec:
+    try:
+        return synth.SynthSpec(
+            n_rows=args.rows,
+            n_features=args.features,
+            n_rules=args.rules,
+            max_conditions=args.max_conditions,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise MarsError(f"invalid synthetic data setting: {exc}") from exc
+
+
 def cmd_gen(args) -> int:
-    spec = synth.SynthSpec(
-        n_rows=args.rows,
-        n_features=args.features,
-        n_rules=args.rules,
-        max_conditions=args.max_conditions,
-        seed=args.seed,
-    )
-    table, truth = synth.generate(spec)
+    table, truth = synth.generate(_synth_spec(args))
     synth.write_table_csv(args.out, table)
     print(f"wrote {len(table.rows)} rows to {args.out}")
     if args.truth:
@@ -194,17 +200,14 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = synth.SynthSpec(
-        n_rows=args.rows,
-        n_features=args.features,
-        n_rules=args.rules,
-        max_conditions=args.max_conditions,
-        seed=args.seed,
-    )
-    grid = synth.SweepSpec(
-        beta_grid=tuple(float(b) for b in args.grid.split(",")),
-        replicates=args.replicates,
-    )
+    spec = _synth_spec(args)
+    try:
+        grid = synth.SweepSpec(
+            beta_grid=tuple(float(b) for b in args.grid.split(",")),
+            replicates=args.replicates,
+        )
+    except ValueError as exc:
+        raise MarsError(f"invalid sweep setting: {exc}") from exc
     base = _hyperparams(args, args.features)
     cfg = _search_config(args)
     records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, jobs=args.jobs)

@@ -69,7 +69,8 @@ class FeatureSpec:
 
     @cached_property
     def _category_index(self) -> dict[str, int]:
-        return {v: k for k, v in enumerate(self.categories)}
+        # an entry spelled like a missing cell ("", "?") is never matched
+        return {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}
 
     def value_label(self, value_index: int) -> str:
         if self.kind == "categorical":
@@ -78,23 +79,39 @@ class FeatureSpec:
         return f"[{lo:.6g}, {hi:.6g})"
 
     def encode(self, cell) -> int:
-        """Map one raw cell to a value index.
+        """Map one raw cell to a value index, as ``encode_column`` does."""
+        return int(self.encode_column([cell])[0])
 
-        Out-of-range numerics clamp into the boundary interval; unseen or
-        missing categoricals map to the missing entry when the vocabulary
-        has one, else to -1 (matched by no condition).
-        """
+    def encode_column(self, cells: Sequence) -> np.ndarray:
+        """Map a column of raw cells to value indices (int32); the rules are
+        those of ``encode_with_specs``."""
         if self.kind == "numeric":
-            if _is_missing(cell):
-                return -1
-            x = float(cell)
-            idx = int(np.searchsorted(self._edges, x, side="right")) - 1
-            return min(max(idx, 0), self.vocab_size - 1)
-        key = MISSING if _is_missing(cell) else str(cell)
-        got = self._category_index.get(key)
-        if got is None:
-            got = self._category_index.get(MISSING, -1)
-        return got
+            return self._encode_numeric(cells)
+        default = self._category_index.get(MISSING, -1)
+        get = self._category_index.get
+        return np.array(
+            [get(c if c.__class__ is str else _category_key(c), default) for c in cells],
+            dtype=np.int32,
+        )
+
+    def _encode_numeric(self, cells: Sequence) -> np.ndarray:
+        n = len(cells)
+        try:
+            values = np.fromiter(map(float, cells), dtype=float, count=n)
+        except (TypeError, ValueError):
+            pass  # float() rejects every missing cell: find them below
+        else:
+            return self._interval_codes(values)
+        missing = np.fromiter(map(_is_missing, cells), dtype=bool, count=n)
+        values = np.zeros(n)
+        values[~missing] = [_parse_float(c, self.name) for c, m in zip(cells, missing) if not m]
+        codes = self._interval_codes(values)
+        codes[missing] = -1
+        return codes
+
+    def _interval_codes(self, values: np.ndarray) -> np.ndarray:
+        codes = np.searchsorted(self._edges, values, side="right") - 1
+        return np.clip(codes, 0, self.vocab_size - 1).astype(np.int32)
 
 
 def _is_missing(cell) -> bool:
@@ -103,6 +120,17 @@ def _is_missing(cell) -> bool:
     if isinstance(cell, str):
         return cell.strip() in ("", "?")
     return False
+
+
+def _category_key(cell) -> str | None:
+    return None if cell is None else str(cell)
+
+
+def _parse_float(cell, column: str) -> float:
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        raise DataFormatError(f"column {column!r}: non-numeric value {cell!r}") from None
 
 
 @dataclass
@@ -287,9 +315,7 @@ def _build_feature(fid: int, name: str, raw: list, n_bins: int, scheme: str):
         edges = _bin_edges(values, n_bins, scheme, name)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
         spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
-        codes = np.searchsorted(edges, values, side="right") - 1
-        codes = np.clip(codes, 0, len(intervals) - 1).astype(np.int32)
-        return spec, codes
+        return spec, spec._interval_codes(values)
 
     as_text = [MISSING if _is_missing(c) else str(c) for c in raw]
     vocab = sorted(set(as_text) - {MISSING})
@@ -297,9 +323,8 @@ def _build_feature(fid: int, name: str, raw: list, n_bins: int, scheme: str):
         vocab.append(MISSING)
     if len(vocab) < 2:
         raise DataFormatError(f"column {name!r} has a single distinct value")
-    index = {v: k for k, v in enumerate(vocab)}
-    codes = np.array([index[c] for c in as_text], dtype=np.int32)
-    return FeatureSpec(fid, name, "categorical", categories=tuple(vocab)), codes
+    spec = FeatureSpec(fid, name, "categorical", categories=tuple(vocab))
+    return spec, spec.encode_column(raw)
 
 
 def _try_floats(cells: list) -> list[float] | None:
@@ -330,21 +355,30 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
 def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.ndarray:
     """Encode a raw table against existing feature specs, matching by name.
 
-    Raises FeatureMismatchError listing any model feature absent from the
-    table.  Unseen categorical values map to the missing entry (or -1 when
-    the training data had no missing values).
+    Returns an (N, n_features) int32 matrix of value indices, one column per
+    spec.  Cell rules:
+
+    - a numeric cell is parsed with ``float()`` and falls in the interval
+      [lo, hi) that holds it; values outside the training range clamp into
+      the first or last interval, and nan into the last; a blank or ``?``
+      cell (or None) becomes -1; any other cell ``float()`` rejects raises
+      DataFormatError naming the column;
+    - a categorical cell maps to its vocabulary entry; blank, ``?`` and
+      unseen values map to the missing entry when the vocabulary has one,
+      else to -1.
+
+    -1 is matched by no condition.  Raises FeatureMismatchError listing
+    any model feature absent from the table.
     """
     missing = [f.name for f in features if f.name not in table.names]
     if missing:
         raise FeatureMismatchError(
             "input is missing model feature column(s): " + ", ".join(sorted(missing))
         )
-    columns = {f.name: table.column(f.name) for f in features}
-    n = len(table.rows)
-    rows = np.empty((n, len(features)), dtype=np.int32)
+    rows = np.empty((len(table.rows), len(features)), dtype=np.int32)
+    columns = dict(zip(table.names, zip(*table.rows)))  # empty when the table has no rows
     for k, f in enumerate(features):
-        col = columns[f.name]
-        rows[:, k] = [f.encode(c) for c in col]
+        rows[:, k] = f.encode_column(columns.get(f.name, ()))
     return rows
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -130,9 +132,22 @@ def rule_covers(rule: Rule, row: Sequence[int]) -> bool:
     return all(row[c.feature_id] in c.values for c in rule.conditions)
 
 
-def classify(ruleset: RuleSet, row: Sequence[int]) -> int:
-    """1 iff at least one rule covers the row; the empty set predicts 0."""
-    return 1 if any(rule_covers(r, row) for r in ruleset.rules) else 0
+def first_covering_rule(ruleset: RuleSet, rows: np.ndarray) -> np.ndarray:
+    """Per row of an encoded (N, n_features) matrix, the index of the first
+    rule that covers it, or -1 when none does.
+
+    A row is classified positive exactly when its entry is >= 0, so the
+    empty rule set predicts every row negative.  Value indices of -1 match
+    no condition.
+    """
+    hit = np.full(rows.shape[0], -1, dtype=np.intp)
+    # later rules first, so an earlier covering rule overwrites a later one
+    for k in range(len(ruleset.rules) - 1, -1, -1):
+        covered = np.ones(rows.shape[0], dtype=bool)
+        for cond in ruleset.rules[k].conditions:
+            covered &= np.isin(rows[:, cond.feature_id], cond.values)
+        hit[covered] = k
+    return hit
 
 
 def normalize(ruleset: RuleSet, vocab_sizes: Sequence[int]) -> RuleSet:

@@ -14,12 +14,12 @@ import hashlib
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import RawTable, discretize, encode_with_specs
-from .model import RuleSet, classify
+from .model import RuleSet, first_covering_rule
 from .scoring import Hyperparams
 from .search import SearchConfig, run
 
@@ -70,9 +70,6 @@ class PlantedRule:
     """Conjunction of numeric range conditions over raw feature values."""
 
     conditions: tuple[PlantedCondition, ...]
-
-    def covers(self, row: np.ndarray) -> bool:
-        return all(c.lo <= row[c.feature] < c.hi for c in self.conditions)
 
     def coverage(self, table: np.ndarray) -> np.ndarray:
         hit = np.ones(len(table), dtype=bool)
@@ -157,7 +154,7 @@ def _subset(table: RawTable, idx: np.ndarray) -> RawTable:
 
 
 def error_rate(rules: RuleSet, rows: np.ndarray, labels: np.ndarray) -> float:
-    preds = np.fromiter((classify(rules, row) for row in rows), dtype=int, count=len(rows))
+    preds = first_covering_rule(rules, rows) >= 0
     return float((preds != labels).mean())
 
 
@@ -167,14 +164,7 @@ def _run_cell(args) -> SweepRecord:
     train_idx, test_idx = _split_indices(len(table.rows), train_fraction, truth_seed)
     train = discretize(_subset(table, train_idx), n_bins=n_bins)
     hyper = base.with_betas(beta_m, beta_l)
-    job_cfg = SearchConfig(
-        n_iter=cfg.n_iter,
-        t0=cfg.t0,
-        explore_prob=cfg.explore_prob,
-        random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate),
-        n_restarts=cfg.n_restarts,
-        neighbor_budget=cfg.neighbor_budget,
-    )
+    job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
     rules, _, _ = run(train, hyper, job_cfg)
 
     test = _subset(table, test_idx)
@@ -212,15 +202,7 @@ def sweep(
     tasks = []
     for replicate in range(grid.replicates):
         data_seed = derived_seed(spec.seed, "dataset", replicate)
-        table, _ = generate(
-            SynthSpec(
-                n_rows=spec.n_rows,
-                n_features=spec.n_features,
-                n_rules=spec.n_rules,
-                max_conditions=spec.max_conditions,
-                seed=data_seed,
-            )
-        )
+        table, _ = generate(replace(spec, seed=data_seed))
         for beta_m in grid.beta_grid:
             for beta_l in grid.beta_grid:
                 tasks.append(

@@ -1,0 +1,173 @@
+"""Command-line behaviour: predict/evaluate on a tiny trained model, and
+every user input error ending in an error line and exit code."""
+
+import contextlib
+import csv
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import mars
+from mars import cli
+from mars.data import RawTable, encode_with_specs
+from mars.model import rule_covers
+from mars.model_io import load_model
+
+SRC = str(Path(mars.__file__).resolve().parents[1])
+
+
+def write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def run_mars(*argv):
+    """``mars ARGV`` in a fresh interpreter, as a user runs it."""
+    path = [SRC, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    return subprocess.run(
+        [sys.executable, "-m", "mars.cli", *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_clean_error(proc, code, *fragments):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    for fragment in fragments:
+        assert fragment in proc.stderr
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A model trained on a numeric column, a categorical column with
+    blanks, and a noise column; label = (x < 0.5 and c in {a, b})."""
+    tmp = tmp_path_factory.mktemp("cli")
+    rng = np.random.default_rng(0)
+    rows = []
+    for _ in range(300):
+        x = float(rng.random())
+        c = ["a", "b", "c", ""][rng.integers(4)]
+        rows.append([f"{x:.6f}", c, f"{rng.random():.6f}", int(x < 0.5 and c in ("a", "b"))])
+    train = write_csv(tmp / "train.csv", ["x", "c", "noise", "y"], rows)
+    model = tmp / "model.json"
+    argv = ["train", str(train), "--label", "y", "--out", str(model),
+            "--iters", "300", "--restarts", "0", "--bins", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert load_model(model).rules.n_rules >= 1
+    return tmp, model
+
+
+def holdout_rows():
+    # unseen category "z", blank and "?" cells, out-of-range numerics
+    return [
+        ["0.1", "a", "0.5", 1],
+        ["0.2", "z", "0.5", 0],
+        ["0.3", "", "0.5", 0],
+        ["", "b", "0.5", 0],
+        ["?", "a", "?", 0],
+        ["-4", "b", "9", 1],
+        ["7", "a", "0.5", 0],
+        ["0.9", "c", "0.1", 0],
+    ]
+
+
+def test_predict_matches_rule_covers_on_unseen_and_blank_cells(trained, tmp_path, capsys):
+    _, model = trained
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], holdout_rows())
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", str(model), str(holdout), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "prediction,rule_index"
+    got = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
+
+    m = load_model(model)
+    rows = encode_with_specs(RawTable.from_csv(holdout), m.features)
+    expected = []
+    for row in rows:
+        hit = next((k for k, r in enumerate(m.rules.rules) if rule_covers(r, row)), -1)
+        expected.append((int(hit >= 0), hit))
+    assert got == expected
+    assert any(p for p, _ in got) and not all(p for p, _ in got)
+
+    # without --out the same CSV goes to stdout
+    capsys.readouterr()
+    assert cli.main(["predict", str(model), str(holdout)]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_evaluate_accuracy_equals_predictions(trained, tmp_path, capsys):
+    _, model = trained
+    rows = holdout_rows()
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], rows)
+    out = tmp_path / "pred.csv"
+    assert cli.main(["predict", str(model), str(holdout), "--out", str(out)]) == 0
+    preds = [int(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    accuracy = np.mean([p == r[-1] for p, r in zip(preds, rows)])
+    capsys.readouterr()
+    assert cli.main(["evaluate", str(model), str(holdout)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == f"rows: {len(rows)}"
+    assert printed[1] == f"accuracy: {accuracy:.4f}"
+
+
+def test_predict_missing_model_column_exits_4(trained, tmp_path):
+    _, model = trained
+    holdout = write_csv(tmp_path / "h.csv", ["x", "noise"], [["0.1", "0.2"]])
+    assert_clean_error(run_mars("predict", model, holdout), 4, "column(s): c")
+    assert_clean_error(run_mars("evaluate", model, holdout, "--label", "x"), 4, "column(s): c")
+
+
+def test_non_numeric_cell_in_numeric_column_exits_2(trained, tmp_path):
+    _, model = trained
+    rows = holdout_rows()
+    rows[2][0] = "abc"
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], rows)
+    assert_clean_error(run_mars("predict", model, holdout), 2, "'x'", "abc")
+    assert_clean_error(run_mars("evaluate", model, holdout), 2, "'x'", "abc")
+
+
+@pytest.mark.parametrize(
+    "flags, config, fragment",
+    [
+        (["--iters", "0"], None, "n_iter"),
+        (["--alpha-m", "-1"], None, "alpha_m"),
+        (["--hyper-config", "{cfg}"], "beta_m = abc\n", "beta_m"),
+        (["--hyper-config", "{cfg}"], None, "cannot read"),  # the file does not exist
+    ],
+)
+def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
+                                                         fragment):
+    tmp, _ = trained
+    cfg = tmp_path / "hyper.cfg"
+    if config is not None:
+        cfg.write_text(config)
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", tmp_path / "m.json",
+            "--iters", "20", *(f.format(cfg=cfg) for f in flags)]
+    assert_clean_error(run_mars(*argv), 1, fragment)
+    assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--rows", "0"],
+        ["gen", "--max-conditions", "99"],
+        ["sweep", "--grid", "1,x"],
+        ["sweep", "--replicates", "0"],
+    ],
+)
+def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    assert_clean_error(run_mars(*argv, "--out", out), 1, "invalid")
+    assert not out.exists()

@@ -129,6 +129,71 @@ def test_out_of_range_numeric_clamps_at_predict_time():
     assert spec.encode(0.5) == 2
 
 
+@pytest.mark.parametrize(
+    "cell, code",
+    [
+        (-3.0, 0),  # below the training range: first interval
+        (99.0, 3),  # above it: last interval
+        (0.5, 2),
+        (0.25, 1),  # an edge belongs to the interval it opens
+        (1, 3),  # the training maximum closes the last interval
+        (np.float64(0.3), 1),
+        (float("nan"), 3),
+        ("nan", 3),
+        ("0.6", 2),
+        (" 0.6 ", 2),
+        ("1e3", 3),
+        ("-1e-3", 0),
+        ("1_0", 3),
+        ("", -1),
+        ("?", -1),
+        (" ? ", -1),
+        (None, -1),
+    ],
+)
+def test_numeric_cell_encoding(cell, code):
+    rows = [[0.0, 1], [1.0, 0], [0.5, 1]]
+    spec = discretize(table_of(["x", "y"], rows), n_bins=4).features[0]
+    assert spec.encode(cell) == code
+    # the same cell in a column of numbers and in a column with blanks
+    for others, codes in (([0.1, 0.9], [0, 3]), (["", 0.9], [-1, 3])):
+        table = RawTable(names=("x",), rows=[(c,) for c in [*others, cell]])
+        assert list(encode_with_specs(table, [spec])[:, 0]) == [*codes, code]
+
+
+def test_non_numeric_cell_in_numeric_column_names_the_column():
+    rows = [[0.0, 1], [1.0, 0], [0.5, 1]]
+    spec = discretize(table_of(["f03", "y"], rows), n_bins=4).features[0]
+    table = RawTable(names=("f03",), rows=[("0.5",), ("",), ("abc",)])
+    with pytest.raises(DataFormatError, match="f03.*abc"):
+        encode_with_specs(table, [spec])
+
+
+@pytest.mark.parametrize("with_missing", [True, False])
+def test_blank_and_unseen_categoricals_encode_column_wise(with_missing):
+    train = [["CA", 1], ["TX", 0]] + ([["", 1]] if with_missing else [])
+    spec = discretize(table_of(["state", "y"], train), n_bins=4).features[0]
+    default = spec.categories.index(MISSING) if with_missing else -1
+    cells = ["TX", "NV", "", "?", None, "CA", " CA", MISSING]
+    table = RawTable(names=("state",), rows=[(c,) for c in cells])
+    expected = [1, default, default, default, default, 0, default, default]
+    assert list(encode_with_specs(table, [spec])[:, 0]) == expected
+    assert [spec.encode(c) for c in cells] == expected
+
+
+def test_training_codes_equal_encoding_the_training_table():
+    rng = np.random.default_rng(2)
+    rows = [
+        (float(rng.random()), str(rng.integers(5)), ["a", "b", "", "?"][rng.integers(4)],
+         int(rng.integers(2)))
+        for _ in range(80)
+    ]
+    table = table_of(["num", "digits", "cat", "y"], rows)
+    for scheme in ("width", "frequency"):
+        data = discretize(table, n_bins=6, scheme=scheme)
+        assert np.array_equal(encode_with_specs(table, data.features), data.rows)
+
+
 def test_unseen_categorical_maps_to_missing_entry():
     rows = [["CA", 1], ["?", 0], ["TX", 0]]
     data = discretize(table_of(["state", "y"], rows), n_bins=4)
@@ -148,6 +213,14 @@ def test_encode_with_specs_reports_missing_columns():
     new = RawTable(names=("state",), rows=[("CA",)])
     with pytest.raises(FeatureMismatchError, match="x"):
         encode_with_specs(new, data.features)
+
+
+def test_encode_with_specs_on_a_table_without_rows():
+    rows = [["CA", 0.2, 1], ["TX", 0.8, 0]]
+    data = discretize(table_of(["state", "x", "y"], rows), n_bins=4)
+    empty = RawTable(names=("x", "state"), rows=[])
+    encoded = encode_with_specs(empty, data.features)
+    assert encoded.shape == (0, 2) and encoded.dtype == np.int32
 
 
 def test_csv_round_trip(tmp_path):

@@ -8,7 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mars.data import coverage, support
-from mars.model import Condition, Rule, RuleSet, classify, is_normalized, normalize, rule_covers
+from mars.model import (
+    Condition,
+    Rule,
+    RuleSet,
+    first_covering_rule,
+    is_normalized,
+    normalize,
+    rule_covers,
+)
 
 from oracles import make_dataset, random_ruleset_for
 
@@ -44,8 +52,18 @@ def test_rule_from_items_merges_same_feature():
 
 
 # ---------------------------------------------------------------------------
-# rule_covers / classify
+# rule_covers / first_covering_rule
 # ---------------------------------------------------------------------------
+
+def classify(ruleset, row):
+    """1 iff some rule covers the single encoded row."""
+    return int(first_covering_rule(ruleset, np.array([row]))[0] >= 0)
+
+
+def first_cover_loop(ruleset, row):
+    """Reference: the first rule ``rule_covers`` accepts, scanning in order."""
+    return next((k for k, r in enumerate(ruleset.rules) if rule_covers(r, row)), -1)
+
 
 def test_multi_value_condition_covers_either_value():
     # a two-value condition accepts both of its values
@@ -61,14 +79,18 @@ def test_failed_conjunct_blocks_cover():
 
 
 def test_empty_ruleset_classifies_negative():
-    assert classify(RuleSet(()), [0, 0, 0]) == 0
+    rows = np.array([[0, 0, 0], [1, 2, -1]])
+    assert list(first_covering_rule(RuleSet(()), rows)) == [-1, -1]
+    assert first_covering_rule(RuleSet(()), np.zeros((0, 3), dtype=np.int32)).shape == (0,)
 
 
 def test_classify_is_existential():
     r1 = Rule.of({0: (0,)})
     r2 = Rule.of({1: (1,)})
-    assert classify(RuleSet((r1, r2)), [0, 0]) == 1
-    assert classify(RuleSet((r1, r2)), [1, 0]) == 0
+    rows = np.array([[0, 0], [1, 0], [1, 1], [0, 1]])
+    # the first covering rule wins when several cover a row
+    assert list(first_covering_rule(RuleSet((r1, r2)), rows)) == [0, -1, 1, 0]
+    assert list(first_covering_rule(RuleSet((r2, r1)), rows)) == [1, -1, 0, 0]
 
 
 def test_classify_equals_max_over_rule_covers():
@@ -79,6 +101,23 @@ def test_classify_equals_max_over_rule_covers():
         row = [rng.randrange(v) for v in vocab_sizes]
         brute = max((rule_covers(r, row) for r in rs.rules), default=0)
         assert classify(rs, row) == int(brute)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_first_covering_rule_equals_rule_covers_loop(data):
+    rng = random.Random(data.draw(st.integers(0, 10**6)))
+    vocab_sizes = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    max_rules = data.draw(st.integers(0, 4))
+    ruleset = random_ruleset_for(rng, vocab_sizes, max_rules) if max_rules else RuleSet(())
+    n = data.draw(st.integers(0, 30))
+    # -1 is the code of a blank or unseen cell: it matches no condition
+    rows = np.array(
+        [[rng.randrange(-1, v) for v in vocab_sizes] for _ in range(n)], dtype=np.int32
+    ).reshape(n, len(vocab_sizes))
+    got = first_covering_rule(ruleset, rows)
+    assert got.shape == (n,)
+    assert list(got) == [first_cover_loop(ruleset, list(row)) for row in rows]
 
 
 def test_single_condition_cover_frequency():

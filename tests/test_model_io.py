@@ -1,0 +1,44 @@
+"""Model JSON format: save/load round trip and version rejection."""
+
+import json
+
+import pytest
+
+from mars.data import RawTable, discretize
+from mars.errors import ModelFormatError
+from mars.model import Rule, RuleSet
+from mars.model_io import FORMAT_VERSION, load_model, save_model
+from mars.scoring import Hyperparams
+
+
+@pytest.fixture
+def saved(tmp_path):
+    rows = [(0.1, "CA", 1), (0.9, "?", 0), (0.5, "TX", 1), (0.3, "TX", 0)]
+    data = discretize(RawTable(names=("x", "state", "y"), rows=rows, label_column="y"), n_bins=3)
+    rules = RuleSet((Rule.of({0: (0, 1), 1: (2,)}), Rule.of({1: (0,)})))
+    hyper = Hyperparams.defaults(2, beta_m=7.5, theta=(0.5, 2.0))
+    meta = {"seed": 3, "n_rows": 4}
+    path = tmp_path / "model.json"
+    save_model(path, data.features, rules, hyper, "y", meta)
+    return path, data.features, rules, hyper, meta
+
+
+def test_save_load_round_trip(saved):
+    path, features, rules, hyper, meta = saved
+    model = load_model(path)
+    assert model.features == features
+    assert model.rules == rules
+    assert model.hyper == hyper
+    assert model.label_name == "y"
+    assert model.metadata == meta
+
+
+@pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 0, "1"])
+def test_wrong_format_version_rejected(saved, version):
+    path = saved[0]
+    doc = json.loads(path.read_text())
+    doc["format_version"] = version
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match="format version") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
