@@ -6,6 +6,7 @@ import argparse
 import csv
 import logging
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +64,23 @@ def _search_config(args) -> SearchConfig:
         raise MarsError(f"invalid search setting: {exc}") from exc
 
 
+def _check_bins(args) -> None:
+    if args.bins < 2:
+        raise MarsError(f"invalid data setting: --bins must be at least 2, got {args.bins}")
+
+
+def _check_writable(*paths) -> None:
+    """Fail before any work is done when an output file cannot be created."""
+    for path in paths:
+        if path is None:
+            continue
+        if Path(path).is_dir():
+            raise MarsError(f"cannot write {path}: it is a directory")
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise MarsError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def _parse_hyper_file(path) -> dict:
     out = {}
     try:
@@ -106,6 +124,9 @@ def _hyperparams(args, n_features: int) -> Hyperparams:
 
 def cmd_train(args) -> int:
     cfg = _search_config(args)
+    _check_bins(args)
+    runlog_path = args.runlog or (str(args.out) + ".runlog.jsonl")
+    _check_writable(args.out, runlog_path)
     table = RawTable.from_csv(args.csv, label_column=args.label)
     data = discretize(table, n_bins=args.bins, scheme=args.scheme)
     hyper = _hyperparams(args, data.n_features)
@@ -114,7 +135,6 @@ def cmd_train(args) -> int:
     meta = training_metadata(cfg.random_seed, cfg.n_iter, best, data.n_rows)
     meta["discretization"] = {"n_bins": args.bins, "scheme": args.scheme}
     save_model(args.out, data.features, rules, hyper, data.label_name, meta)
-    runlog_path = args.runlog or (str(args.out) + ".runlog.jsonl")
     runlog.write(runlog_path)
 
     conf = best.confusion
@@ -129,6 +149,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
+    _check_writable(args.out)
     model = load_model(args.model)
     table = RawTable.from_csv(args.csv)
     hit = first_covering_rule(model.rules, encode_with_specs(table, model.features))
@@ -182,7 +203,9 @@ def _synth_spec(args) -> synth.SynthSpec:
 
 
 def cmd_gen(args) -> int:
-    table, truth = synth.generate(_synth_spec(args))
+    spec = _synth_spec(args)
+    _check_writable(args.out, args.truth)
+    table, truth = synth.generate(spec)
     synth.write_table_csv(args.out, table)
     print(f"wrote {len(table.rows)} rows to {args.out}")
     if args.truth:
@@ -210,6 +233,8 @@ def cmd_sweep(args) -> int:
         raise MarsError(f"invalid sweep setting: {exc}") from exc
     base = _hyperparams(args, args.features)
     cfg = _search_config(args)
+    _check_bins(args)
+    _check_writable(args.out)
     records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, jobs=args.jobs)
     synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")

@@ -21,13 +21,13 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from math import expm1, lgamma, log
 from typing import Iterable, Sequence
 
 from .data import Dataset, union_mask
-from .model import RuleSet, is_normalized
+from .model import Rule, RuleSet, is_normalized
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,11 @@ class Hyperparams:
             raise ValueError("theta must have one entry per feature")
         if any(not t > 0 for t in self.theta):
             raise ValueError("theta entries must be strictly positive")
+        # hashed on every prior evaluation by the constants cache; cache it
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def defaults(cls, n_features: int, **overrides) -> "Hyperparams":
@@ -170,6 +175,21 @@ class _PriorConstants:
         self.theta_sum = sum(hyper.theta)
         self.lgamma_theta_sum = lgamma(self.theta_sum)
         self.lgamma_theta = tuple(lgamma(t) for t in hyper.theta)
+        self.theta = hyper.theta
+        self.hyper = hyper
+        # (feature, item count) -> lgamma(l + theta_j) - lgamma(theta_j)
+        self.dm_items: dict[tuple[int, int], float] = {}
+        # rule length -> (log p(L = length), lgamma(T) - lgamma(length + T))
+        self.length_terms: dict[int, tuple[float, float]] = {}
+
+    def length_pair(self, length: int) -> tuple[float, float]:
+        pair = self.length_terms.get(length)
+        if pair is None:
+            pair = self.length_terms[length] = (
+                log_rule_length_prior(length, self.hyper),
+                self.lgamma_theta_sum - lgamma(length + self.theta_sum),
+            )
+        return pair
 
 
 @lru_cache(maxsize=32)
@@ -204,35 +224,54 @@ def log_rule_length_prior(length: int, hyper: Hyperparams) -> float:
     return raw - c.log_trunc
 
 
+def rule_prior_terms(
+    rule: Rule, hyper: Hyperparams, vocab_sizes: Sequence[int]
+) -> tuple[float, float]:
+    """One rule's (length, Dirichlet-multinomial) terms of the log-prior:
+    log p(L_m) and log p(z_m)."""
+    c = _constants(hyper)
+    theta = c.theta
+    dm_items = c.dm_items
+    length = 0
+    dm = 0.0
+    for cond in rule.conditions:
+        j = cond.feature_id
+        l_mj = cond.n_values
+        if l_mj > vocab_sizes[j] or cond.values[-1] >= vocab_sizes[j]:
+            raise ValueError(
+                f"rule condition on feature {j} exceeds its vocabulary "
+                f"({l_mj} items, {vocab_sizes[j]} values)"
+            )
+        length += l_mj
+        item = dm_items.get((j, l_mj))
+        if item is None:
+            item = dm_items[(j, l_mj)] = lgamma(l_mj + theta[j]) - c.lgamma_theta[j]
+        dm += item
+    length_term, dm_norm = c.length_pair(length)
+    return length_term, dm_norm + dm
+
+
 def log_prior(ruleset: RuleSet, hyper: Hyperparams, vocab_sizes: Sequence[int]) -> float:
     """Log of p(M) * prod p(L_m) * prod p(z_m) for a normalized rule set."""
     if len(vocab_sizes) != hyper.n_features:
         raise ValueError("theta length must match the number of features")
-    c = _constants(hyper)
-    theta = hyper.theta
     total = log_rule_count_prior(ruleset.n_rules, hyper)
     for rule in ruleset.rules:
-        length = 0
-        dm = 0.0
-        for cond in rule.conditions:
-            j = cond.feature_id
-            l_mj = cond.n_values
-            if l_mj > vocab_sizes[j] or cond.values[-1] >= vocab_sizes[j]:
-                raise ValueError(
-                    f"rule condition on feature {j} exceeds its vocabulary "
-                    f"({l_mj} items, {vocab_sizes[j]} values)"
-                )
-            length += l_mj
-            dm += lgamma(l_mj + theta[j]) - c.lgamma_theta[j]
-        total += log_rule_length_prior(length, hyper)
-        total += c.lgamma_theta_sum - lgamma(length + c.theta_sum) + dm
+        length_term, dm_term = rule_prior_terms(rule, hyper, vocab_sizes)
+        total += length_term
+        total += dm_term
     return total
 
 
 def log_likelihood(confusion: Confusion, hyper: Hyperparams) -> float:
     """Unnormalized conditional log-likelihood from confusion counts."""
-    return _log_beta(confusion.tp + hyper.alpha_pos, confusion.fp + hyper.beta_pos) + _log_beta(
-        confusion.tn + hyper.alpha_neg, confusion.fn + hyper.beta_neg
+    return log_likelihood_counts(confusion.tp, confusion.fp, confusion.tn, confusion.fn, hyper)
+
+
+def log_likelihood_counts(tp: int, fp: int, tn: int, fn: int, hyper: Hyperparams) -> float:
+    """``log_likelihood`` from the four counts, without building a Confusion."""
+    return _log_beta(tp + hyper.alpha_pos, fp + hyper.beta_pos) + _log_beta(
+        tn + hyper.alpha_neg, fn + hyper.beta_neg
     )
 
 

@@ -13,6 +13,22 @@ T[t] = t0 ** (1 - t / n_iter).
 New rules proposed by the add-rule action are seeded from the sampled
 positive example and admitted only when their support clears the current
 pruning floor; the rule-count cap gates the action entirely.
+
+Every neighbor differs from the current rule set in at most one rule, and
+the edit builders return it already in ``normalize``'s canonical form
+(only the edited rule can turn tautological or duplicate another), so
+neighbors are deduplicated as plain rule tuples.  Candidates are scored
+from a per-step cache of per-rule entries ``(mask, length term, DM term)``
+seeded with the current rules' entries: a candidate's posterior is the
+rule-count prior plus its rules' cached terms (added in ``log_prior``'s
+order, so the float is the one ``scoring.score`` returns) plus the
+likelihood of the union of their masks.  Only a rule the step has not seen
+costs a mask and a ``rule_prior_terms`` call, and the edit builders hand
+over the masks they already have: an add-rule rule's from its support
+check, an add-condition rule's as its parent's mask AND the new
+condition's.  A ``Proposal`` with a full ``Score`` is built for the
+selected candidate alone, and the cache keeps only the accepted rules'
+entries from one step to the next.
 """
 
 from __future__ import annotations
@@ -20,24 +36,25 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
 import random
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .bitset import indices, kth_set_bit
 from .bounds import BoundState, initial_bounds, update_bounds
-from .data import Dataset, rule_mask
+from .data import Dataset, condition_mask, rule_mask
 from .errors import DegenerateLabelError
 from .model import Condition, Rule, RuleSet, is_normalized, normalize
-from .scoring import (
+from .scoring import (  # log_prior stays importable here for per-layer tracing
     Confusion,
     Hyperparams,
     Score,
     confusion_from_mask,
     log_likelihood,
-    log_prior,
+    log_likelihood_counts,
+    log_prior,  # noqa: F401
+    log_rule_count_prior,
+    rule_prior_terms,
     update_confusion,
 )
 
@@ -48,6 +65,9 @@ NEGATIVE_ACTIONS = ("add_condition", "remove_rule")
 SIMPLIFY_ACTIONS = ("remove_condition", "remove_rule")
 
 STALL_RESTART_AFTER = 20
+
+# per-rule cache entry: (coverage mask, log p(L_m) term, log p(z_m) term)
+RuleEntry = tuple[int, float, float]
 
 
 @dataclass(frozen=True)
@@ -75,18 +95,6 @@ class SearchConfig:
 def temperature(cfg: SearchConfig, t: int) -> float:
     """Annealing temperature; t0 at t=0, exactly 1.0 at t=n_iter."""
     return cfg.t0 ** (1.0 - t / cfg.n_iter)
-
-
-def thread_workers() -> int:
-    """Worker-thread cap from MARS_THREADS (default 1 = serial)."""
-    raw = os.environ.get("MARS_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        log.warning("ignoring non-integer MARS_THREADS=%r", raw)
-        return 1
 
 
 class RunLog:
@@ -125,11 +133,14 @@ class RunLog:
 
 @dataclass
 class SearchState:
-    """Mutable chain state; owned by a single search thread."""
+    """Mutable state of one annealing chain.
+
+    ``rule_cache`` holds the entry of each current rule, in rule order.
+    """
 
     current: RuleSet
     current_score: Score
-    rule_masks: list[int]
+    rule_cache: dict[Rule, RuleEntry]
     union_mask: int
     confusion: Confusion
     best: RuleSet
@@ -139,16 +150,62 @@ class SearchState:
     t: int = 0
     chain: int = 0
     stall_streak: int = 0
-    pool: ThreadPoolExecutor | None = None
 
 
 @dataclass
 class Proposal:
     rules: RuleSet
     score: Score
-    masks: list[int]
+    rule_cache: dict[Rule, RuleEntry]
+    union_mask: int
     action: str
     stalled: bool = False
+
+
+class _Scorer:
+    """Scores rule tuples from per-rule cache entries; lives for one step.
+
+    ``known`` holds masks the edit builders already computed, so a new
+    rule's entry reuses them instead of calling ``rule_mask``.
+    """
+
+    def __init__(self, entries: dict[Rule, RuleEntry], data: Dataset, hyper: Hyperparams) -> None:
+        self.entries = dict(entries)
+        self.known: dict[Rule, int] = {}
+        self.data = data
+        self.hyper = hyper
+
+    def _prior_and_union(self, rules: tuple[Rule, ...]) -> tuple[float, int]:
+        entries = self.entries
+        prior = log_rule_count_prior(len(rules), self.hyper)
+        union = 0
+        for rule in rules:
+            entry = entries.get(rule)
+            if entry is None:
+                mask = self.known.get(rule)
+                if mask is None:
+                    mask = rule_mask(rule, self.data)
+                entry = entries[rule] = (
+                    mask, *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes)
+                )
+            union |= entry[0]
+            prior += entry[1]
+            prior += entry[2]
+        return prior, union
+
+    def posterior(self, rules: tuple[Rule, ...]) -> float:
+        prior, union = self._prior_and_union(rules)
+        data = self.data
+        tp = (union & data.pos_mask).bit_count()
+        fp = union.bit_count() - tp
+        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
+
+    def proposal(self, rules: tuple[Rule, ...], action: str) -> Proposal:
+        prior, union = self._prior_and_union(rules)
+        conf = confusion_from_mask(union, self.data)
+        score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
+        cache = {rule: self.entries[rule] for rule in rules}
+        return Proposal(RuleSet(rules), score, cache, union, action)
 
 
 def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
@@ -168,12 +225,35 @@ def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
     return normalize(RuleSet(tuple(rules)), data.vocab_sizes)
 
 
-def _score_ruleset(rules: RuleSet, masks: Sequence[int], data: Dataset, hyper: Hyperparams) -> Score:
-    covered = 0
-    for m in masks:
-        covered |= m
-    conf = confusion_from_mask(covered, data)
-    return Score.of(log_prior(rules, hyper, data.vocab_sizes), log_likelihood(conf, hyper), conf)
+def _start_chain(
+    data: Dataset, hyper: Hyperparams, rng: random.Random, state: SearchState | None = None
+) -> SearchState:
+    """Make a random rule set the chain's current state: a new state, or
+    ``state`` restarted at t = 0 with its best and bounds kept."""
+    start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules, "start")
+    sc = start.score
+    if state is None:
+        state = SearchState(
+            current=start.rules,
+            current_score=sc,
+            rule_cache=start.rule_cache,
+            union_mask=start.union_mask,
+            confusion=sc.confusion,
+            best=start.rules,
+            best_score=sc,
+            bounds=initial_bounds(data, hyper),
+            rng=rng,
+        )
+    else:
+        state.current, state.current_score = start.rules, sc
+        state.rule_cache, state.union_mask = start.rule_cache, start.union_mask
+        state.confusion = sc.confusion
+        if sc.log_posterior > state.best_score.log_posterior:
+            state.best, state.best_score = start.rules, sc
+        state.t = 0
+        state.stall_streak = 0
+    state.bounds = update_bounds(state.bounds, sc.log_posterior)
+    return state
 
 
 def init_state(
@@ -188,24 +268,7 @@ def init_state(
         raise DegenerateLabelError("training data needs both positive and negative examples")
     if rng is None:
         rng = random.Random(f"mars-search:{cfg.random_seed}")
-    current = random_ruleset(data, rng)
-    masks = [rule_mask(r, data) for r in current.rules]
-    union = 0
-    for m in masks:
-        union |= m
-    sc = _score_ruleset(current, masks, data, hyper)
-    bounds = update_bounds(initial_bounds(data, hyper), sc.log_posterior)
-    state = SearchState(
-        current=current,
-        current_score=sc,
-        rule_masks=masks,
-        union_mask=union,
-        confusion=sc.confusion,
-        best=current,
-        best_score=sc,
-        bounds=bounds,
-        rng=rng,
-    )
+    state = _start_chain(data, hyper, rng)
     if runlog is not None:
         runlog.improvement(state)
     return state
@@ -227,26 +290,45 @@ def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] 
 
 
 # ---------------------------------------------------------------------------
-# neighbor generation: each edit is a raw tuple of rules, normalized later
+# neighbor generation: each edit is a tuple of rules in normalized form
 # ---------------------------------------------------------------------------
 
-def _replace_rule(rules: tuple[Rule, ...], mi: int, new_rule: Rule) -> tuple[Rule, ...]:
+def _replace_rule(rules: tuple[Rule, ...], mi: int, new_rule: Rule | None) -> tuple[Rule, ...]:
+    """``rules`` with rule ``mi`` replaced by ``new_rule`` (None deletes it).
+
+    A replacement equal to another rule is deduplicated as ``normalize``
+    does: the first occurrence is kept.
+    """
+    if new_rule is None:
+        return rules[:mi] + rules[mi + 1 :]
+    if new_rule in rules:
+        for k, rule in enumerate(rules):
+            if k != mi and rule == new_rule:
+                if k < mi:
+                    return rules[:mi] + rules[mi + 1 :]
+                return rules[:mi] + (new_rule,) + rules[mi + 1 : k] + rules[k + 1 :]
     return rules[:mi] + (new_rule,) + rules[mi + 1 :]
 
 
 def _edits_add_value(rules, data: Dataset, xrow) -> list[tuple[Rule, ...]]:
     progress, others = [], []
     for mi, rule in enumerate(rules):
-        for ci, cond in enumerate(rule.conditions):
+        conds = rule.conditions
+        for ci, cond in enumerate(conds):
             j = cond.feature_id
+            vocab = data.vocab_sizes[j]
             have = set(cond.values)
             target = int(xrow[j])
-            for v in range(data.vocab_sizes[j]):
+            for v in range(vocab):
                 if v in have:
                     continue
-                grown = Rule(
-                    rule.conditions[:ci] + (Condition(j, cond.values + (v,)),) + rule.conditions[ci + 1 :]
-                )
+                if cond.n_values + 1 < vocab:
+                    grown = Rule(conds[:ci] + (Condition(j, cond.values + (v,)),) + conds[ci + 1 :])
+                else:
+                    # the full vocabulary is always true: the condition goes,
+                    # and the rule with it when it was the only one
+                    rest = conds[:ci] + conds[ci + 1 :]
+                    grown = Rule(rest) if rest else None
                 bucket = progress if v == target else others
                 bucket.append(_replace_rule(rules, mi, grown))
     # prefer growths that move toward covering the sampled example
@@ -258,17 +340,22 @@ def _edits_remove_condition(rules) -> list[tuple[Rule, ...]]:
     for mi, rule in enumerate(rules):
         for ci in range(len(rule.conditions)):
             rest = rule.conditions[:ci] + rule.conditions[ci + 1 :]
-            if rest:
-                edits.append(_replace_rule(rules, mi, Rule(rest)))
-            else:
-                # deleting the lone condition deletes the rule
-                edits.append(rules[:mi] + rules[mi + 1 :])
+            # deleting the lone condition deletes the rule
+            edits.append(_replace_rule(rules, mi, Rule(rest) if rest else None))
     return edits
 
 
 def _edits_add_rule(
-    rules, data: Dataset, xrow, rng: random.Random, budget: int, bounds: BoundState
+    rules,
+    data: Dataset,
+    xrow,
+    rng: random.Random,
+    budget: int,
+    bounds: BoundState,
+    known: dict[Rule, int],
 ) -> list[tuple[Rule, ...]]:
+    """Up to ``budget`` new rules seeded from the example; the mask of each
+    admitted rule is recorded in ``known``."""
     if bounds.m_cap is not None and len(rules) >= bounds.m_cap:
         return []
     eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
@@ -296,19 +383,31 @@ def _edits_add_rule(
         if cand in seen or cand in existing:
             continue
         seen.add(cand)
-        if rule_mask(cand, data).bit_count() < bounds.min_support:
+        mask = rule_mask(cand, data)
+        if mask.bit_count() < bounds.min_support:
             continue
+        known[cand] = mask
         edits.append(rules + (cand,))
     return edits
 
 
 def _edits_add_condition(
-    rules, rule_masks, data: Dataset, idx: int, xrow, rng: random.Random
+    rules,
+    rule_cache: dict[Rule, RuleEntry],
+    data: Dataset,
+    idx: int,
+    xrow,
+    rng: random.Random,
+    known: dict[Rule, int],
 ) -> list[tuple[Rule, ...]]:
+    """Narrow each rule covering example ``idx`` by one new condition; the
+    mask of each grown rule (its parent's mask AND the condition's) is
+    recorded in ``known``."""
     edits = []
     bit = 1 << idx
     for mi, rule in enumerate(rules):
-        if not rule_masks[mi] & bit:
+        parent_mask = rule_cache[rule][0]
+        if not parent_mask & bit:
             continue  # only rules that cover the sampled negative example
         used = set(rule.features)
         for j in range(data.n_features):
@@ -327,6 +426,8 @@ def _edits_add_condition(
                 variants.append(tuple(rng.sample(range(vocab), size)))
             for vals in variants:
                 grown = Rule(rule.conditions + (Condition(j, vals),))
+                if grown not in known:
+                    known[grown] = parent_mask & condition_mask(data, j, vals)
                 edits.append(_replace_rule(rules, mi, grown))
     return edits
 
@@ -345,6 +446,7 @@ def _candidate_edits(
     data: Dataset,
     cfg: SearchConfig,
     example: tuple[int, bool] | None,
+    known: dict[Rule, int],
 ) -> list[tuple[Rule, ...]]:
     rules = state.current.rules
     rng = state.rng
@@ -354,28 +456,15 @@ def _candidate_edits(
         return _edits_remove_condition(rules)
     if action == "add_rule":
         return _edits_add_rule(
-            rules, data, data.rows[example[0]], rng, cfg.neighbor_budget, state.bounds
+            rules, data, data.rows[example[0]], rng, cfg.neighbor_budget, state.bounds, known
         )
     if action == "add_condition":
         return _edits_add_condition(
-            rules, state.rule_masks, data, example[0], data.rows[example[0]], rng
+            rules, state.rule_cache, data, example[0], data.rows[example[0]], rng, known
         )
     if action == "remove_rule":
         return _edits_remove_rule(rules)
     raise ValueError(f"unknown action {action!r}")
-
-
-def _evaluate(
-    rules: RuleSet, mask_cache: dict[Rule, int], data: Dataset, hyper: Hyperparams
-) -> Proposal:
-    masks = []
-    for r in rules.rules:
-        m = mask_cache.get(r)
-        if m is None:
-            m = rule_mask(r, data)
-            mask_cache[r] = m
-        masks.append(m)
-    return Proposal(rules, _score_ruleset(rules, masks, data, hyper), masks, "", False)
 
 
 def _propose_from_actions(
@@ -387,36 +476,27 @@ def _propose_from_actions(
     example: tuple[int, bool] | None,
 ) -> Proposal:
     rng = state.rng
-    mask_cache = dict(zip(state.current.rules, state.rule_masks))
+    current = state.current.rules
+    scorer = _Scorer(state.rule_cache, data, hyper)
     for action in order:
-        edits = _candidate_edits(action, state, data, cfg, example)
+        edits = _candidate_edits(action, state, data, cfg, example, scorer.known)
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
             edits = rng.sample(edits, cfg.neighbor_budget)
-        candidates: list[RuleSet] = []
-        seen: set[RuleSet] = set()
-        for edit in edits:
-            rs = normalize(RuleSet(edit), data.vocab_sizes)
-            if rs == state.current or rs in seen:
-                continue
-            seen.add(rs)
-            candidates.append(rs)
+        # edits are normalized, so equal tuples are the equal rule sets
+        candidates = [edit for edit in dict.fromkeys(edits) if edit != current]
         if not candidates:
             continue
         if rng.random() < cfg.explore_prob:
-            chosen = _evaluate(rng.choice(candidates), mask_cache, data, hyper)
+            chosen = rng.choice(candidates)
         else:
-            if state.pool is not None and len(candidates) >= 4:
-                evals = list(
-                    state.pool.map(lambda rs: _evaluate(rs, dict(mask_cache), data, hyper), candidates)
-                )
-            else:
-                evals = [_evaluate(rs, mask_cache, data, hyper) for rs in candidates]
-            chosen = max(evals, key=lambda p: p.score.log_posterior)
-        chosen.action = action
-        return chosen
-    return Proposal(state.current, state.current_score, list(state.rule_masks), "stall", True)
+            # max() keeps the first of tied candidates
+            chosen = max(candidates, key=scorer.posterior)
+        return scorer.proposal(chosen, action)
+    return Proposal(
+        state.current, state.current_score, state.rule_cache, state.union_mask, "stall", True
+    )
 
 
 def propose(
@@ -460,16 +540,14 @@ def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
 
 def _accept(state: SearchState, prop: Proposal, data: Dataset) -> None:
     old_union = state.union_mask
-    new_union = 0
-    for m in prop.masks:
-        new_union |= m
+    new_union = prop.union_mask
     entering = indices(new_union & ~old_union)
     leaving = indices(old_union & ~new_union)
     state.confusion = update_confusion(state.confusion, entering, leaving, data.labels)
     assert state.confusion == prop.score.confusion
     state.current = prop.rules
     state.current_score = prop.score
-    state.rule_masks = list(prop.masks)
+    state.rule_cache = prop.rule_cache
     state.union_mask = new_union
 
 
@@ -511,27 +589,6 @@ def anneal_step(
     return state
 
 
-def _reseed_chain(state: SearchState, data: Dataset, hyper: Hyperparams, chain: int) -> None:
-    """Restart the chain from a fresh random state, keeping best and bounds."""
-    current = random_ruleset(data, state.rng)
-    masks = [rule_mask(r, data) for r in current.rules]
-    union = 0
-    for m in masks:
-        union |= m
-    sc = _score_ruleset(current, masks, data, hyper)
-    state.current = current
-    state.current_score = sc
-    state.rule_masks = masks
-    state.union_mask = union
-    state.confusion = sc.confusion
-    state.bounds = update_bounds(state.bounds, sc.log_posterior)
-    if sc.log_posterior > state.best_score.log_posterior:
-        state.best, state.best_score = current, sc
-    state.t = 0
-    state.chain = chain
-    state.stall_streak = 0
-
-
 def run(
     data: Dataset, hyper: Hyperparams, cfg: SearchConfig
 ) -> tuple[RuleSet, Score, RunLog]:
@@ -543,29 +600,23 @@ def run(
     """
     runlog = RunLog()
     rng = random.Random(f"mars-search:{cfg.random_seed}")
-    workers = thread_workers()
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     state: SearchState | None = None
-    try:
-        for chain in range(cfg.n_restarts + 1):
-            if state is None:
-                state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
-                state.pool = pool
-            else:
-                _reseed_chain(state, data, hyper, chain)
-            runlog.emit(
-                event="chain_start",
-                chain=chain,
-                log_posterior=state.current_score.log_posterior,
-            )
-            for _ in range(cfg.n_iter):
-                anneal_step(state, data, hyper, cfg, runlog)
-                if state.stall_streak >= STALL_RESTART_AFTER:
-                    runlog.emit(event="stall_restart", chain=chain, t=state.t)
-                    break
-    finally:
-        if pool is not None:
-            pool.shutdown()
+    for chain in range(cfg.n_restarts + 1):
+        if state is None:
+            state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
+        else:
+            _start_chain(data, hyper, rng, state)
+            state.chain = chain
+        runlog.emit(
+            event="chain_start",
+            chain=chain,
+            log_posterior=state.current_score.log_posterior,
+        )
+        for _ in range(cfg.n_iter):
+            anneal_step(state, data, hyper, cfg, runlog)
+            if state.stall_streak >= STALL_RESTART_AFTER:
+                runlog.emit(event="stall_restart", chain=chain, t=state.t)
+                break
     runlog.emit(
         event="done",
         log_posterior=state.best_score.log_posterior,

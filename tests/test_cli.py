@@ -29,10 +29,10 @@ def write_csv(path, header, rows):
     return path
 
 
-def run_mars(*argv):
+def run_mars(*argv, env=None):
     """``mars ARGV`` in a fresh interpreter, as a user runs it."""
     path = [SRC, os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p), **(env or {})}
     return subprocess.run(
         [sys.executable, "-m", "mars.cli", *map(str, argv)],
         capture_output=True, text=True, env=env, timeout=120,
@@ -171,3 +171,75 @@ def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert_clean_error(run_mars(*argv, "--out", out), 1, "invalid")
     assert not out.exists()
+
+
+def test_bins_below_two_is_an_error_not_a_traceback(trained, tmp_path):
+    tmp, _ = trained
+    out = tmp_path / "m.json"
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", out, "--bins", "1"]
+    assert_clean_error(run_mars(*argv), 1, "--bins")
+    assert not out.exists()
+    out = tmp_path / "sweep.csv"
+    assert_clean_error(run_mars("sweep", "--rows", "50", "--bins", "1", "--out", out), 1, "--bins")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
+     ("predict", "--out"), ("sweep", "--out")],
+)
+def test_output_in_missing_directory_is_an_error_not_a_traceback(trained, tmp_path, command,
+                                                                 flag):
+    tmp, model = trained
+    missing = tmp_path / "no" / "such" / "file"
+    outputs = {"--out": tmp_path / "out", "--truth": tmp_path / "truth.json",
+               "--runlog": tmp_path / "runlog.jsonl"}
+    outputs[flag] = missing
+    argv = {
+        "gen": ["gen", "--rows", "20", "--out", outputs["--out"], "--truth", outputs["--truth"]],
+        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "5",
+                  "--out", outputs["--out"], "--runlog", outputs["--runlog"]],
+        "predict": ["predict", model, tmp / "train.csv", "--out", outputs["--out"]],
+        "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "1,100",
+                  "--iters", "5", "--out", outputs["--out"]],
+    }[command]
+    assert_clean_error(run_mars(*argv), 1, str(missing), "does not exist")
+    assert not any(path.exists() for path in outputs.values())
+
+
+def test_train_checks_output_paths_before_searching(trained, tmp_path, monkeypatch, capsys):
+    tmp, _ = trained
+
+    def search_must_not_run(*args, **kwargs):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(cli, "run", search_must_not_run)
+    out = tmp_path / "m.json"
+    for flags in (["--out", tmp_path / "no" / "m.json"],
+                  ["--out", out, "--runlog", tmp_path / "no" / "r.jsonl"],
+                  ["--out", tmp_path]):
+        argv = ["train", tmp / "train.csv", "--label", "y", *flags]
+        assert cli.main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write")
+    assert not out.exists()
+
+
+def test_train_and_gen_outputs_do_not_depend_on_hash_seed(trained, tmp_path):
+    """Runlog, model and generated data are byte-identical whatever the
+    PYTHONHASHSEED; the training CSV has a categorical column."""
+    tmp, _ = trained
+    outputs = set()
+    for seed in ("0", "1", "2"):
+        d = tmp_path / seed
+        d.mkdir()
+        env = {"PYTHONHASHSEED": seed}
+        gen = run_mars("gen", "--rows", "200", "--features", "5", "--seed", "3",
+                       "--out", d / "gen.csv", "--truth", d / "truth.json", env=env)
+        assert gen.returncode == 0, gen.stderr
+        train = run_mars("train", tmp / "train.csv", "--label", "y", "--iters", "200",
+                         "--bins", "4", "--out", d / "m.json", env=env)
+        assert train.returncode == 0, train.stderr
+        files = ("gen.csv", "truth.json", "m.json", "m.json.runlog.jsonl")
+        outputs.add(tuple((d / name).read_bytes() for name in files))
+    assert len(outputs) == 1

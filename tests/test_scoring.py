@@ -118,6 +118,31 @@ def test_log_prior_matches_mpmath_oracle():
         assert log_prior(rs, h, vocab) == pytest.approx(oracle_log_prior(rs, h, vocab), abs=1e-9)
 
 
+def test_rule_prior_terms_sum_to_log_prior_exactly():
+    # memoized per-rule terms equal the unmemoized expressions, and added in
+    # log_prior's order they give its float
+    from mars.scoring import log_rule_length_prior, rule_prior_terms
+
+    rng = random.Random(5)
+    vocab = (4, 3, 5, 2)
+    h = hypers(4, theta=(0.5, 1.0, 2.0, 3.0), beta_m=20.0, beta_l=30.0)
+    theta_sum = sum(h.theta)
+    for _ in range(100):
+        rs = random_ruleset_for(rng, vocab)
+        total = log_rule_count_prior(rs.n_rules, h)
+        for rule in rs.rules:
+            length_term, dm_term = rule_prior_terms(rule, h, vocab)
+            dm = 0.0
+            for c in rule.conditions:
+                t = h.theta[c.feature_id]
+                dm += math.lgamma(c.n_values + t) - math.lgamma(t)
+            assert length_term == log_rule_length_prior(rule.n_items, h)
+            assert dm_term == math.lgamma(theta_sum) - math.lgamma(rule.n_items + theta_sum) + dm
+            total += length_term
+            total += dm_term
+        assert total == log_prior(rs, h, vocab)
+
+
 def test_log_prior_rejects_vocabulary_overflow():
     h = hypers(2)
     rs = RuleSet((Rule.of({0: (0, 5)}),))

@@ -6,6 +6,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mars.bounds import update_bounds
 from mars.data import rule_mask, union_mask
@@ -101,11 +103,9 @@ def test_init_state_is_valid_and_bounds_seeded():
 def _state_with(data, rules, cfg=None, seed=0):
     h = hypers(data)
     state = init_state(data, h, cfg or small_cfg(random_seed=seed))
-    from mars.search import Proposal, _accept, _score_ruleset
+    from mars.search import _Scorer, _accept
 
-    masks = [rule_mask(r, data) for r in rules.rules]
-    prop = Proposal(rules, _score_ruleset(rules, masks, data, h), masks, "test")
-    _accept(state, prop, data)
+    _accept(state, _Scorer({}, data, h).proposal(rules.rules, "test"), data)
     return state
 
 
@@ -178,7 +178,7 @@ def test_add_condition_canonical_variant_uncovers_example():
     from mars.search import _edits_add_condition
 
     edits = _edits_add_condition(
-        state.current.rules, state.rule_masks, data, idx, data.rows[idx], state.rng
+        state.current.rules, state.rule_cache, data, idx, data.rows[idx], state.rng, {}
     )
     assert edits
     # canonical candidates (vocabulary minus the example's value) come first
@@ -202,7 +202,7 @@ def test_add_rule_candidates_respect_support_floor():
     state.bounds = replace(state.bounds, min_support=3)
     ex = _find_example(state, data, want_positive=True)
     edits = _edits_add_rule(
-        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds
+        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
     )
     for edit in edits:
         assert rule_mask(edit[-1], data).bit_count() >= 3
@@ -218,7 +218,7 @@ def test_add_rule_blocked_by_rule_count_cap():
     state.bounds = replace(state.bounds, m_cap=len(state.current.rules))
     ex = _find_example(state, data, want_positive=True)
     assert _edits_add_rule(
-        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds
+        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
     ) == []
 
 
@@ -359,3 +359,166 @@ def test_incremental_confusion_stays_consistent():
     for _ in range(cfg.n_iter):
         anneal_step(state, data, h, cfg)
         assert state.confusion == confusion_counts(state.current, data)
+
+
+# ---------------------------------------------------------------------------
+# edits come normalized; candidates are scored from cached per-rule terms
+# ---------------------------------------------------------------------------
+
+def raw_add_value(rules, data, xrow):
+    """The add-value edits before normalization (one raw tuple each)."""
+    progress, others = [], []
+    for mi, rule in enumerate(rules):
+        conds = rule.conditions
+        for ci, cond in enumerate(conds):
+            j = cond.feature_id
+            for v in range(data.vocab_sizes[j]):
+                if v in cond.values:
+                    continue
+                grown = Rule(conds[:ci] + (Condition(j, cond.values + (v,)),) + conds[ci + 1:])
+                bucket = progress if v == int(xrow[j]) else others
+                bucket.append(rules[:mi] + (grown,) + rules[mi + 1:])
+    return progress or others
+
+
+def raw_remove_condition(rules):
+    edits = []
+    for mi, rule in enumerate(rules):
+        for ci in range(len(rule.conditions)):
+            rest = rule.conditions[:ci] + rule.conditions[ci + 1:]
+            edits.append(rules[:mi] + ((Rule(rest),) if rest else ()) + rules[mi + 1:])
+    return edits
+
+
+def raw_add_condition(rules, data, idx, xrow, rng):
+    edits = []
+    for mi, rule in enumerate(rules):
+        if not rule_mask(rule, data) >> idx & 1:
+            continue
+        for j in range(data.n_features):
+            vocab = data.vocab_sizes[j]
+            if j in rule.features or vocab < 2:
+                continue
+            variants = [tuple(v for v in range(vocab) if v != int(xrow[j]))]
+            for _ in range(2):
+                variants.append(tuple(rng.sample(range(vocab), rng.randint(1, vocab - 1))))
+            for vals in variants:
+                grown = Rule(rule.conditions + (Condition(j, vals),))
+                edits.append(rules[:mi] + (grown,) + rules[mi + 1:])
+    return edits
+
+
+def near_duplicate_ruleset(rng, vocab_sizes):
+    """A normalized rule set salted with rules one edit apart, so growths
+    reach the full vocabulary and edited rules collide with other rules,
+    on either side of the edited one."""
+    from mars.model import normalize
+    from oracles import random_ruleset_for
+
+    rules = list(random_ruleset_for(rng, vocab_sizes, max_rules=3).rules)
+    for rule in list(rules):
+        conds = rule.conditions
+        if len(conds) > 1:
+            rules.insert(rng.randrange(len(rules) + 1), Rule(conds[1:]))
+        cond = conds[0]
+        spare = [v for v in range(vocab_sizes[cond.feature_id]) if v not in cond.values]
+        grown = Condition(cond.feature_id, cond.values + (rng.choice(spare),))
+        rules.insert(rng.randrange(len(rules) + 1), Rule((grown,) + conds[1:]))
+    return normalize(RuleSet(tuple(rules)), vocab_sizes).rules
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_edits_equal_normalized_raw_edits(draw):
+    from dataclasses import replace
+
+    from mars.bounds import initial_bounds
+    from mars.model import normalize
+    from mars.search import (
+        _edits_add_condition,
+        _edits_add_rule,
+        _edits_add_value,
+        _edits_remove_condition,
+        _edits_remove_rule,
+        _Scorer,
+    )
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    vocab_sizes = draw.draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(12)]
+    data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(12)])
+    h = hypers(data)
+    rules = near_duplicate_ruleset(rng, vocab_sizes)
+
+    def normalized(edits):
+        return [normalize(RuleSet(e), vocab_sizes).rules for e in edits]
+
+    assert _edits_remove_condition(rules) == normalized(raw_remove_condition(rules))
+    assert _edits_remove_rule(rules) == normalized(_edits_remove_rule(rules))
+    cache = _Scorer({}, data, h).proposal(rules, "").rule_cache
+    bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
+    for idx, xrow in enumerate(data.rows):
+        assert _edits_add_value(rules, data, xrow) == normalized(raw_add_value(rules, data, xrow))
+        seed = rng.random()
+        known = {}
+        got = _edits_add_condition(rules, cache, data, idx, xrow, random.Random(seed), known)
+        assert got == normalized(raw_add_condition(rules, data, idx, xrow, random.Random(seed)))
+        got = _edits_add_rule(rules, data, xrow, random.Random(seed), 8, bounds, known)
+        assert got == normalized(got)
+        assert all(mask == rule_mask(rule, data) for rule, mask in known.items())
+
+
+def test_replace_rule_keeps_first_of_duplicates():
+    from mars.search import _replace_rule
+
+    a, b, c = Rule.of({0: (0,)}), Rule.of({1: (1,)}), Rule.of({0: (1,), 1: (0,)})
+    assert _replace_rule((a, b, c), 2, b) == (a, b)  # the duplicate comes first
+    assert _replace_rule((a, b, c), 0, b) == (b, c)  # the edited rule comes first
+    assert _replace_rule((a, b, c), 1, None) == (a, c)
+    assert _replace_rule((a, b), 1, c) == (a, c)
+
+
+def test_add_value_drops_condition_that_reaches_full_vocabulary():
+    from mars.search import _edits_add_value
+
+    data = make_dataset((2, 3), [[0, 0], [1, 2]], [1, 0])
+    lone = Rule.of({0: (0,)})
+    pair = Rule.of({0: (0,), 1: (0, 1)})
+    # growing x0 to {0, 1} leaves nothing of `lone`: the rule goes
+    assert _edits_add_value((lone,), data, data.rows[1]) == [()]
+    # growing x1 to {0, 1, 2} leaves {x0: 0}, which duplicates `lone`
+    edits = _edits_add_value((lone, pair), data, data.rows[1])
+    assert (lone,) in edits
+
+
+def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
+    import mars.search as search
+    from mars.scoring import rule_prior_terms
+
+    chosen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            prop = fn(*args, **kwargs)
+            chosen.append(prop)
+            return prop
+        return wrapper
+
+    monkeypatch.setattr(search, "propose", recording(search.propose))
+    monkeypatch.setattr(search, "_propose_simplify", recording(search._propose_simplify))
+    for seed in range(20):
+        data = tiny_instance(seed)
+        h = hypers(data)
+        cfg = small_cfg(n_iter=150, random_seed=seed, explore_prob=0.3)
+        state = init_state(data, h, cfg)
+        chosen.clear()
+        for _ in range(cfg.n_iter):
+            anneal_step(state, data, h, cfg)
+        assert chosen
+        for prop in chosen:
+            assert prop.score == score(prop.rules, data, h)  # floats compared exactly
+            assert prop.union_mask == union_mask(prop.rules, data)
+            assert list(prop.rule_cache) == list(prop.rules.rules)
+            for rule, entry in prop.rule_cache.items():
+                assert entry == (rule_mask(rule, data), *rule_prior_terms(rule, h, data.vocab_sizes))
+        assert state.best_score == score(state.best, data, h)
