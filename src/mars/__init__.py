@@ -7,7 +7,6 @@ from .data import (
     FeatureSpec,
     RawTable,
     coverage,
-    discretization_report,
     discretize,
     encode_with_specs,
     support,
@@ -69,7 +68,6 @@ __all__ = [
     "anneal_step",
     "confusion_counts",
     "coverage",
-    "discretization_report",
     "discretize",
     "encode_with_specs",
     "first_covering_rule",

@@ -34,21 +34,17 @@ def indices(mask: int) -> list[int]:
 
 
 def kth_set_bit(mask: int, k: int) -> int:
-    """Position of the k-th (0-based) set bit of ``mask``."""
+    """Position of the k-th (0-based) set bit of ``mask``: the lowest p whose
+    prefix ``mask & ((2 << p) - 1)`` holds more than k set bits, bisected."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    base = 0
-    while mask:
-        word = mask & _WORD
-        count = word.bit_count()
-        if k < count:
-            while True:
-                low = word & -word
-                if k == 0:
-                    return base + low.bit_length() - 1
-                word ^= low
-                k -= 1
-        k -= count
-        mask >>= 64
-        base += 64
-    raise ValueError("k exceeds the number of set bits")
+    if k >= mask.bit_count():
+        raise ValueError("k exceeds the number of set bits")
+    lo, hi = 0, mask.bit_length() - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if (mask & ((2 << mid) - 1)).bit_count() > k:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo

@@ -6,24 +6,23 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import synth
-from .data import RawTable, discretize, discretization_report, encode_with_specs, parse_label
+from .data import RawTable, discretize, encode_with_specs, parse_label
 from .errors import MarsError
 from .model import first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
-from .scoring import Hyperparams
+from .scoring import HYPER_KEYS, Hyperparams
 from .search import SearchConfig, run
 
 log = logging.getLogger(__name__)
 
-HYPER_KEYS = (
-    "alpha_m", "beta_m", "alpha_l", "beta_l", "theta",
-    "alpha_pos", "beta_pos", "alpha_neg", "beta_neg",
-)
+# a hyperparameter declared as a tuple takes one value per feature
+_PER_FEATURE_KEYS = frozenset(f.name for f in fields(Hyperparams) if f.type.startswith("tuple"))
 
 
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
@@ -99,7 +98,7 @@ def _parse_hyper_file(path) -> dict:
         if key not in HYPER_KEYS:
             raise MarsError(f"{path}:{lineno}: unknown hyperparameter {key!r}")
         try:
-            if key == "theta" and "," in value:
+            if key in _PER_FEATURE_KEYS and "," in value:
                 out[key] = tuple(float(v) for v in value.split(","))
             else:
                 out[key] = float(value)

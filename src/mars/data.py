@@ -72,12 +72,6 @@ class FeatureSpec:
         # an entry spelled like a missing cell ("", "?") is never matched
         return {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}
 
-    def value_label(self, value_index: int) -> str:
-        if self.kind == "categorical":
-            return self.categories[value_index]
-        lo, hi = self.intervals[value_index]
-        return f"[{lo:.6g}, {hi:.6g})"
-
     def encode(self, cell) -> int:
         """Map one raw cell to a value index, as ``encode_column`` does."""
         return int(self.encode_column([cell])[0])
@@ -380,14 +374,3 @@ def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.nd
     for k, f in enumerate(features):
         rows[:, k] = f.encode_column(columns.get(f.name, ()))
     return rows
-
-
-def discretization_report(features: Sequence[FeatureSpec]) -> dict:
-    """JSON-friendly map of feature name -> vocabulary (interval bounds)."""
-    report = {}
-    for f in features:
-        if f.kind == "numeric":
-            report[f.name] = {"kind": "numeric", "intervals": [list(iv) for iv in f.intervals]}
-        else:
-            report[f.name] = {"kind": "categorical", "values": list(f.categories)}
-    return report

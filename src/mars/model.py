@@ -38,9 +38,6 @@ class Condition:
     def n_values(self) -> int:
         return len(self.values)
 
-    def matches(self, value: int) -> bool:
-        return value in self.values
-
 
 @dataclass(frozen=True)
 class Rule:
@@ -66,14 +63,6 @@ class Rule:
         """Build from ``{feature_id: values}``; merges nothing, just sugar."""
         return cls(tuple(Condition(j, tuple(vs)) for j, vs in conditions.items()))
 
-    @classmethod
-    def from_items(cls, items: Iterable[tuple[int, int]]) -> "Rule":
-        """Build from (feature, value) items, merging same-feature items."""
-        grouped: dict[int, set[int]] = {}
-        for j, v in items:
-            grouped.setdefault(j, set()).add(v)
-        return cls.of({j: tuple(vs) for j, vs in grouped.items()})
-
     @property
     def features(self) -> tuple[int, ...]:
         return tuple(c.feature_id for c in self.conditions)
@@ -82,12 +71,6 @@ class Rule:
     def n_items(self) -> int:
         """Total number of (feature, value) items; the rule's length."""
         return sum(c.n_values for c in self.conditions)
-
-    def condition_on(self, feature_id: int) -> Condition | None:
-        for c in self.conditions:
-            if c.feature_id == feature_id:
-                return c
-        return None
 
 
 @dataclass(frozen=True)
@@ -122,9 +105,6 @@ class RuleSet:
     @property
     def n_features(self) -> int:
         return len(self.feature_ids)
-
-
-EMPTY_RULESET = RuleSet(())
 
 
 def rule_covers(rule: Rule, row: Sequence[int]) -> bool:

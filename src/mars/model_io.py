@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .data import FeatureSpec
 from .errors import ModelFormatError
 from .model import Condition, Rule, RuleSet
-from .scoring import Confusion, Hyperparams, Score
+from .scoring import HYPER_KEYS, Hyperparams, Score
 
 FORMAT_VERSION = 1
 
@@ -67,17 +67,7 @@ def save_model(
             [[name_of[c.feature_id], list(c.values)] for c in rule.conditions]
             for rule in rules.rules
         ],
-        "hyperparams": {
-            "alpha_m": hyper.alpha_m,
-            "beta_m": hyper.beta_m,
-            "alpha_l": hyper.alpha_l,
-            "beta_l": hyper.beta_l,
-            "theta": list(hyper.theta),
-            "alpha_pos": hyper.alpha_pos,
-            "beta_pos": hyper.beta_pos,
-            "alpha_neg": hyper.alpha_neg,
-            "beta_neg": hyper.beta_neg,
-        },
+        "hyperparams": asdict(hyper),
         "training": training_meta,
     }
     with open(path, "w") as fh:
@@ -108,17 +98,7 @@ def load_model(path) -> Model:
             )
         )
         hp = doc["hyperparams"]
-        hyper = Hyperparams(
-            alpha_m=hp["alpha_m"],
-            beta_m=hp["beta_m"],
-            alpha_l=hp["alpha_l"],
-            beta_l=hp["beta_l"],
-            theta=tuple(hp["theta"]),
-            alpha_pos=hp["alpha_pos"],
-            beta_pos=hp["beta_pos"],
-            alpha_neg=hp["alpha_neg"],
-            beta_neg=hp["beta_neg"],
-        )
+        hyper = Hyperparams(**{k: hp[k] for k in HYPER_KEYS})
         label = doc["label"]
         meta = doc.get("training", {})
     except (KeyError, TypeError, ValueError) as exc:
@@ -141,12 +121,7 @@ def training_metadata(seed: int, n_iter: int, score: Score, n_rows: int) -> dict
         "log_posterior": score.log_posterior,
         "log_prior": score.log_prior,
         "log_likelihood": score.log_likelihood,
-        "confusion": {
-            "tp": score.confusion.tp,
-            "fp": score.confusion.fp,
-            "tn": score.confusion.tn,
-            "fn": score.confusion.fn,
-        },
+        "confusion": asdict(score.confusion),
         "n_rows": n_rows,
     }
 

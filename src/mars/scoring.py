@@ -53,25 +53,16 @@ class Hyperparams:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        scalars = {
-            "alpha_m": self.alpha_m,
-            "beta_m": self.beta_m,
-            "alpha_l": self.alpha_l,
-            "beta_l": self.beta_l,
-            "alpha_pos": self.alpha_pos,
-            "beta_pos": self.beta_pos,
-            "alpha_neg": self.alpha_neg,
-            "beta_neg": self.beta_neg,
-        }
-        for name, value in scalars.items():
-            if not value > 0:
+        for name in HYPER_KEYS:
+            value = getattr(self, name)
+            if name != "theta" and not value > 0:
                 raise ValueError(f"{name} must be strictly positive, got {value}")
         if not self.theta:
             raise ValueError("theta must have one entry per feature")
         if any(not t > 0 for t in self.theta):
             raise ValueError("theta entries must be strictly positive")
         # hashed on every prior evaluation by the constants cache; cache it
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, f.name) for f in fields(self))))
+        object.__setattr__(self, "_hash", hash(tuple(getattr(self, k) for k in HYPER_KEYS)))
 
     def __hash__(self) -> int:
         return self._hash
@@ -120,6 +111,11 @@ class Hyperparams:
         return out
 
 
+# the field names, in order: flags, config-file keys and the model file's
+# "hyperparams" block all follow them
+HYPER_KEYS = tuple(f.name for f in fields(Hyperparams))
+
+
 @dataclass(frozen=True)
 class Confusion:
     tp: int
@@ -128,9 +124,9 @@ class Confusion:
     fn: int
 
     def __post_init__(self) -> None:
-        for name in ("tp", "fp", "tn", "fn"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+        for f in fields(self):
+            if getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be non-negative")
 
     @property
     def n_pos(self) -> int:

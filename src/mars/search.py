@@ -37,7 +37,7 @@ import json
 import logging
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .bitset import indices, kth_set_bit
@@ -226,12 +226,18 @@ def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
 
 
 def _start_chain(
-    data: Dataset, hyper: Hyperparams, rng: random.Random, state: SearchState | None = None
+    data: Dataset,
+    hyper: Hyperparams,
+    rng: random.Random,
+    state: SearchState | None = None,
+    runlog: RunLog | None = None,
 ) -> SearchState:
     """Make a random rule set the chain's current state: a new state, or
-    ``state`` restarted at t = 0 with its best and bounds kept."""
+    ``state`` restarted at t = 0 with its best and bounds kept.  A start
+    that becomes the best gets an ``improve`` record."""
     start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules, "start")
     sc = start.score
+    improved = state is None or sc.log_posterior > state.best_score.log_posterior
     if state is None:
         state = SearchState(
             current=start.rules,
@@ -248,11 +254,13 @@ def _start_chain(
         state.current, state.current_score = start.rules, sc
         state.rule_cache, state.union_mask = start.rule_cache, start.union_mask
         state.confusion = sc.confusion
-        if sc.log_posterior > state.best_score.log_posterior:
+        if improved:
             state.best, state.best_score = start.rules, sc
         state.t = 0
         state.stall_streak = 0
     state.bounds = update_bounds(state.bounds, sc.log_posterior)
+    if improved and runlog is not None:
+        runlog.improvement(state)
     return state
 
 
@@ -268,10 +276,7 @@ def init_state(
         raise DegenerateLabelError("training data needs both positive and negative examples")
     if rng is None:
         rng = random.Random(f"mars-search:{cfg.random_seed}")
-    state = _start_chain(data, hyper, rng)
-    if runlog is not None:
-        runlog.improvement(state)
-    return state
+    return _start_chain(data, hyper, rng, runlog=runlog)
 
 
 def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] | None:
@@ -605,8 +610,8 @@ def run(
         if state is None:
             state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
         else:
-            _start_chain(data, hyper, rng, state)
             state.chain = chain
+            _start_chain(data, hyper, rng, state, runlog)
         runlog.emit(
             event="chain_start",
             chain=chain,
@@ -624,9 +629,6 @@ def run(
         n_conditions=state.best.n_conditions,
         n_values=state.best.n_values,
         n_features=state.best.n_features,
-        tp=state.best_score.confusion.tp,
-        fp=state.best_score.confusion.fp,
-        tn=state.best_score.confusion.tn,
-        fn=state.best_score.confusion.fn,
+        **asdict(state.best_score.confusion),
     )
     return state.best, state.best_score, runlog

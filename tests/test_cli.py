@@ -5,8 +5,10 @@ import contextlib
 import csv
 import io
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +19,7 @@ from mars import cli
 from mars.data import RawTable, encode_with_specs
 from mars.model import rule_covers
 from mars.model_io import load_model
+from mars.scoring import Hyperparams
 
 SRC = str(Path(mars.__file__).resolve().parents[1])
 
@@ -144,6 +147,7 @@ def test_non_numeric_cell_in_numeric_column_exits_2(trained, tmp_path):
         (["--alpha-m", "-1"], None, "alpha_m"),
         (["--hyper-config", "{cfg}"], "beta_m = abc\n", "beta_m"),
         (["--hyper-config", "{cfg}"], None, "cannot read"),  # the file does not exist
+        (["--hyper-config", "{cfg}"], "beta_m = 1,2\n", "beta_m"),  # one value per feature: theta only
     ],
 )
 def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
@@ -156,6 +160,30 @@ def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags
             "--iters", "20", *(f.format(cfg=cfg) for f in flags)]
     assert_clean_error(run_mars(*argv), 1, fragment)
     assert not (tmp_path / "m.json").exists()
+
+
+def test_hyper_config_sets_theta_per_feature(trained, tmp_path):
+    tmp, _ = trained
+    cfg = tmp_path / "hyper.cfg"
+    cfg.write_text("theta = 0.5, 2, 1  # x, c, noise\nbeta_m = 7\n")
+    model = tmp_path / "m.json"
+    argv = ["train", str(tmp / "train.csv"), "--label", "y", "--out", str(model),
+            "--iters", "20", "--hyper-config", str(cfg)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    hyper = load_model(model).hyper
+    assert hyper.theta == (0.5, 2.0, 1.0)
+    assert hyper.beta_m == 7.0
+
+
+def test_train_help_offers_one_flag_per_hyperparameter(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(["train", "--help"])
+    assert info.value.code == 0
+    listed = re.findall(r"^\s+(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)
+    names = [f.name for f in fields(Hyperparams)]
+    hyper_flags = [flag for flag in listed if flag[2:].replace("-", "_") in names]
+    assert sorted(hyper_flags) == sorted("--" + name.replace("_", "-") for name in names)
 
 
 @pytest.mark.parametrize(

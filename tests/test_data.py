@@ -6,7 +6,6 @@ import pytest
 from mars.data import (
     MISSING,
     RawTable,
-    discretization_report,
     discretize,
     encode_with_specs,
 )
@@ -245,11 +244,3 @@ def test_csv_ragged_row_rejected(tmp_path):
     path.write_text("a,b,y\n1,2,1\n1,2\n")
     with pytest.raises(DataFormatError, match="row 3"):
         RawTable.from_csv(path, label_column="y")
-
-
-def test_report_lists_interval_bounds():
-    rows = [[0.0, 1], [1.0, 0]]
-    data = discretize(table_of(["x", "y"], rows), n_bins=2)
-    report = discretization_report(data.features)
-    assert report["x"]["kind"] == "numeric"
-    assert report["x"]["intervals"] == [[0.0, 0.5], [0.5, 1.0]]

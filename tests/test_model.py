@@ -44,13 +44,6 @@ def test_rule_rejects_duplicate_feature():
         Rule((Condition(0, (0,)), Condition(0, (1,))))
 
 
-def test_rule_from_items_merges_same_feature():
-    rule = Rule.from_items([(1, 0), (0, 2), (1, 3)])
-    assert rule.features == (0, 1)
-    assert rule.condition_on(1).values == (0, 3)
-    assert rule.n_items == 3
-
-
 # ---------------------------------------------------------------------------
 # rule_covers / first_covering_rule
 # ---------------------------------------------------------------------------

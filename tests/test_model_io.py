@@ -8,7 +8,7 @@ from mars.data import RawTable, discretize
 from mars.errors import ModelFormatError
 from mars.model import Rule, RuleSet
 from mars.model_io import FORMAT_VERSION, load_model, save_model
-from mars.scoring import Hyperparams
+from mars.scoring import HYPER_KEYS, Hyperparams
 
 
 @pytest.fixture
@@ -40,5 +40,16 @@ def test_wrong_format_version_rejected(saved, version):
     doc["format_version"] = version
     path.write_text(json.dumps(doc))
     with pytest.raises(ModelFormatError, match="format version") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+
+
+@pytest.mark.parametrize("key", HYPER_KEYS)
+def test_missing_hyperparameter_rejected(saved, key):
+    path = saved[0]
+    doc = json.loads(path.read_text())
+    del doc["hyperparams"][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=key) as info:
         load_model(path)
     assert info.value.exit_code == 5

@@ -322,6 +322,19 @@ def test_runlog_improvements_are_monotone():
         assert {"t", "n_rules", "n_conditions", "n_features", "min_support", "m_cap"} <= set(record)
 
 
+@pytest.mark.parametrize("seed", range(40))
+def test_last_improvement_is_the_returned_best_across_restarts(seed):
+    # one step per chain: most new bests come from a restart's random start
+    data = tiny_instance(seed % 20)
+    cfg = SearchConfig(n_iter=1, t0=10, n_restarts=8, random_seed=seed)
+    _, best, runlog = run(data, hypers(data), cfg)
+    improvements = [r for r in runlog.records if r["event"] == "improve"]
+    assert improvements[-1]["log_posterior"] == best.log_posterior
+    # chain 0 keeps its record order: the start's improve, then chain_start
+    events = [r["event"] for r in runlog.records]
+    assert events[:2] == ["improve", "chain_start"]
+
+
 def test_admitted_rules_meet_support_floor_during_run():
     data = tiny_instance(8)
     h = hypers(data)
