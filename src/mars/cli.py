@@ -9,10 +9,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-import numpy as np
-
 from . import synth
-from .data import RawTable, discretize, encode_with_specs, parse_label
+from .data import RawTable, discretize, encode_with_specs, parse_labels
 from .errors import MarsError
 from .model import first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
@@ -169,7 +167,7 @@ def cmd_evaluate(args) -> int:
     label = args.label or model.label_name
     table = RawTable.from_csv(args.csv, label_column=label)
     rows = encode_with_specs(table, model.features)
-    labels = np.array([parse_label(c, label) for c in table.column(label)])
+    labels = parse_labels(table.columns()[label], label)
     preds = first_covering_rule(model.rules, rows) >= 0
     accuracy = float((preds == labels).mean())
     rules = model.rules

@@ -4,13 +4,19 @@ Numeric columns are binned into intervals over the observed training range
 (equal-width by default, equal-frequency as a variant) and then treated as
 categorical; categorical columns pass through with their observed
 vocabulary.  Missing categorical cells become an explicit vocabulary entry
-so rules can reason about missingness.
+so rules can reason about missingness: a blank or ``?`` cell (or None),
+and in a categorical column a cell spelled ``⟨missing⟩`` itself.
+
+Training and prediction share one parser per kind of cell: ``parse_numbers``
+decides that a training column is numeric and encodes numeric columns;
+``FeatureSpec.encode_column`` gives training and prediction codes alike;
+``parse_labels`` reads every label column.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -22,8 +28,9 @@ from .model import Rule, RuleSet
 
 MISSING = "⟨missing⟩"
 
-_TRUE_LABELS = {"1", "1.0", "true", "yes"}
-_FALSE_LABELS = {"0", "0.0", "false", "no"}
+_LABELS = {"1": True, "1.0": True, "true": True, "yes": True,
+           "0": False, "0.0": False, "false": False, "no": False}
+_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -72,36 +79,20 @@ class FeatureSpec:
         # an entry spelled like a missing cell ("", "?") is never matched
         return {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}
 
-    def encode(self, cell) -> int:
-        """Map one raw cell to a value index, as ``encode_column`` does."""
-        return int(self.encode_column([cell])[0])
-
     def encode_column(self, cells: Sequence) -> np.ndarray:
         """Map a column of raw cells to value indices (int32); the rules are
         those of ``encode_with_specs``."""
         if self.kind == "numeric":
-            return self._encode_numeric(cells)
+            values, missing = parse_numbers(cells, self.name)
+            codes = self._interval_codes(values)
+            codes[missing] = -1
+            return codes
         default = self._category_index.get(MISSING, -1)
         get = self._category_index.get
         return np.array(
             [get(c if c.__class__ is str else _category_key(c), default) for c in cells],
             dtype=np.int32,
         )
-
-    def _encode_numeric(self, cells: Sequence) -> np.ndarray:
-        n = len(cells)
-        try:
-            values = np.fromiter(map(float, cells), dtype=float, count=n)
-        except (TypeError, ValueError):
-            pass  # float() rejects every missing cell: find them below
-        else:
-            return self._interval_codes(values)
-        missing = np.fromiter(map(_is_missing, cells), dtype=bool, count=n)
-        values = np.zeros(n)
-        values[~missing] = [_parse_float(c, self.name) for c, m in zip(cells, missing) if not m]
-        codes = self._interval_codes(values)
-        codes[missing] = -1
-        return codes
 
     def _interval_codes(self, values: np.ndarray) -> np.ndarray:
         codes = np.searchsorted(self._edges, values, side="right") - 1
@@ -120,11 +111,46 @@ def _category_key(cell) -> str | None:
     return None if cell is None else str(cell)
 
 
-def _parse_float(cell, column: str) -> float:
+def parse_numbers(cells: Sequence, column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a column of raw cells as numbers: (values, missing mask).
+
+    A missing cell reads as 0.0; any other cell is read with ``float()``,
+    and DataFormatError names the first one it rejects, or a bool."""
+    n = len(cells)
+    missing = np.zeros(n, dtype=bool)
     try:
-        return float(cell)
+        values = np.fromiter(map(float, cells), dtype=float, count=n)
     except (TypeError, ValueError):
-        raise DataFormatError(f"column {column!r}: non-numeric value {cell!r}") from None
+        pass  # float() rejects every missing cell: find them below
+    else:
+        # float() reads a bool as 0 or 1: only then look for bool cells
+        if not ((values == 0) | (values == 1)).any() or _BOOLS.isdisjoint(map(type, cells)):
+            return values, missing
+    values = np.zeros(n)
+    for i, cell in enumerate(cells):
+        if _is_missing(cell):
+            missing[i] = True
+            continue
+        try:
+            if type(cell) in _BOOLS:
+                raise TypeError
+            values[i] = float(cell)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"column {column!r}: non-numeric value {cell!r}") from None
+    return values, missing
+
+
+def parse_labels(cells: Sequence, column: str) -> np.ndarray:
+    """Read a binary label column (1/true/yes or 0/false/no, any case),
+    parsing each distinct cell text once; DegenerateLabelError otherwise."""
+    texts = list(map(str, cells))
+    value = {t: _LABELS.get(t.strip().lower()) for t in set(texts)}
+    if None in value.values():
+        cell = next(c for c, t in zip(cells, texts) if value[t] is None)
+        raise DegenerateLabelError(
+            f"label column {column!r} has non-binary value {cell!r} (use 0/1, true/false or yes/no)"
+        )
+    return np.fromiter(map(value.__getitem__, texts), dtype=bool, count=len(texts))
 
 
 @dataclass
@@ -162,9 +188,10 @@ class RawTable:
             raise DataFormatError(f"{path}: no column named {label_column!r}")
         return cls(names=names, rows=rows, label_column=label_column)
 
-    def column(self, name: str) -> list:
-        idx = self.names.index(name)
-        return [row[idx] for row in self.rows]
+    def columns(self) -> dict[str, tuple]:
+        """Every column's cells by name: one transpose of the rows."""
+        cells = list(zip(*self.rows)) or [()] * len(self.names)
+        return dict(zip(self.names, cells))
 
 
 class Dataset:
@@ -200,7 +227,6 @@ class Dataset:
         self.n_neg = self.n_rows - self.n_pos
         self.pos_mask = mask_from_bools(self.labels)
         self.full_mask = (1 << self.n_rows) - 1
-        self.neg_mask = self.full_mask ^ self.pos_mask
         self.value_masks: tuple[tuple[int, ...], ...] = tuple(
             tuple(mask_from_bools(self.rows[:, j] == v) for v in range(vocab))
             for j, vocab in enumerate(self.vocab_sizes)
@@ -247,17 +273,6 @@ def support(rule: Rule, data: Dataset) -> int:
     return rule_mask(rule, data).bit_count()
 
 
-def parse_label(cell, column: str) -> bool:
-    text = str(cell).strip().lower()
-    if text in _TRUE_LABELS:
-        return True
-    if text in _FALSE_LABELS:
-        return False
-    raise DegenerateLabelError(
-        f"label column {column!r} has non-binary value {cell!r} (use 0/1, true/false or yes/no)"
-    )
-
-
 def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Dataset:
     """Encode a raw table into a Dataset, binning numeric columns.
 
@@ -271,8 +286,12 @@ def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Data
         raise ValueError(f"unknown discretization scheme {scheme!r}")
     if table.label_column is None:
         raise DataFormatError("table has no label column set")
+    feature_names = [n for n in table.names if n != table.label_column]
+    if not feature_names:
+        raise DataFormatError(f"table has no feature columns besides {table.label_column!r}")
 
-    labels = np.array([parse_label(c, table.label_column) for c in table.column(table.label_column)])
+    columns = table.columns()
+    labels = parse_labels(columns[table.label_column], table.label_column)
     if labels.size == 0:
         raise DataFormatError("table has no data rows")
     if labels.all() or not labels.any():
@@ -280,58 +299,40 @@ def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Data
             f"label column {table.label_column!r} has a single class; need both 0 and 1"
         )
 
-    feature_names = [n for n in table.names if n != table.label_column]
-    specs: list[FeatureSpec] = []
-    encoded: list[np.ndarray] = []
-    for fid, name in enumerate(feature_names):
-        raw = table.column(name)
-        spec, codes = _build_feature(fid, name, raw, n_bins, scheme)
-        specs.append(spec)
-        encoded.append(codes)
-
-    rows = np.stack(encoded, axis=1) if encoded else np.zeros((labels.size, 0), dtype=np.int32)
-    return Dataset(specs, rows, labels, label_name=table.label_column)
+    specs, encoded = zip(*(
+        _build_feature(fid, name, columns[name], n_bins, scheme)
+        for fid, name in enumerate(feature_names)
+    ))
+    return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
 
 
-def _build_feature(fid: int, name: str, raw: list, n_bins: int, scheme: str):
-    present = [c for c in raw if not _is_missing(c)]
-    has_missing = len(present) < len(raw)
-    numeric_values = _try_floats(present)
-
-    if numeric_values is not None:
-        if has_missing:
+def _build_feature(fid: int, name: str, raw: Sequence, n_bins: int, scheme: str):
+    try:
+        values, missing = parse_numbers(raw, name)
+    except DataFormatError:
+        pass  # a cell that is not a number: the column is categorical
+    else:
+        if missing.any():
             raise DataFormatError(
                 f"column {name!r}: numeric column contains missing values; impute or drop it"
             )
-        values = np.asarray(numeric_values, dtype=float)
-        if values.size == 0 or values.min() == values.max():
+        if values.min() == values.max():
             raise DataFormatError(f"column {name!r} has a single distinct value")
         edges = _bin_edges(values, n_bins, scheme, name)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
         spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
         return spec, spec._interval_codes(values)
 
-    as_text = [MISSING if _is_missing(c) else str(c) for c in raw]
-    vocab = sorted(set(as_text) - {MISSING})
-    if has_missing:
+    # keyed by text, as encode_column looks cells up, so 0 and False stay apart
+    keys = {c if c.__class__ is str else _category_key(c) for c in raw}
+    missing_keys = {k for k in keys if k == MISSING or _is_missing(k)}
+    vocab = sorted(keys - missing_keys)
+    if missing_keys:
         vocab.append(MISSING)
     if len(vocab) < 2:
         raise DataFormatError(f"column {name!r} has a single distinct value")
     spec = FeatureSpec(fid, name, "categorical", categories=tuple(vocab))
     return spec, spec.encode_column(raw)
-
-
-def _try_floats(cells: list) -> list[float] | None:
-    out = []
-    for c in cells:
-        if isinstance(c, (int, float)) and not isinstance(c, bool):
-            out.append(float(c))
-            continue
-        try:
-            out.append(float(str(c)))
-        except ValueError:
-            return None
-    return out
 
 
 def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.ndarray:
@@ -350,16 +351,16 @@ def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.nd
     """Encode a raw table against existing feature specs, matching by name.
 
     Returns an (N, n_features) int32 matrix of value indices, one column per
-    spec.  Cell rules:
+    spec, from ``FeatureSpec.encode_column``.  Cell rules:
 
-    - a numeric cell is parsed with ``float()`` and falls in the interval
+    - a numeric cell, read by ``parse_numbers``, falls in the interval
       [lo, hi) that holds it; values outside the training range clamp into
       the first or last interval, and nan into the last; a blank or ``?``
-      cell (or None) becomes -1; any other cell ``float()`` rejects raises
-      DataFormatError naming the column;
-    - a categorical cell maps to its vocabulary entry; blank, ``?`` and
-      unseen values map to the missing entry when the vocabulary has one,
-      else to -1.
+      cell (or None) becomes -1; a bool or any other cell ``float()``
+      rejects raises DataFormatError naming the column and the cell;
+    - a categorical cell maps to its vocabulary entry by its text; blank,
+      ``?``, a literal ``⟨missing⟩`` and unseen values map to the missing
+      entry when the vocabulary has one, else to -1.
 
     -1 is matched by no condition.  Raises FeatureMismatchError listing
     any model feature absent from the table.
@@ -370,7 +371,7 @@ def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.nd
             "input is missing model feature column(s): " + ", ".join(sorted(missing))
         )
     rows = np.empty((len(table.rows), len(features)), dtype=np.int32)
-    columns = dict(zip(table.names, zip(*table.rows)))  # empty when the table has no rows
+    columns = table.columns()
     for k, f in enumerate(features):
-        rows[:, k] = f.encode_column(columns.get(f.name, ()))
+        rows[:, k] = f.encode_column(columns[f.name])
     return rows

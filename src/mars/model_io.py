@@ -103,13 +103,21 @@ def load_model(path) -> Model:
         meta = doc.get("training", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
+    if hyper.n_features != len(features):
+        raise ModelFormatError(
+            f"{path}: theta has {hyper.n_features} entries for {len(features)} features"
+        )
     for rule in rules.rules:
         for cond in rule.conditions:
+            name = features[cond.feature_id].name
+            if any(type(v) is not int for v in cond.values):
+                raise ModelFormatError(
+                    f"{path}: rule condition on {name!r} has a non-integer value index"
+                )
             vocab = features[cond.feature_id].vocab_size
             if cond.values[-1] >= vocab or cond.n_values >= vocab:
                 raise ModelFormatError(
-                    f"{path}: rule condition on {features[cond.feature_id].name!r} "
-                    "does not fit the feature's vocabulary"
+                    f"{path}: rule condition on {name!r} does not fit the feature's vocabulary"
                 )
     return Model(features=features, rules=rules, hyper=hyper, label_name=label, metadata=meta)
 

@@ -86,7 +86,9 @@ class Hyperparams:
         if theta is not None:
             if isinstance(theta, (int, float)):
                 theta = (float(theta),) * n_features
-            params["theta"] = tuple(theta)
+            theta = params["theta"] = tuple(theta)
+            if len(theta) != n_features:
+                raise ValueError(f"theta has {len(theta)} entries for {n_features} features")
         params.update(overrides)
         return cls(**params)
 

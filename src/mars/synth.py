@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import RawTable, discretize, encode_with_specs
+from .data import RawTable, discretize, encode_with_specs, parse_labels
 from .model import RuleSet, first_covering_rule
 from .scoring import Hyperparams
 from .search import SearchConfig, run
@@ -135,7 +135,6 @@ class SweepRecord:
     n_conditions: int
     n_features: int
     wall_time_s: float
-    train_error: float = 0.0
     rules: RuleSet = field(default_factory=RuleSet, repr=False)
 
 
@@ -169,9 +168,8 @@ def _run_cell(args) -> SweepRecord:
 
     test = _subset(table, test_idx)
     test_rows = encode_with_specs(test, train.features)
-    test_labels = np.array([int(r[-1]) for r in test.rows], dtype=int)
+    test_labels = parse_labels(test.columns()[LABEL_COLUMN], LABEL_COLUMN)
     holdout = error_rate(rules, test_rows, test_labels)
-    train_err = error_rate(rules, train.rows, train.labels.astype(int))
     return SweepRecord(
         beta_m=beta_m,
         beta_l=beta_l,
@@ -180,7 +178,6 @@ def _run_cell(args) -> SweepRecord:
         n_conditions=rules.n_values,
         n_features=rules.n_features,
         wall_time_s=time.perf_counter() - t_start,
-        train_error=train_err,
         rules=rules,
     )
 
@@ -226,7 +223,6 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
     return {
         key: {
             "holdout_error": float(np.mean([r.holdout_error for r in rs])),
-            "train_error": float(np.mean([r.train_error for r in rs])),
             "n_conditions": float(np.mean([r.n_conditions for r in rs])),
             "n_features": float(np.mean([r.n_features for r in rs])),
         }

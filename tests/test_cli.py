@@ -16,7 +16,7 @@ import pytest
 
 import mars
 from mars import cli
-from mars.data import RawTable, encode_with_specs
+from mars.data import MISSING, RawTable, encode_with_specs
 from mars.model import rule_covers
 from mars.model_io import load_model
 from mars.scoring import Hyperparams
@@ -148,6 +148,7 @@ def test_non_numeric_cell_in_numeric_column_exits_2(trained, tmp_path):
         (["--hyper-config", "{cfg}"], "beta_m = abc\n", "beta_m"),
         (["--hyper-config", "{cfg}"], None, "cannot read"),  # the file does not exist
         (["--hyper-config", "{cfg}"], "beta_m = 1,2\n", "beta_m"),  # one value per feature: theta only
+        (["--hyper-config", "{cfg}"], "theta = 1,2\n", "theta has 2 entries for 3 features"),
     ],
 )
 def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
@@ -271,3 +272,22 @@ def test_train_and_gen_outputs_do_not_depend_on_hash_seed(trained, tmp_path):
         files = ("gen.csv", "truth.json", "m.json", "m.json.runlog.jsonl")
         outputs.add(tuple((d / name).read_bytes() for name in files))
     assert len(outputs) == 1
+
+
+def test_literal_missing_marker_cell_is_missing_in_training(tmp_path):
+    # a categorical cell spelled like the missing entry, and no blank cell
+    rows = [["a", "0.1", 1], ["b", "0.5", 0], [MISSING, "0.9", 1], ["a", "0.2", 0]]
+    train = write_csv(tmp_path / "train.csv", ["c", "x", "label"], rows)
+    model = tmp_path / "m.json"
+    proc = run_mars("train", train, "--label", "label", "--out", model, "--iters", "20",
+                    "--bins", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert load_model(model).features[0].categories == ("a", "b", MISSING)
+
+
+def test_csv_with_only_the_label_column_exits_2(tmp_path):
+    train = write_csv(tmp_path / "train.csv", ["label"], [[1], [0], [1]])
+    out = tmp_path / "m.json"
+    assert_clean_error(run_mars("train", train, "--label", "label", "--out", out), 2,
+                       "no feature columns")
+    assert not out.exists()

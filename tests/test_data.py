@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mars.data import (
     MISSING,
+    Dataset,
+    FeatureSpec,
     RawTable,
+    _bin_edges,
     discretize,
     encode_with_specs,
 )
@@ -123,9 +128,7 @@ def test_out_of_range_numeric_clamps_at_predict_time():
     rows = [[0.0, 1], [1.0, 0], [0.5, 1]]
     data = discretize(table_of(["x", "y"], rows), n_bins=4)
     spec = data.features[0]
-    assert spec.encode(-3.0) == 0
-    assert spec.encode(99.0) == spec.vocab_size - 1
-    assert spec.encode(0.5) == 2
+    assert spec.encode_column([-3.0, 99.0, 0.5]).tolist() == [0, spec.vocab_size - 1, 2]
 
 
 @pytest.mark.parametrize(
@@ -153,7 +156,7 @@ def test_out_of_range_numeric_clamps_at_predict_time():
 def test_numeric_cell_encoding(cell, code):
     rows = [[0.0, 1], [1.0, 0], [0.5, 1]]
     spec = discretize(table_of(["x", "y"], rows), n_bins=4).features[0]
-    assert spec.encode(cell) == code
+    assert spec.encode_column([cell]).tolist() == [code]
     # the same cell in a column of numbers and in a column with blanks
     for others, codes in (([0.1, 0.9], [0, 3]), (["", 0.9], [-1, 3])):
         table = RawTable(names=("x",), rows=[(c,) for c in [*others, cell]])
@@ -166,6 +169,10 @@ def test_non_numeric_cell_in_numeric_column_names_the_column():
     table = RawTable(names=("f03",), rows=[("0.5",), ("",), ("abc",)])
     with pytest.raises(DataFormatError, match="f03.*abc"):
         encode_with_specs(table, [spec])
+    # a bool is not a number, as in training, with or without a blank cell
+    for cells in ([0.5, True], [0.5, "", np.False_]):
+        with pytest.raises(DataFormatError, match="f03.*(True|False)"):
+            encode_with_specs(RawTable(names=("f03",), rows=[(c,) for c in cells]), [spec])
 
 
 @pytest.mark.parametrize("with_missing", [True, False])
@@ -177,7 +184,7 @@ def test_blank_and_unseen_categoricals_encode_column_wise(with_missing):
     table = RawTable(names=("state",), rows=[(c,) for c in cells])
     expected = [1, default, default, default, default, 0, default, default]
     assert list(encode_with_specs(table, [spec])[:, 0]) == expected
-    assert [spec.encode(c) for c in cells] == expected
+    assert [spec.encode_column([c])[0] for c in cells] == expected
 
 
 def test_training_codes_equal_encoding_the_training_table():
@@ -197,13 +204,13 @@ def test_unseen_categorical_maps_to_missing_entry():
     rows = [["CA", 1], ["?", 0], ["TX", 0]]
     data = discretize(table_of(["state", "y"], rows), n_bins=4)
     spec = data.features[0]
-    assert spec.encode("NV") == spec.categories.index(MISSING)
+    assert spec.encode_column(["NV"]).tolist() == [spec.categories.index(MISSING)]
 
 
 def test_unseen_categorical_without_missing_entry_matches_no_condition():
     rows = [["CA", 1], ["TX", 0]]
     data = discretize(table_of(["state", "y"], rows), n_bins=4)
-    assert data.features[0].encode("NV") == -1
+    assert data.features[0].encode_column(["NV"]).tolist() == [-1]
 
 
 def test_encode_with_specs_reports_missing_columns():
@@ -244,3 +251,158 @@ def test_csv_ragged_row_rejected(tmp_path):
     path.write_text("a,b,y\n1,2,1\n1,2\n")
     with pytest.raises(DataFormatError, match="row 3"):
         RawTable.from_csv(path, label_column="y")
+
+
+# -- the previous ingest code, kept as the reference for discretize ----------
+# Verbatim but for the marked line, and for reusing the helpers it called
+# that are unchanged (FeatureSpec, _bin_edges).
+
+
+def _ref_is_missing(cell) -> bool:
+    if cell is None:
+        return True
+    if isinstance(cell, str):
+        return cell.strip() in ("", "?")
+    return False
+
+
+def _ref_parse_label(cell, column: str) -> bool:
+    text = str(cell).strip().lower()
+    if text in {"1", "1.0", "true", "yes"}:
+        return True
+    if text in {"0", "0.0", "false", "no"}:
+        return False
+    raise DegenerateLabelError(
+        f"label column {column!r} has non-binary value {cell!r} (use 0/1, true/false or yes/no)"
+    )
+
+
+def _ref_try_floats(cells):
+    out = []
+    for c in cells:
+        if isinstance(c, (int, float)) and not isinstance(c, bool):
+            out.append(float(c))
+            continue
+        try:
+            out.append(float(str(c)))
+        except ValueError:
+            return None
+    return out
+
+
+def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing):
+    present = [c for c in raw if not _ref_is_missing(c)]
+    has_missing = len(present) < len(raw)
+    numeric_values = _ref_try_floats(present)
+
+    if numeric_values is not None:
+        if has_missing:
+            raise DataFormatError(
+                f"column {name!r}: numeric column contains missing values; impute or drop it"
+            )
+        values = np.asarray(numeric_values, dtype=float)
+        if values.size == 0 or values.min() == values.max():
+            raise DataFormatError(f"column {name!r} has a single distinct value")
+        edges = _bin_edges(values, n_bins, scheme, name)
+        intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
+        spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
+        return spec, spec._interval_codes(values)
+
+    as_text = [MISSING if _ref_is_missing(c) else str(c) for c in raw]
+    vocab = sorted(set(as_text) - {MISSING})
+    if has_missing or (literal_is_missing and MISSING in as_text):  # the marked line
+        vocab.append(MISSING)
+    if len(vocab) < 2:
+        raise DataFormatError(f"column {name!r} has a single distinct value")
+    spec = FeatureSpec(fid, name, "categorical", categories=tuple(vocab))
+    return spec, spec.encode_column(raw)
+
+
+def reference_discretize(table, n_bins, scheme, literal_is_missing=False):
+    def column(name):
+        idx = table.names.index(name)
+        return [row[idx] for row in table.rows]
+
+    labels = np.array([_ref_parse_label(c, table.label_column) for c in column(table.label_column)])
+    if labels.size == 0:
+        raise DataFormatError("table has no data rows")
+    if labels.all() or not labels.any():
+        raise DegenerateLabelError(
+            f"label column {table.label_column!r} has a single class; need both 0 and 1"
+        )
+    feature_names = [n for n in table.names if n != table.label_column]
+    specs, encoded = [], []
+    for fid, name in enumerate(feature_names):
+        spec, codes = _ref_build_feature(fid, name, column(name), n_bins, scheme,
+                                         literal_is_missing)
+        specs.append(spec)
+        encoded.append(codes)
+    return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
+
+
+def outcome(build):
+    try:
+        data = build()
+    except Exception as exc:  # the comparison covers the exception raised
+        return type(exc), str(exc)
+    return data.features, data.rows.tolist(), data.labels.tolist()
+
+
+finite = st.floats(-1e6, 1e6)
+cell_kinds = {
+    "numbers": st.one_of(
+        st.integers(-1000, 1000), finite, finite.map(np.float64), st.sampled_from([0, 1, 0.0, -0.0])
+    ),
+    "numeric text": st.one_of(
+        finite.map(repr), finite.map(lambda x: f" {x:.3f} "), st.integers(-9, 9).map(str),
+        st.sampled_from(["nan", "inf", "-inf", "1_0", "1e3"]),
+    ),
+    "special floats": st.sampled_from([float("nan"), float("inf"), np.float64("-inf")]),
+    "missing": st.sampled_from(["", " ", "?", " ? ", None]),
+    "text": st.sampled_from(["a", "b", " a", "CA", "x1", "1e", "True", "None"]),
+    "bools": st.sampled_from([True, False, np.True_, np.False_]),
+    "marker": st.just(MISSING),
+}
+negatives = st.sampled_from([0, "0", "No", False, 0.0, " false "])
+positives = st.sampled_from([1, "1", " yes", True, 1.0, "TRUE"])
+non_labels = st.sampled_from(["2", -0.0, "", None, "maybe"])
+
+
+@st.composite
+def raw_tables(draw):
+    n_rows = draw(st.integers(1, 8))
+    names = ["y"]
+    # both classes in most tables, so that the feature columns are reached
+    label_cells = negatives | positives | non_labels if draw(st.integers(0, 4)) == 0 else (
+        negatives | positives)
+    columns = [[draw(negatives), draw(positives),
+                *draw(st.lists(label_cells, min_size=n_rows, max_size=n_rows))][:n_rows]]
+    for j in range(draw(st.integers(1, 3))):
+        kinds = draw(st.sets(st.sampled_from(sorted(cell_kinds)), min_size=1, max_size=3))
+        cells = st.one_of(*(cell_kinds[k] for k in sorted(kinds)))
+        columns.append(draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+        names.append(f"f{j}")
+    table = RawTable(names=tuple(names), rows=list(zip(*columns)), label_column="y")
+    return table, draw(st.integers(2, 5)), draw(st.sampled_from(["width", "frequency"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(raw_tables())
+@example((RawTable(names=("c", "x", "label"), label_column="label", rows=[
+    ("a", 0.1, 1), ("b", 0.5, 0), (MISSING, 0.9, 1), ("a", 0.2, 0)]), 2, "width"))
+@example((RawTable(names=("c", "y"), label_column="y", rows=[
+    (0, 1), (False, 0), ("", 1), (MISSING, 0)]), 2, "width"))
+def test_discretize_matches_the_previous_ingest(case):
+    """Same features, codes and labels as the previous code, or the same
+    exception type and message, but for the one intended change: a literal
+    MISSING cell in a categorical column is a missing cell.  The previous
+    code left the missing entry out of the vocabulary when no blank cell
+    was there, then crashed in Dataset or found a single distinct value."""
+    table, n_bins, scheme = case
+    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True))
+    assert outcome(lambda: discretize(table, n_bins, scheme)) == expected
+    before = outcome(lambda: reference_discretize(table, n_bins, scheme))
+    if before != expected:
+        assert any(MISSING in row for row in table.rows)
+        assert before[0] in (ValueError, DataFormatError)
+        assert "row value out of range" in before[1] or "single distinct value" in before[1]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from mars import cli
 from mars.data import RawTable, discretize
 from mars.errors import ModelFormatError
 from mars.model import Rule, RuleSet
@@ -53,3 +54,30 @@ def test_missing_hyperparameter_rejected(saved, key):
     with pytest.raises(ModelFormatError, match=key) as info:
         load_model(path)
     assert info.value.exit_code == 5
+
+
+def rewrite(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+
+
+def test_theta_of_the_wrong_length_rejected(saved, capsys):
+    path = saved[0]
+    rewrite(path, lambda doc: doc["hyperparams"].update(theta=[1.0] * 7))
+    with pytest.raises(ModelFormatError, match="theta has 7 entries for 2 features") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [0.5, 1.0, True])
+def test_non_integer_rule_value_rejected(saved, capsys, value):
+    path = saved[0]
+    rewrite(path, lambda doc: doc["rules"][1][0][1].__setitem__(0, value))
+    with pytest.raises(ModelFormatError, match="non-integer value index") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
