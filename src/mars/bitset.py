@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-_WORD = 0xFFFFFFFFFFFFFFFF
-
 
 def mask_from_bools(flags: np.ndarray) -> int:
     """Pack a boolean vector into a bitmask with bit n set iff flags[n]."""
@@ -20,17 +18,8 @@ def mask_from_bools(flags: np.ndarray) -> int:
 
 def indices(mask: int) -> list[int]:
     """Sorted list of set-bit positions."""
-    out: list[int] = []
-    base = 0
-    while mask:
-        word = mask & _WORD
-        while word:
-            low = word & -word
-            out.append(base + low.bit_length() - 1)
-            word ^= low
-        mask >>= 64
-        base += 64
-    return out
+    packed = np.frombuffer(mask.to_bytes((mask.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+    return np.flatnonzero(np.unpackbits(packed, bitorder="little")).tolist()
 
 
 def kth_set_bit(mask: int, k: int) -> int:

@@ -316,6 +316,10 @@ def _build_feature(fid: int, name: str, raw: Sequence, n_bins: int, scheme: str)
             raise DataFormatError(
                 f"column {name!r}: numeric column contains missing values; impute or drop it"
             )
+        finite = np.isfinite(values)
+        if not finite.all():
+            cell = raw[int(finite.argmin())]
+            raise DataFormatError(f"column {name!r}: non-finite value {cell!r}; impute or drop it")
         if values.min() == values.max():
             raise DataFormatError(f"column {name!r} has a single distinct value")
         edges = _bin_edges(values, n_bins, scheme, name)

@@ -21,7 +21,7 @@ compared.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import expm1, lgamma, log
 from typing import Iterable, Sequence
@@ -95,9 +95,6 @@ class Hyperparams:
     @property
     def n_features(self) -> int:
         return len(self.theta)
-
-    def with_betas(self, beta_m: float, beta_l: float) -> "Hyperparams":
-        return replace(self, beta_m=beta_m, beta_l=beta_l)
 
     def bound_precondition_violations(self) -> list[str]:
         """Ordering constraints the pruning bounds assume; empty if all hold."""

@@ -26,9 +26,14 @@ likelihood of the union of their masks.  Only a rule the step has not seen
 costs a mask and a ``rule_prior_terms`` call, and the edit builders hand
 over the masks they already have: an add-rule rule's from its support
 check, an add-condition rule's as its parent's mask AND the new
-condition's.  A ``Proposal`` with a full ``Score`` is built for the
-selected candidate alone, and the cache keeps only the accepted rules'
-entries from one step to the next.
+condition's.  A ``Proposal`` with a full ``Score`` and the rules' cache
+entries is built for the selected candidate alone.
+
+A chain's state is two proposals, the current one and the best one: a
+proposal carries its rules, its ``Score`` (with its ``Confusion``), its
+rules' cache entries and its coverage mask, so accepting a move is
+replacing the current proposal, and the next step's cache is seeded from
+that proposal's entries.
 """
 
 from __future__ import annotations
@@ -40,23 +45,25 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .bitset import indices, kth_set_bit
+from .bitset import kth_set_bit
 from .bounds import BoundState, initial_bounds, update_bounds
 from .data import Dataset, condition_mask, rule_mask
 from .errors import DegenerateLabelError
-from .model import Condition, Rule, RuleSet, is_normalized, normalize
-from .scoring import (  # log_prior stays importable here for per-layer tracing
-    Confusion,
+from .model import Condition, Rule, RuleSet, normalize
+from .scoring import (
     Hyperparams,
     Score,
     confusion_from_mask,
     log_likelihood,
     log_likelihood_counts,
-    log_prior,  # noqa: F401
     log_rule_count_prior,
     rule_prior_terms,
-    update_confusion,
 )
+
+# not called here; kept importable from this module for per-layer tracing
+from .bitset import indices  # noqa: F401
+from .model import is_normalized  # noqa: F401
+from .scoring import log_prior, update_confusion  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +115,8 @@ class RunLog:
 
     def improvement(self, state: "SearchState") -> None:
         b = state.bounds
-        s = state.best_score
-        rs = state.best
+        s = state.best.score
+        rs = state.best.rules
         self.emit(
             event="improve",
             chain=state.chain,
@@ -132,34 +139,29 @@ class RunLog:
 
 
 @dataclass
-class SearchState:
-    """Mutable state of one annealing chain.
-
-    ``rule_cache`` holds the entry of each current rule, in rule order.
-    """
-
-    current: RuleSet
-    current_score: Score
-    rule_cache: dict[Rule, RuleEntry]
-    union_mask: int
-    confusion: Confusion
-    best: RuleSet
-    best_score: Score
-    bounds: BoundState
-    rng: random.Random
-    t: int = 0
-    chain: int = 0
-    stall_streak: int = 0
-
-
-@dataclass
 class Proposal:
+    """A scored rule set: ``rule_cache`` holds the entry of each of its
+    rules, in rule order, and ``union_mask`` the rows they cover."""
+
     rules: RuleSet
     score: Score
     rule_cache: dict[Rule, RuleEntry]
     union_mask: int
     action: str
-    stalled: bool = False
+
+
+@dataclass
+class SearchState:
+    """Mutable state of one annealing chain: the current proposal, the best
+    one seen in any chain so far, and the pruning bounds."""
+
+    current: Proposal
+    best: Proposal
+    bounds: BoundState
+    rng: random.Random
+    t: int = 0
+    chain: int = 0
+    stall_streak: int = 0
 
 
 class _Scorer:
@@ -236,29 +238,14 @@ def _start_chain(
     ``state`` restarted at t = 0 with its best and bounds kept.  A start
     that becomes the best gets an ``improve`` record."""
     start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules, "start")
-    sc = start.score
-    improved = state is None or sc.log_posterior > state.best_score.log_posterior
+    improved = state is None or start.score.log_posterior > state.best.score.log_posterior
     if state is None:
-        state = SearchState(
-            current=start.rules,
-            current_score=sc,
-            rule_cache=start.rule_cache,
-            union_mask=start.union_mask,
-            confusion=sc.confusion,
-            best=start.rules,
-            best_score=sc,
-            bounds=initial_bounds(data, hyper),
-            rng=rng,
-        )
+        state = SearchState(start, start, initial_bounds(data, hyper), rng)
     else:
-        state.current, state.current_score = start.rules, sc
-        state.rule_cache, state.union_mask = start.rule_cache, start.union_mask
-        state.confusion = sc.confusion
+        state.current, state.t, state.stall_streak = start, 0, 0
         if improved:
-            state.best, state.best_score = start.rules, sc
-        state.t = 0
-        state.stall_streak = 0
-    state.bounds = update_bounds(state.bounds, sc.log_posterior)
+            state.best = start
+    state.bounds = update_bounds(state.bounds, start.score.log_posterior)
     if improved and runlog is not None:
         runlog.improvement(state)
     return state
@@ -286,7 +273,7 @@ def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] 
     Covered XOR positive is exactly the misclassified set (false positives
     plus false negatives).
     """
-    mis = state.union_mask ^ data.pos_mask
+    mis = state.current.union_mask ^ data.pos_mask
     count = mis.bit_count()
     if count == 0:
         return None
@@ -453,7 +440,7 @@ def _candidate_edits(
     example: tuple[int, bool] | None,
     known: dict[Rule, int],
 ) -> list[tuple[Rule, ...]]:
-    rules = state.current.rules
+    rules = state.current.rules.rules
     rng = state.rng
     if action == "add_value":
         return _edits_add_value(rules, data, data.rows[example[0]])
@@ -465,7 +452,7 @@ def _candidate_edits(
         )
     if action == "add_condition":
         return _edits_add_condition(
-            rules, state.rule_cache, data, example[0], data.rows[example[0]], rng, known
+            rules, state.current.rule_cache, data, example[0], data.rows[example[0]], rng, known
         )
     if action == "remove_rule":
         return _edits_remove_rule(rules)
@@ -479,10 +466,12 @@ def _propose_from_actions(
     hyper: Hyperparams,
     cfg: SearchConfig,
     example: tuple[int, bool] | None,
-) -> Proposal:
+) -> Proposal | None:
+    """The chosen neighbor of the first action in ``order`` that has one,
+    or None when none does (a stall)."""
     rng = state.rng
-    current = state.current.rules
-    scorer = _Scorer(state.rule_cache, data, hyper)
+    current = state.current.rules.rules
+    scorer = _Scorer(state.current.rule_cache, data, hyper)
     for action in order:
         edits = _candidate_edits(action, state, data, cfg, example, scorer.known)
         if not edits:
@@ -499,9 +488,7 @@ def _propose_from_actions(
             # max() keeps the first of tied candidates
             chosen = max(candidates, key=scorer.posterior)
         return scorer.proposal(chosen, action)
-    return Proposal(
-        state.current, state.current_score, state.rule_cache, state.union_mask, "stall", True
-    )
+    return None
 
 
 def propose(
@@ -510,13 +497,12 @@ def propose(
     data: Dataset,
     hyper: Hyperparams,
     cfg: SearchConfig,
-) -> Proposal:
+) -> Proposal | None:
     """One proposal for a sampled misclassified example.
 
     The action is drawn uniformly within the branch matching the example's
     label; an action with no legal neighbor falls back to the remaining
-    permitted actions, and a stalled Proposal (current state unchanged) is
-    returned when none has any.
+    permitted actions, and None (a stall) is returned when none has any.
     """
     _, is_positive = example
     actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
@@ -528,7 +514,7 @@ def propose(
 
 def _propose_simplify(
     state: SearchState, data: Dataset, hyper: Hyperparams, cfg: SearchConfig
-) -> Proposal:
+) -> Proposal | None:
     """Fallback when training accuracy is 1.0: only complexity-reducing
     moves can still improve the posterior."""
     actions = list(SIMPLIFY_ACTIONS)
@@ -541,19 +527,6 @@ def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
     if delta >= 0:
         return True
     return rng.random() < math.exp(delta / temp)
-
-
-def _accept(state: SearchState, prop: Proposal, data: Dataset) -> None:
-    old_union = state.union_mask
-    new_union = prop.union_mask
-    entering = indices(new_union & ~old_union)
-    leaving = indices(old_union & ~new_union)
-    state.confusion = update_confusion(state.confusion, entering, leaving, data.labels)
-    assert state.confusion == prop.score.confusion
-    state.current = prop.rules
-    state.current_score = prop.score
-    state.rule_cache = prop.rule_cache
-    state.union_mask = new_union
 
 
 def anneal_step(
@@ -570,7 +543,7 @@ def anneal_step(
     else:
         prop = propose(state, example, data, hyper, cfg)
 
-    if prop.stalled:
+    if prop is None:
         state.stall_streak += 1
         if runlog is not None:
             runlog.emit(event="stall", chain=state.chain, t=state.t)
@@ -578,18 +551,16 @@ def anneal_step(
         return state
     state.stall_streak = 0
 
-    assert is_normalized(prop.rules, data.vocab_sizes)
     # the best-so-far tracks every evaluated proposal, accepted or not
-    if prop.score.log_posterior > state.best_score.log_posterior:
-        state.best = prop.rules
-        state.best_score = prop.score
+    if prop.score.log_posterior > state.best.score.log_posterior:
+        state.best = prop
         state.bounds = update_bounds(state.bounds, prop.score.log_posterior)
         if runlog is not None:
             runlog.improvement(state)
 
-    delta = prop.score.log_posterior - state.current_score.log_posterior
+    delta = prop.score.log_posterior - state.current.score.log_posterior
     if _accepts(state.rng, delta, temperature(cfg, state.t)):
-        _accept(state, prop, data)
+        state.current = prop
     state.t += 1
     return state
 
@@ -615,20 +586,21 @@ def run(
         runlog.emit(
             event="chain_start",
             chain=chain,
-            log_posterior=state.current_score.log_posterior,
+            log_posterior=state.current.score.log_posterior,
         )
         for _ in range(cfg.n_iter):
             anneal_step(state, data, hyper, cfg, runlog)
             if state.stall_streak >= STALL_RESTART_AFTER:
                 runlog.emit(event="stall_restart", chain=chain, t=state.t)
                 break
+    best = state.best
     runlog.emit(
         event="done",
-        log_posterior=state.best_score.log_posterior,
-        n_rules=state.best.n_rules,
-        n_conditions=state.best.n_conditions,
-        n_values=state.best.n_values,
-        n_features=state.best.n_features,
-        **asdict(state.best_score.confusion),
+        log_posterior=best.score.log_posterior,
+        n_rules=best.rules.n_rules,
+        n_conditions=best.rules.n_conditions,
+        n_values=best.rules.n_values,
+        n_features=best.rules.n_features,
+        **asdict(best.score.confusion),
     )
-    return state.best, state.best_score, runlog
+    return best.rules, best.score, runlog

@@ -162,7 +162,7 @@ def _run_cell(args) -> SweepRecord:
     t_start = time.perf_counter()
     train_idx, test_idx = _split_indices(len(table.rows), train_fraction, truth_seed)
     train = discretize(_subset(table, train_idx), n_bins=n_bins)
-    hyper = base.with_betas(beta_m, beta_l)
+    hyper = replace(base, beta_m=beta_m, beta_l=beta_l)
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
     rules, _, _ = run(train, hyper, job_cfg)
 

@@ -19,6 +19,7 @@ flag_lists = st.lists(st.booleans(), max_size=300) | st.lists(
 @example([])
 @example([False] * 130)
 @example([n in (63, 64, 127, 128) for n in range(129)])
+@example([n in (0, 19_999) for n in range(20_000)])  # a training set's width
 def test_bitset_helpers_match_loops(flags):
     mask = mask_from_bools(np.array(flags, dtype=bool))
     expected = [n for n, f in enumerate(flags) if f]

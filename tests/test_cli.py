@@ -291,3 +291,13 @@ def test_csv_with_only_the_label_column_exits_2(tmp_path):
     assert_clean_error(run_mars("train", train, "--label", "label", "--out", out), 2,
                        "no feature columns")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_in_numeric_training_column_exits_2(tmp_path, cell):
+    rows = [["0.1", 1], [cell, 0], ["0.5", 1], ["0.7", 0]]
+    train = write_csv(tmp_path / "train.csv", ["x", "label"], rows)
+    out = tmp_path / "m.json"
+    assert_clean_error(run_mars("train", train, "--label", "label", "--out", out), 2,
+                       "column 'x'", f"non-finite value {cell!r}")
+    assert not out.exists()

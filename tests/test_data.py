@@ -254,8 +254,8 @@ def test_csv_ragged_row_rejected(tmp_path):
 
 
 # -- the previous ingest code, kept as the reference for discretize ----------
-# Verbatim but for the marked line, and for reusing the helpers it called
-# that are unchanged (FeatureSpec, _bin_edges).
+# Verbatim but for the two marked lines, and for reusing the helpers it
+# called that are unchanged (FeatureSpec, _bin_edges).
 
 
 def _ref_is_missing(cell) -> bool:
@@ -290,7 +290,7 @@ def _ref_try_floats(cells):
     return out
 
 
-def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing):
+def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finite_only):
     present = [c for c in raw if not _ref_is_missing(c)]
     has_missing = len(present) < len(raw)
     numeric_values = _ref_try_floats(present)
@@ -301,6 +301,9 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing):
                 f"column {name!r}: numeric column contains missing values; impute or drop it"
             )
         values = np.asarray(numeric_values, dtype=float)
+        if finite_only and not np.isfinite(values).all():  # the second marked line
+            raise DataFormatError(f"column {name!r}: non-finite value "
+                                  f"{present[np.isfinite(values).argmin()]!r}; impute or drop it")
         if values.size == 0 or values.min() == values.max():
             raise DataFormatError(f"column {name!r} has a single distinct value")
         edges = _bin_edges(values, n_bins, scheme, name)
@@ -318,7 +321,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing):
     return spec, spec.encode_column(raw)
 
 
-def reference_discretize(table, n_bins, scheme, literal_is_missing=False):
+def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite_only=False):
     def column(name):
         idx = table.names.index(name)
         return [row[idx] for row in table.rows]
@@ -334,7 +337,7 @@ def reference_discretize(table, n_bins, scheme, literal_is_missing=False):
     specs, encoded = [], []
     for fid, name in enumerate(feature_names):
         spec, codes = _ref_build_feature(fid, name, column(name), n_bins, scheme,
-                                         literal_is_missing)
+                                         literal_is_missing, finite_only)
         specs.append(spec)
         encoded.append(codes)
     return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
@@ -392,17 +395,29 @@ def raw_tables(draw):
     ("a", 0.1, 1), ("b", 0.5, 0), (MISSING, 0.9, 1), ("a", 0.2, 0)]), 2, "width"))
 @example((RawTable(names=("c", "y"), label_column="y", rows=[
     (0, 1), (False, 0), ("", 1), (MISSING, 0)]), 2, "width"))
+@example((RawTable(names=("x", "y"), label_column="y", rows=[
+    ("0.1", 1), ("nan", 0), ("0.5", 1), ("0.7", 0)]), 2, "width"))
 def test_discretize_matches_the_previous_ingest(case):
     """Same features, codes and labels as the previous code, or the same
-    exception type and message, but for the one intended change: a literal
-    MISSING cell in a categorical column is a missing cell.  The previous
-    code left the missing entry out of the vocabulary when no blank cell
-    was there, then crashed in Dataset or found a single distinct value."""
+    exception type and message, but for the two intended changes.  A
+    literal MISSING cell in a categorical column is a missing cell: the
+    previous code left the missing entry out of the vocabulary when no
+    blank cell was there, then crashed in Dataset or found a single
+    distinct value.  A non-finite number in a numeric column is a
+    DataFormatError naming it: the previous code crashed building an
+    interval from it, or blamed the binning or a single distinct value."""
     table, n_bins, scheme = case
-    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True))
+    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True))
     assert outcome(lambda: discretize(table, n_bins, scheme)) == expected
+    finite_any = outcome(lambda: reference_discretize(table, n_bins, scheme, True))
+    if finite_any != expected:
+        assert expected[0] is DataFormatError and "non-finite value" in expected[1]
+        assert finite_any[0] is ValueError and "empty interval" in finite_any[1] or (
+            finite_any[0] is DataFormatError
+            and ("binning collapsed" in finite_any[1] or "single distinct value" in finite_any[1])
+        )
     before = outcome(lambda: reference_discretize(table, n_bins, scheme))
-    if before != expected:
+    if before != finite_any:
         assert any(MISSING in row for row in table.rows)
         assert before[0] in (ValueError, DataFormatError)
         assert "row value out of range" in before[1] or "single distinct value" in before[1]

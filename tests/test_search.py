@@ -69,8 +69,8 @@ def test_init_is_deterministic():
     h = hypers(data)
     s1 = init_state(data, h, small_cfg(random_seed=5))
     s2 = init_state(data, h, small_cfg(random_seed=5))
-    assert s1.current == s2.current
-    assert s1.current_score == s2.current_score
+    assert s1.current.rules == s2.current.rules
+    assert s1.current.score == s2.current.score
 
 
 def test_init_rejects_degenerate_labels():
@@ -86,14 +86,14 @@ def test_init_state_is_valid_and_bounds_seeded():
     data = tiny_instance(1)
     h = hypers(data)
     state = init_state(data, h, small_cfg(random_seed=3))
-    assert is_normalized(state.current, data.vocab_sizes)
-    assert state.best == state.current
-    expected = update_bounds(initial_bounds(data, h), state.current_score.log_posterior)
+    assert is_normalized(state.current.rules, data.vocab_sizes)
+    assert state.best is state.current
+    expected = update_bounds(initial_bounds(data, h), state.current.score.log_posterior)
     assert state.bounds.min_support == expected.min_support
     assert state.bounds.m_cap == expected.m_cap
     # coverage index consistent with a scratch recompute
-    assert state.union_mask == union_mask(state.current, data)
-    assert state.confusion == confusion_counts(state.current, data)
+    assert state.current.union_mask == union_mask(state.current.rules, data)
+    assert state.current.score.confusion == confusion_counts(state.current.rules, data)
 
 
 # ---------------------------------------------------------------------------
@@ -103,9 +103,9 @@ def test_init_state_is_valid_and_bounds_seeded():
 def _state_with(data, rules, cfg=None, seed=0):
     h = hypers(data)
     state = init_state(data, h, cfg or small_cfg(random_seed=seed))
-    from mars.search import _Scorer, _accept
+    from mars.search import _Scorer
 
-    _accept(state, _Scorer({}, data, h).proposal(rules.rules, "test"), data)
+    state.current = _Scorer({}, data, h).proposal(rules.rules, "test")
     return state
 
 
@@ -161,8 +161,8 @@ def test_add_value_neighbors_grow_coverage():
     from mars.search import _edits_add_value
     from mars.model import normalize
 
-    before = union_mask(state.current, data)
-    for edit in _edits_add_value(state.current.rules, data, data.rows[ex[0]]):
+    before = union_mask(state.current.rules, data)
+    for edit in _edits_add_value(state.current.rules.rules, data, data.rows[ex[0]]):
         after = union_mask(normalize(RuleSet(edit), data.vocab_sizes), data)
         assert after & before == before  # coverage only grows
 
@@ -177,8 +177,9 @@ def test_add_condition_canonical_variant_uncovers_example():
     idx = ex[0]
     from mars.search import _edits_add_condition
 
+    current = state.current
     edits = _edits_add_condition(
-        state.current.rules, state.rule_cache, data, idx, data.rows[idx], state.rng, {}
+        current.rules.rules, current.rule_cache, data, idx, data.rows[idx], state.rng, {}
     )
     assert edits
     # canonical candidates (vocabulary minus the example's value) come first
@@ -202,7 +203,7 @@ def test_add_rule_candidates_respect_support_floor():
     state.bounds = replace(state.bounds, min_support=3)
     ex = _find_example(state, data, want_positive=True)
     edits = _edits_add_rule(
-        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
+        state.current.rules.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
     )
     for edit in edits:
         assert rule_mask(edit[-1], data).bit_count() >= 3
@@ -215,10 +216,10 @@ def test_add_rule_blocked_by_rule_count_cap():
     from dataclasses import replace
     from mars.search import _edits_add_rule
 
-    state.bounds = replace(state.bounds, m_cap=len(state.current.rules))
+    state.bounds = replace(state.bounds, m_cap=len(state.current.rules.rules))
     ex = _find_example(state, data, want_positive=True)
     assert _edits_add_rule(
-        state.current.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
+        state.current.rules.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
     ) == []
 
 
@@ -233,7 +234,7 @@ def test_exploit_mode_returns_posterior_argmax():
             break
         rng_snapshot = state.rng.getstate()
         prop = propose(state, ex, data, h, cfg)
-        if prop.stalled:
+        if prop is None:
             continue
         # replay the same action's full neighbor set and verify the argmax
         state.rng.setstate(rng_snapshot)
@@ -252,8 +253,8 @@ def test_proposals_are_normalized_rulesets():
     state = init_state(data, h, cfg)
     for _ in range(300):
         anneal_step(state, data, h, cfg)
-        assert is_normalized(state.current, data.vocab_sizes)
-        assert state.best_score.log_posterior >= state.current_score.log_posterior - 1e-12
+        assert is_normalized(state.current.rules, data.vocab_sizes)
+        assert state.best.score.log_posterior >= state.current.score.log_posterior - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -343,23 +344,22 @@ def test_admitted_rules_meet_support_floor_during_run():
     admissions = 0
     for _ in range(cfg.n_iter):
         floor = state.bounds.min_support
-        before = set(state.current.rules)
+        before = set(state.current.rules.rules)
         ex = sample_misclassified(state, data)
         if ex is None:
             anneal_step(state, data, h, cfg)
             continue
         prop = propose(state, ex, data, h, cfg)
-        if prop.action == "add_rule" and not prop.stalled:
-            new_rules = set(prop.rules.rules) - before
-            assert new_rules, "add_rule proposal must introduce a rule"
-            for rule in new_rules:
-                assert rule_mask(rule, data).bit_count() >= floor
-                admissions += 1
-        from mars.search import _accepts, _accept, temperature as temp_of
-
-        if _accepts(state.rng, prop.score.log_posterior - state.current_score.log_posterior,
-                    temp_of(cfg, state.t)):
-            _accept(state, prop, data)
+        if prop is not None:
+            if prop.action == "add_rule":
+                new_rules = set(prop.rules.rules) - before
+                assert new_rules, "add_rule proposal must introduce a rule"
+                for rule in new_rules:
+                    assert rule_mask(rule, data).bit_count() >= floor
+                    admissions += 1
+            delta = prop.score.log_posterior - state.current.score.log_posterior
+            if _accepts(state.rng, delta, temperature(cfg, state.t)):
+                state.current = prop
         state.t += 1
     assert admissions > 0
 
@@ -371,7 +371,7 @@ def test_incremental_confusion_stays_consistent():
     state = init_state(data, h, cfg)
     for _ in range(cfg.n_iter):
         anneal_step(state, data, h, cfg)
-        assert state.confusion == confusion_counts(state.current, data)
+        assert state.current.score.confusion == confusion_counts(state.current.rules, data)
 
 
 # ---------------------------------------------------------------------------
@@ -527,11 +527,12 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
         chosen.clear()
         for _ in range(cfg.n_iter):
             anneal_step(state, data, h, cfg)
-        assert chosen
-        for prop in chosen:
+        rescored = [prop for prop in chosen if prop is not None]  # None is a stall
+        assert rescored
+        for prop in rescored:
             assert prop.score == score(prop.rules, data, h)  # floats compared exactly
             assert prop.union_mask == union_mask(prop.rules, data)
             assert list(prop.rule_cache) == list(prop.rules.rules)
             for rule, entry in prop.rule_cache.items():
                 assert entry == (rule_mask(rule, data), *rule_prior_terms(rule, h, data.vocab_sizes))
-        assert state.best_score == score(state.best, data, h)
+        assert state.best.score == score(state.best.rules, data, h)
