@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import synth
 from .data import RawTable, discretize, encode_with_specs, parse_labels
-from .errors import MarsError
+from .errors import DataFormatError, MarsError
 from .model import first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
 from .scoring import HYPER_KEYS, Hyperparams
@@ -168,6 +168,8 @@ def cmd_evaluate(args) -> int:
     table = RawTable.from_csv(args.csv, label_column=label)
     rows = encode_with_specs(table, model.features)
     labels = parse_labels(table.columns()[label], label)
+    if labels.size == 0:
+        raise DataFormatError(f"{args.csv}: no data rows")
     preds = first_covering_rule(model.rules, rows) >= 0
     accuracy = float((preds == labels).mean())
     rules = model.rules

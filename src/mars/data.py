@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -198,8 +198,7 @@ class Dataset:
     """Encoded observations plus per-(feature, value) coverage bitmasks.
 
     Immutable after construction: the arrays are marked read-only and every
-    operation on a Dataset is a pure read, so instances can be shared
-    freely across threads.
+    operation on a Dataset is a pure read.
     """
 
     def __init__(
@@ -239,11 +238,21 @@ class Dataset:
         return len(self.features)
 
 
-def condition_mask(data: Dataset, feature_id: int, values: Iterable[int]) -> int:
-    mask = 0
+def condition_mask(data: Dataset, feature_id: int, values: Collection[int]) -> int:
+    """Rows whose value of the feature is one of ``values``.
+
+    A feature's value masks partition the rows, so when ``values`` holds
+    more than half the vocabulary the mask is the full mask less the values
+    left out: fewer ORs over N-bit ints."""
     per_value = data.value_masks[feature_id]
-    for v in values:
-        mask |= per_value[v]
+    if 2 * len(values) <= len(per_value):
+        mask = 0
+        for v in values:
+            mask |= per_value[v]
+        return mask
+    mask = data.full_mask
+    for v in set(range(len(per_value))).difference(values):
+        mask ^= per_value[v]
     return mask
 
 

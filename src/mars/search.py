@@ -23,17 +23,29 @@ seeded with the current rules' entries: a candidate's posterior is the
 rule-count prior plus its rules' cached terms (added in ``log_prior``'s
 order, so the float is the one ``scoring.score`` returns) plus the
 likelihood of the union of their masks.  Only a rule the step has not seen
-costs a mask and a ``rule_prior_terms`` call, and the edit builders hand
-over the masks they already have: an add-rule rule's from its support
-check, an add-condition rule's as its parent's mask AND the new
-condition's.  A ``Proposal`` with a full ``Score`` and the rules' cache
-entries is built for the selected candidate alone.
+costs a mask and a ``rule_prior_terms`` call; an add-rule rule reuses the
+mask its support check built.
 
-A chain's state is two proposals, the current one and the best one: a
-proposal carries its rules, its ``Score`` (with its ``Confusion``), its
-rules' cache entries and its coverage mask, so accepting a move is
-replacing the current proposal, and the next step's cache is seeded from
-that proposal's entries.
+Add-condition neighbors, the bulk of a negative example's candidates, are
+scored without building them.  Each is a move (rule index, feature,
+sorted values) scored by that rule's growth table: the positive and
+negative counts, per (feature, value), of the rows only that rule covers,
+with the other rules' counts and the rule's prior terms.  A move's
+confusion is integer sums over its values, and its prior adds the same
+floats in the same order as the materialized rule set's, so its score is
+the very float the rule-tuple path gives and ``max()`` picks the same
+neighbor.  The table hangs off the current proposal, built per rule when
+first needed, and serves every step until a move is accepted.  A move
+whose grown rule equals another current rule (rare) comes as its rule
+tuple instead.  Only the chosen move becomes a ``Rule``, its mask its
+parent's AND the new condition's.
+
+A ``Proposal`` with a full ``Score`` and the rules' cache entries is built
+for the selected candidate alone.  A chain's state is two proposals, the
+current one and the best one: a proposal carries its rules, its ``Score``
+(with its ``Confusion``), its rules' cache entries and growth tables and
+its coverage mask, so accepting a move is replacing the current proposal,
+and the next step's cache is seeded from that proposal's entries.
 """
 
 from __future__ import annotations
@@ -42,10 +54,12 @@ import json
 import logging
 import math
 import random
-from dataclasses import asdict, dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import NamedTuple, Sequence
 
-from .bitset import kth_set_bit
+import numpy as np
+
+from .bitset import indices, kth_set_bit
 from .bounds import BoundState, initial_bounds, update_bounds
 from .data import Dataset, condition_mask, rule_mask
 from .errors import DegenerateLabelError
@@ -61,7 +75,6 @@ from .scoring import (
 )
 
 # not called here; kept importable from this module for per-layer tracing
-from .bitset import indices  # noqa: F401
 from .model import is_normalized  # noqa: F401
 from .scoring import log_prior, update_confusion  # noqa: F401
 
@@ -141,13 +154,16 @@ class RunLog:
 @dataclass
 class Proposal:
     """A scored rule set: ``rule_cache`` holds the entry of each of its
-    rules, in rule order, and ``union_mask`` the rows they cover."""
+    rules, in rule order, and ``union_mask`` the rows they cover.
+    ``growth`` holds the growth tables of its rules, by rule index, built
+    when an add-condition step first narrows that rule."""
 
     rules: RuleSet
     score: Score
     rule_cache: dict[Rule, RuleEntry]
     union_mask: int
     action: str
+    growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False, compare=False)
 
 
 @dataclass
@@ -164,11 +180,117 @@ class SearchState:
     stall_streak: int = 0
 
 
-class _Scorer:
-    """Scores rule tuples from per-rule cache entries; lives for one step.
+class _GrowthTable:
+    """Scores every narrowing of rule ``mi`` of a proposal by one new
+    condition, from counts instead of masks.
 
-    ``known`` holds masks the edit builders already computed, so a new
-    rule's entry reuses them instead of calling ``rule_mask``.
+    Narrowing rule ``mi`` changes only which of the rows it alone covers
+    stay covered, so the table holds the positive and negative counts of
+    those rows per (feature, value) and the counts the other rules cover.
+    A move's confusion is those counts plus the sums over its values.  Its
+    prior adds the same floats in the same order as ``_Scorer.posterior``
+    does for the materialized rule set: the count prior and the terms of
+    the rules before ``mi``, the grown rule's ``rule_prior_terms``, then
+    the terms of the rules after ``mi``.  So a move's score equals the
+    materialized rule set's exactly.
+    """
+
+    def __init__(self, prop: Proposal, mi: int, data: Dataset, hyper: Hyperparams) -> None:
+        rules = prop.rules.rules
+        rule = rules[mi]
+        cache = prop.rule_cache
+        self.rules, self.mi, self.rule = rules, mi, rule
+        self.data, self.hyper = data, hyper
+        self.parent_mask = cache[rule][0]
+        self.head_prior = log_rule_count_prior(len(rules), hyper)
+        others = 0
+        for k, other in enumerate(rules):
+            if k != mi:
+                mask, length_term, dm_term = cache[other]
+                others |= mask
+                if k < mi:
+                    self.head_prior += length_term
+                    self.head_prior += dm_term
+        self.tail_terms = [term for other in rules[mi + 1 :] for term in cache[other][1:]]
+        self.tp = (others & data.pos_mask).bit_count()
+        self.fp = others.bit_count() - self.tp
+
+        # counts over the rows rule mi alone covers, from one bincount of
+        # codes offset per feature, positive rows shifted past the negatives
+        vocab_sizes = data.vocab_sizes
+        offsets = np.cumsum((0,) + vocab_sizes[:-1])
+        n_codes = sum(vocab_sizes)
+        only = indices(self.parent_mask & ~others)
+        codes = data.rows[only] + offsets
+        codes[data.labels[only]] += n_codes
+        counts = np.bincount(codes.ravel(), minlength=2 * n_codes).tolist()
+        self.neg = [counts[o : o + v] for o, v in zip(offsets, vocab_sizes)]
+        self.pos = [counts[n_codes + o : n_codes + o + v] for o, v in zip(offsets, vocab_sizes)]
+
+        used = rule.features
+        self.free = [j for j, v in enumerate(vocab_sizes) if v >= 2 and j not in used]
+        self.priors: dict[tuple[int, int], float] = {}
+        # (feature, values) whose grown rule is another current rule: the
+        # rule set those moves make
+        self.collisions = {}
+        for other in rules:
+            extra = set(other.conditions).difference(rule.conditions)
+            if len(extra) == 1 and len(other.conditions) == len(rule.conditions) + 1:
+                (cond,) = extra
+                self.collisions[cond.feature_id, cond.values] = _replace_rule(rules, mi, other)
+
+    def prior(self, feature: int, n_values: int) -> float:
+        prior = self.priors.get((feature, n_values))
+        if prior is None:
+            # a condition's prior terms depend on how many values it holds,
+            # not which
+            grown = Rule(self.rule.conditions + (Condition(feature, tuple(range(n_values))),))
+            length_term, dm_term = rule_prior_terms(grown, self.hyper, self.data.vocab_sizes)
+            prior = self.head_prior + length_term
+            prior += dm_term
+            for term in self.tail_terms:
+                prior += term
+            self.priors[feature, n_values] = prior
+        return prior
+
+    def posterior(self, feature: int, values: tuple[int, ...]) -> float:
+        pos, neg = self.pos[feature], self.neg[feature]
+        tp = self.tp + sum(map(pos.__getitem__, values))
+        fp = self.fp + sum(map(neg.__getitem__, values))
+        data = self.data
+        return self.prior(feature, len(values)) + log_likelihood_counts(
+            tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper
+        )
+
+
+class _Growth(NamedTuple):
+    """An add-condition move: rule ``table.mi`` narrowed by the condition
+    ``feature`` in ``values`` (sorted, a proper subset of the vocabulary)."""
+
+    table: _GrowthTable
+    feature: int
+    values: tuple[int, ...]
+
+    def edit(self) -> tuple[Rule, ...]:
+        """The rule set the move makes, with the grown rule at ``table.mi``."""
+        t = self.table
+        grown = Rule(t.rule.conditions + (Condition(self.feature, self.values),))
+        return _replace_rule(t.rules, t.mi, grown)
+
+
+class _Scorer:
+    """Scores candidates, rule tuples and add-condition moves; lives for
+    one step.
+
+    A rule tuple is scored from per-rule cache entries seeded with the
+    current rules' entries: the rule-count prior plus its rules' cached
+    terms (added in ``log_prior``'s order, so the float is the one
+    ``scoring.score`` returns) plus the likelihood of the union of their
+    masks.  A rule not seen this step costs a mask and a
+    ``rule_prior_terms`` call; ``known`` holds masks the edit builders
+    already computed, so its entry reuses them instead of calling
+    ``rule_mask``.  An add-condition move is scored by its growth table,
+    which gives the same float from counts.
     """
 
     def __init__(self, entries: dict[Rule, RuleEntry], data: Dataset, hyper: Hyperparams) -> None:
@@ -195,14 +317,24 @@ class _Scorer:
             prior += entry[2]
         return prior, union
 
-    def posterior(self, rules: tuple[Rule, ...]) -> float:
-        prior, union = self._prior_and_union(rules)
+    def posterior(self, candidate: tuple[Rule, ...] | _Growth) -> float:
+        if candidate.__class__ is _Growth:
+            return candidate.table.posterior(candidate.feature, candidate.values)
+        prior, union = self._prior_and_union(candidate)
         data = self.data
         tp = (union & data.pos_mask).bit_count()
         fp = union.bit_count() - tp
         return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
 
-    def proposal(self, rules: tuple[Rule, ...], action: str) -> Proposal:
+    def proposal(self, candidate: tuple[Rule, ...] | _Growth, action: str) -> Proposal:
+        rules = candidate
+        if candidate.__class__ is _Growth:
+            table = candidate.table
+            rules = candidate.edit()
+            # the grown rule's rows: its parent's AND the new condition's
+            self.known[rules[table.mi]] = table.parent_mask & condition_mask(
+                self.data, candidate.feature, candidate.values
+            )
         prior, union = self._prior_and_union(rules)
         conf = confusion_from_mask(union, self.data)
         score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
@@ -383,45 +515,40 @@ def _edits_add_rule(
     return edits
 
 
-def _edits_add_condition(
-    rules,
-    rule_cache: dict[Rule, RuleEntry],
+def _growth_moves(
+    current: Proposal,
     data: Dataset,
+    hyper: Hyperparams,
     idx: int,
     xrow,
     rng: random.Random,
-    known: dict[Rule, int],
-) -> list[tuple[Rule, ...]]:
-    """Narrow each rule covering example ``idx`` by one new condition; the
-    mask of each grown rule (its parent's mask AND the condition's) is
-    recorded in ``known``."""
-    edits = []
+) -> list[_Growth | tuple[Rule, ...]]:
+    """Narrow each rule covering example ``idx`` by one condition on a
+    feature it lacks: the vocabulary minus the example's value (excluding
+    it at the smallest possible coverage loss) and two random value sets.
+    A move whose grown rule is another current rule comes as the rule set
+    it makes."""
+    moves: list[_Growth | tuple[Rule, ...]] = []
     bit = 1 << idx
-    for mi, rule in enumerate(rules):
-        parent_mask = rule_cache[rule][0]
-        if not parent_mask & bit:
+    for mi, rule in enumerate(current.rules.rules):
+        if not current.rule_cache[rule][0] & bit:
             continue  # only rules that cover the sampled negative example
-        used = set(rule.features)
-        for j in range(data.n_features):
-            if j in used:
-                continue
+        table = current.growth.get(mi)
+        if table is None:
+            table = current.growth[mi] = _GrowthTable(current, mi, data, hyper)
+        collisions = table.collisions
+        for j in table.free:
             vocab = data.vocab_sizes[j]
-            if vocab < 2:
-                continue
             want = int(xrow[j])
-            # canonical choice: full vocabulary minus the example's value,
-            # excluding it at the smallest possible coverage loss
-            canonical = tuple(v for v in range(vocab) if v != want)
-            variants = [canonical]
+            everything = tuple(range(vocab))
+            variants = [everything[:want] + everything[want + 1 :]]
             for _ in range(2):
                 size = rng.randint(1, vocab - 1)
-                variants.append(tuple(rng.sample(range(vocab), size)))
+                variants.append(tuple(sorted(rng.sample(range(vocab), size))))
             for vals in variants:
-                grown = Rule(rule.conditions + (Condition(j, vals),))
-                if grown not in known:
-                    known[grown] = parent_mask & condition_mask(data, j, vals)
-                edits.append(_replace_rule(rules, mi, grown))
-    return edits
+                edit = collisions.get((j, vals)) if collisions else None
+                moves.append(_Growth(table, j, vals) if edit is None else edit)
+    return moves
 
 
 def _edits_remove_rule(rules) -> list[tuple[Rule, ...]]:
@@ -436,10 +563,11 @@ def _candidate_edits(
     action: str,
     state: SearchState,
     data: Dataset,
+    hyper: Hyperparams,
     cfg: SearchConfig,
     example: tuple[int, bool] | None,
     known: dict[Rule, int],
-) -> list[tuple[Rule, ...]]:
+) -> list[tuple[Rule, ...] | _Growth]:
     rules = state.current.rules.rules
     rng = state.rng
     if action == "add_value":
@@ -451,9 +579,7 @@ def _candidate_edits(
             rules, data, data.rows[example[0]], rng, cfg.neighbor_budget, state.bounds, known
         )
     if action == "add_condition":
-        return _edits_add_condition(
-            rules, state.current.rule_cache, data, example[0], data.rows[example[0]], rng, known
-        )
+        return _growth_moves(state.current, data, hyper, example[0], data.rows[example[0]], rng)
     if action == "remove_rule":
         return _edits_remove_rule(rules)
     raise ValueError(f"unknown action {action!r}")
@@ -473,12 +599,13 @@ def _propose_from_actions(
     current = state.current.rules.rules
     scorer = _Scorer(state.current.rule_cache, data, hyper)
     for action in order:
-        edits = _candidate_edits(action, state, data, cfg, example, scorer.known)
+        edits = _candidate_edits(action, state, data, hyper, cfg, example, scorer.known)
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
             edits = rng.sample(edits, cfg.neighbor_budget)
-        # edits are normalized, so equal tuples are the equal rule sets
+        # edits are normalized, so equal tuples are the equal rule sets; equal
+        # moves are the equal rule sets, and no move equals a rule tuple
         candidates = [edit for edit in dict.fromkeys(edits) if edit != current]
         if not candidates:
             continue

@@ -140,6 +140,14 @@ def test_non_numeric_cell_in_numeric_column_exits_2(trained, tmp_path):
     assert_clean_error(run_mars("evaluate", model, holdout), 2, "'x'", "abc")
 
 
+def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
+    _, model = trained
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], [])
+    proc = run_mars("evaluate", model, holdout)
+    assert_clean_error(proc, 2, "no data rows")
+    assert "Warning" not in proc.stderr and proc.stdout == ""
+
+
 @pytest.mark.parametrize(
     "flags, config, fragment",
     [

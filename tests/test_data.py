@@ -11,10 +11,13 @@ from mars.data import (
     FeatureSpec,
     RawTable,
     _bin_edges,
+    condition_mask,
     discretize,
     encode_with_specs,
 )
 from mars.errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
+
+from oracles import make_dataset
 
 
 def table_of(names, rows, label="y"):
@@ -421,3 +424,20 @@ def test_discretize_matches_the_previous_ingest(case):
         assert any(MISSING in row for row in table.rows)
         assert before[0] in (ValueError, DataFormatError)
         assert "row value out of range" in before[1] or "single distinct value" in before[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_condition_mask_equals_or_of_value_masks(draw):
+    # past half the vocabulary the mask is built from the values left out
+    vocab_sizes = draw.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    rows = draw.draw(st.lists(
+        st.tuples(*(st.integers(0, v - 1) for v in vocab_sizes)), min_size=1, max_size=150
+    ))
+    data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(len(rows))])
+    j = draw.draw(st.integers(0, len(vocab_sizes) - 1))
+    values = draw.draw(st.lists(st.integers(0, vocab_sizes[j] - 1), max_size=10))
+    plain = 0
+    for v in values:
+        plain |= data.value_masks[j][v]
+    assert condition_mask(data, j, tuple(values)) == plain

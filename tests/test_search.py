@@ -175,12 +175,10 @@ def test_add_condition_canonical_variant_uncovers_example():
     state = _state_with(data, full_cover)
     ex = _find_example(state, data, want_positive=False)
     idx = ex[0]
-    from mars.search import _edits_add_condition
+    from mars.search import _growth_moves
 
-    current = state.current
-    edits = _edits_add_condition(
-        current.rules.rules, current.rule_cache, data, idx, data.rows[idx], state.rng, {}
-    )
+    moves = _growth_moves(state.current, data, hypers(data), idx, data.rows[idx], state.rng)
+    edits = [materialized(move) for move in moves]
     assert edits
     # canonical candidates (vocabulary minus the example's value) come first
     # per (rule, feature) block; each must stop covering the example
@@ -403,6 +401,13 @@ def raw_remove_condition(rules):
     return edits
 
 
+def materialized(move):
+    """The rule set an add-condition move makes (a collision already is one)."""
+    from mars.search import _Growth
+
+    return move.edit() if isinstance(move, _Growth) else move
+
+
 def raw_add_condition(rules, data, idx, xrow, rng):
     edits = []
     for mi, rule in enumerate(rules):
@@ -448,11 +453,11 @@ def test_edits_equal_normalized_raw_edits(draw):
     from mars.bounds import initial_bounds
     from mars.model import normalize
     from mars.search import (
-        _edits_add_condition,
         _edits_add_rule,
         _edits_add_value,
         _edits_remove_condition,
         _edits_remove_rule,
+        _growth_moves,
         _Scorer,
     )
 
@@ -468,17 +473,84 @@ def test_edits_equal_normalized_raw_edits(draw):
 
     assert _edits_remove_condition(rules) == normalized(raw_remove_condition(rules))
     assert _edits_remove_rule(rules) == normalized(_edits_remove_rule(rules))
-    cache = _Scorer({}, data, h).proposal(rules, "").rule_cache
+    # one proposal for every example: its growth tables are built once, then reused
+    prop = _Scorer({}, data, h).proposal(rules, "")
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for idx, xrow in enumerate(data.rows):
         assert _edits_add_value(rules, data, xrow) == normalized(raw_add_value(rules, data, xrow))
         seed = rng.random()
+        moves = _growth_moves(prop, data, h, idx, xrow, random.Random(seed))
+        assert [materialized(move) for move in moves] == normalized(
+            raw_add_condition(rules, data, idx, xrow, random.Random(seed))
+        )
         known = {}
-        got = _edits_add_condition(rules, cache, data, idx, xrow, random.Random(seed), known)
-        assert got == normalized(raw_add_condition(rules, data, idx, xrow, random.Random(seed)))
         got = _edits_add_rule(rules, data, xrow, random.Random(seed), 8, bounds, known)
         assert got == normalized(got)
         assert all(mask == rule_mask(rule, data) for rule, mask in known.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_growth_table_scores_equal_full_rescore(draw):
+    from itertools import combinations
+
+    from mars.model import normalize
+    from mars.search import _Growth, _GrowthTable, _Scorer
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    vocab_sizes = draw.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
+    n_rows = draw.draw(st.integers(1, 40))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
+    labels = [rng.random() < 0.5 for _ in range(n_rows)]
+    data = make_dataset(vocab_sizes, rows, labels)
+    # unequal theta, so the DM items' order of addition shows in the floats
+    h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
+               alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
+    rules = near_duplicate_ruleset(rng, vocab_sizes)
+    prop = _Scorer({}, data, h).proposal(rules, "")
+    scorer = _Scorer(prop.rule_cache, data, h)
+    for mi, rule in enumerate(rules):
+        table = _GrowthTable(prop, mi, data, h)
+        assert table.free == [
+            j for j, v in enumerate(vocab_sizes) if j not in rule.features and v >= 2
+        ]
+        for j in table.free:
+            # every proper value set, the full vocabulary minus one included
+            for size in range(1, vocab_sizes[j]):
+                for vals in combinations(range(vocab_sizes[j]), size):
+                    grown = Rule(rule.conditions + (Condition(j, vals),))
+                    expected = normalize(RuleSet(rules[:mi] + (grown,) + rules[mi + 1:]),
+                                         vocab_sizes).rules
+                    if (j, vals) in table.collisions:
+                        assert grown in rules
+                        assert table.collisions[j, vals] == expected
+                        continue
+                    move = _Growth(table, j, vals)
+                    assert move.edit() == expected and len(expected) == len(rules)
+                    full = score(RuleSet(expected), data, h)
+                    assert scorer.posterior(move) == full.log_posterior  # floats compared exactly
+                    chosen = scorer.proposal(move, "add_condition")
+                    assert chosen.score == full
+                    assert chosen.rule_cache[grown][0] == rule_mask(grown, data)
+
+
+def test_growth_moves_hand_a_collision_over_as_its_rule_set():
+    from mars.model import normalize
+    from mars.search import _growth_moves, _Scorer
+
+    # narrowing `wide` by x1 in {1} makes `narrow`, which is already there
+    data = make_dataset((2, 2), [[0, 0], [0, 1], [1, 1]], [1, 0, 0])
+    wide, narrow = Rule.of({0: (0,)}), Rule.of({0: (0,), 1: (1,)})
+    h = hypers(data)
+    prop = _Scorer({}, data, h).proposal((wide, narrow), "")
+    moves = _growth_moves(prop, data, h, 1, data.rows[1], random.Random(0))
+    # the canonical variant excludes the example's value 1: x1 in {0}
+    assert materialized(moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
+    assert (narrow,) in moves  # a random variant drew x1 in {1}
+    raw = raw_add_condition((wide, narrow), data, 1, data.rows[1], random.Random(0))
+    assert [materialized(m) for m in moves] == [
+        normalize(RuleSet(edit), data.vocab_sizes).rules for edit in raw
+    ]
 
 
 def test_replace_rule_keeps_first_of_duplicates():
