@@ -1,14 +1,17 @@
 """Simulated-annealing MAP search over rule sets.
 
-Each step samples a misclassified training example and proposes a
-neighbor through an action chosen by the example's label: positives draw
-uniformly from {add value, remove condition, add rule} (coverage-growing
-moves), negatives from {add condition, remove rule} (coverage-shrinking
-moves).  Within the chosen action the neighbor set is enumerated (capped
-at a budget), and selection is exploitation (best posterior) with
-probability 1 - explore_prob, else a uniform random neighbor.  The move
-is accepted with probability min(1, exp(delta / T)) under the schedule
-T[t] = t0 ** (1 - t / n_iter).
+Each step samples a misclassified training example and ``propose`` picks
+a neighbor through an action chosen by the example's label: positives
+draw uniformly from {add value, remove condition, add rule} (coverage-
+growing moves), negatives from {add condition, remove rule} (coverage-
+shrinking moves), and an action with no neighbor falls through to the
+branch's other actions in shuffled order.  When training accuracy is 1.0
+there is no example, and the same routine tries only the simplifying
+{remove condition, remove rule} in shuffled order.  Within an action the
+neighbor set is enumerated (capped at a budget), and selection is
+exploitation (best posterior) with probability 1 - explore_prob, else a
+uniform random neighbor.  The move is accepted with probability
+min(1, exp(delta / T)) under the schedule T[t] = t0 ** (1 - t / n_iter).
 
 New rules proposed by the add-rule action are seeded from the sampled
 positive example and admitted only when their support clears the current
@@ -51,11 +54,10 @@ and the next step's cache is seeded from that proposal's entries.
 from __future__ import annotations
 
 import json
-import logging
 import math
 import random
 from dataclasses import asdict, dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,8 +79,6 @@ from .scoring import (
 # not called here; kept importable from this module for per-layer tracing
 from .model import is_normalized  # noqa: F401
 from .scoring import log_prior, update_confusion  # noqa: F401
-
-log = logging.getLogger(__name__)
 
 POSITIVE_ACTIONS = ("add_value", "remove_condition", "add_rule")
 NEGATIVE_ACTIONS = ("add_condition", "remove_rule")
@@ -559,56 +559,60 @@ def _edits_remove_rule(rules) -> list[tuple[Rule, ...]]:
 # proposal selection
 # ---------------------------------------------------------------------------
 
-def _candidate_edits(
-    action: str,
+def propose(
     state: SearchState,
+    example: tuple[int, bool] | None,
     data: Dataset,
     hyper: Hyperparams,
     cfg: SearchConfig,
-    example: tuple[int, bool] | None,
-    known: dict[Rule, int],
-) -> list[tuple[Rule, ...] | _Growth]:
-    rules = state.current.rules.rules
-    rng = state.rng
-    if action == "add_value":
-        return _edits_add_value(rules, data, data.rows[example[0]])
-    if action == "remove_condition":
-        return _edits_remove_condition(rules)
-    if action == "add_rule":
-        return _edits_add_rule(
-            rules, data, data.rows[example[0]], rng, cfg.neighbor_budget, state.bounds, known
-        )
-    if action == "add_condition":
-        return _growth_moves(state.current, data, hyper, example[0], data.rows[example[0]], rng)
-    if action == "remove_rule":
-        return _edits_remove_rule(rules)
-    raise ValueError(f"unknown action {action!r}")
-
-
-def _propose_from_actions(
-    state: SearchState,
-    order: Sequence[str],
-    data: Dataset,
-    hyper: Hyperparams,
-    cfg: SearchConfig,
-    example: tuple[int, bool] | None,
 ) -> Proposal | None:
-    """The chosen neighbor of the first action in ``order`` that has one,
-    or None when none does (a stall)."""
+    """One proposal for a sampled misclassified example, or for None when
+    training accuracy is 1.0.
+
+    A labelled example draws its first action uniformly from the branch
+    matching its label, then tries the branch's other actions in shuffled
+    order.  With no example only complexity-reducing moves can still
+    improve the posterior, so the simplify actions are tried in shuffled
+    order.  The first action with a neighbor gives the proposal; None (a
+    stall) is returned when none has any.
+    """
     rng = state.rng
-    current = state.current.rules.rules
-    scorer = _Scorer(state.current.rule_cache, data, hyper)
+    current = state.current
+    rules = current.rules.rules
+    if example is None:
+        order = list(SIMPLIFY_ACTIONS)
+        rng.shuffle(order)
+    else:
+        idx, is_positive = example
+        xrow = data.rows[idx]
+        actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
+        first = rng.choice(actions)
+        actions.remove(first)
+        rng.shuffle(actions)
+        order = [first, *actions]
+    scorer = _Scorer(current.rule_cache, data, hyper)
     for action in order:
-        edits = _candidate_edits(action, state, data, hyper, cfg, example, scorer.known)
+        if action == "add_value":
+            edits = _edits_add_value(rules, data, xrow)
+        elif action == "remove_condition":
+            edits = _edits_remove_condition(rules)
+        elif action == "add_rule":
+            edits = _edits_add_rule(
+                rules, data, xrow, rng, cfg.neighbor_budget, state.bounds, scorer.known
+            )
+        elif action == "add_condition":
+            edits = _growth_moves(current, data, hyper, idx, xrow, rng)
+        else:
+            edits = _edits_remove_rule(rules)
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
             edits = rng.sample(edits, cfg.neighbor_budget)
         # edits are normalized, so equal tuples are the equal rule sets; equal
-        # moves are the equal rule sets, and no move equals a rule tuple
-        candidates = [edit for edit in dict.fromkeys(edits) if edit != current]
-        if not candidates:
-            continue
+        # moves are the equal rule sets, and no move equals a rule tuple.  No
+        # edit is the current rule set: each changes the rule count or puts
+        # in a rule the set does not hold.
+        candidates = list(dict.fromkeys(edits))
         if rng.random() < cfg.explore_prob:
             chosen = rng.choice(candidates)
         else:
@@ -616,37 +620,6 @@ def _propose_from_actions(
             chosen = max(candidates, key=scorer.posterior)
         return scorer.proposal(chosen, action)
     return None
-
-
-def propose(
-    state: SearchState,
-    example: tuple[int, bool],
-    data: Dataset,
-    hyper: Hyperparams,
-    cfg: SearchConfig,
-) -> Proposal | None:
-    """One proposal for a sampled misclassified example.
-
-    The action is drawn uniformly within the branch matching the example's
-    label; an action with no legal neighbor falls back to the remaining
-    permitted actions, and None (a stall) is returned when none has any.
-    """
-    _, is_positive = example
-    actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
-    first = state.rng.choice(actions)
-    actions.remove(first)
-    state.rng.shuffle(actions)
-    return _propose_from_actions(state, [first, *actions], data, hyper, cfg, example)
-
-
-def _propose_simplify(
-    state: SearchState, data: Dataset, hyper: Hyperparams, cfg: SearchConfig
-) -> Proposal | None:
-    """Fallback when training accuracy is 1.0: only complexity-reducing
-    moves can still improve the posterior."""
-    actions = list(SIMPLIFY_ACTIONS)
-    state.rng.shuffle(actions)
-    return _propose_from_actions(state, actions, data, hyper, cfg, None)
 
 
 def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
@@ -664,12 +637,7 @@ def anneal_step(
     runlog: RunLog | None = None,
 ) -> SearchState:
     """One Markov-chain step: propose, track best, accept-or-reject."""
-    example = sample_misclassified(state, data)
-    if example is None:
-        prop = _propose_simplify(state, data, hyper, cfg)
-    else:
-        prop = propose(state, example, data, hyper, cfg)
-
+    prop = propose(state, sample_misclassified(state, data), data, hyper, cfg)
     if prop is None:
         state.stall_streak += 1
         if runlog is not None:
