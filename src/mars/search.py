@@ -366,9 +366,10 @@ def _start_chain(
     state: SearchState | None = None,
     runlog: RunLog | None = None,
 ) -> SearchState:
-    """Make a random rule set the chain's current state: a new state, or
-    ``state`` restarted at t = 0 with its best and bounds kept.  A start
-    that becomes the best gets an ``improve`` record."""
+    """Make a random rule set the current state of chain ``state.chain``: a
+    new state for chain 0, or ``state`` restarted at t = 0 with its best and
+    bounds kept.  The runlog gets the chain's ``chain_start`` record, then an
+    ``improve`` record when the start is the new best."""
     start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules, "start")
     improved = state is None or start.score.log_posterior > state.best.score.log_posterior
     if state is None:
@@ -378,8 +379,10 @@ def _start_chain(
         if improved:
             state.best = start
     state.bounds = update_bounds(state.bounds, start.score.log_posterior)
-    if improved and runlog is not None:
-        runlog.improvement(state)
+    if runlog is not None:
+        runlog.emit(event="chain_start", chain=state.chain, log_posterior=start.score.log_posterior)
+        if improved:
+            runlog.improvement(state)
     return state
 
 
@@ -671,18 +674,11 @@ def run(
     """
     runlog = RunLog()
     rng = random.Random(f"mars-search:{cfg.random_seed}")
-    state: SearchState | None = None
+    state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
     for chain in range(cfg.n_restarts + 1):
-        if state is None:
-            state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
-        else:
+        if chain:
             state.chain = chain
             _start_chain(data, hyper, rng, state, runlog)
-        runlog.emit(
-            event="chain_start",
-            chain=chain,
-            log_posterior=state.current.score.log_posterior,
-        )
         for _ in range(cfg.n_iter):
             anneal_step(state, data, hyper, cfg, runlog)
             if state.stall_streak >= STALL_RESTART_AFTER:

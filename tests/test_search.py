@@ -329,9 +329,17 @@ def test_last_improvement_is_the_returned_best_across_restarts(seed):
     _, best, runlog = run(data, hypers(data), cfg)
     improvements = [r for r in runlog.records if r["event"] == "improve"]
     assert improvements[-1]["log_posterior"] == best.log_posterior
-    # chain 0 keeps its record order: the start's improve, then chain_start
+    # every chain logs its chain_start before any improve of its own, the one
+    # its random start makes included
     events = [r["event"] for r in runlog.records]
-    assert events[:2] == ["improve", "chain_start"]
+    assert events[:2] == ["chain_start", "improve"]
+    started = set()
+    for record in runlog.records:
+        if record["event"] == "chain_start":
+            started.add(record["chain"])
+        elif record["event"] == "improve":
+            assert record["chain"] in started
+    assert started == set(range(cfg.n_restarts + 1))
 
 
 def test_admitted_rules_meet_support_floor_during_run():
