@@ -81,9 +81,9 @@ def _check_writable(*paths) -> None:
 def _parse_hyper_file(path) -> dict:
     out = {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MarsError(f"cannot read hyperparameter file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()

@@ -52,12 +52,16 @@ class FeatureSpec:
         if self.kind == "categorical":
             if not self.categories:
                 raise ValueError(f"feature {self.name!r}: empty vocabulary")
+            if not all(isinstance(c, str) for c in self.categories):
+                raise ValueError(f"feature {self.name!r}: a vocabulary entry is not a string")
             if len(set(self.categories)) != len(self.categories):
                 raise ValueError(f"feature {self.name!r}: duplicate vocabulary entry")
         elif self.kind == "numeric":
             if not self.intervals:
                 raise ValueError(f"feature {self.name!r}: no intervals")
             for (lo, hi) in self.intervals:
+                if any(isinstance(b, bool) or not isinstance(b, (int, float)) for b in (lo, hi)):
+                    raise ValueError(f"feature {self.name!r}: an interval bound is not a number")
                 if not lo < hi:
                     raise ValueError(f"feature {self.name!r}: empty interval [{lo}, {hi})")
             for (_, hi), (lo2, _) in zip(self.intervals, self.intervals[1:]):
@@ -164,7 +168,7 @@ class RawTable:
     @classmethod
     def from_csv(cls, path, label_column: str | None = None) -> "RawTable":
         try:
-            with open(path, newline="") as fh:
+            with open(path, newline="", encoding="utf-8") as fh:
                 reader = csv.reader(fh)
                 try:
                     header = next(reader)
@@ -182,6 +186,10 @@ class RawTable:
                     rows.append(tuple(c.strip() for c in cells))
         except OSError as exc:
             raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{path}: not UTF-8 text") from None
+        except csv.Error as exc:
+            raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
         if len(set(names)) != len(names):
             raise DataFormatError(f"{path}: duplicate column names in header")
         if label_column is not None and label_column not in names:

@@ -39,6 +39,8 @@ def _feature_to_json(f: FeatureSpec) -> dict:
 
 
 def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
+    if not isinstance(blob, dict):
+        raise ModelFormatError(f"feature {fid}: not a JSON object")
     kind = blob.get("kind")
     if kind == "categorical":
         return FeatureSpec(fid, blob["name"], "categorical", categories=tuple(blob["values"]))
@@ -77,9 +79,9 @@ def save_model(
 
 def load_model(path) -> Model:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"{path}: not a model file")
@@ -91,6 +93,8 @@ def load_model(path) -> Model:
     try:
         features = tuple(_feature_from_json(fid, blob) for fid, blob in enumerate(doc["features"]))
         fid_of = {f.name: f.feature_id for f in features}
+        if len(fid_of) != len(features):
+            raise ModelFormatError(f"{path}: two features share a name")
         rules = RuleSet(
             tuple(
                 Rule(tuple(Condition(fid_of[name], tuple(values)) for name, values in conds))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import expm1, lgamma, log
+from math import expm1, inf, lgamma, log
 from typing import Iterable, Sequence
 
 from .data import Dataset, union_mask
@@ -34,11 +34,11 @@ from .model import Rule, RuleSet, is_normalized
 class Hyperparams:
     """The nine-parameter bundle governing prior and likelihood.
 
-    theta has one positive weight per feature.  The ordering constraints
-    required by the pruning bounds (alpha_m < beta_m, alpha_l < beta_l,
-    alpha_pos > beta_pos, alpha_neg > beta_neg) are reported by
-    ``bound_precondition_violations`` rather than enforced: scoring is
-    well-defined without them.
+    Every value is positive and finite, and theta has one weight per
+    feature.  The ordering constraints required by the pruning bounds
+    (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
+    alpha_neg > beta_neg) are reported by ``bound_precondition_violations``
+    rather than enforced: scoring is well-defined without them.
     """
 
     alpha_m: float
@@ -55,12 +55,12 @@ class Hyperparams:
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         for name in HYPER_KEYS:
             value = getattr(self, name)
-            if name != "theta" and not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+            if name != "theta" and not 0 < value < inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not self.theta:
             raise ValueError("theta must have one entry per feature")
-        if any(not t > 0 for t in self.theta):
-            raise ValueError("theta entries must be strictly positive")
+        if any(not 0 < t < inf for t in self.theta):
+            raise ValueError("theta entries must be positive and finite")
         # hashed on every prior evaluation by the constants cache; cache it
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, k) for k in HYPER_KEYS)))
 

@@ -140,6 +140,24 @@ def test_non_numeric_cell_in_numeric_column_exits_2(trained, tmp_path):
     assert_clean_error(run_mars("evaluate", model, holdout), 2, "'x'", "abc")
 
 
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+@pytest.mark.parametrize(
+    "cell, fragment",
+    [(b"\xff", "not UTF-8 text"), (b"a" * 131073, "field larger than field limit")],
+    ids=["non-utf8", "long-cell"],
+)
+def test_unreadable_csv_exits_2(trained, tmp_path, command, cell, fragment):
+    _, model = trained
+    path = tmp_path / "bad.csv"
+    path.write_bytes(b"x,c,noise,y\n0.1,a,0.2,1\n0.3," + cell + b",0.4,0\n")
+    argv = {
+        "train": ["train", path, "--label", "y", "--out", tmp_path / "m.json", "--iters", "20"],
+        "predict": ["predict", model, path],
+        "evaluate": ["evaluate", model, path],
+    }[command]
+    assert_clean_error(run_mars(*argv), 2, str(path), fragment)
+
+
 def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
     _, model = trained
     holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], [])
@@ -157,6 +175,13 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
         (["--hyper-config", "{cfg}"], None, "cannot read"),  # the file does not exist
         (["--hyper-config", "{cfg}"], "beta_m = 1,2\n", "beta_m"),  # one value per feature: theta only
         (["--hyper-config", "{cfg}"], "theta = 1,2\n", "theta has 2 entries for 3 features"),
+        # non-finite values: inf once reached bounds.update_bounds as a traceback
+        (["--alpha-pos", "inf"], None, "alpha_pos"),
+        (["--beta-m", "inf"], None, "beta_m"),
+        (["--beta-l", "inf"], None, "beta_l"),
+        (["--alpha-l", "nan"], None, "alpha_l"),
+        (["--theta", "inf"], None, "theta"),
+        (["--hyper-config", "{cfg}"], "theta = 1,1,inf\n", "theta"),
     ],
 )
 def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
@@ -169,6 +194,15 @@ def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags
             "--iters", "20", *(f.format(cfg=cfg) for f in flags)]
     assert_clean_error(run_mars(*argv), 1, fragment)
     assert not (tmp_path / "m.json").exists()
+
+
+def test_non_utf8_hyper_config_is_an_error_not_a_traceback(trained, tmp_path):
+    tmp, _ = trained
+    cfg = tmp_path / "hyper.cfg"
+    cfg.write_bytes(b"beta_m = \xff\n")
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", tmp_path / "m.json",
+            "--iters", "20", "--hyper-config", cfg]
+    assert_clean_error(run_mars(*argv), 1, "cannot read hyperparameter file")
 
 
 def test_hyper_config_sets_theta_per_feature(trained, tmp_path):

@@ -392,6 +392,8 @@ def raw_tables(draw):
     return table, draw(st.integers(2, 5)), draw(st.sampled_from(["width", "frequency"]))
 
 
+# the reference re-runs the old binning of nan/inf cells, which warns
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=400, deadline=None)
 @given(raw_tables())
 @example((RawTable(names=("c", "x", "label"), label_column="label", rows=[

@@ -81,3 +81,56 @@ def test_non_integer_rule_value_rejected(saved, capsys, value):
     assert info.value.exit_code == 5
     assert cli.main(["show", str(path)]) == 5
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def set_feature(k, **fields):
+    return lambda doc: doc["features"][k].update(fields)
+
+
+def share_a_name(doc):
+    # the rules name only the shared name, so they alone would still load
+    doc["features"][0]["name"] = "state"
+    doc["rules"] = [[["state", [0]]]]
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda doc: doc.update(features="ab"), id="features-not-a-list"),
+        pytest.param(set_feature(1, values=[1, 2, 3]), id="non-string-category"),
+        pytest.param(set_feature(0, intervals=[["a", "b"], ["b", "c"], ["c", "d"]]),
+                     id="string-interval-bounds"),
+        pytest.param(set_feature(0, intervals=[[0, True], [True, 2], [2, 3]]),
+                     id="bool-interval-bound"),
+        pytest.param(share_a_name, id="duplicate-feature-name"),
+    ],
+)
+def test_malformed_feature_list_rejected(saved, capsys, edit):
+    path = saved[0]
+    rewrite(path, edit)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_non_utf8_model_file_rejected(saved, capsys):
+    path = saved[0]
+    text = path.read_bytes()
+    assert b'"label": "y"' in text
+    path.write_bytes(text.replace(b'"label": "y"', b'"label": "\xff"'))
+    with pytest.raises(ModelFormatError, match="cannot read model file") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_non_finite_hyperparameter_rejected(saved, value):
+    path = saved[0]
+    rewrite(path, lambda doc: doc["hyperparams"].update(beta_l=value))
+    with pytest.raises(ModelFormatError, match="beta_l") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
