@@ -6,7 +6,7 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import synth
@@ -231,6 +231,12 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise MarsError(f"invalid sweep setting: {exc}") from exc
     base = _hyperparams(args, args.features)
+    try:
+        for beta_m in grid.beta_grid:
+            for beta_l in grid.beta_grid:
+                replace(base, beta_m=beta_m, beta_l=beta_l)
+    except ValueError as exc:
+        raise MarsError(f"invalid hyperparameter in --grid: {exc}") from exc
     cfg = _search_config(args)
     _check_bins(args)
     _check_writable(args.out)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import expm1, inf, lgamma, log
+from math import exp, expm1, inf, isfinite, lgamma, log
 from typing import Iterable, Sequence
 
 from .data import Dataset, union_mask
@@ -35,7 +35,12 @@ class Hyperparams:
     """The nine-parameter bundle governing prior and likelihood.
 
     Every value is positive and finite, and theta has one weight per
-    feature.  The ordering constraints required by the pruning bounds
+    feature.  The constants the prior, the likelihood and the pruning
+    bounds derive from the values must be finite floats too, so a value
+    near the float maximum (alpha_l = 1e308, say) is rejected, and so is a
+    beta_l so large (about 1e15) that log(beta_l) - log(beta_l + 1) rounds
+    to 0 and the rule-length prior's zero-truncation takes log(0).  The
+    ordering constraints required by the pruning bounds
     (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
     alpha_neg > beta_neg) are reported by ``bound_precondition_violations``
     rather than enforced: scoring is well-defined without them.
@@ -63,6 +68,22 @@ class Hyperparams:
             raise ValueError("theta entries must be positive and finite")
         # hashed on every prior evaluation by the constants cache; cache it
         object.__setattr__(self, "_hash", hash(tuple(getattr(self, k) for k in HYPER_KEYS)))
+
+        from .bounds import log_omega  # bounds imports this module
+
+        try:
+            _PriorConstants(self)
+            exp(log_omega(self))
+            finite = isfinite(
+                _log_beta(self.alpha_pos, self.beta_pos) + _log_beta(self.alpha_neg, self.beta_neg)
+            )
+        except (OverflowError, ValueError):  # lgamma or exp overflows, or log(0)
+            finite = False
+        if not finite:
+            raise ValueError(
+                "values too large: a constant of the prior, the likelihood or the "
+                "pruning bounds is not a finite float"
+            )
 
     def __hash__(self) -> int:
         return self._hash

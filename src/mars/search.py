@@ -43,6 +43,14 @@ whose grown rule equals another current rule (rare) comes as its rule
 tuple instead.  Only the chosen move becomes a ``Rule``, its mask its
 parent's AND the new condition's.
 
+The search draws its random integers with ``_below`` and ``_sample``,
+which return what ``Random.randint`` and ``Random.sample(range(n), k)``
+return from the same ``getrandbits`` calls, without their argument
+checks and sequence handling; a test pins them bit for bit to the stdlib
+calls, the set path of ``sample`` included.  A growth table also memoizes
+its move scores by (feature, values): the random variants repeat across
+the steps a table serves.
+
 A ``Proposal`` with a full ``Score`` and the rules' cache entries is built
 for the selected candidate alone.  A chain's state is two proposals, the
 current one and the best one: a proposal carries its rules, its ``Score``
@@ -102,8 +110,8 @@ class SearchConfig:
     def __post_init__(self) -> None:
         if self.n_iter < 1:
             raise ValueError("n_iter must be positive")
-        if not self.t0 > 1.0:
-            raise ValueError("t0 must exceed 1")
+        if not 1.0 < self.t0 < math.inf:
+            raise ValueError("t0 must be finite and exceed 1")
         if not 0.0 <= self.explore_prob <= 1.0:
             raise ValueError("explore_prob must lie in [0, 1]")
         if self.n_restarts < 0:
@@ -227,9 +235,19 @@ class _GrowthTable:
         self.neg = [counts[o : o + v] for o, v in zip(offsets, vocab_sizes)]
         self.pos = [counts[n_codes + o : n_codes + o + v] for o, v in zip(offsets, vocab_sizes)]
 
+        # per free feature (one the rule lacks, of two values or more): the
+        # feature, its vocabulary size and the vocabulary minus value w at w
         used = rule.features
-        self.free = [j for j, v in enumerate(vocab_sizes) if v >= 2 and j not in used]
+        self.free: list[tuple[int, int, list[tuple[int, ...]]]] = []
+        for j, vocab in enumerate(vocab_sizes):
+            if vocab >= 2 and j not in used:
+                everything = tuple(range(vocab))
+                without = [everything[:w] + everything[w + 1 :] for w in everything]
+                self.free.append((j, vocab, without))
         self.priors: dict[tuple[int, int], float] = {}
+        # a move's score by (feature, values): the random variants repeat
+        # across the steps the table serves
+        self.scores: dict[tuple[int, tuple[int, ...]], float] = {}
         # (feature, values) whose grown rule is another current rule: the
         # rule set those moves make
         self.collisions = {}
@@ -254,13 +272,17 @@ class _GrowthTable:
         return prior
 
     def posterior(self, feature: int, values: tuple[int, ...]) -> float:
-        pos, neg = self.pos[feature], self.neg[feature]
-        tp = self.tp + sum(map(pos.__getitem__, values))
-        fp = self.fp + sum(map(neg.__getitem__, values))
-        data = self.data
-        return self.prior(feature, len(values)) + log_likelihood_counts(
-            tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper
-        )
+        key = (feature, values)
+        score = self.scores.get(key)
+        if score is None:
+            pos, neg = self.pos[feature], self.neg[feature]
+            tp = self.tp + sum(map(pos.__getitem__, values))
+            fp = self.fp + sum(map(neg.__getitem__, values))
+            data = self.data
+            score = self.scores[key] = self.prior(feature, len(values)) + log_likelihood_counts(
+                tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper
+            )
+        return score
 
 
 class _Growth(NamedTuple):
@@ -342,19 +364,65 @@ class _Scorer:
         return Proposal(RuleSet(rules), score, cache, union, action)
 
 
+def _below(getrandbits, n: int) -> int:
+    """``Random._randbelow(n)`` for n > 0, from the same ``getrandbits``
+    calls: ``randint(a, b)`` is ``a + _below(getrandbits, b - a + 1)``."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _sample(getrandbits, n: int, k: int) -> list[int]:
+    """``Random.sample(range(n), k)`` for 0 <= k <= n: the same values in
+    the same order, from the same ``getrandbits`` calls.
+
+    Like the stdlib, a population no larger than ``setsize`` is drawn from
+    a shrinking pool, a larger one by redrawing indices already taken.
+    """
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    result = []
+    if n <= setsize:
+        pool = list(range(n))
+        for m in range(n, n - k, -1):
+            # _below(getrandbits, m), inlined
+            bits = m.bit_length()
+            j = getrandbits(bits)
+            while j >= m:
+                j = getrandbits(bits)
+            result.append(pool[j])
+            pool[j] = pool[m - 1]
+        return result
+    bits = n.bit_length()
+    selected = set()
+    for _ in range(k):
+        j = getrandbits(bits)
+        # _below's rejection and the taken-index rejection in one loop
+        while j >= n or j in selected:
+            j = getrandbits(bits)
+        selected.add(j)
+        result.append(j)
+    return result
+
+
 def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
     """1-3 random rules of 1-3 conditions with random proper value sets."""
     eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
     if not eligible:
         raise ValueError("no feature has at least two values; nothing to search")
+    bits = rng.getrandbits
     rules = []
-    for _ in range(rng.randint(1, 3)):
-        feats = rng.sample(eligible, rng.randint(1, min(3, len(eligible))))
+    for _ in range(1 + _below(bits, 3)):
+        n_feats = 1 + _below(bits, min(3, len(eligible)))
         conds = []
-        for j in feats:
+        for f in _sample(bits, len(eligible), n_feats):
+            j = eligible[f]
             vocab = data.vocab_sizes[j]
-            size = rng.randint(1, vocab - 1)
-            conds.append(Condition(j, tuple(rng.sample(range(vocab), size))))
+            size = 1 + _below(bits, vocab - 1)
+            conds.append(Condition(j, tuple(_sample(bits, vocab, size))))
         rules.append(Rule(tuple(conds)))
     return normalize(RuleSet(tuple(rules)), data.vocab_sizes)
 
@@ -492,20 +560,19 @@ def _edits_add_rule(
     edits: list[tuple[Rule, ...]] = []
     seen: set[Rule] = set()
     max_feats = min(3, len(eligible))
+    bits = rng.getrandbits
     attempts = 0
     while len(edits) < budget and attempts < 3 * budget:
         attempts += 1
-        feats = rng.sample(eligible, rng.randint(1, max_feats))
         conds = []
-        for j in feats:
+        for f in _sample(bits, len(eligible), 1 + _below(bits, max_feats)):
+            j = eligible[f]
             vocab = data.vocab_sizes[j]
             want = int(xrow[j])
-            extra = rng.randint(0, vocab - 2)
-            if extra:
-                spare = [v for v in range(vocab) if v != want]
-                conds.append(Condition(j, (want, *rng.sample(spare, extra))))
-            else:
-                conds.append(Condition(j, (want,)))
+            # the example's value, and a sample of the vocab - 1 spare ones:
+            # spare value v of range(vocab - 1) is v, or v + 1 from want on
+            extra = _sample(bits, vocab - 1, _below(bits, vocab - 1))
+            conds.append(Condition(j, (want, *[v + (v >= want) for v in extra])))
         cand = Rule(tuple(conds))
         if cand in seen or cand in existing:
             continue
@@ -533,6 +600,7 @@ def _growth_moves(
     it makes."""
     moves: list[_Growth | tuple[Rule, ...]] = []
     bit = 1 << idx
+    bits = rng.getrandbits
     for mi, rule in enumerate(current.rules.rules):
         if not current.rule_cache[rule][0] & bit:
             continue  # only rules that cover the sampled negative example
@@ -540,14 +608,12 @@ def _growth_moves(
         if table is None:
             table = current.growth[mi] = _GrowthTable(current, mi, data, hyper)
         collisions = table.collisions
-        for j in table.free:
-            vocab = data.vocab_sizes[j]
-            want = int(xrow[j])
-            everything = tuple(range(vocab))
-            variants = [everything[:want] + everything[want + 1 :]]
-            for _ in range(2):
-                size = rng.randint(1, vocab - 1)
-                variants.append(tuple(sorted(rng.sample(range(vocab), size))))
+        for j, vocab, without in table.free:
+            variants = (
+                without[xrow[j]],
+                tuple(sorted(_sample(bits, vocab, 1 + _below(bits, vocab - 1)))),
+                tuple(sorted(_sample(bits, vocab, 1 + _below(bits, vocab - 1)))),
+            )
             for vals in variants:
                 edit = collisions.get((j, vals)) if collisions else None
                 moves.append(_Growth(table, j, vals) if edit is None else edit)
@@ -610,7 +676,7 @@ def propose(
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
-            edits = rng.sample(edits, cfg.neighbor_budget)
+            edits = [edits[i] for i in _sample(rng.getrandbits, len(edits), cfg.neighbor_budget)]
         # edits are normalized, so equal tuples are the equal rule sets; equal
         # moves are the equal rule sets, and no move equals a rule tuple.  No
         # edit is the current rule set: each changes the rule count or puts

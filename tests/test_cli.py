@@ -4,6 +4,7 @@ every user input error ending in an error line and exit code."""
 import contextlib
 import csv
 import io
+import json
 import os
 import re
 import subprocess
@@ -182,6 +183,15 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
         (["--alpha-l", "nan"], None, "alpha_l"),
         (["--theta", "inf"], None, "theta"),
         (["--hyper-config", "{cfg}"], "theta = 1,1,inf\n", "theta"),
+        # finite but so large that a derived constant overflows: these once
+        # ended in OverflowError from lgamma (scoring) or exp (bounds)
+        (["--alpha-l", "1e308"], None, "invalid hyperparameter"),
+        (["--theta", "1e308"], None, "invalid hyperparameter"),
+        (["--beta-m", "1e308"], None, "invalid hyperparameter"),
+        (["--alpha-pos", "1e308"], None, "invalid hyperparameter"),
+        (["--beta-l", "1e16"], None, "invalid hyperparameter"),  # log(0) in the prior
+        (["--hyper-config", "{cfg}"], "alpha_l = 1e308\n", "invalid hyperparameter"),
+        (["--t0", "inf"], None, "invalid search setting"),
     ],
 )
 def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
@@ -236,12 +246,25 @@ def test_train_help_offers_one_flag_per_hyperparameter(capsys):
         ["gen", "--max-conditions", "99"],
         ["sweep", "--grid", "1,x"],
         ["sweep", "--replicates", "0"],
+        ["sweep", "--grid", "1,0"],
+        ["sweep", "--grid", "1,1e308"],
     ],
 )
 def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):
     out = tmp_path / "out.csv"
     assert_clean_error(run_mars(*argv, "--out", out), 1, "invalid")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["alpha_l", "theta", "beta_m"])
+def test_model_with_overflowing_hyperparameter_exits_5(trained, tmp_path, key):
+    tmp, model = trained
+    doc = json.loads(Path(model).read_text())
+    hp = doc["hyperparams"]
+    hp[key] = [1e308] * len(hp["theta"]) if key == "theta" else 1e308
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert_clean_error(run_mars("predict", bad, tmp / "train.csv"), 5, "corrupt model file")
 
 
 def test_bins_below_two_is_an_error_not_a_traceback(trained, tmp_path):

@@ -8,6 +8,8 @@ values.
 """
 
 import hashlib
+import random
+from dataclasses import replace
 
 from mars.data import discretize
 from mars.scoring import Hyperparams
@@ -24,6 +26,7 @@ TINY_DIGESTS = [
     "11c18e731efc5cdb", "0d2258036a7da2a1", "8dd0531e56e987a1", "b1de794162300b74",
 ]
 SYNTH_DIGEST = "dea9f4330f2494b1"
+WIDE_DIGEST = "9df100ddb13a8c8c"
 
 
 def digest(data, seeds, n_iter):
@@ -46,3 +49,25 @@ def test_tiny_instance_runs_match_their_digests():
 def test_synthetic_run_matches_its_digest():
     table, _ = generate(SynthSpec(n_rows=1000, seed=3))
     assert digest(discretize(table), (0,), 1000) == SYNTH_DIGEST
+
+
+def wide_vocabulary_table():
+    """A synthetic table with every other feature recoded into 30 string
+    categories plus blanks: 31-value vocabularies, wide enough that value
+    sets are drawn by ``random.sample``'s set path."""
+    table, _ = generate(SynthSpec(n_rows=600, n_features=8, seed=5))
+    rng = random.Random("wide-vocabulary")
+    label = table.names.index(table.label_column)
+    rows = []
+    for row in table.rows:
+        out = list(row)
+        for j in range(1, label, 2):
+            out[j] = "" if rng.random() < 0.05 else f"c{min(int(row[j] * 30), 29):02d}"
+        rows.append(tuple(out))
+    return replace(table, rows=rows)
+
+
+def test_wide_vocabulary_run_matches_its_digest():
+    data = discretize(wide_vocabulary_table())
+    assert data.vocab_sizes == (10, 31) * 4
+    assert digest(data, (0, 1), 300) == WIDE_DIGEST

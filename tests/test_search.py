@@ -6,7 +6,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mars.bounds import update_bounds
@@ -58,6 +58,30 @@ def test_config_validation():
         small_cfg(explore_prob=1.5)
     with pytest.raises(ValueError):
         small_cfg(n_iter=0)
+    for t0 in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            small_cfg(t0=t0)
+
+
+# ---------------------------------------------------------------------------
+# draws
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32),
+       st.integers(1, 100).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
+# set path: n past 21 with k <= 5, and n past 85 with 6 <= k <= 21
+@example(seed=0, n_k=(31, 3))
+@example(seed=1, n_k=(100, 10))
+def test_draw_helpers_make_the_stdlib_draws(seed, n_k):
+    from mars.search import _below, _sample
+
+    n, k = n_k
+    rng, ref = random.Random(seed), random.Random(seed)
+    assert _sample(rng.getrandbits, n, k) == ref.sample(range(n), k)
+    assert rng.getstate() == ref.getstate()
+    assert _below(rng.getrandbits, n) == ref.randint(0, n - 1)
+    assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -434,6 +458,29 @@ def raw_add_condition(rules, data, idx, xrow, rng):
     return edits
 
 
+def raw_add_rule(rules, data, xrow, rng, budget, min_support):
+    """The add-rule edits drawn with the stdlib's ``randint`` and ``sample``
+    on lists: the features, then per feature the example's value and a
+    sample of the spare ones."""
+    eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
+    edits, seen = [], set()
+    for _ in range(3 * budget):
+        if len(edits) == budget:
+            break
+        conds = []
+        for j in rng.sample(eligible, rng.randint(1, min(3, len(eligible)))):
+            want = int(xrow[j])
+            spare = [v for v in range(data.vocab_sizes[j]) if v != want]
+            conds.append(Condition(j, (want, *rng.sample(spare, rng.randint(0, len(spare) - 1)))))
+        cand = Rule(tuple(conds))
+        if cand in seen or cand in rules:
+            continue
+        seen.add(cand)
+        if rule_mask(cand, data).bit_count() >= min_support:
+            edits.append(rules + (cand,))
+    return edits
+
+
 def near_duplicate_ruleset(rng, vocab_sizes):
     """A normalized rule set salted with rules one edit apart, so growths
     reach the full vocabulary and edited rules collide with other rules,
@@ -470,7 +517,10 @@ def test_edits_equal_normalized_raw_edits(draw):
     )
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
-    vocab_sizes = draw.draw(st.lists(st.integers(2, 3), min_size=2, max_size=4))
+    # vocabularies past 21 values reach random.sample's set path
+    vocab_sizes = draw.draw(
+        st.lists(st.integers(2, 3) | st.integers(22, 31), min_size=2, max_size=4)
+    )
     rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(12)]
     data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(12)])
     h = hypers(data)
@@ -499,7 +549,7 @@ def test_edits_equal_normalized_raw_edits(draw):
         )
         known = {}
         got = check(_edits_add_rule(rules, data, xrow, random.Random(seed), 8, bounds, known))
-        assert got == normalized(got)
+        assert got == normalized(raw_add_rule(rules, data, xrow, random.Random(seed), 8, 1))
         assert all(mask == rule_mask(rule, data) for rule, mask in known.items())
 
 
@@ -525,10 +575,12 @@ def test_growth_table_scores_equal_full_rescore(draw):
     scorer = _Scorer(prop.rule_cache, data, h)
     for mi, rule in enumerate(rules):
         table = _GrowthTable(prop, mi, data, h)
-        assert table.free == [
+        assert [j for j, _, _ in table.free] == [
             j for j, v in enumerate(vocab_sizes) if j not in rule.features and v >= 2
         ]
-        for j in table.free:
+        for j, vocab, without in table.free:
+            assert vocab == vocab_sizes[j]
+            assert without == [tuple(v for v in range(vocab) if v != w) for w in range(vocab)]
             # every proper value set, the full vocabulary minus one included
             for size in range(1, vocab_sizes[j]):
                 for vals in combinations(range(vocab_sizes[j]), size):
