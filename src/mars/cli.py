@@ -228,6 +228,7 @@ def cmd_sweep(args) -> int:
             beta_grid=tuple(float(b) for b in args.grid.split(",")),
             replicates=args.replicates,
         )
+        grid.train_size(spec.n_rows)
     except ValueError as exc:
         raise MarsError(f"invalid sweep setting: {exc}") from exc
     base = _hyperparams(args, args.features)

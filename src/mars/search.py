@@ -51,12 +51,21 @@ calls, the set path of ``sample`` included.  A growth table also memoizes
 its move scores by (feature, values): the random variants repeat across
 the steps a table serves.
 
-A ``Proposal`` with a full ``Score`` and the rules' cache entries is built
-for the selected candidate alone.  A chain's state is two proposals, the
-current one and the best one: a proposal carries its rules, its ``Score``
-(with its ``Confusion``), its rules' cache entries and growth tables and
-its coverage mask, so accepting a move is replacing the current proposal,
-and the next step's cache is seeded from that proposal's entries.
+A chain's state is two proposals, the current one and the best one: a
+proposal carries its rules, its ``Score`` (with its ``Confusion``), its
+rules' cache entries and growth tables and its coverage mask, so accepting
+a move is replacing the current proposal, and the next step's cache is
+seeded from that proposal's entries.
+
+The chain keeps few of its steps, so a step builds a ``Proposal`` only for
+a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
+action and its posterior, the very float ``max()`` ranked it by (a full
+``Score`` of the rule set gives the same float).  The step compares that
+float with the best and current posteriors and materializes the pick once
+when it is a new best or accepted; a rejected step builds nothing.  A
+proposal also lists its misclassified rows once, the first time a step
+samples an example from it, and serves that list to every later step
+until a move is accepted.
 """
 
 from __future__ import annotations
@@ -65,11 +74,12 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
-from .bitset import indices, kth_set_bit
+from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
 from .data import Dataset, condition_mask, rule_mask
 from .errors import DegenerateLabelError
@@ -85,6 +95,7 @@ from .scoring import (
 )
 
 # not called here; kept importable from this module for per-layer tracing
+from .bitset import kth_set_bit  # noqa: F401
 from .model import is_normalized  # noqa: F401
 from .scoring import log_prior, update_confusion  # noqa: F401
 
@@ -164,7 +175,9 @@ class Proposal:
     """A scored rule set: ``rule_cache`` holds the entry of each of its
     rules, in rule order, and ``union_mask`` the rows they cover.
     ``growth`` holds the growth tables of its rules, by rule index, built
-    when an add-condition step first narrows that rule."""
+    when an add-condition step first narrows that rule, and
+    ``misclassified`` the rows it misclassifies, in ascending order, listed
+    when a step first samples an example from it."""
 
     rules: RuleSet
     score: Score
@@ -172,6 +185,7 @@ class Proposal:
     union_mask: int
     action: str
     growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False, compare=False)
+    misclassified: list[int] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -364,6 +378,20 @@ class _Scorer:
         return Proposal(RuleSet(rules), score, cache, union, action)
 
 
+class Pick(NamedTuple):
+    """The candidate ``propose`` chose through ``action``, with its
+    posterior: the float ``scorer.posterior`` gives, equal to the
+    ``log_posterior`` of the proposal it materializes into."""
+
+    candidate: tuple[Rule, ...] | _Growth
+    action: str
+    log_posterior: float
+    scorer: _Scorer
+
+    def proposal(self) -> Proposal:
+        return self.scorer.proposal(self.candidate, self.action)
+
+
 def _below(getrandbits, n: int) -> int:
     """``Random._randbelow(n)`` for n > 0, from the same ``getrandbits``
     calls: ``randint(a, b)`` is ``a + _below(getrandbits, b - a + 1)``."""
@@ -474,13 +502,18 @@ def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] 
 
     Returns (row_index, label) or None when training accuracy is 1.0.
     Covered XOR positive is exactly the misclassified set (false positives
-    plus false negatives).
+    plus false negatives).  The current proposal lists those rows, in
+    ascending order, the first time it is asked and keeps the list; entry
+    ``rng.randrange(count)`` of it is the k-th set bit of that XOR for the
+    same draw k.
     """
-    mis = state.current.union_mask ^ data.pos_mask
-    count = mis.bit_count()
-    if count == 0:
+    current = state.current
+    rows = current.misclassified
+    if rows is None:
+        rows = current.misclassified = indices(current.union_mask ^ data.pos_mask)
+    if not rows:
         return None
-    idx = kth_set_bit(mis, state.rng.randrange(count))
+    idx = rows[state.rng.randrange(len(rows))]
     return idx, bool(data.labels[idx])
 
 
@@ -634,15 +667,15 @@ def propose(
     data: Dataset,
     hyper: Hyperparams,
     cfg: SearchConfig,
-) -> Proposal | None:
-    """One proposal for a sampled misclassified example, or for None when
+) -> Pick | None:
+    """One pick for a sampled misclassified example, or for None when
     training accuracy is 1.0.
 
     A labelled example draws its first action uniformly from the branch
     matching its label, then tries the branch's other actions in shuffled
     order.  With no example only complexity-reducing moves can still
     improve the posterior, so the simplify actions are tried in shuffled
-    order.  The first action with a neighbor gives the proposal; None (a
+    order.  The first action with a neighbor gives the pick; None (a
     stall) is returned when none has any.
     """
     rng = state.rng
@@ -684,10 +717,13 @@ def propose(
         candidates = list(dict.fromkeys(edits))
         if rng.random() < cfg.explore_prob:
             chosen = rng.choice(candidates)
+            posterior = scorer.posterior(chosen)
         else:
             # max() keeps the first of tied candidates
-            chosen = max(candidates, key=scorer.posterior)
-        return scorer.proposal(chosen, action)
+            posterior, chosen = max(
+                zip(map(scorer.posterior, candidates), candidates), key=itemgetter(0)
+            )
+        return Pick(chosen, action, posterior, scorer)
     return None
 
 
@@ -705,9 +741,10 @@ def anneal_step(
     cfg: SearchConfig,
     runlog: RunLog | None = None,
 ) -> SearchState:
-    """One Markov-chain step: propose, track best, accept-or-reject."""
-    prop = propose(state, sample_misclassified(state, data), data, hyper, cfg)
-    if prop is None:
+    """One Markov-chain step: propose, track best, accept-or-reject.  The
+    pick becomes a ``Proposal`` only when it is a new best or accepted."""
+    pick = propose(state, sample_misclassified(state, data), data, hyper, cfg)
+    if pick is None:
         state.stall_streak += 1
         if runlog is not None:
             runlog.emit(event="stall", chain=state.chain, t=state.t)
@@ -715,16 +752,19 @@ def anneal_step(
         return state
     state.stall_streak = 0
 
-    # the best-so-far tracks every evaluated proposal, accepted or not
-    if prop.score.log_posterior > state.best.score.log_posterior:
-        state.best = prop
-        state.bounds = update_bounds(state.bounds, prop.score.log_posterior)
-        if runlog is not None:
-            runlog.improvement(state)
-
-    delta = prop.score.log_posterior - state.current.score.log_posterior
-    if _accepts(state.rng, delta, temperature(cfg, state.t)):
-        state.current = prop
+    # the best-so-far tracks every pick, accepted or not
+    improved = pick.log_posterior > state.best.score.log_posterior
+    delta = pick.log_posterior - state.current.score.log_posterior
+    accepted = _accepts(state.rng, delta, temperature(cfg, state.t))
+    if improved or accepted:
+        prop = pick.proposal()
+        if improved:
+            state.best = prop
+            state.bounds = update_bounds(state.bounds, prop.score.log_posterior)
+            if runlog is not None:
+                runlog.improvement(state)
+        if accepted:
+            state.current = prop
     state.t += 1
     return state
 

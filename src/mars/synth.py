@@ -37,8 +37,11 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_rows < 1 or self.n_features < 1 or self.n_rules < 1:
-            raise ValueError("n_rows, n_features and n_rules must be positive")
+        if self.n_features < 1 or self.n_rules < 1:
+            raise ValueError("n_features and n_rules must be positive")
+        if self.n_rows < 2:
+            # a lone row cannot carry both labels
+            raise ValueError(f"n_rows must be at least 2, got {self.n_rows}")
         if not 1 <= self.max_conditions <= self.n_features:
             raise ValueError("max_conditions must lie in [1, n_features]")
 
@@ -56,6 +59,17 @@ class SweepSpec:
             raise ValueError("train_fraction must lie in (0, 1)")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
+
+    def train_size(self, n_rows: int) -> int:
+        """Rows of an ``n_rows`` table that go to training; the rest are
+        the holdout.  Raises ValueError when either split would be empty."""
+        cut = int(round(n_rows * self.train_fraction))
+        if not 0 < cut < n_rows:
+            raise ValueError(
+                f"{n_rows} rows at train fraction {self.train_fraction:g} leave the "
+                f"{'train' if cut == 0 else 'holdout'} split empty"
+            )
+        return cut
 
 
 @dataclass(frozen=True)
@@ -138,9 +152,8 @@ class SweepRecord:
     rules: RuleSet = field(default_factory=RuleSet, repr=False)
 
 
-def _split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
+def _split_indices(n: int, cut: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     order = np.random.default_rng(seed).permutation(n)
-    cut = int(round(n * train_fraction))
     return order[:cut], order[cut:]
 
 
@@ -158,9 +171,9 @@ def error_rate(rules: RuleSet, rows: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _run_cell(args) -> SweepRecord:
-    (table, truth_seed, beta_m, beta_l, replicate, base, cfg, n_bins, train_fraction) = args
+    (table, truth_seed, beta_m, beta_l, replicate, base, cfg, n_bins, n_train) = args
     t_start = time.perf_counter()
-    train_idx, test_idx = _split_indices(len(table.rows), train_fraction, truth_seed)
+    train_idx, test_idx = _split_indices(len(table.rows), n_train, truth_seed)
     train = discretize(_subset(table, train_idx), n_bins=n_bins)
     hyper = replace(base, beta_m=beta_m, beta_l=beta_l)
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
@@ -194,8 +207,11 @@ def sweep(
 
     Replicate r reuses one generated dataset across every cell so cells
     are comparable.  The reported ``n_conditions`` is the total value
-    count of the model (the sum of |V| over all conditions).
+    count of the model (the sum of |V| over all conditions).  A row count
+    that leaves the train or holdout split empty raises ValueError before
+    any search runs.
     """
+    n_train = grid.train_size(spec.n_rows)
     tasks = []
     for replicate in range(grid.replicates):
         data_seed = derived_seed(spec.seed, "dataset", replicate)
@@ -204,7 +220,7 @@ def sweep(
             for beta_l in grid.beta_grid:
                 tasks.append(
                     (table, data_seed, beta_m, beta_l, replicate, base_hyper, cfg,
-                     n_bins, grid.train_fraction)
+                     n_bins, n_train)
                 )
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:

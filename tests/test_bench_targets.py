@@ -33,7 +33,7 @@ def test_search_calls_the_traced_bitset_and_mask_names(monkeypatch):
     from mars.scoring import Hyperparams
     from mars.synth import SynthSpec, generate
 
-    calls = dict.fromkeys(("rule_mask", "kth_set_bit", "indices"), 0)
+    calls = dict.fromkeys(("rule_mask", "indices"), 0)
     for name in calls:
         def counted(*args, _name=name, _orig=getattr(search, name)):
             calls[_name] += 1

@@ -248,6 +248,10 @@ def test_train_help_offers_one_flag_per_hyperparameter(capsys):
         ["sweep", "--replicates", "0"],
         ["sweep", "--grid", "1,0"],
         ["sweep", "--grid", "1,1e308"],
+        ["gen", "--rows", "1"],
+        ["sweep", "--rows", "1"],
+        # 75% of 2 rows rounds to both: the holdout would be empty
+        ["sweep", "--rows", "2", "--iters", "5"],
     ],
 )
 def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):

@@ -163,6 +163,46 @@ def test_sampling_is_uniform_over_misclassified():
     assert pvalue > 1e-4
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_sampling_makes_the_kth_set_bit_draws(draw):
+    """Draw for draw, the row is the k-th set bit of covered XOR positive
+    for k = rng.randrange(count), and the rng ends in the same state."""
+    from mars.bitset import kth_set_bit
+    from mars.bounds import initial_bounds
+    from mars.search import SearchState, _Scorer
+    from oracles import random_ruleset_for
+
+    seed = draw.draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    vocab_sizes = draw.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    n_rows = draw.draw(st.integers(1, 40))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
+    kind = draw.draw(st.sampled_from(["random", "empty", "perfect"]))
+    rules = RuleSet(()) if kind == "empty" else random_ruleset_for(rng, vocab_sizes)
+    if kind == "perfect":
+        covered = union_mask(rules, make_dataset(vocab_sizes, rows, [0] * n_rows))
+        labels = [covered >> i & 1 for i in range(n_rows)]
+    else:
+        labels = [rng.randrange(2) for _ in range(n_rows)]
+    data = make_dataset(vocab_sizes, rows, labels)
+    h = hypers(data)
+    prop = _Scorer({}, data, h).proposal(rules.rules, "test")
+    state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed))
+    reference = random.Random(seed)
+    mis = prop.union_mask ^ data.pos_mask
+    if kind == "perfect":
+        assert mis == 0
+    for _ in range(5):
+        got = sample_misclassified(state, data)
+        if mis == 0:
+            assert got is None
+        else:
+            idx = kth_set_bit(mis, reference.randrange(mis.bit_count()))
+            assert got == (idx, bool(data.labels[idx]))
+        assert state.rng.getstate() == reference.getstate()
+
+
 # ---------------------------------------------------------------------------
 # proposals
 # ---------------------------------------------------------------------------
@@ -255,12 +295,13 @@ def test_exploit_mode_returns_posterior_argmax():
         if ex is None:
             break
         rng_snapshot = state.rng.getstate()
-        prop = propose(state, ex, data, h, cfg)
-        if prop is None:
+        pick = propose(state, ex, data, h, cfg)
+        if pick is None:
             continue
+        prop = pick.proposal()
         # replay the same action's full neighbor set and verify the argmax
         state.rng.setstate(rng_snapshot)
-        replay = propose(state, ex, data, h, cfg)
+        replay = propose(state, ex, data, h, cfg).proposal()
         assert replay.rules == prop.rules
         assert replay.score.log_posterior == prop.score.log_posterior
         anneal_step(state, data, h, cfg)
@@ -379,8 +420,9 @@ def test_admitted_rules_meet_support_floor_during_run():
         if ex is None:
             anneal_step(state, data, h, cfg)
             continue
-        prop = propose(state, ex, data, h, cfg)
-        if prop is not None:
+        pick = propose(state, ex, data, h, cfg)
+        if pick is not None:
+            prop = pick.proposal()
             if prop.action == "add_rule":
                 new_rules = set(prop.rules.rules) - before
                 assert new_rules, "add_rule proposal must introduce a rule"
@@ -650,9 +692,9 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
 
     def recording(fn):
         def wrapper(*args, **kwargs):
-            prop = fn(*args, **kwargs)
-            chosen.append(prop)
-            return prop
+            pick = fn(*args, **kwargs)
+            chosen.append(pick)
+            return pick
         return wrapper
 
     # propose serves every step, the simplify steps at accuracy 1.0 included
@@ -665,12 +707,47 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
         chosen.clear()
         for _ in range(cfg.n_iter):
             anneal_step(state, data, h, cfg)
-        rescored = [prop for prop in chosen if prop is not None]  # None is a stall
-        assert rescored
-        for prop in rescored:
+        picks = [pick for pick in chosen if pick is not None]  # None is a stall
+        assert picks
+        for pick in picks:
+            prop = pick.proposal()
             assert prop.score == score(prop.rules, data, h)  # floats compared exactly
+            # the float the step compares is the materialized proposal's
+            assert pick.log_posterior == prop.score.log_posterior
             assert prop.union_mask == union_mask(prop.rules, data)
             assert list(prop.rule_cache) == list(prop.rules.rules)
             for rule, entry in prop.rule_cache.items():
                 assert entry == (rule_mask(rule, data), *rule_prior_terms(rule, h, data.vocab_sizes))
         assert state.best.score == score(state.best.rules, data, h)
+
+
+def test_rejected_steps_build_no_proposal(monkeypatch):
+    import mars.search as search
+
+    built = []
+
+    def counting(fn):
+        def wrapper(*args, **kwargs):
+            built.append(None)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(search._Scorer, "proposal", counting(search._Scorer.proposal))
+    rejected = 0
+    for seed in range(20):
+        data = tiny_instance(seed)
+        h = hypers(data)
+        cfg = small_cfg(n_iter=150, random_seed=seed, explore_prob=0.3)
+        state = init_state(data, h, cfg)
+        built.clear()
+        kept = 0
+        for _ in range(cfg.n_iter):
+            current, best = state.current, state.best
+            anneal_step(state, data, h, cfg)
+            if state.current is not current or state.best is not best:
+                kept += 1
+            elif state.stall_streak == 0:
+                rejected += 1
+        # one proposal per kept step, even one both accepted and a new best
+        assert len(built) == kept
+    assert rejected

@@ -2,6 +2,9 @@
 
 import dataclasses
 
+import pytest
+
+import mars.synth as synth
 from mars.scoring import Hyperparams
 from mars.search import SearchConfig
 from mars.synth import SweepSpec, SynthSpec, sweep
@@ -24,3 +27,28 @@ def test_sweep_is_deterministic():
         (r.beta_m, r.beta_l, r.replicate) for r in first
     )
     assert records() == first
+
+
+def test_one_row_cannot_hold_both_labels():
+    with pytest.raises(ValueError, match="n_rows"):
+        SynthSpec(n_rows=1)
+    table, _ = synth.generate(SynthSpec(n_rows=2, n_features=2, max_conditions=2, seed=0))
+    assert sorted(row[-1] for row in table.rows) == [0, 1]
+
+
+def test_sweep_rejects_an_empty_split_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(synth, "run", no_search)
+    grid = SweepSpec(beta_grid=(1.0,), replicates=1)
+    for n_rows in range(2, 10):
+        spec = SynthSpec(n_rows=n_rows, n_features=2, max_conditions=2, seed=0)
+        cut = int(round(n_rows * grid.train_fraction))
+        if 0 < cut < n_rows:
+            assert grid.train_size(n_rows) == cut
+            continue
+        with pytest.raises(ValueError, match="split empty"):
+            sweep(spec, grid, Hyperparams.defaults(2), SearchConfig(n_iter=5))
+    with pytest.raises(ValueError, match="train split empty"):
+        SweepSpec(train_fraction=0.1).train_size(4)
