@@ -1,15 +1,13 @@
 """Multi-value rule set classifiers learned by annealed MAP search."""
 
-from .bounds import BoundState, initial_bounds, log_lstar, log_omega, omega, update_bounds, upsilon
+from .bounds import BoundState, initial_bounds, log_lstar, log_omega, update_bounds, upsilon
 from .data import (
     MISSING,
     Dataset,
     FeatureSpec,
     RawTable,
-    coverage,
     discretize,
     encode_with_specs,
-    support,
 )
 from .errors import (
     DataFormatError,
@@ -67,7 +65,6 @@ __all__ = [
     "SynthSpec",
     "anneal_step",
     "confusion_counts",
-    "coverage",
     "discretize",
     "encode_with_specs",
     "first_covering_rule",
@@ -81,14 +78,12 @@ __all__ = [
     "log_omega",
     "log_prior",
     "normalize",
-    "omega",
     "propose",
     "render_rules",
     "rule_covers",
     "run",
     "save_model",
     "score",
-    "support",
     "sweep",
     "update_bounds",
     "update_confusion",

@@ -9,7 +9,11 @@ Two quantities gate rule proposals during search:
 Both derive from the per-covered-row likelihood-loss factor ``upsilon``
 (removing a rule costing ``supp`` covered rows can shrink the conditional
 likelihood by at most ``upsilon**supp``) and the prior-penalty constant
-``omega``.  All arithmetic stays in the natural-log domain; the final
+``omega``.  Each constant is computed once, in the natural-log domain:
+the prior constants and ``log_omega`` belong to ``Hyperparams`` (module
+``scoring``, which never imports this one); ``log_upsilon`` and
+``log_ceiling`` (log L* + log p(M = 0)) are fixed per dataset by
+``initial_bounds``, and ``update_bounds`` only reads them.  The final
 ceil/floor gets 1e-9 of slack toward the permissive side so a one-ulp
 rounding error can never prune the optimum.
 """
@@ -21,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .data import Dataset
-from .scoring import Confusion, Hyperparams, log_likelihood, log_rule_count_prior
+from .scoring import Confusion, Hyperparams, log_likelihood, log_omega, log_rule_count_prior
 
 log = logging.getLogger(__name__)
 
@@ -45,26 +49,6 @@ def upsilon(data: Dataset, hyper: Hyperparams) -> float:
     return value
 
 
-def log_omega(hyper: Hyperparams) -> float:
-    """log of the prior-penalty constant entering both bounds."""
-    return (
-        math.log(hyper.beta_m + 1.0)
-        + (hyper.alpha_l + 1.0) * math.log(hyper.beta_l + 1.0)
-        + math.log(sum(hyper.theta))
-        - math.log(hyper.alpha_m)
-        - hyper.alpha_l * math.log(hyper.beta_l)
-        - math.log(hyper.alpha_l)
-        - math.log(max(hyper.theta))
-    )
-
-
-def omega(hyper: Hyperparams, n_features: int) -> float:
-    """Prior-penalty constant; computed in the log domain, then exponentiated."""
-    if n_features != hyper.n_features:
-        raise ValueError("theta length must match the number of features")
-    return math.exp(log_omega(hyper))
-
-
 def log_lstar(data: Dataset, hyper: Hyperparams) -> float:
     """Log-likelihood of perfect classification (the reachable maximum)."""
     perfect = Confusion(tp=data.n_pos, fp=0, tn=data.n_neg, fn=0)
@@ -77,26 +61,19 @@ class BoundState:
 
     ``m_cap`` is None when the bounds are disabled (hyperparameter
     preconditions unmet, or upsilon/omega outside their useful ranges), in
-    which case ``min_support`` stays at 1.
+    which case ``min_support`` stays at 1.  ``log_ceiling`` is
+    log L* + log p(M = 0), the posterior the empty set would have if it
+    classified perfectly.
     """
 
-    upsilon: float
-    omega: float
-    log_lstar: float
-    log_prior_empty: float
+    log_upsilon: float
+    log_omega: float
+    log_ceiling: float
     alpha_m: float
     enabled: bool
     v_best: float = -math.inf
     m_cap: int | None = None
     min_support: int = 1
-
-    @property
-    def log_upsilon(self) -> float:
-        return math.log(self.upsilon)
-
-    @property
-    def log_omega(self) -> float:
-        return math.log(self.omega)
 
 
 def initial_bounds(data: Dataset, hyper: Hyperparams) -> BoundState:
@@ -112,10 +89,11 @@ def initial_bounds(data: Dataset, hyper: Hyperparams) -> BoundState:
     if not enabled:
         log.warning("pruning bounds disabled: %s", "; ".join(problems))
     return BoundState(
-        upsilon=ups,
-        omega=math.exp(l_omega),
-        log_lstar=log_lstar(data, hyper),
-        log_prior_empty=log_rule_count_prior(0, hyper),
+        # upsilon underflows to 0 for a tiny beta_neg; its log's limit keeps
+        # the support floor at 1
+        log_upsilon=math.log(ups) if ups > 0.0 else -math.inf,
+        log_omega=l_omega,
+        log_ceiling=log_lstar(data, hyper) + log_rule_count_prior(0, hyper),
         alpha_m=hyper.alpha_m,
         enabled=enabled,
     )
@@ -134,16 +112,17 @@ def update_bounds(state: BoundState, new_log_posterior: float) -> BoundState:
     if not state.enabled:
         return replace(state, v_best=new_log_posterior)
 
-    headroom = state.log_lstar + state.log_prior_empty - new_log_posterior
+    headroom = state.log_ceiling - new_log_posterior
     raw_cap = math.floor(headroom / state.log_omega + _SLACK)
     m_cap = max(int(raw_cap), 1)
     if state.m_cap is not None:
         m_cap = min(m_cap, state.m_cap)
 
     # support floor evaluated at the current cap; reduces to
-    # ceil(log(1/omega)/log(upsilon)) when alpha_m == 1
+    # ceil(log(1/omega)/log(upsilon)) when alpha_m == 1.  Not m_cap + alpha_m
+    # - 1: at m_cap == 1 that rounds to 0 for alpha_m below about 1e-16
     numer = (
-        math.log(m_cap + state.alpha_m - 1.0)
+        math.log((m_cap - 1) + state.alpha_m)
         - math.log(m_cap)
         - math.log(state.alpha_m)
         - state.log_omega

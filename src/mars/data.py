@@ -22,7 +22,7 @@ from typing import Collection, Sequence
 
 import numpy as np
 
-from .bitset import indices, mask_from_bools
+from .bitset import mask_from_bools
 from .errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
 from .model import Rule, RuleSet
 
@@ -278,16 +278,6 @@ def union_mask(ruleset: RuleSet, data: Dataset) -> int:
     for rule in ruleset.rules:
         mask |= rule_mask(rule, data)
     return mask
-
-
-def coverage(rule: Rule, data: Dataset) -> frozenset[int]:
-    """Row indices the rule covers."""
-    return frozenset(indices(rule_mask(rule, data)))
-
-
-def support(rule: Rule, data: Dataset) -> int:
-    """Number of rows the rule covers; equals ``len(coverage(rule, data))``."""
-    return rule_mask(rule, data).bit_count()
 
 
 def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Dataset:

@@ -24,10 +24,6 @@ class Model:
     label_name: str
     metadata: dict
 
-    @property
-    def vocab_sizes(self) -> tuple[int, ...]:
-        return tuple(f.vocab_size for f in self.features)
-
 
 def _feature_to_json(f: FeatureSpec) -> dict:
     out = {"name": f.name, "kind": f.kind}

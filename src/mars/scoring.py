@@ -22,7 +22,6 @@ compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from math import exp, expm1, inf, isfinite, lgamma, log
 from typing import Iterable, Sequence
 
@@ -44,6 +43,10 @@ class Hyperparams:
     (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
     alpha_neg > beta_neg) are reported by ``bound_precondition_violations``
     rather than enforced: scoring is well-defined without them.
+
+    The prior's derived constants are built once, at construction (so
+    ``dataclasses.replace`` rebuilds them and a pickled bundle carries
+    them); equality and hashing look at the nine fields only.
     """
 
     alpha_m: float
@@ -66,13 +69,8 @@ class Hyperparams:
             raise ValueError("theta must have one entry per feature")
         if any(not 0 < t < inf for t in self.theta):
             raise ValueError("theta entries must be positive and finite")
-        # hashed on every prior evaluation by the constants cache; cache it
-        object.__setattr__(self, "_hash", hash(tuple(getattr(self, k) for k in HYPER_KEYS)))
-
-        from .bounds import log_omega  # bounds imports this module
-
         try:
-            _PriorConstants(self)
+            prior = _PriorConstants(self)
             exp(log_omega(self))
             finite = isfinite(
                 _log_beta(self.alpha_pos, self.beta_pos) + _log_beta(self.alpha_neg, self.beta_neg)
@@ -84,9 +82,7 @@ class Hyperparams:
                 "values too large: a constant of the prior, the likelihood or the "
                 "pruning bounds is not a finite float"
             )
-
-    def __hash__(self) -> int:
-        return self._hash
+        object.__setattr__(self, "_prior", prior)
 
     @classmethod
     def defaults(cls, n_features: int, **overrides) -> "Hyperparams":
@@ -192,30 +188,37 @@ class _PriorConstants:
         self.lgamma_theta_sum = lgamma(self.theta_sum)
         self.lgamma_theta = tuple(lgamma(t) for t in hyper.theta)
         self.theta = hyper.theta
-        self.hyper = hyper
         # (feature, item count) -> lgamma(l + theta_j) - lgamma(theta_j)
         self.dm_items: dict[tuple[int, int], float] = {}
         # rule length -> (log p(L = length), lgamma(T) - lgamma(length + T))
         self.length_terms: dict[int, tuple[float, float]] = {}
 
-    def length_pair(self, length: int) -> tuple[float, float]:
+    def length_pair(self, length: int, hyper: Hyperparams) -> tuple[float, float]:
         pair = self.length_terms.get(length)
         if pair is None:
             pair = self.length_terms[length] = (
-                log_rule_length_prior(length, self.hyper),
+                log_rule_length_prior(length, hyper),
                 self.lgamma_theta_sum - lgamma(length + self.theta_sum),
             )
         return pair
 
 
-@lru_cache(maxsize=32)
-def _constants(hyper: Hyperparams) -> _PriorConstants:
-    return _PriorConstants(hyper)
+def log_omega(hyper: Hyperparams) -> float:
+    """log of the prior-penalty constant entering both pruning bounds."""
+    return (
+        log(hyper.beta_m + 1.0)
+        + (hyper.alpha_l + 1.0) * log(hyper.beta_l + 1.0)
+        + log(sum(hyper.theta))
+        - log(hyper.alpha_m)
+        - hyper.alpha_l * log(hyper.beta_l)
+        - log(hyper.alpha_l)
+        - log(max(hyper.theta))
+    )
 
 
 def log_rule_count_prior(m: int, hyper: Hyperparams) -> float:
     """log p(M = m) under the Poisson-Gamma marginal."""
-    c = _constants(hyper)
+    c = hyper._prior
     return (
         lgamma(m + hyper.alpha_m)
         - lgamma(m + 1.0)
@@ -229,7 +232,7 @@ def log_rule_length_prior(length: int, hyper: Hyperparams) -> float:
     """log p(L_m = length) under the zero-truncated Poisson-Gamma marginal."""
     if length < 1:
         raise ValueError("rule length must be at least 1")
-    c = _constants(hyper)
+    c = hyper._prior
     raw = (
         lgamma(length + hyper.alpha_l)
         - lgamma(length + 1.0)
@@ -245,7 +248,7 @@ def rule_prior_terms(
 ) -> tuple[float, float]:
     """One rule's (length, Dirichlet-multinomial) terms of the log-prior:
     log p(L_m) and log p(z_m)."""
-    c = _constants(hyper)
+    c = hyper._prior
     theta = c.theta
     dm_items = c.dm_items
     length = 0
@@ -263,7 +266,7 @@ def rule_prior_terms(
         if item is None:
             item = dm_items[(j, l_mj)] = lgamma(l_mj + theta[j]) - c.lgamma_theta[j]
         dm += item
-    length_term, dm_norm = c.length_pair(length)
+    length_term, dm_norm = c.length_pair(length, hyper)
     return length_term, dm_norm + dm
 
 

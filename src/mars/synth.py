@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import RawTable, discretize, encode_with_specs, parse_labels
+from .errors import DegenerateLabelError
 from .model import RuleSet, first_covering_rule
 from .scoring import Hyperparams
 from .search import SearchConfig, run
@@ -171,9 +172,8 @@ def error_rate(rules: RuleSet, rows: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _run_cell(args) -> SweepRecord:
-    (table, truth_seed, beta_m, beta_l, replicate, base, cfg, n_bins, n_train) = args
+    (table, train_idx, test_idx, beta_m, beta_l, replicate, base, cfg, n_bins) = args
     t_start = time.perf_counter()
-    train_idx, test_idx = _split_indices(len(table.rows), n_train, truth_seed)
     train = discretize(_subset(table, train_idx), n_bins=n_bins)
     hyper = replace(base, beta_m=beta_m, beta_l=beta_l)
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
@@ -207,23 +207,32 @@ def sweep(
 
     Replicate r reuses one generated dataset across every cell so cells
     are comparable.  The reported ``n_conditions`` is the total value
-    count of the model (the sum of |V| over all conditions).  A row count
-    that leaves the train or holdout split empty raises ValueError before
-    any search runs.
+    count of the model (the sum of |V| over all conditions).  Before any
+    search runs, a row count that leaves the train or holdout split empty
+    raises ValueError, and a train split holding a single class raises
+    DegenerateLabelError.  At most ``jobs`` worker processes run, and none
+    when there is one cell.
     """
     n_train = grid.train_size(spec.n_rows)
     tasks = []
     for replicate in range(grid.replicates):
         data_seed = derived_seed(spec.seed, "dataset", replicate)
         table, _ = generate(replace(spec, seed=data_seed))
+        train_idx, test_idx = _split_indices(len(table.rows), n_train, data_seed)
+        if len({table.rows[i][-1] for i in train_idx}) < 2:  # generate puts the label last
+            raise DegenerateLabelError(
+                f"replicate {replicate}: the {n_train}-row train split holds a single class"
+            )
         for beta_m in grid.beta_grid:
             for beta_l in grid.beta_grid:
                 tasks.append(
-                    (table, data_seed, beta_m, beta_l, replicate, base_hyper, cfg,
-                     n_bins, n_train)
+                    (table, train_idx, test_idx, beta_m, beta_l, replicate, base_hyper, cfg,
+                     n_bins)
                 )
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # the fork pool starts every worker at once, whether or not it gets a cell
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell, tasks))
     else:
         records = [_run_cell(t) for t in tasks]

@@ -5,10 +5,17 @@ import random
 
 import pytest
 
-from mars.bounds import initial_bounds, log_lstar, log_omega, omega, update_bounds, upsilon
+from mars.bounds import initial_bounds, log_lstar, log_omega, update_bounds, upsilon
 from mars.data import rule_mask
 from mars.model import RuleSet
-from mars.scoring import Confusion, Hyperparams, confusion_counts, log_likelihood, score
+from mars.scoring import (
+    Confusion,
+    Hyperparams,
+    confusion_counts,
+    log_likelihood,
+    log_rule_count_prior,
+    score,
+)
 
 from oracles import enumerate_rulesets, make_dataset, tiny_instance
 
@@ -72,24 +79,19 @@ def test_lemma_rule_deletion_bound_exhaustive():
 def test_omega_worked_example_large_betas():
     h = hypers(50, beta_m=1000.0, beta_l=1000.0)
     expected = 1001.0 * 1001.0**2 * 50.0 / 1000.0
-    assert omega(h, 50) == pytest.approx(expected, rel=1e-9)
-    assert omega(h, 50) == pytest.approx(5.0150e7, rel=1e-3)
+    assert math.exp(log_omega(h)) == pytest.approx(expected, rel=1e-9)
+    assert math.exp(log_omega(h)) == pytest.approx(5.0150e7, rel=1e-3)
 
 
 def test_omega_worked_example_unit_betas():
     h = hypers(1, beta_m=1.0, beta_l=1.0)
-    assert omega(h, 1) == pytest.approx(8.0, rel=1e-12)
+    assert math.exp(log_omega(h)) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_omega_increases_with_beta_l():
     h1 = hypers(4, beta_l=10.0)
     h2 = hypers(4, beta_l=100.0)
-    assert omega(h2, 4) > omega(h1, 4)
-
-
-def test_omega_requires_matching_theta_length():
-    with pytest.raises(ValueError):
-        omega(hypers(4), 7)
+    assert log_omega(h2) > log_omega(h1)
 
 
 # ---------------------------------------------------------------------------
@@ -131,9 +133,32 @@ def test_min_support_reduced_form_worked_example():
     h = hypers(2, beta_m=1000.0, beta_l=1000.0, theta=(1.0,) * 2)
     state = initial_bounds(data, h)
     assert state.enabled
-    state = update_bounds(state, log_lstar(data, h) + state.log_prior_empty)
-    expected = math.ceil(math.log(1.0 / state.omega) / math.log(state.upsilon) - 1e-9)
+    assert state.log_ceiling == log_lstar(data, h) + log_rule_count_prior(0, h)
+    state = update_bounds(state, state.log_ceiling)
+    expected = math.ceil(-state.log_omega / state.log_upsilon - 1e-9)
     assert state.min_support == expected
+
+
+def test_tiny_alpha_m_at_a_cap_of_one():
+    # m_cap + alpha_m - 1 once rounded to 0 here and ended in log(0)
+    data = balanced_dataset(100)
+    state = initial_bounds(data, hypers(2, alpha_m=1e-17))
+    assert state.enabled
+    state = update_bounds(state, state.log_ceiling)
+    assert state.m_cap == 1
+    assert state.min_support == math.ceil(-state.log_omega / state.log_upsilon - 1e-9)
+
+
+def test_underflowing_upsilon_keeps_the_support_floor_at_one():
+    # upsilon underflows to 0.0; its log once ended in a math domain error
+    data = balanced_dataset(100)
+    h = hypers(2, beta_neg=5e-324)
+    assert upsilon(data, h) == 0.0
+    state = initial_bounds(data, h)
+    assert state.enabled and state.log_upsilon == -math.inf
+    state = update_bounds(state, state.log_ceiling)
+    assert state.m_cap == 1
+    assert state.min_support == 1
 
 
 def test_min_support_matches_published_arithmetic():
@@ -167,7 +192,7 @@ def test_monotone_tightening_in_v_best():
     data = balanced_dataset(100)
     h = hypers(2, beta_m=100.0, beta_l=100.0)
     state = initial_bounds(data, h)
-    best = log_lstar(data, h) + state.log_prior_empty
+    best = state.log_ceiling
     caps, supports = [], []
     for v in [best - 400.0, best - 200.0, best - 50.0, best - 10.0, best]:
         state = update_bounds(state, v)
@@ -184,7 +209,7 @@ def test_raising_betas_weakly_raises_min_support():
     for beta in (10.0, 1000.0, 100000.0):
         h = hypers(2, beta_m=beta, beta_l=beta)
         state = initial_bounds(data, h)
-        state = update_bounds(state, log_lstar(data, h) + state.log_prior_empty)
+        state = update_bounds(state, state.log_ceiling)
         floors.append(state.min_support)
     assert floors == sorted(floors)
 

@@ -206,6 +206,29 @@ def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize(
+    "flags", [["--alpha-m", "1e-17"], ["--alpha-m", "1e-300"], ["--beta-neg", "5e-324"]]
+)
+def test_tiny_valid_hyperparameter_trains(trained, tmp_path, flags):
+    # these once ended in a math domain error from the pruning bounds
+    tmp, _ = trained
+    out = tmp_path / "m.json"
+    proc = run_mars("train", tmp / "train.csv", "--label", "y", "--out", out, "--iters", "20",
+                    *flags)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert out.exists()
+
+
+def test_sweep_with_a_single_class_train_split_exits_3(tmp_path):
+    # the 3-row table holds both labels; its 2-row train split does not
+    out = tmp_path / "sweep.csv"
+    proc = run_mars("sweep", "--rows", "3", "--iters", "5", "--replicates", "1", "--grid", "1",
+                    "--out", out)
+    assert_clean_error(proc, 3, "2-row train split holds a single class")
+    assert not out.exists()
+
+
 def test_non_utf8_hyper_config_is_an_error_not_a_traceback(trained, tmp_path):
     tmp, _ = trained
     cfg = tmp_path / "hyper.cfg"

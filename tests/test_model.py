@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mars.data import coverage, support
+from mars.bitset import indices
+from mars.data import rule_mask
 from mars.model import (
     Condition,
     Rule,
@@ -228,8 +229,8 @@ def test_normalize_preserves_classification_unless_tautology_dropped(data):
 def test_coverage_empty_when_rule_matches_nothing():
     data = make_dataset((2, 2), [[0, 0], [0, 1]], [0, 1])
     rule = Rule.of({0: (1,)})
-    assert coverage(rule, data) == frozenset()
-    assert support(rule, data) == 0
+    assert rule_mask(rule, data) == 0
+    assert indices(rule_mask(rule, data)) == []
 
 
 def test_support_all_but_one_value():
@@ -241,8 +242,8 @@ def test_support_all_but_one_value():
     excluded = 2
     rule = Rule.of({0: tuple(v for v in range(vocab) if v != excluded)})
     expected = sum(1 for r in rows if r[0] != excluded)
-    assert support(rule, data) == expected
-    assert len(coverage(rule, data)) == expected
+    assert rule_mask(rule, data).bit_count() == expected
+    assert len(indices(rule_mask(rule, data))) == expected
 
 
 def test_coverage_matches_row_loop():
@@ -254,4 +255,4 @@ def test_coverage_matches_row_loop():
         rs = random_ruleset_for(rng, vocab_sizes, max_rules=1)
         rule = rs.rules[0]
         expected = {i for i, row in enumerate(rows) if rule_covers(rule, row)}
-        assert coverage(rule, data) == frozenset(expected)
+        assert indices(rule_mask(rule, data)) == sorted(expected)

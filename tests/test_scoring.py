@@ -1,11 +1,16 @@
 """Posterior scoring against closed forms, quadrature, and recounts."""
 
+import ast
+import dataclasses
 import math
+import pickle
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mars.scoring
 from mars.model import Condition, Rule, RuleSet
 from mars.scoring import (
     Confusion,
@@ -14,6 +19,7 @@ from mars.scoring import (
     log_likelihood,
     log_prior,
     log_rule_count_prior,
+    rule_prior_terms,
     score,
     update_confusion,
 )
@@ -50,6 +56,44 @@ def test_bound_precondition_report():
     assert ok.bound_precondition_violations() == []
     bad = hypers(3, alpha_m=5.0, beta_m=1.0)
     assert any("alpha_m" in v for v in bad.bound_precondition_violations())
+
+
+def prior_floats(h):
+    rules = [Rule.of({0: (0,)}), Rule.of({0: (0, 1), 2: (1, 2, 3)}), Rule.of({1: (2,), 2: (0,)})]
+    return ([log_rule_count_prior(m, h) for m in range(4)]
+            + [rule_prior_terms(r, h, (3, 3, 4)) for r in rules])
+
+
+def test_replace_rebuilds_the_prior_constants():
+    h = hypers(3)
+    before = prior_floats(h)  # fills h's memo tables
+    changed = dataclasses.replace(h, alpha_l=2.0, beta_m=7.0)
+    assert prior_floats(changed) == prior_floats(hypers(3, alpha_l=2.0, beta_m=7.0))
+    assert prior_floats(changed) != before
+    assert prior_floats(h) == before
+
+
+def test_pickled_hyperparams_keep_equality_hash_and_prior():
+    h = hypers(3, theta=(0.5, 1.0, 2.0), beta_l=30.0)
+    expected = prior_floats(h)
+    back = pickle.loads(pickle.dumps(h))
+    assert back == h
+    assert hash(back) == hash(h)
+    assert prior_floats(back) == expected
+
+
+def test_scoring_never_imports_bounds():
+    # bounds imports scoring; the reverse, even deferred inside a function,
+    # would make the dependency two-way again
+    tree = ast.parse(Path(mars.scoring.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any(n.split(".")[-1] == "bounds" for n in names), ast.unparse(node)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +165,7 @@ def test_log_prior_matches_mpmath_oracle():
 def test_rule_prior_terms_sum_to_log_prior_exactly():
     # memoized per-rule terms equal the unmemoized expressions, and added in
     # log_prior's order they give its float
-    from mars.scoring import log_rule_length_prior, rule_prior_terms
+    from mars.scoring import log_rule_length_prior
 
     rng = random.Random(5)
     vocab = (4, 3, 5, 2)

@@ -5,6 +5,7 @@ import dataclasses
 import pytest
 
 import mars.synth as synth
+from mars.errors import DegenerateLabelError
 from mars.scoring import Hyperparams
 from mars.search import SearchConfig
 from mars.synth import SweepSpec, SynthSpec, sweep
@@ -52,3 +53,55 @@ def test_sweep_rejects_an_empty_split_before_any_search(monkeypatch):
             sweep(spec, grid, Hyperparams.defaults(2), SearchConfig(n_iter=5))
     with pytest.raises(ValueError, match="train split empty"):
         SweepSpec(train_fraction=0.1).train_size(4)
+
+
+def test_sweep_rejects_a_single_class_train_split_before_any_search(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("search ran")
+
+    monkeypatch.setattr(synth, "run", no_search)
+    # the 2-row train split of this 3-row table holds one class
+    spec = SynthSpec(n_rows=3, n_features=15, n_rules=3, max_conditions=4, seed=0)
+    with pytest.raises(DegenerateLabelError, match="replicate 0: the 2-row train split"):
+        sweep(spec, SweepSpec(beta_grid=(1.0,), replicates=1), Hyperparams.defaults(15),
+              SearchConfig(n_iter=5))
+
+
+def test_sweep_starts_no_more_workers_than_cells(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(synth, "ProcessPoolExecutor", SerialPool)
+    spec = SynthSpec(n_rows=60, n_features=2, n_rules=1, max_conditions=1, seed=1)
+    cfg = SearchConfig(n_iter=5, n_restarts=0)
+    base = Hyperparams.defaults(2)
+    for replicates, expected in [(1, []), (2, [2]), (3, [3])]:
+        started.clear()
+        grid = SweepSpec(beta_grid=(1.0,), replicates=replicates)
+        assert len(sweep(spec, grid, base, cfg, n_bins=4, jobs=16)) == replicates
+        assert started == expected
+
+
+def test_sweep_in_two_processes_matches_one():
+    spec = SynthSpec(n_rows=200, n_features=4, n_rules=1, max_conditions=2, seed=3)
+    grid = SweepSpec(beta_grid=(1.0, 100.0), replicates=1)
+    cfg = SearchConfig(n_iter=50, n_restarts=0, random_seed=5)
+    base = Hyperparams.defaults(spec.n_features)
+
+    def records(jobs):
+        return [dataclasses.replace(r, wall_time_s=0.0)
+                for r in sweep(spec, grid, base, cfg, n_bins=4, jobs=jobs)]
+
+    assert records(2) == records(1)
