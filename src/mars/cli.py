@@ -81,7 +81,7 @@ def _check_writable(*paths) -> None:
 def _parse_hyper_file(path) -> dict:
     out = {}
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise MarsError(f"cannot read hyperparameter file {path}: {exc}") from exc

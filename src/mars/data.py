@@ -16,6 +16,7 @@ decides that a training column is numeric and encodes numeric columns;
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Sequence
@@ -49,6 +50,8 @@ class FeatureSpec:
     intervals: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.name, str):
+            raise ValueError(f"feature {self.feature_id}: name {self.name!r} is not a string")
         if self.kind == "categorical":
             if not self.categories:
                 raise ValueError(f"feature {self.name!r}: empty vocabulary")
@@ -168,7 +171,7 @@ class RawTable:
     @classmethod
     def from_csv(cls, path, label_column: str | None = None) -> "RawTable":
         try:
-            with open(path, newline="", encoding="utf-8") as fh:
+            with open(path, newline="", encoding="utf-8-sig") as fh:
                 reader = csv.reader(fh)
                 try:
                     header = next(reader)
@@ -284,8 +287,9 @@ def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Data
     """Encode a raw table into a Dataset, binning numeric columns.
 
     ``scheme`` is "width" (equal-width bins over the observed min/max) or
-    "frequency" (quantile bins; duplicate quantiles are collapsed, so the
-    vocabulary may end up smaller than ``n_bins``).
+    "frequency" (quantile bins).  Both schemes collapse duplicate edges, as
+    repeated quantiles or a range only a few floats wide give, so the
+    vocabulary may end up smaller than ``n_bins``.
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
@@ -348,13 +352,15 @@ def _build_feature(fid: int, name: str, raw: Sequence, n_bins: int, scheme: str)
 
 def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.ndarray:
     lo, hi = float(values.min()), float(values.max())
+    if hi - lo == math.inf:
+        raise DataFormatError(f"column {name!r}: the range [{lo}, {hi}] is too wide to bin")
     if scheme == "width":
-        return np.linspace(lo, hi, n_bins + 1)
-    edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)))
+        edges = np.unique(np.linspace(lo, hi, n_bins + 1))
+    else:
+        edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)))
     if len(edges) < 3:
-        raise DataFormatError(
-            f"column {name!r}: equal-frequency binning collapsed to a single interval"
-        )
+        binning = "equal-width" if scheme == "width" else "equal-frequency"
+        raise DataFormatError(f"column {name!r}: {binning} binning collapsed to a single interval")
     return edges
 
 

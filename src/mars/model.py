@@ -79,12 +79,6 @@ class RuleSet:
 
     rules: tuple[Rule, ...] = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.rules))
-
-    def __hash__(self) -> int:
-        return self._hash
-
     @property
     def n_rules(self) -> int:
         return len(self.rules)

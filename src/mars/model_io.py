@@ -75,7 +75,7 @@ def save_model(
 
 def load_model(path) -> Model:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"cannot read model file {path}: {exc}") from exc

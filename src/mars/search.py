@@ -539,28 +539,27 @@ def _replace_rule(rules: tuple[Rule, ...], mi: int, new_rule: Rule | None) -> tu
 
 
 def _edits_add_value(rules, data: Dataset, xrow) -> list[tuple[Rule, ...]]:
-    progress, others = [], []
+    """Grow each condition that rejects the example by the example's value.
+
+    ``propose`` passes only false negatives: no rule covers the example, so
+    every rule has a condition that rejects it and gives at least one edit."""
+    edits = []
     for mi, rule in enumerate(rules):
         conds = rule.conditions
         for ci, cond in enumerate(conds):
             j = cond.feature_id
-            vocab = data.vocab_sizes[j]
-            have = set(cond.values)
-            target = int(xrow[j])
-            for v in range(vocab):
-                if v in have:
-                    continue
-                if cond.n_values + 1 < vocab:
-                    grown = Rule(conds[:ci] + (Condition(j, cond.values + (v,)),) + conds[ci + 1 :])
-                else:
-                    # the full vocabulary is always true: the condition goes,
-                    # and the rule with it when it was the only one
-                    rest = conds[:ci] + conds[ci + 1 :]
-                    grown = Rule(rest) if rest else None
-                bucket = progress if v == target else others
-                bucket.append(_replace_rule(rules, mi, grown))
-    # prefer growths that move toward covering the sampled example
-    return progress or others
+            v = int(xrow[j])
+            if v in cond.values:
+                continue
+            if cond.n_values + 1 < data.vocab_sizes[j]:
+                grown = Rule(conds[:ci] + (Condition(j, cond.values + (v,)),) + conds[ci + 1 :])
+            else:
+                # the full vocabulary is always true: the condition goes,
+                # and the rule with it when it was the only one
+                rest = conds[:ci] + conds[ci + 1 :]
+                grown = Rule(rest) if rest else None
+            edits.append(_replace_rule(rules, mi, grown))
+    return edits
 
 
 def _edits_remove_condition(rules) -> list[tuple[Rule, ...]]:

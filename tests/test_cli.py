@@ -1,6 +1,7 @@
 """Command-line behaviour: predict/evaluate on a tiny trained model, and
 every user input error ending in an error line and exit code."""
 
+import codecs
 import contextlib
 import csv
 import io
@@ -123,6 +124,57 @@ def test_evaluate_accuracy_equals_predictions(trained, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == f"rows: {len(rows)}"
     assert printed[1] == f"accuracy: {accuracy:.4f}"
+
+
+def with_bom(path, header, rows):
+    """``write_csv`` behind a UTF-8 byte-order mark, as spreadsheet programs
+    save "CSV UTF-8"."""
+    write_csv(path, header, rows)
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return path
+
+
+def test_csv_with_a_byte_order_mark_reads_as_without(trained, tmp_path, capsys):
+    tmp, model = trained
+    header, *rows = csv.reader(io.StringIO((tmp / "train.csv").read_text()))
+    # the label column first: its name once read as "\ufeffy"
+    train = with_bom(tmp_path / "t.csv", header[-1:] + header[:-1], [r[-1:] + r[:-1] for r in rows])
+    bom_model = tmp_path / "m.json"
+    argv = ["train", str(train), "--label", "y", "--out", str(bom_model),
+            "--iters", "300", "--restarts", "0", "--bins", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert load_model(bom_model).features == load_model(model).features
+    assert load_model(bom_model).rules == load_model(model).rules
+
+    # a feature column first: its name once read as "\ufeffx", missing from the model
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], holdout_rows())
+    bom_holdout = with_bom(tmp_path / "hb.csv", ["x", "c", "noise", "y"], holdout_rows())
+    capsys.readouterr()
+    assert cli.main(["predict", str(model), str(holdout)]) == 0
+    plain = capsys.readouterr().out
+    assert cli.main(["predict", str(model), str(bom_holdout)]) == 0
+    assert capsys.readouterr().out == plain
+
+
+@pytest.mark.parametrize(
+    "values, code",
+    [(["1.0", "1.0000000000000002"], 2), (["0", "5e-324", "1e-323"], 0), (["-1e308", "1e308"], 2)],
+    ids=["one-ulp-range", "subnormal-range", "overflowing-range"],
+)
+def test_equal_width_binning_of_extreme_ranges_is_no_traceback(tmp_path, values, code):
+    # these once ended in an "empty interval" ValueError from FeatureSpec
+    train = write_csv(tmp_path / "t.csv", ["x", "y"], [[v, y] for v in values for y in (0, 1)])
+    out = tmp_path / "m.json"
+    proc = run_mars("train", train, "--label", "y", "--out", out, "--iters", "20")
+    if code:
+        assert_clean_error(proc, code, "column 'x'")
+        assert not out.exists()
+    else:
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        # ten equal-width bins of a range two subnormals wide collapse to two
+        assert load_model(out).features[0].intervals == ((0.0, 5e-324), (5e-324, 1e-323))
 
 
 def test_predict_missing_model_column_exits_4(trained, tmp_path):
@@ -250,6 +302,19 @@ def test_hyper_config_sets_theta_per_feature(trained, tmp_path):
     hyper = load_model(model).hyper
     assert hyper.theta == (0.5, 2.0, 1.0)
     assert hyper.beta_m == 7.0
+
+
+def test_hyper_config_with_a_byte_order_mark(trained, tmp_path):
+    # its first key once read as "\ufeffalpha_m", an unknown hyperparameter
+    tmp, _ = trained
+    cfg = tmp_path / "hyper.cfg"
+    cfg.write_text("alpha_m = 2\n", encoding="utf-8-sig")
+    model = tmp_path / "m.json"
+    argv = ["train", str(tmp / "train.csv"), "--label", "y", "--out", str(model),
+            "--iters", "20", "--hyper-config", str(cfg)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert load_model(model).hyper.alpha_m == 2.0
 
 
 def test_train_help_offers_one_flag_per_hyperparameter(capsys):

@@ -1,5 +1,6 @@
 """Model JSON format: save/load round trip and version rejection."""
 
+import codecs
 import json
 
 import pytest
@@ -32,6 +33,14 @@ def test_save_load_round_trip(saved):
     assert model.hyper == hyper
     assert model.label_name == "y"
     assert model.metadata == meta
+
+
+def test_model_file_with_a_byte_order_mark_loads(saved):
+    # as an editor may save the file: it once read as an unexpected BOM
+    path, features, rules, hyper, _ = saved
+    path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    model = load_model(path)
+    assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
 
 
 @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 0, "1"])
@@ -93,10 +102,20 @@ def share_a_name(doc):
     doc["rules"] = [[["state", [0]]]]
 
 
+def rename_an_unused_feature(name):
+    def edit(doc):
+        # no rule names feature 0: its name reached no lookup before predict
+        doc["features"][0]["name"] = name
+        doc["rules"] = [[["state", [0]]]]
+    return edit
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         pytest.param(lambda doc: doc.update(features="ab"), id="features-not-a-list"),
+        pytest.param(rename_an_unused_feature(5), id="int-feature-name"),
+        pytest.param(rename_an_unused_feature(None), id="null-feature-name"),
         pytest.param(set_feature(1, values=[1, 2, 3]), id="non-string-category"),
         pytest.param(set_feature(0, intervals=[["a", "b"], ["b", "c"], ["c", "d"]]),
                      id="string-interval-bounds"),

@@ -451,7 +451,9 @@ def test_incremental_confusion_stays_consistent():
 # ---------------------------------------------------------------------------
 
 def raw_add_value(rules, data, xrow):
-    """The add-value edits before normalization (one raw tuple each)."""
+    """The add-value edits before normalization (one raw tuple each): the
+    growths by the example's value, or by every other value when there are
+    none."""
     progress, others = [], []
     for mi, rule in enumerate(rules):
         conds = rule.conditions
@@ -582,8 +584,10 @@ def test_edits_equal_normalized_raw_edits(draw):
     prop = _Scorer({}, data, h).proposal(rules, "")
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for idx, xrow in enumerate(data.rows):
-        got = check(_edits_add_value(rules, data, xrow))
-        assert got == normalized(raw_add_value(rules, data, xrow))
+        # propose grows values for a false negative only: a positive no rule covers
+        if data.labels[idx] and not any(rule_covers(rule, xrow) for rule in rules):
+            got = check(_edits_add_value(rules, data, xrow))
+            assert got == normalized(raw_add_value(rules, data, xrow))
         seed = rng.random()
         moves = check(_growth_moves(prop, data, h, idx, xrow, random.Random(seed)))
         assert [materialized(move) for move in moves] == normalized(
@@ -669,6 +673,37 @@ def test_replace_rule_keeps_first_of_duplicates():
     assert _replace_rule((a, b, c), 0, b) == (b, c)  # the edited rule comes first
     assert _replace_rule((a, b, c), 1, None) == (a, c)
     assert _replace_rule((a, b), 1, c) == (a, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_add_value_grows_each_rejecting_condition_by_the_example_value(draw):
+    from mars.model import normalize
+    from mars.search import _edits_add_value
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    vocab_sizes = draw.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(12)]
+    data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(12)])
+    rules = near_duplicate_ruleset(rng, vocab_sizes)
+    for xrow in data.rows:
+        if any(rule_covers(rule, xrow) for rule in rules):
+            continue
+        rejecting = [
+            (mi, ci)
+            for mi, rule in enumerate(rules)
+            for ci, cond in enumerate(rule.conditions)
+            if xrow[cond.feature_id] not in cond.values
+        ]
+        assert {mi for mi, _ in rejecting} == set(range(len(rules)))
+        expected = []
+        for mi, ci in rejecting:
+            conds = list(rules[mi].conditions)
+            j = conds[ci].feature_id
+            conds[ci] = Condition(j, conds[ci].values + (int(xrow[j]),))
+            grown = rules[:mi] + (Rule(tuple(conds)),) + rules[mi + 1:]
+            expected.append(normalize(RuleSet(grown), vocab_sizes).rules)
+        assert _edits_add_value(rules, data, xrow) == expected
 
 
 def test_add_value_drops_condition_that_reaches_full_vocabulary():
