@@ -39,6 +39,8 @@ def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
         raise ModelFormatError(f"feature {fid}: not a JSON object")
     kind = blob.get("kind")
     if kind == "categorical":
+        if not isinstance(blob["values"], list):
+            raise TypeError(f"feature {blob['name']!r}: values is not a JSON array")
         return FeatureSpec(fid, blob["name"], "categorical", categories=tuple(blob["values"]))
     if kind == "numeric":
         return FeatureSpec(
@@ -97,9 +99,17 @@ def load_model(path) -> Model:
                 for conds in doc["rules"]
             )
         )
-        hp = doc["hyperparams"]
-        hyper = Hyperparams(**{k: hp[k] for k in HYPER_KEYS})
+        hp = {k: doc["hyperparams"][k] for k in HYPER_KEYS}
+        if not isinstance(hp["theta"], list):
+            raise TypeError("hyperparameter theta is not a JSON array")
+        for key, value in hp.items():
+            numbers = value if key == "theta" else [value]
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
+                raise TypeError(f"hyperparameter {key} holds {value!r}, not a number")
+        hyper = Hyperparams(**hp)
         label = doc["label"]
+        if not isinstance(label, str):
+            raise TypeError(f"label {label!r} is not a string")
         meta = doc.get("training", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc

@@ -20,42 +20,28 @@ pruning floor; the rule-count cap gates the action entirely.
 Every neighbor differs from the current rule set in at most one rule, and
 the edit builders return it already in ``normalize``'s canonical form
 (only the edited rule can turn tautological or duplicate another), so
-neighbors are deduplicated as plain rule tuples.  Candidates are scored
-from a per-step cache of per-rule entries ``(mask, length term, DM term)``
-seeded with the current rules' entries: a candidate's posterior is the
-rule-count prior plus its rules' cached terms (added in ``log_prior``'s
-order, so the float is the one ``scoring.score`` returns) plus the
-likelihood of the union of their masks.  Only a rule the step has not seen
-costs a mask and a ``rule_prior_terms`` call; an add-rule rule reuses the
-mask its support check built.
-
-Add-condition neighbors, the bulk of a negative example's candidates, are
-scored without building them.  Each is a move (rule index, feature,
-sorted values) scored by that rule's growth table: the positive and
-negative counts, per (feature, value), of the rows only that rule covers,
-with the other rules' counts and the rule's prior terms.  A move's
-confusion is integer sums over its values, and its prior adds the same
-floats in the same order as the materialized rule set's, so its score is
-the very float the rule-tuple path gives and ``max()`` picks the same
-neighbor.  The table hangs off the current proposal, built per rule when
-first needed, and serves every step until a move is accepted.  A move
-whose grown rule equals another current rule (rare) comes as its rule
-tuple instead.  Only the chosen move becomes a ``Rule``, its mask its
-parent's AND the new condition's.
+neighbors are deduplicated as plain rule tuples.  ``_Scorer`` scores a
+rule tuple from per-rule cache entries, and an add-condition move, the
+bulk of a negative example's candidates, from its rule's ``_GrowthTable``
+without building the rule; both give the float ``scoring.score`` gives.
+Coverage is read from ``Dataset.value_masks`` alone: a rule's mask is the
+AND of its conditions' masks, and a growth table counts each (feature,
+value) as the bits of that value's mask among the rows the rule alone
+covers.
 
 The search draws its random integers with ``_below`` and ``_sample``,
 which return what ``Random.randint`` and ``Random.sample(range(n), k)``
 return from the same ``getrandbits`` calls, without their argument
 checks and sequence handling; a test pins them bit for bit to the stdlib
-calls, the set path of ``sample`` included.  A growth table also memoizes
-its move scores by (feature, values): the random variants repeat across
-the steps a table serves.
+calls, the set path of ``sample`` included.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
 rules' cache entries and growth tables and its coverage mask, so accepting
 a move is replacing the current proposal, and the next step's cache is
-seeded from that proposal's entries.
+seeded from that proposal's entries.  The state also owns the run's RNG,
+which ``init_state`` seeds from ``cfg.random_seed`` and every chain draws
+from, and its runlog, which every chain writes to.
 
 The chain keeps few of its steps, so a step builds a ``Proposal`` only for
 a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
@@ -76,8 +62,6 @@ import random
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
-
-import numpy as np
 
 from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
@@ -183,7 +167,6 @@ class Proposal:
     score: Score
     rule_cache: dict[Rule, RuleEntry]
     union_mask: int
-    action: str
     growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False, compare=False)
     misclassified: list[int] | None = field(default=None, repr=False, compare=False)
 
@@ -191,7 +174,8 @@ class Proposal:
 @dataclass
 class SearchState:
     """Mutable state of one annealing chain: the current proposal, the best
-    one seen in any chain so far, and the pruning bounds."""
+    one seen in any chain so far, and the pruning bounds, with the RNG
+    every chain of the run draws from and the runlog every chain writes."""
 
     current: Proposal
     best: Proposal
@@ -200,6 +184,7 @@ class SearchState:
     t: int = 0
     chain: int = 0
     stall_streak: int = 0
+    runlog: RunLog = field(default_factory=RunLog)
 
 
 class _GrowthTable:
@@ -208,13 +193,14 @@ class _GrowthTable:
 
     Narrowing rule ``mi`` changes only which of the rows it alone covers
     stay covered, so the table holds the positive and negative counts of
-    those rows per (feature, value) and the counts the other rules cover.
-    A move's confusion is those counts plus the sums over its values.  Its
-    prior adds the same floats in the same order as ``_Scorer.posterior``
-    does for the materialized rule set: the count prior and the terms of
-    the rules before ``mi``, the grown rule's ``rule_prior_terms``, then
-    the terms of the rules after ``mi``.  So a move's score equals the
-    materialized rule set's exactly.
+    those rows per (feature, value), each the bits of the value's mask in
+    ``Dataset.value_masks`` among them, and the counts the other rules
+    cover.  A move's confusion is those counts plus the sums over its
+    values.  Its prior adds the same floats in the same order as
+    ``_Scorer.posterior`` does for the materialized rule set: the count
+    prior and the terms of the rules before ``mi``, the grown rule's
+    ``rule_prior_terms``, then the terms of the rules after ``mi``.  So a
+    move's score equals the materialized rule set's exactly.
     """
 
     def __init__(self, prop: Proposal, mi: int, data: Dataset, hyper: Hyperparams) -> None:
@@ -237,23 +223,21 @@ class _GrowthTable:
         self.tp = (others & data.pos_mask).bit_count()
         self.fp = others.bit_count() - self.tp
 
-        # counts over the rows rule mi alone covers, from one bincount of
-        # codes offset per feature, positive rows shifted past the negatives
-        vocab_sizes = data.vocab_sizes
-        offsets = np.cumsum((0,) + vocab_sizes[:-1])
-        n_codes = sum(vocab_sizes)
-        only = indices(self.parent_mask & ~others)
-        codes = data.rows[only] + offsets
-        codes[data.labels[only]] += n_codes
-        counts = np.bincount(codes.ravel(), minlength=2 * n_codes).tolist()
-        self.neg = [counts[o : o + v] for o, v in zip(offsets, vocab_sizes)]
-        self.pos = [counts[n_codes + o : n_codes + o + v] for o, v in zip(offsets, vocab_sizes)]
+        # counts over the rows rule mi alone covers, per (feature, value)
+        only = self.parent_mask & ~others
+        pos_only = only & data.pos_mask
+        self.pos: list[list[int]] = []
+        self.neg: list[list[int]] = []
+        for masks in data.value_masks:
+            pos = [(pos_only & m).bit_count() for m in masks]
+            self.pos.append(pos)
+            self.neg.append([(only & m).bit_count() - p for m, p in zip(masks, pos)])
 
         # per free feature (one the rule lacks, of two values or more): the
         # feature, its vocabulary size and the vocabulary minus value w at w
         used = rule.features
         self.free: list[tuple[int, int, list[tuple[int, ...]]]] = []
-        for j, vocab in enumerate(vocab_sizes):
+        for j, vocab in enumerate(data.vocab_sizes):
             if vocab >= 2 and j not in used:
                 everything = tuple(range(vocab))
                 without = [everything[:w] + everything[w + 1 :] for w in everything]
@@ -362,7 +346,7 @@ class _Scorer:
         fp = union.bit_count() - tp
         return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
 
-    def proposal(self, candidate: tuple[Rule, ...] | _Growth, action: str) -> Proposal:
+    def proposal(self, candidate: tuple[Rule, ...] | _Growth) -> Proposal:
         rules = candidate
         if candidate.__class__ is _Growth:
             table = candidate.table
@@ -375,7 +359,7 @@ class _Scorer:
         conf = confusion_from_mask(union, self.data)
         score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
         cache = {rule: self.entries[rule] for rule in rules}
-        return Proposal(RuleSet(rules), score, cache, union, action)
+        return Proposal(RuleSet(rules), score, cache, union)
 
 
 class Pick(NamedTuple):
@@ -389,7 +373,7 @@ class Pick(NamedTuple):
     scorer: _Scorer
 
     def proposal(self) -> Proposal:
-        return self.scorer.proposal(self.candidate, self.action)
+        return self.scorer.proposal(self.candidate)
 
 
 def _below(getrandbits, n: int) -> int:
@@ -456,17 +440,14 @@ def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
 
 
 def _start_chain(
-    data: Dataset,
-    hyper: Hyperparams,
-    rng: random.Random,
-    state: SearchState | None = None,
-    runlog: RunLog | None = None,
+    data: Dataset, hyper: Hyperparams, rng: random.Random, state: SearchState | None = None
 ) -> SearchState:
     """Make a random rule set the current state of chain ``state.chain``: a
-    new state for chain 0, or ``state`` restarted at t = 0 with its best and
-    bounds kept.  The runlog gets the chain's ``chain_start`` record, then an
-    ``improve`` record when the start is the new best."""
-    start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules, "start")
+    new state drawing from ``rng`` for chain 0, or ``state`` restarted at
+    t = 0 with its best, bounds and runlog kept.  The runlog gets the
+    chain's ``chain_start`` record, then an ``improve`` record when the
+    start is the new best."""
+    start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules)
     improved = state is None or start.score.log_posterior > state.best.score.log_posterior
     if state is None:
         state = SearchState(start, start, initial_bounds(data, hyper), rng)
@@ -475,26 +456,21 @@ def _start_chain(
         if improved:
             state.best = start
     state.bounds = update_bounds(state.bounds, start.score.log_posterior)
-    if runlog is not None:
-        runlog.emit(event="chain_start", chain=state.chain, log_posterior=start.score.log_posterior)
-        if improved:
-            runlog.improvement(state)
+    runlog = state.runlog
+    runlog.emit(event="chain_start", chain=state.chain, log_posterior=start.score.log_posterior)
+    if improved:
+        runlog.improvement(state)
     return state
 
 
-def init_state(
-    data: Dataset,
-    hyper: Hyperparams,
-    cfg: SearchConfig,
-    rng: random.Random | None = None,
-    runlog: RunLog | None = None,
-) -> SearchState:
-    """Fresh chain state from a random rule set; bounds seeded with its score."""
+def init_state(data: Dataset, hyper: Hyperparams, cfg: SearchConfig) -> SearchState:
+    """Chain 0's state from a random rule set, with bounds seeded with its
+    score.  The state owns the run's RNG, seeded here from
+    ``cfg.random_seed``, and its runlog, which holds chain 0's
+    ``chain_start`` and ``improve`` records."""
     if data.n_pos == 0 or data.n_neg == 0:
         raise DegenerateLabelError("training data needs both positive and negative examples")
-    if rng is None:
-        rng = random.Random(f"mars-search:{cfg.random_seed}")
-    return _start_chain(data, hyper, rng, runlog=runlog)
+    return _start_chain(data, hyper, random.Random(f"mars-search:{cfg.random_seed}"))
 
 
 def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] | None:
@@ -734,19 +710,15 @@ def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
 
 
 def anneal_step(
-    state: SearchState,
-    data: Dataset,
-    hyper: Hyperparams,
-    cfg: SearchConfig,
-    runlog: RunLog | None = None,
+    state: SearchState, data: Dataset, hyper: Hyperparams, cfg: SearchConfig
 ) -> SearchState:
     """One Markov-chain step: propose, track best, accept-or-reject.  The
-    pick becomes a ``Proposal`` only when it is a new best or accepted."""
+    pick becomes a ``Proposal`` only when it is a new best or accepted.
+    Stalls and new bests go to ``state.runlog``."""
     pick = propose(state, sample_misclassified(state, data), data, hyper, cfg)
     if pick is None:
         state.stall_streak += 1
-        if runlog is not None:
-            runlog.emit(event="stall", chain=state.chain, t=state.t)
+        state.runlog.emit(event="stall", chain=state.chain, t=state.t)
         state.t += 1
         return state
     state.stall_streak = 0
@@ -760,8 +732,7 @@ def anneal_step(
         if improved:
             state.best = prop
             state.bounds = update_bounds(state.bounds, prop.score.log_posterior)
-            if runlog is not None:
-                runlog.improvement(state)
+            state.runlog.improvement(state)
         if accepted:
             state.current = prop
     state.t += 1
@@ -774,18 +745,19 @@ def run(
     """Best rule set over ``n_restarts + 1`` sequential annealing chains.
 
     Twenty consecutive stalls (no legal neighbor anywhere) abort a chain
-    early and consume the next restart slot.  Deterministic for a fixed
+    early and consume the next restart slot.  Every chain draws from the
+    RNG ``init_state`` seeds and writes to its runlog, which ``run``
+    closes with a ``done`` record and returns.  Deterministic for a fixed
     config, including the JSON-lines RunLog.
     """
-    runlog = RunLog()
-    rng = random.Random(f"mars-search:{cfg.random_seed}")
-    state = init_state(data, hyper, cfg, rng=rng, runlog=runlog)
+    state = init_state(data, hyper, cfg)
+    runlog = state.runlog
     for chain in range(cfg.n_restarts + 1):
         if chain:
             state.chain = chain
-            _start_chain(data, hyper, rng, state, runlog)
+            _start_chain(data, hyper, state.rng, state)
         for _ in range(cfg.n_iter):
-            anneal_step(state, data, hyper, cfg, runlog)
+            anneal_step(state, data, hyper, cfg)
             if state.stall_streak >= STALL_RESTART_AFTER:
                 runlog.emit(event="stall_restart", chain=chain, t=state.t)
                 break

@@ -359,6 +359,16 @@ def test_model_with_overflowing_hyperparameter_exits_5(trained, tmp_path, key):
     assert_clean_error(run_mars("predict", bad, tmp / "train.csv"), 5, "corrupt model file")
 
 
+@pytest.mark.parametrize("label", [None, ["y"], 3], ids=["null", "list", "number"])
+def test_model_with_a_non_string_label_exits_5(trained, tmp_path, label):
+    tmp, model = trained
+    doc = json.loads(Path(model).read_text())
+    doc["label"] = label
+    bad = tmp_path / "model.json"
+    bad.write_text(json.dumps(doc))
+    assert_clean_error(run_mars("evaluate", bad, tmp / "train.csv"), 5, "is not a string")
+
+
 def test_bins_below_two_is_an_error_not_a_traceback(trained, tmp_path):
     tmp, _ = trained
     out = tmp_path / "m.json"

@@ -1,5 +1,7 @@
-"""Every module imports on its own, in a fresh interpreter, without warnings."""
+"""Every module imports on its own, in a fresh interpreter, without warnings,
+and uses every name it imports."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -26,3 +28,27 @@ def test_module_imports_on_its_own(module):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names ``source`` imports and never reads, skipping ``__future__``
+    imports and lines marked ``# noqa: F401`` (kept for other modules)."""
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        if "# noqa: F401" in lines[node.lineno - 1]:
+            continue
+        imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_every_import_is_used():
+    assert unused_imports("import numpy as np\nfrom .x import a, b\nb()\n") == ["np", "a"]
+    unused = {p.name: unused_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

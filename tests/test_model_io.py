@@ -122,6 +122,7 @@ def rename_an_unused_feature(name):
         pytest.param(set_feature(0, intervals=[[0, True], [True, 2], [2, 3]]),
                      id="bool-interval-bound"),
         pytest.param(share_a_name, id="duplicate-feature-name"),
+        pytest.param(set_feature(1, values="abc"), id="string-categories"),
     ],
 )
 def test_malformed_feature_list_rejected(saved, capsys, edit):
@@ -146,10 +147,28 @@ def test_non_utf8_model_file_rejected(saved, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), True])
 def test_non_finite_hyperparameter_rejected(saved, value):
     path = saved[0]
     rewrite(path, lambda doc: doc["hyperparams"].update(beta_l=value))
     with pytest.raises(ModelFormatError, match="beta_l") as info:
         load_model(path)
     assert info.value.exit_code == 5
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        pytest.param("11", id="string"),
+        pytest.param([True, 1.0], id="bool-entry"),
+        pytest.param(["1", "2"], id="string-entry"),
+    ],
+)
+def test_theta_not_an_array_of_numbers_rejected(saved, capsys, value):
+    path = saved[0]
+    rewrite(path, lambda doc: doc["hyperparams"].update(theta=value))
+    with pytest.raises(ModelFormatError, match="theta") as info:
+        load_model(path)
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith("error: ")

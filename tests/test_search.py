@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from mars.bitset import indices
 from mars.bounds import update_bounds
 from mars.data import rule_mask, union_mask
 from mars.errors import DegenerateLabelError
@@ -129,7 +130,7 @@ def _state_with(data, rules, cfg=None, seed=0):
     state = init_state(data, h, cfg or small_cfg(random_seed=seed))
     from mars.search import _Scorer
 
-    state.current = _Scorer({}, data, h).proposal(rules.rules, "test")
+    state.current = _Scorer({}, data, h).proposal(rules.rules)
     return state
 
 
@@ -187,7 +188,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
         labels = [rng.randrange(2) for _ in range(n_rows)]
     data = make_dataset(vocab_sizes, rows, labels)
     h = hypers(data)
-    prop = _Scorer({}, data, h).proposal(rules.rules, "test")
+    prop = _Scorer({}, data, h).proposal(rules.rules)
     state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed))
     reference = random.Random(seed)
     mis = prop.union_mask ^ data.pos_mask
@@ -374,6 +375,22 @@ def test_run_is_deterministic_byte_for_byte():
     assert log1.to_jsonl() == log2.to_jsonl()
 
 
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_stepping_the_state_writes_the_runlog_run_writes(seed):
+    # the chain state owns its runlog: init_state and n_iter steps leave in
+    # it what a one-chain run() writes before its closing done record
+    data = tiny_instance(seed)
+    h = hypers(data)
+    cfg = small_cfg(n_iter=300, random_seed=seed)
+    state = init_state(data, h, cfg)
+    for _ in range(cfg.n_iter):
+        anneal_step(state, data, h, cfg)
+    _, _, runlog = run(data, h, cfg)
+    assert runlog.records[-1]["event"] == "done"
+    assert all(r["event"] != "stall_restart" for r in runlog.records)
+    assert state.runlog.records == runlog.records[:-1]
+
+
 def test_runlog_improvements_are_monotone():
     data = tiny_instance(6)
     h = hypers(data)
@@ -423,7 +440,7 @@ def test_admitted_rules_meet_support_floor_during_run():
         pick = propose(state, ex, data, h, cfg)
         if pick is not None:
             prop = pick.proposal()
-            if prop.action == "add_rule":
+            if pick.action == "add_rule":
                 new_rules = set(prop.rules.rules) - before
                 assert new_rules, "add_rule proposal must introduce a rule"
                 for rule in new_rules:
@@ -581,7 +598,7 @@ def test_edits_equal_normalized_raw_edits(draw):
     assert check(_edits_remove_condition(rules)) == normalized(raw_remove_condition(rules))
     assert check(_edits_remove_rule(rules)) == normalized(_edits_remove_rule(rules))
     # one proposal for every example: its growth tables are built once, then reused
-    prop = _Scorer({}, data, h).proposal(rules, "")
+    prop = _Scorer({}, data, h).proposal(rules)
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for idx, xrow in enumerate(data.rows):
         # propose grows values for a false negative only: a positive no rule covers
@@ -617,10 +634,22 @@ def test_growth_table_scores_equal_full_rescore(draw):
     h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
                alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = _Scorer({}, data, h).proposal(rules, "")
+    prop = _Scorer({}, data, h).proposal(rules)
     scorer = _Scorer(prop.rule_cache, data, h)
+    offsets = np.cumsum((0, *vocab_sizes[:-1]))
+    n_codes = sum(vocab_sizes)
     for mi, rule in enumerate(rules):
         table = _GrowthTable(prop, mi, data, h)
+        # reference counts over the rows rule mi alone covers: one bincount
+        # of codes offset per feature, positive rows shifted past the negatives
+        others = union_mask(RuleSet(rules[:mi] + rules[mi + 1:]), data)
+        only = indices(rule_mask(rule, data) & ~others)
+        codes = data.rows[only] + offsets
+        codes[data.labels[only]] += n_codes
+        counts = np.bincount(codes.ravel(), minlength=2 * n_codes).tolist()
+        assert table.neg == [counts[o:o + v] for o, v in zip(offsets, vocab_sizes)]
+        assert table.pos == [counts[n_codes + o:n_codes + o + v]
+                             for o, v in zip(offsets, vocab_sizes)]
         assert [j for j, _, _ in table.free] == [
             j for j, v in enumerate(vocab_sizes) if j not in rule.features and v >= 2
         ]
@@ -641,7 +670,7 @@ def test_growth_table_scores_equal_full_rescore(draw):
                     assert move.edit() == expected and len(expected) == len(rules)
                     full = score(RuleSet(expected), data, h)
                     assert scorer.posterior(move) == full.log_posterior  # floats compared exactly
-                    chosen = scorer.proposal(move, "add_condition")
+                    chosen = scorer.proposal(move)
                     assert chosen.score == full
                     assert chosen.rule_cache[grown][0] == rule_mask(grown, data)
 
@@ -654,7 +683,7 @@ def test_growth_moves_hand_a_collision_over_as_its_rule_set():
     data = make_dataset((2, 2), [[0, 0], [0, 1], [1, 1]], [1, 0, 0])
     wide, narrow = Rule.of({0: (0,)}), Rule.of({0: (0,), 1: (1,)})
     h = hypers(data)
-    prop = _Scorer({}, data, h).proposal((wide, narrow), "")
+    prop = _Scorer({}, data, h).proposal((wide, narrow))
     moves = _growth_moves(prop, data, h, 1, data.rows[1], random.Random(0))
     # the canonical variant excludes the example's value 1: x1 in {0}
     assert materialized(moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
