@@ -66,9 +66,12 @@ def _check_bins(args) -> None:
         raise MarsError(f"invalid data setting: --bins must be at least 2, got {args.bins}")
 
 
-def _check_writable(*paths) -> None:
-    """Fail before any work is done when an output file cannot be created."""
-    for path in paths:
+def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
+    """Fail before any file is read when an output file cannot be created,
+    or when it is an input or another output: writing it would destroy that
+    file.  Both maps go from a role, such as ``--out``, to a path or None."""
+    claimed = {Path(path).resolve(): role for role, path in inputs.items() if path is not None}
+    for role, path in outputs.items():
         if path is None:
             continue
         if Path(path).is_dir():
@@ -76,6 +79,9 @@ def _check_writable(*paths) -> None:
         parent = Path(path).parent
         if not parent.is_dir():
             raise MarsError(f"cannot write {path}: directory {parent} does not exist")
+        other = claimed.setdefault(Path(path).resolve(), role)
+        if other != role:
+            raise MarsError(f"cannot write {path} as {role}: it is also {other}")
 
 
 def _parse_hyper_file(path) -> dict:
@@ -123,7 +129,10 @@ def cmd_train(args) -> int:
     cfg = _search_config(args)
     _check_bins(args)
     runlog_path = args.runlog or (str(args.out) + ".runlog.jsonl")
-    _check_writable(args.out, runlog_path)
+    _check_writable(
+        {"--out": args.out, "--runlog": runlog_path},
+        {"the training CSV": args.csv, "--hyper-config": args.hyper_config},
+    )
     table = RawTable.from_csv(args.csv, label_column=args.label)
     data = discretize(table, n_bins=args.bins, scheme=args.scheme)
     hyper = _hyperparams(args, data.n_features)
@@ -146,7 +155,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _check_writable(args.out)
+    _check_writable({"--out": args.out}, {"the model": args.model, "the input CSV": args.csv})
     model = load_model(args.model)
     table = RawTable.from_csv(args.csv)
     hit = first_covering_rule(model.rules, encode_with_specs(table, model.features))
@@ -203,7 +212,7 @@ def _synth_spec(args) -> synth.SynthSpec:
 
 def cmd_gen(args) -> int:
     spec = _synth_spec(args)
-    _check_writable(args.out, args.truth)
+    _check_writable({"--out": args.out, "--truth": args.truth}, {})
     table, truth = synth.generate(spec)
     synth.write_table_csv(args.out, table)
     print(f"wrote {len(table.rows)} rows to {args.out}")
@@ -231,6 +240,7 @@ def cmd_sweep(args) -> int:
         grid.train_size(spec.n_rows)
     except ValueError as exc:
         raise MarsError(f"invalid sweep setting: {exc}") from exc
+    _check_writable({"--out": args.out}, {"--hyper-config": args.hyper_config})
     base = _hyperparams(args, args.features)
     try:
         for beta_m in grid.beta_grid:
@@ -240,7 +250,6 @@ def cmd_sweep(args) -> int:
         raise MarsError(f"invalid hyperparameter in --grid: {exc}") from exc
     cfg = _search_config(args)
     _check_bins(args)
-    _check_writable(args.out)
     records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, jobs=args.jobs)
     synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")

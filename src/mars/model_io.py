@@ -84,9 +84,10 @@ def load_model(path) -> Model:
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise ModelFormatError(f"{path}: not a model file")
     version = doc["format_version"]
-    if version != FORMAT_VERSION:
+    # true and 1.0 equal 1 in Python: the version must be a JSON integer
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModelFormatError(
-            f"{path}: format version {version} not supported (this build reads {FORMAT_VERSION})"
+            f"{path}: format version {version!r} not supported (this build reads {FORMAT_VERSION})"
         )
     try:
         features = tuple(_feature_from_json(fid, blob) for fid, blob in enumerate(doc["features"]))

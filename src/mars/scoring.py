@@ -248,19 +248,33 @@ def rule_prior_terms(
 ) -> tuple[float, float]:
     """One rule's (length, Dirichlet-multinomial) terms of the log-prior:
     log p(L_m) and log p(z_m)."""
+    counts = []
+    for cond in rule.conditions:
+        j, values = cond.feature_id, cond.values
+        # a condition's values are distinct, sorted and non-negative: the
+        # last is in the vocabulary only when all of them are
+        if values[-1] >= vocab_sizes[j]:
+            raise ValueError(
+                f"rule condition on feature {j} exceeds its vocabulary "
+                f"({len(values)} items, {vocab_sizes[j]} values)"
+            )
+        counts.append((j, len(values)))
+    return prior_terms_from_counts(counts, hyper)
+
+
+def prior_terms_from_counts(
+    counts: Iterable[tuple[int, int]], hyper: Hyperparams
+) -> tuple[float, float]:
+    """``rule_prior_terms`` of a rule given as the (feature, value count)
+    pair of each condition, in feature order: the terms depend on how many
+    values a condition holds, not which, and the pairs' order is the order
+    the Dirichlet-multinomial items are added in."""
     c = hyper._prior
     theta = c.theta
     dm_items = c.dm_items
     length = 0
     dm = 0.0
-    for cond in rule.conditions:
-        j = cond.feature_id
-        l_mj = cond.n_values
-        if l_mj > vocab_sizes[j] or cond.values[-1] >= vocab_sizes[j]:
-            raise ValueError(
-                f"rule condition on feature {j} exceeds its vocabulary "
-                f"({l_mj} items, {vocab_sizes[j]} values)"
-            )
+    for j, l_mj in counts:
         length += l_mj
         item = dm_items.get((j, l_mj))
         if item is None:

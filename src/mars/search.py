@@ -14,26 +14,31 @@ uniform random neighbor.  The move is accepted with probability
 min(1, exp(delta / T)) under the schedule T[t] = t0 ** (1 - t / n_iter).
 
 New rules proposed by the add-rule action are seeded from the sampled
-positive example and admitted only when their support clears the current
-pruning floor; the rule-count cap gates the action entirely.
+positive example: each of one to three random features gets a condition
+holding the example's value and a random sample of the others.  A seed is
+admitted only when its support clears the current pruning floor; the
+rule-count cap gates the action entirely.
 
 Every neighbor differs from the current rule set in at most one rule, and
 the edit builders return it already in ``normalize``'s canonical form
 (only the edited rule can turn tautological or duplicate another), so
 neighbors are deduplicated as plain rule tuples.  ``_Scorer`` scores a
-rule tuple from per-rule cache entries, and an add-condition move, the
-bulk of a negative example's candidates, from its rule's ``_GrowthTable``
-without building the rule; both give the float ``scoring.score`` gives.
-Coverage is read from ``Dataset.value_masks`` alone: a rule's mask is the
-AND of its conditions' masks, and a growth table counts each (feature,
-value) as the bits of that value's mask among the rows the rule alone
-covers.
+rule tuple from per-rule cache entries.  The two actions with the most
+candidates come as moves that build no rule: an add-condition move is
+scored from its rule's ``_GrowthTable``, and an add-rule seed, its
+conditions' (feature, values) pairs and its mask, from the step's
+``_SeedTable``.  Each gives the float ``scoring.score`` gives for the rule
+set the move makes.  Coverage is read from ``Dataset.value_masks`` alone:
+a rule's mask, a seed's included, is the AND of its conditions' masks, a
+seed's rule set covers the current union OR its mask, and a growth table
+counts each (feature, value) as the bits of that value's mask among the
+rows the rule alone covers.
 
 The search draws its random integers with ``_below`` and ``_sample``,
-which return what ``Random.randint`` and ``Random.sample(range(n), k)``
-return from the same ``getrandbits`` calls, without their argument
-checks and sequence handling; a test pins them bit for bit to the stdlib
-calls, the set path of ``sample`` included.
+which return what ``Random.randint`` and ``Random.sample`` return from the
+same ``getrandbits`` calls, without their argument checks; a test pins
+them bit for bit to the stdlib calls, the set path of ``sample``
+included.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
@@ -48,7 +53,8 @@ a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
 action and its posterior, the very float ``max()`` ranked it by (a full
 ``Score`` of the rule set gives the same float).  The step compares that
 float with the best and current posteriors and materializes the pick once
-when it is a new best or accepted; a rejected step builds nothing.  A
+when it is a new best or accepted; a rejected step builds nothing, and a
+move's new rule becomes a ``Rule`` only there.  A
 proposal also lists its misclassified rows once, the first time a step
 samples an example from it, and serves that list to every later step
 until a move is accepted.
@@ -61,7 +67,7 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from operator import itemgetter
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
@@ -75,6 +81,7 @@ from .scoring import (
     log_likelihood,
     log_likelihood_counts,
     log_rule_count_prior,
+    prior_terms_from_counts,
     rule_prior_terms,
 )
 
@@ -198,8 +205,9 @@ class _GrowthTable:
     cover.  A move's confusion is those counts plus the sums over its
     values.  Its prior adds the same floats in the same order as
     ``_Scorer.posterior`` does for the materialized rule set: the count
-    prior and the terms of the rules before ``mi``, the grown rule's
-    ``rule_prior_terms``, then the terms of the rules after ``mi``.  So a
+    prior and the terms of the rules before ``mi``, the grown rule's terms
+    from its (feature, value count) pairs, then the terms of the rules
+    after ``mi``.  So a
     move's score equals the materialized rule set's exactly.
     """
 
@@ -233,6 +241,9 @@ class _GrowthTable:
             self.pos.append(pos)
             self.neg.append([(only & m).bit_count() - p for m, p in zip(masks, pos)])
 
+        # the rule's (feature, value count) pairs: a grown rule's prior terms
+        # depend on these and the new condition's pair alone
+        self.counts = [(c.feature_id, c.n_values) for c in rule.conditions]
         # per free feature (one the rule lacks, of two values or more): the
         # feature, its vocabulary size and the vocabulary minus value w at w
         used = rule.features
@@ -258,10 +269,9 @@ class _GrowthTable:
     def prior(self, feature: int, n_values: int) -> float:
         prior = self.priors.get((feature, n_values))
         if prior is None:
-            # a condition's prior terms depend on how many values it holds,
-            # not which
-            grown = Rule(self.rule.conditions + (Condition(feature, tuple(range(n_values))),))
-            length_term, dm_term = rule_prior_terms(grown, self.hyper, self.data.vocab_sizes)
+            # the grown rule's pairs in feature order, as Rule sorts them
+            grown = sorted([*self.counts, (feature, n_values)])
+            length_term, dm_term = prior_terms_from_counts(grown, self.hyper)
             prior = self.head_prior + length_term
             prior += dm_term
             for term in self.tail_terms:
@@ -291,31 +301,99 @@ class _Growth(NamedTuple):
     feature: int
     values: tuple[int, ...]
 
-    def edit(self) -> tuple[Rule, ...]:
-        """The rule set the move makes, with the grown rule at ``table.mi``."""
+    def posterior(self) -> float:
+        return self.table.posterior(self.feature, self.values)
+
+    def materialize(self) -> tuple[tuple[Rule, ...], Rule, int]:
+        """The rule set the move makes, with the grown rule at ``table.mi``,
+        that rule and its rows: its parent's AND the new condition's."""
         t = self.table
         grown = Rule(t.rule.conditions + (Condition(self.feature, self.values),))
-        return _replace_rule(t.rules, t.mi, grown)
+        mask = t.parent_mask & condition_mask(t.data, self.feature, self.values)
+        return _replace_rule(t.rules, t.mi, grown), grown, mask
+
+
+class _SeedTable:
+    """Scores the add-rule moves of one step, each a new rule appended to
+    the current rules, from the new rule's mask and its conditions' value
+    counts instead of from a ``Rule``.
+
+    The rule set a seed makes covers the current union and the seed's
+    mask, so its confusion is counted from ``union_mask | mask``.  Its prior
+    adds the same floats in the same order as ``_Scorer.posterior`` does for
+    the materialized rule set: the count prior of one more rule and the
+    current rules' terms, summed once per step, then the new rule's
+    ``prior_terms_from_counts``.  So a seed's score equals the materialized
+    rule set's exactly.
+    """
+
+    def __init__(self, current: Proposal, data: Dataset, hyper: Hyperparams) -> None:
+        rules = current.rules.rules
+        self.rules, self.union_mask = rules, current.union_mask
+        self.data, self.hyper = data, hyper
+        head = log_rule_count_prior(len(rules) + 1, hyper)
+        for rule in rules:
+            _, length_term, dm_term = current.rule_cache[rule]
+            head += length_term
+            head += dm_term
+        self.head_prior = head
+
+    def posterior(self, conditions: tuple[tuple[int, tuple[int, ...]], ...], mask: int) -> float:
+        hyper = self.hyper
+        length_term, dm_term = prior_terms_from_counts(
+            [(j, len(values)) for j, values in conditions], hyper
+        )
+        prior = self.head_prior + length_term
+        prior += dm_term
+        data = self.data
+        union = self.union_mask | mask
+        tp = (union & data.pos_mask).bit_count()
+        fp = union.bit_count() - tp
+        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
+
+
+class _Seed:
+    """An add-rule move: the current rules plus a new rule given as the
+    (feature, sorted values) pairs of its conditions in feature order, the
+    form ``Rule`` holds them in, and its rows.  ``_seed_moves`` admits each
+    rule once, so a seed compares and hashes by identity."""
+
+    __slots__ = ("table", "conditions", "mask")
+
+    def __init__(
+        self, table: _SeedTable, conditions: tuple[tuple[int, tuple[int, ...]], ...], mask: int
+    ) -> None:
+        self.table, self.conditions, self.mask = table, conditions, mask
+
+    def posterior(self) -> float:
+        return self.table.posterior(self.conditions, self.mask)
+
+    def materialize(self) -> tuple[tuple[Rule, ...], Rule, int]:
+        """The rule set the move makes, its new (last) rule and that rule's
+        rows."""
+        rule = Rule(tuple(Condition(j, values) for j, values in self.conditions))
+        return self.table.rules + (rule,), rule, self.mask
+
+
+Candidate = tuple[Rule, ...] | _Growth | _Seed
 
 
 class _Scorer:
-    """Scores candidates, rule tuples and add-condition moves; lives for
-    one step.
+    """Scores candidates, rule tuples and moves; lives for one step.
 
     A rule tuple is scored from per-rule cache entries seeded with the
     current rules' entries: the rule-count prior plus its rules' cached
     terms (added in ``log_prior``'s order, so the float is the one
     ``scoring.score`` returns) plus the likelihood of the union of their
-    masks.  A rule not seen this step costs a mask and a
-    ``rule_prior_terms`` call; ``known`` holds masks the edit builders
-    already computed, so its entry reuses them instead of calling
-    ``rule_mask``.  An add-condition move is scored by its growth table,
-    which gives the same float from counts.
+    masks.  A rule not seen this step costs a ``rule_mask`` and a
+    ``rule_prior_terms`` call.  A move, an add-condition ``_Growth`` or an
+    add-rule ``_Seed``, is scored by its table, which gives the same float
+    without building the move's new rule; a move that becomes a proposal
+    writes that rule's entry from the mask it holds.
     """
 
     def __init__(self, entries: dict[Rule, RuleEntry], data: Dataset, hyper: Hyperparams) -> None:
         self.entries = dict(entries)
-        self.known: dict[Rule, int] = {}
         self.data = data
         self.hyper = hyper
 
@@ -326,35 +404,29 @@ class _Scorer:
         for rule in rules:
             entry = entries.get(rule)
             if entry is None:
-                mask = self.known.get(rule)
-                if mask is None:
-                    mask = rule_mask(rule, self.data)
                 entry = entries[rule] = (
-                    mask, *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes)
+                    rule_mask(rule, self.data),
+                    *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes),
                 )
             union |= entry[0]
             prior += entry[1]
             prior += entry[2]
         return prior, union
 
-    def posterior(self, candidate: tuple[Rule, ...] | _Growth) -> float:
-        if candidate.__class__ is _Growth:
-            return candidate.table.posterior(candidate.feature, candidate.values)
+    def posterior(self, candidate: Candidate) -> float:
+        if candidate.__class__ is not tuple:
+            return candidate.posterior()
         prior, union = self._prior_and_union(candidate)
         data = self.data
         tp = (union & data.pos_mask).bit_count()
         fp = union.bit_count() - tp
         return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
 
-    def proposal(self, candidate: tuple[Rule, ...] | _Growth) -> Proposal:
+    def proposal(self, candidate: Candidate) -> Proposal:
         rules = candidate
-        if candidate.__class__ is _Growth:
-            table = candidate.table
-            rules = candidate.edit()
-            # the grown rule's rows: its parent's AND the new condition's
-            self.known[rules[table.mi]] = table.parent_mask & condition_mask(
-                self.data, candidate.feature, candidate.values
-            )
+        if candidate.__class__ is not tuple:
+            rules, rule, mask = candidate.materialize()
+            self.entries[rule] = (mask, *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes))
         prior, union = self._prior_and_union(rules)
         conf = confusion_from_mask(union, self.data)
         score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
@@ -365,9 +437,10 @@ class _Scorer:
 class Pick(NamedTuple):
     """The candidate ``propose`` chose through ``action``, with its
     posterior: the float ``scorer.posterior`` gives, equal to the
-    ``log_posterior`` of the proposal it materializes into."""
+    ``log_posterior`` of the proposal it materializes into.  A move
+    becomes a rule set, and its new rule a ``Rule``, only here."""
 
-    candidate: tuple[Rule, ...] | _Growth
+    candidate: Candidate
     action: str
     log_posterior: float
     scorer: _Scorer
@@ -386,19 +459,22 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _sample(getrandbits, n: int, k: int) -> list[int]:
-    """``Random.sample(range(n), k)`` for 0 <= k <= n: the same values in
-    the same order, from the same ``getrandbits`` calls.
+def _sample(getrandbits, population: Sequence, k: int) -> list:
+    """``Random.sample(population, k)`` for 0 <= k <= len(population): the
+    same elements in the same order, from the same ``getrandbits`` calls.
 
     Like the stdlib, a population no larger than ``setsize`` is drawn from
     a shrinking pool, a larger one by redrawing indices already taken.
     """
+    if not k:
+        return []
+    n = len(population)
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
     result = []
     if n <= setsize:
-        pool = list(range(n))
+        pool = list(population)
         for m in range(n, n - k, -1):
             # _below(getrandbits, m), inlined
             bits = m.bit_length()
@@ -416,7 +492,7 @@ def _sample(getrandbits, n: int, k: int) -> list[int]:
         while j >= n or j in selected:
             j = getrandbits(bits)
         selected.add(j)
-        result.append(j)
+        result.append(population[j])
     return result
 
 
@@ -430,11 +506,10 @@ def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
     for _ in range(1 + _below(bits, 3)):
         n_feats = 1 + _below(bits, min(3, len(eligible)))
         conds = []
-        for f in _sample(bits, len(eligible), n_feats):
-            j = eligible[f]
+        for j in _sample(bits, eligible, n_feats):
             vocab = data.vocab_sizes[j]
             size = 1 + _below(bits, vocab - 1)
-            conds.append(Condition(j, tuple(_sample(bits, vocab, size))))
+            conds.append(Condition(j, tuple(_sample(bits, range(vocab), size))))
         rules.append(Rule(tuple(conds)))
     return normalize(RuleSet(tuple(rules)), data.vocab_sizes)
 
@@ -548,49 +623,58 @@ def _edits_remove_condition(rules) -> list[tuple[Rule, ...]]:
     return edits
 
 
-def _edits_add_rule(
-    rules,
+def _seed_moves(
+    current: Proposal,
     data: Dataset,
+    hyper: Hyperparams,
     xrow,
     rng: random.Random,
     budget: int,
     bounds: BoundState,
-    known: dict[Rule, int],
-) -> list[tuple[Rule, ...]]:
-    """Up to ``budget`` new rules seeded from the example; the mask of each
-    admitted rule is recorded in ``known``."""
+) -> list[_Seed]:
+    """Up to ``budget`` new rules seeded from the example, as moves: each
+    condition holds the example's value and a sample of the spare ones.
+    A seed equal to an earlier seed or a current rule is skipped, and one
+    covering fewer rows than the support floor is not admitted; the
+    rule-count cap gates the action entirely."""
+    rules = current.rules.rules
     if bounds.m_cap is not None and len(rules) >= bounds.m_cap:
         return []
-    eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
+    vocab_sizes = data.vocab_sizes
+    eligible = [j for j, v in enumerate(vocab_sizes) if v >= 2]
     if not eligible:
         return []
-    existing = set(rules)
-    edits: list[tuple[Rule, ...]] = []
-    seen: set[Rule] = set()
+    table = _SeedTable(current, data, hyper)
+    # a seed is keyed by its conditions' (feature, values) pairs, as Rule holds them
+    seen = {tuple((c.feature_id, c.values) for c in rule.conditions) for rule in rules}
+    seeds: list[_Seed] = []
+    # per feature, the example's value and the vocabulary's other values
+    wants = [int(v) for v in xrow]
+    spares = {j: [*range(wants[j]), *range(wants[j] + 1, vocab_sizes[j])] for j in eligible}
     max_feats = min(3, len(eligible))
     bits = rng.getrandbits
     attempts = 0
-    while len(edits) < budget and attempts < 3 * budget:
+    while len(seeds) < budget and attempts < 3 * budget:
         attempts += 1
         conds = []
-        for f in _sample(bits, len(eligible), 1 + _below(bits, max_feats)):
-            j = eligible[f]
-            vocab = data.vocab_sizes[j]
-            want = int(xrow[j])
-            # the example's value, and a sample of the vocab - 1 spare ones:
-            # spare value v of range(vocab - 1) is v, or v + 1 from want on
-            extra = _sample(bits, vocab - 1, _below(bits, vocab - 1))
-            conds.append(Condition(j, (want, *[v + (v >= want) for v in extra])))
-        cand = Rule(tuple(conds))
-        if cand in seen or cand in existing:
+        for j in _sample(bits, eligible, 1 + _below(bits, max_feats)):
+            # the example's value, and a sample of the spare ones
+            values = _sample(bits, spares[j], _below(bits, vocab_sizes[j] - 1))
+            values.append(wants[j])
+            values.sort()
+            conds.append((j, tuple(values)))
+        conds.sort()  # by feature: the features are distinct
+        key = tuple(conds)
+        if key in seen:
             continue
-        seen.add(cand)
-        mask = rule_mask(cand, data)
+        seen.add(key)
+        mask = data.full_mask
+        for j, values in key:
+            mask &= condition_mask(data, j, values)
         if mask.bit_count() < bounds.min_support:
             continue
-        known[cand] = mask
-        edits.append(rules + (cand,))
-    return edits
+        seeds.append(_Seed(table, key, mask))
+    return seeds
 
 
 def _growth_moves(
@@ -619,8 +703,8 @@ def _growth_moves(
         for j, vocab, without in table.free:
             variants = (
                 without[xrow[j]],
-                tuple(sorted(_sample(bits, vocab, 1 + _below(bits, vocab - 1)))),
-                tuple(sorted(_sample(bits, vocab, 1 + _below(bits, vocab - 1)))),
+                tuple(sorted(_sample(bits, range(vocab), 1 + _below(bits, vocab - 1)))),
+                tuple(sorted(_sample(bits, range(vocab), 1 + _below(bits, vocab - 1)))),
             )
             for vals in variants:
                 edit = collisions.get((j, vals)) if collisions else None
@@ -674,9 +758,7 @@ def propose(
         elif action == "remove_condition":
             edits = _edits_remove_condition(rules)
         elif action == "add_rule":
-            edits = _edits_add_rule(
-                rules, data, xrow, rng, cfg.neighbor_budget, state.bounds, scorer.known
-            )
+            edits = _seed_moves(current, data, hyper, xrow, rng, cfg.neighbor_budget, state.bounds)
         elif action == "add_condition":
             edits = _growth_moves(current, data, hyper, idx, xrow, rng)
         else:
@@ -684,11 +766,11 @@ def propose(
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
-            edits = [edits[i] for i in _sample(rng.getrandbits, len(edits), cfg.neighbor_budget)]
+            edits = _sample(rng.getrandbits, edits, cfg.neighbor_budget)
         # edits are normalized, so equal tuples are the equal rule sets; equal
-        # moves are the equal rule sets, and no move equals a rule tuple.  No
-        # edit is the current rule set: each changes the rule count or puts
-        # in a rule the set does not hold.
+        # growths are the equal rule sets, seeds come deduplicated, and no
+        # move equals a rule tuple.  No edit is the current rule set: each
+        # changes the rule count or puts in a rule the set does not hold.
         candidates = list(dict.fromkeys(edits))
         if rng.random() < cfg.explore_prob:
             chosen = rng.choice(candidates)

@@ -421,6 +421,49 @@ def test_train_checks_output_paths_before_searching(trained, tmp_path, monkeypat
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["train", "{csv}", "--label", "y", "--out", "{new}", "--runlog", "{new}"],
+         "as --runlog: it is also --out"),
+        (["train", "{csv}", "--label", "y", "--out", "{csv}"], "the training CSV"),
+        (["train", "{csv}", "--label", "y", "--out", "{new}", "--runlog", "{csv_alias}"],
+         "the training CSV"),
+        (["train", "{csv}", "--label", "y", "--hyper-config", "{hyper}", "--out", "{hyper}"],
+         "--hyper-config"),
+        (["predict", "{model}", "{csv}", "--out", "{csv}"], "the input CSV"),
+        (["predict", "{model}", "{csv}", "--out", "{model}"], "the model"),
+        (["gen", "--rows", "20", "--out", "{new}", "--truth", "{new}"],
+         "as --truth: it is also --out"),
+        (["sweep", "--rows", "50", "--replicates", "1", "--grid", "1,100", "--iters", "5",
+          "--hyper-config", "{hyper}", "--out", "{hyper}"], "--hyper-config"),
+    ],
+    ids=["train-runlog-is-out", "train-out-is-csv", "train-runlog-is-csv-by-another-path",
+         "train-out-is-hyper-config", "predict-out-is-csv", "predict-out-is-model",
+         "gen-truth-is-out", "sweep-out-is-hyper-config"],
+)
+def test_output_that_is_an_input_or_another_output_is_an_error(trained, tmp_path, capsys,
+                                                               argv, fragment):
+    tmp, model = trained
+    (tmp_path / "sub").mkdir()
+    paths = {
+        "csv": tmp_path / "train.csv",
+        "csv_alias": tmp_path / "sub" / ".." / "train.csv",
+        "model": tmp_path / "model.json",
+        "hyper": tmp_path / "hyper.txt",
+        "new": tmp_path / "new.out",
+    }
+    paths["csv"].write_bytes((tmp / "train.csv").read_bytes())
+    paths["model"].write_bytes(model.read_bytes())
+    paths["hyper"].write_text("alpha_m = 1\n")
+    before = {name: paths[name].read_bytes() for name in ("csv", "model", "hyper")}
+    assert cli.main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and fragment in err
+    assert {name: paths[name].read_bytes() for name in before} == before
+    assert not paths["new"].exists()
+
+
 def test_train_and_gen_outputs_do_not_depend_on_hash_seed(trained, tmp_path):
     """Runlog, model and generated data are byte-identical whatever the
     PYTHONHASHSEED; the training CSV has a categorical column."""

@@ -43,7 +43,7 @@ def test_model_file_with_a_byte_order_mark_loads(saved):
     assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
 
 
-@pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 0, "1"])
+@pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 0, "1", True, 1.0])
 def test_wrong_format_version_rejected(saved, version):
     path = saved[0]
     doc = json.loads(path.read_text())

@@ -79,7 +79,10 @@ def test_draw_helpers_make_the_stdlib_draws(seed, n_k):
 
     n, k = n_k
     rng, ref = random.Random(seed), random.Random(seed)
-    assert _sample(rng.getrandbits, n, k) == ref.sample(range(n), k)
+    assert _sample(rng.getrandbits, range(n), k) == ref.sample(range(n), k)
+    assert rng.getstate() == ref.getstate()
+    letters = [f"v{v}" for v in range(n)]
+    assert _sample(rng.getrandbits, letters, k) == ref.sample(letters, k)
     assert rng.getstate() == ref.getstate()
     assert _below(rng.getrandbits, n) == ref.randint(0, n - 1)
     assert rng.getstate() == ref.getstate()
@@ -261,15 +264,16 @@ def test_add_rule_candidates_respect_support_floor():
     state = init_state(data, h, small_cfg(random_seed=2))
     # tighten the floor artificially, then ask for add-rule edits
     from dataclasses import replace
-    from mars.search import _edits_add_rule
+    from mars.search import _seed_moves
 
     state.bounds = replace(state.bounds, min_support=3)
     ex = _find_example(state, data, want_positive=True)
-    edits = _edits_add_rule(
-        state.current.rules.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
-    )
-    for edit in edits:
-        assert rule_mask(edit[-1], data).bit_count() >= 3
+    seeds = _seed_moves(state.current, data, h, data.rows[ex[0]], state.rng, 64, state.bounds)
+    assert seeds
+    for seed in seeds:
+        _, rule, mask = seed.materialize()
+        assert mask == rule_mask(rule, data)
+        assert mask.bit_count() >= 3
 
 
 def test_add_rule_blocked_by_rule_count_cap():
@@ -277,13 +281,11 @@ def test_add_rule_blocked_by_rule_count_cap():
     h = hypers(data)
     state = init_state(data, h, small_cfg(random_seed=2))
     from dataclasses import replace
-    from mars.search import _edits_add_rule
+    from mars.search import _seed_moves
 
     state.bounds = replace(state.bounds, m_cap=len(state.current.rules.rules))
     ex = _find_example(state, data, want_positive=True)
-    assert _edits_add_rule(
-        state.current.rules.rules, data, data.rows[ex[0]], state.rng, 64, state.bounds, {}
-    ) == []
+    assert _seed_moves(state.current, data, h, data.rows[ex[0]], state.rng, 64, state.bounds) == []
 
 
 def test_exploit_mode_returns_posterior_argmax():
@@ -495,10 +497,9 @@ def raw_remove_condition(rules):
 
 
 def materialized(move):
-    """The rule set an add-condition move makes (a collision already is one)."""
-    from mars.search import _Growth
-
-    return move.edit() if isinstance(move, _Growth) else move
+    """The rule set a move makes (a rule tuple, such as a collision, already
+    is one)."""
+    return move.materialize()[0] if hasattr(move, "materialize") else move
 
 
 def raw_add_condition(rules, data, idx, xrow, rng):
@@ -569,12 +570,12 @@ def test_edits_equal_normalized_raw_edits(draw):
     from mars.bounds import initial_bounds
     from mars.model import normalize
     from mars.search import (
-        _edits_add_rule,
         _edits_add_value,
         _edits_remove_condition,
         _edits_remove_rule,
         _growth_moves,
         _Scorer,
+        _seed_moves,
     )
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
@@ -610,10 +611,10 @@ def test_edits_equal_normalized_raw_edits(draw):
         assert [materialized(move) for move in moves] == normalized(
             raw_add_condition(rules, data, idx, xrow, random.Random(seed))
         )
-        known = {}
-        got = check(_edits_add_rule(rules, data, xrow, random.Random(seed), 8, bounds, known))
-        assert got == normalized(raw_add_rule(rules, data, xrow, random.Random(seed), 8, 1))
-        assert all(mask == rule_mask(rule, data) for rule, mask in known.items())
+        seeds = check(_seed_moves(prop, data, h, xrow, random.Random(seed), 8, bounds))
+        assert [materialized(s) for s in seeds] == normalized(
+            raw_add_rule(rules, data, xrow, random.Random(seed), 8, 1)
+        )
 
 
 @settings(max_examples=150, deadline=None)
@@ -667,12 +668,87 @@ def test_growth_table_scores_equal_full_rescore(draw):
                         assert table.collisions[j, vals] == expected
                         continue
                     move = _Growth(table, j, vals)
-                    assert move.edit() == expected and len(expected) == len(rules)
+                    made, made_rule, made_mask = move.materialize()
+                    assert made == expected and len(expected) == len(rules)
+                    assert made_rule == grown and made_mask == rule_mask(grown, data)
                     full = score(RuleSet(expected), data, h)
                     assert scorer.posterior(move) == full.log_posterior  # floats compared exactly
                     chosen = scorer.proposal(move)
                     assert chosen.score == full
                     assert chosen.rule_cache[grown][0] == rule_mask(grown, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_seed_scores_equal_full_rescore(draw):
+    from dataclasses import replace
+
+    from mars.bounds import initial_bounds
+    from mars.search import _Scorer, _seed_moves
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    # a spare pool past 21 values reaches random.sample's set path when at
+    # most five values are drawn from it; smaller pools use the shrinking pool
+    vocab_sizes = draw.draw(
+        st.lists(st.integers(2, 3) | st.integers(22, 31), min_size=1, max_size=4)
+    )
+    n_rows = draw.draw(st.integers(1, 40))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
+    data = make_dataset(vocab_sizes, rows, [rng.random() < 0.5 for _ in range(n_rows)])
+    # unequal theta, so the DM items' order of addition shows in the floats
+    h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
+               alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
+    rules = near_duplicate_ruleset(rng, vocab_sizes)
+    prop = _Scorer({}, data, h).proposal(rules)
+    bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
+    for xrow in data.rows[:4]:
+        scorer = _Scorer(prop.rule_cache, data, h)
+        for seed in _seed_moves(prop, data, h, xrow, rng, 16, bounds):
+            made, rule, mask = seed.materialize()
+            assert made == rules + (rule,)
+            assert mask == rule_mask(rule, data)
+            assert all(xrow[c.feature_id] in c.values for c in rule.conditions)
+            full = score(RuleSet(made), data, h)
+            assert scorer.posterior(seed) == full.log_posterior  # floats compared exactly
+            chosen = scorer.proposal(seed)
+            assert chosen.score == full
+            assert chosen.rule_cache[rule][0] == mask
+
+
+def test_add_rule_proposals_build_no_rule(monkeypatch):
+    """Seeds are scored as moves: only the pick, when the step keeps it,
+    becomes a Rule."""
+    import mars.search as search
+
+    built = []
+    picks = []
+
+    def counting(cls):
+        def make(*args, **kwargs):
+            built.append(cls)
+            return cls(*args, **kwargs)
+        return make
+
+    def recording(*args, **kwargs):
+        built.clear()
+        pick = propose(*args, **kwargs)
+        if pick is not None and pick.action == "add_rule":
+            # the builders tried before add_rule had no neighbor, so built none
+            picks.append(list(built))
+        return pick
+
+    monkeypatch.setattr(search, "Rule", counting(Rule))
+    monkeypatch.setattr(search, "Condition", counting(Condition))
+    monkeypatch.setattr(search, "propose", recording)
+    for seed in range(10):
+        data = tiny_instance(seed)
+        h = hypers(data)
+        cfg = small_cfg(n_iter=100, random_seed=seed)
+        state = init_state(data, h, cfg)
+        for _ in range(cfg.n_iter):
+            anneal_step(state, data, h, cfg)
+    assert picks
+    assert all(not made for made in picks)
 
 
 def test_growth_moves_hand_a_collision_over_as_its_rule_set():
