@@ -158,7 +158,8 @@ def cmd_predict(args) -> int:
     _check_writable({"--out": args.out}, {"the model": args.model, "the input CSV": args.csv})
     model = load_model(args.model)
     table = RawTable.from_csv(args.csv)
-    hit = first_covering_rule(model.rules, encode_with_specs(table, model.features))
+    rows = encode_with_specs(table, model.features, model.rules.feature_ids)
+    hit = first_covering_rule(model.rules, rows)
     preds = zip((hit >= 0).astype(int).tolist(), hit.tolist())
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
     try:
@@ -175,7 +176,7 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     label = args.label or model.label_name
     table = RawTable.from_csv(args.csv, label_column=label)
-    rows = encode_with_specs(table, model.features)
+    rows = encode_with_specs(table, model.features, model.rules.feature_ids)
     labels = parse_labels(table.columns()[label], label)
     if labels.size == 0:
         raise DataFormatError(f"{args.csv}: no data rows")
@@ -256,7 +257,8 @@ def cmd_sweep(args) -> int:
     for (bm, bl), stats in sorted(synth.cell_means(records).items()):
         print(
             f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} "
-            f"values={stats['n_conditions']:.1f} features={stats['n_features']:.1f}"
+            f"rules={stats['n_rules']:.1f} conditions={stats['n_conditions']:.1f} "
+            f"values={stats['n_values']:.1f} features={stats['n_features']:.1f}"
         )
     return 0
 

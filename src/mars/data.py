@@ -10,7 +10,9 @@ and in a categorical column a cell spelled ``⟨missing⟩`` itself.
 Training and prediction share one parser per kind of cell: ``parse_numbers``
 decides that a training column is numeric and encodes numeric columns;
 ``FeatureSpec.encode_column`` gives training and prediction codes alike;
-``parse_labels`` reads every label column.
+``parse_labels`` reads every label column.  Prediction encodes only the
+columns a rule set reads (``encode_with_specs``): other columns hold -1, and
+an unread numeric column is still parsed, so a bad cell fails as before.
 """
 
 from __future__ import annotations
@@ -186,7 +188,7 @@ class RawTable:
                         raise DataFormatError(
                             f"{path}: row {lineno}: expected {len(names)} cells, got {len(cells)}"
                         )
-                    rows.append(tuple(c.strip() for c in cells))
+                    rows.append(tuple(map(str.strip, cells)))
         except OSError as exc:
             raise DataFormatError(f"cannot read {path}: {exc}") from exc
         except UnicodeDecodeError:
@@ -364,11 +366,20 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
     return edges
 
 
-def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.ndarray:
+def encode_with_specs(
+    table: RawTable, features: Sequence[FeatureSpec], used: Collection[int]
+) -> np.ndarray:
     """Encode a raw table against existing feature specs, matching by name.
 
     Returns an (N, n_features) int32 matrix of value indices, one column per
-    spec, from ``FeatureSpec.encode_column``.  Cell rules:
+    spec.  Only the features whose ids (their positions in ``features``) are
+    in ``used`` are encoded, by ``FeatureSpec.encode_column``: pass a rule
+    set's ``feature_ids``, or ``range(len(features))`` for every column.
+    Every other column holds -1.  The input is checked as if every column
+    were encoded: each model feature must be present, and each numeric
+    column, read or not, goes through ``parse_numbers`` in feature order, so
+    the same first bad cell raises.  An unread categorical column is not
+    looked at: no cell there can fail.  Cell rules:
 
     - a numeric cell, read by ``parse_numbers``, falls in the interval
       [lo, hi) that holds it; values outside the training range clamp into
@@ -387,8 +398,11 @@ def encode_with_specs(table: RawTable, features: Sequence[FeatureSpec]) -> np.nd
         raise FeatureMismatchError(
             "input is missing model feature column(s): " + ", ".join(sorted(missing))
         )
-    rows = np.empty((len(table.rows), len(features)), dtype=np.int32)
+    rows = np.full((len(table.rows), len(features)), -1, dtype=np.int32)
     columns = table.columns()
     for k, f in enumerate(features):
-        rows[:, k] = f.encode_column(columns[f.name])
+        if k in used:
+            rows[:, k] = f.encode_column(columns[f.name])
+        elif f.kind == "numeric":
+            parse_numbers(columns[f.name], f.name)
     return rows

@@ -28,6 +28,9 @@ log = logging.getLogger(__name__)
 
 LABEL_COLUMN = "label"
 
+# the model-size fields of a SweepRecord, as its CSV columns name them
+_SIZES = ("n_rules", "n_conditions", "n_values", "n_features")
+
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -147,7 +150,9 @@ class SweepRecord:
     beta_l: float
     replicate: int
     holdout_error: float
+    n_rules: int
     n_conditions: int
+    n_values: int
     n_features: int
     wall_time_s: float
     rules: RuleSet = field(default_factory=RuleSet, repr=False)
@@ -180,7 +185,7 @@ def _run_cell(args) -> SweepRecord:
     rules, _, _ = run(train, hyper, job_cfg)
 
     test = _subset(table, test_idx)
-    test_rows = encode_with_specs(test, train.features)
+    test_rows = encode_with_specs(test, train.features, rules.feature_ids)
     test_labels = parse_labels(test.columns()[LABEL_COLUMN], LABEL_COLUMN)
     holdout = error_rate(rules, test_rows, test_labels)
     return SweepRecord(
@@ -188,7 +193,9 @@ def _run_cell(args) -> SweepRecord:
         beta_l=beta_l,
         replicate=replicate,
         holdout_error=holdout,
-        n_conditions=rules.n_values,
+        n_rules=rules.n_rules,
+        n_conditions=rules.n_conditions,
+        n_values=rules.n_values,
         n_features=rules.n_features,
         wall_time_s=time.perf_counter() - t_start,
         rules=rules,
@@ -206,12 +213,12 @@ def sweep(
     """All (beta_M, beta_L) cells x replicates; one trained model each.
 
     Replicate r reuses one generated dataset across every cell so cells
-    are comparable.  The reported ``n_conditions`` is the total value
-    count of the model (the sum of |V| over all conditions).  Before any
-    search runs, a row count that leaves the train or holdout split empty
-    raises ValueError, and a train split holding a single class raises
-    DegenerateLabelError.  At most ``jobs`` worker processes run, and none
-    when there is one cell.
+    are comparable.  Each record gives the model's size as ``RuleSet``
+    counts it: ``n_rules``, ``n_conditions``, ``n_values`` (the sum of |V|
+    over all conditions) and ``n_features``.  Before any search runs, a row
+    count that leaves the train or holdout split empty raises ValueError,
+    and a train split holding a single class raises DegenerateLabelError.
+    At most ``jobs`` worker processes run, and none when there is one cell.
     """
     n_train = grid.train_size(spec.n_rows)
     tasks = []
@@ -248,8 +255,7 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
     return {
         key: {
             "holdout_error": float(np.mean([r.holdout_error for r in rs])),
-            "n_conditions": float(np.mean([r.n_conditions for r in rs])),
-            "n_features": float(np.mean([r.n_features for r in rs])),
+            **{size: float(np.mean([getattr(r, size) for r in rs])) for size in _SIZES},
         }
         for key, rs in cells.items()
     }
@@ -258,14 +264,11 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
 def write_metrics_csv(path, records: list[SweepRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["beta_M", "beta_L", "replicate", "holdout_error", "n_conditions",
-             "n_features", "wall_time_s"]
-        )
+        writer.writerow(["beta_M", "beta_L", "replicate", "holdout_error", *_SIZES, "wall_time_s"])
         for r in records:
             writer.writerow(
                 [r.beta_m, r.beta_l, r.replicate, f"{r.holdout_error:.6f}",
-                 r.n_conditions, r.n_features, f"{r.wall_time_s:.3f}"]
+                 *(getattr(r, size) for size in _SIZES), f"{r.wall_time_s:.3f}"]
             )
 
 

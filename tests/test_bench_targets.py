@@ -1,8 +1,12 @@
 """The benchmark's tracer interposes on program names: they must exist."""
 
+import contextlib
 import importlib
 import importlib.util
+import io
 from pathlib import Path
+
+import pytest
 
 from mars.data import RawTable
 
@@ -43,3 +47,33 @@ def test_search_calls_the_traced_bitset_and_mask_names(monkeypatch):
     data = discretize(table)
     search.run(data, Hyperparams.defaults(data.n_features), search.SearchConfig(n_iter=300))
     assert all(calls.values()), calls
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_predict_and_evaluate_call_the_traced_encode_name_once(monkeypatch, tmp_path, command):
+    """The tracer times ``data.encode`` by rebinding ``mars.cli.encode_with_specs``:
+    a command that bound it locally would leave ``data.encode_s`` reading 0."""
+    from mars import cli
+    from mars.data import FeatureSpec
+    from mars.model import Rule, RuleSet
+    from mars.model_io import save_model
+    from mars.scoring import Hyperparams
+
+    model = tmp_path / "model.json"
+    features = [FeatureSpec(0, "c", "categorical", categories=("a", "b")),
+                FeatureSpec(1, "x", "numeric", intervals=((0.0, 1.0), (1.0, 2.0)))]
+    save_model(model, features, RuleSet((Rule.of({0: [0]}),)), Hyperparams.defaults(2), "y", {})
+    holdout = tmp_path / "holdout.csv"
+    holdout.write_text("c,x,y\na,0.5,1\nb,1.5,0\n")
+
+    calls = []
+
+    def counted(*args, _orig=cli.encode_with_specs):
+        calls.append(args)
+        return _orig(*args)
+
+    monkeypatch.setattr(cli, "encode_with_specs", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([command, str(model), str(holdout)]) == 0
+    assert len(calls) == 1
+    assert calls[0][2] == {0}  # the one feature the rule reads

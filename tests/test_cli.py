@@ -18,9 +18,9 @@ import pytest
 
 import mars
 from mars import cli
-from mars.data import MISSING, RawTable, encode_with_specs
-from mars.model import rule_covers
-from mars.model_io import load_model
+from mars.data import MISSING, FeatureSpec, RawTable, encode_with_specs
+from mars.model import Rule, RuleSet, first_covering_rule, rule_covers
+from mars.model_io import load_model, save_model
 from mars.scoring import Hyperparams
 
 SRC = str(Path(mars.__file__).resolve().parents[1])
@@ -97,7 +97,7 @@ def test_predict_matches_rule_covers_on_unseen_and_blank_cells(trained, tmp_path
     got = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
 
     m = load_model(model)
-    rows = encode_with_specs(RawTable.from_csv(holdout), m.features)
+    rows = encode_with_specs(RawTable.from_csv(holdout), m.features, range(len(m.features)))
     expected = []
     for row in rows:
         hit = next((k for k, r in enumerate(m.rules.rules) if rule_covers(r, row)), -1)
@@ -511,3 +511,60 @@ def test_non_finite_cell_in_numeric_training_column_exits_2(tmp_path, cell):
     assert_clean_error(run_mars("train", train, "--label", "label", "--out", out), 2,
                        "column 'x'", f"non-finite value {cell!r}")
     assert not out.exists()
+
+
+@pytest.fixture
+def reads_only_c(tmp_path):
+    """A model over x, c, k and noise whose one rule reads c alone: c in {a, b}."""
+    features = [
+        FeatureSpec(0, "x", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
+        FeatureSpec(1, "c", "categorical", categories=("a", "b", "c", MISSING)),
+        FeatureSpec(2, "k", "categorical", categories=("p", "q")),
+        FeatureSpec(3, "noise", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
+    ]
+    model = tmp_path / "reads_c.json"
+    rules = RuleSet((Rule.of({1: [0, 1]}),))
+    save_model(model, features, rules, Hyperparams.defaults(4), "y", {})
+    return model
+
+
+def unread_rows():
+    return [["0.1", "a", "p", "0.5", 1], ["7", "c", "q", "-3", 0], ["", "b", "p", "?", 1],
+            ["0.6", "zz", "q", "0.2", 0], ["0.2", "", "p", "nan", 0]]
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_unread_numeric_column_is_still_checked(reads_only_c, tmp_path, capsys, command):
+    rows = unread_rows()
+    rows[3][3] = "abc"
+    bad = write_csv(tmp_path / "bad.csv", ["x", "c", "k", "noise", "y"], rows)
+    assert cli.main([command, str(reads_only_c), str(bad)]) == 2
+    assert capsys.readouterr().err == "error: column 'noise': non-numeric value 'abc'\n"
+
+    short = write_csv(tmp_path / "short.csv", ["x", "c", "k", "y"],
+                      [row[:3] + row[4:] for row in unread_rows()])
+    assert cli.main([command, str(reads_only_c), str(short)]) == 4
+    assert capsys.readouterr().err == (
+        "error: input is missing model feature column(s): noise\n")
+
+
+@pytest.mark.parametrize("command", ["predict", "evaluate"])
+def test_text_in_an_unread_categorical_column_changes_no_prediction(reads_only_c, tmp_path,
+                                                                    capsys, command):
+    header = ["x", "c", "k", "noise", "y"]
+    plain = write_csv(tmp_path / "plain.csv", header, unread_rows())
+    odd_texts = ["never seen", "", MISSING, "ünï, \"quoted\"", "1e400"]
+    odd = write_csv(tmp_path / "odd.csv", header,
+                    [row[:2] + [text] + row[3:] for row, text in zip(unread_rows(), odd_texts)])
+    assert cli.main([command, str(reads_only_c), str(plain)]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main([command, str(reads_only_c), str(odd)]) == 0
+    assert capsys.readouterr().out == expected
+
+    m = load_model(reads_only_c)
+    hit = first_covering_rule(m.rules, encode_with_specs(RawTable.from_csv(odd), m.features,
+                                                         range(len(m.features))))
+    assert hit.tolist() == [0, -1, 0, -1, -1]
+    if command == "predict":
+        assert expected.splitlines() == ["prediction,rule_index", "1,0", "0,-1", "1,0", "0,-1",
+                                         "0,-1"]

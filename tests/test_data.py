@@ -16,6 +16,7 @@ from mars.data import (
     encode_with_specs,
 )
 from mars.errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
+from mars.model import Rule, RuleSet, first_covering_rule
 
 from oracles import make_dataset
 
@@ -163,7 +164,7 @@ def test_numeric_cell_encoding(cell, code):
     # the same cell in a column of numbers and in a column with blanks
     for others, codes in (([0.1, 0.9], [0, 3]), (["", 0.9], [-1, 3])):
         table = RawTable(names=("x",), rows=[(c,) for c in [*others, cell]])
-        assert list(encode_with_specs(table, [spec])[:, 0]) == [*codes, code]
+        assert list(encode_with_specs(table, [spec], [0])[:, 0]) == [*codes, code]
 
 
 def test_non_numeric_cell_in_numeric_column_names_the_column():
@@ -171,11 +172,12 @@ def test_non_numeric_cell_in_numeric_column_names_the_column():
     spec = discretize(table_of(["f03", "y"], rows), n_bins=4).features[0]
     table = RawTable(names=("f03",), rows=[("0.5",), ("",), ("abc",)])
     with pytest.raises(DataFormatError, match="f03.*abc"):
-        encode_with_specs(table, [spec])
+        encode_with_specs(table, [spec], [0])
     # a bool is not a number, as in training, with or without a blank cell
     for cells in ([0.5, True], [0.5, "", np.False_]):
+        table = RawTable(names=("f03",), rows=[(c,) for c in cells])
         with pytest.raises(DataFormatError, match="f03.*(True|False)"):
-            encode_with_specs(RawTable(names=("f03",), rows=[(c,) for c in cells]), [spec])
+            encode_with_specs(table, [spec], [0])
 
 
 @pytest.mark.parametrize("with_missing", [True, False])
@@ -186,7 +188,7 @@ def test_blank_and_unseen_categoricals_encode_column_wise(with_missing):
     cells = ["TX", "NV", "", "?", None, "CA", " CA", MISSING]
     table = RawTable(names=("state",), rows=[(c,) for c in cells])
     expected = [1, default, default, default, default, 0, default, default]
-    assert list(encode_with_specs(table, [spec])[:, 0]) == expected
+    assert list(encode_with_specs(table, [spec], [0])[:, 0]) == expected
     assert [spec.encode_column([c])[0] for c in cells] == expected
 
 
@@ -200,7 +202,8 @@ def test_training_codes_equal_encoding_the_training_table():
     table = table_of(["num", "digits", "cat", "y"], rows)
     for scheme in ("width", "frequency"):
         data = discretize(table, n_bins=6, scheme=scheme)
-        assert np.array_equal(encode_with_specs(table, data.features), data.rows)
+        encoded = encode_with_specs(table, data.features, range(data.n_features))
+        assert np.array_equal(encoded, data.rows)
 
 
 def test_unseen_categorical_maps_to_missing_entry():
@@ -221,14 +224,14 @@ def test_encode_with_specs_reports_missing_columns():
     data = discretize(table_of(["state", "x", "y"], rows), n_bins=4)
     new = RawTable(names=("state",), rows=[("CA",)])
     with pytest.raises(FeatureMismatchError, match="x"):
-        encode_with_specs(new, data.features)
+        encode_with_specs(new, data.features, range(data.n_features))
 
 
 def test_encode_with_specs_on_a_table_without_rows():
     rows = [["CA", 0.2, 1], ["TX", 0.8, 0]]
     data = discretize(table_of(["state", "x", "y"], rows), n_bins=4)
     empty = RawTable(names=("x", "state"), rows=[])
-    encoded = encode_with_specs(empty, data.features)
+    encoded = encode_with_specs(empty, data.features, range(data.n_features))
     assert encoded.shape == (0, 2) and encoded.dtype == np.int32
 
 
@@ -446,3 +449,76 @@ def test_condition_mask_equals_or_of_value_masks(draw):
     for v in values:
         plain |= data.value_masks[j][v]
     assert condition_mask(data, j, tuple(values)) == plain
+
+
+numeric_cells = st.one_of(
+    st.floats(-10, 10).map(repr), st.integers(-9, 9).map(str),
+    st.sampled_from(["", " ", "?", " ? ", "nan", "inf", "-1e400", " 2.5 ", None, 0.5]),
+)
+category_cells = st.sampled_from(["a", "b", "c", " a", "zz", "", "?", MISSING, None, 0])
+bad_numeric_cells = st.sampled_from(["abc", MISSING, "True", "1e", True, np.False_])
+
+
+@st.composite
+def encode_cases(draw):
+    """Numeric and categorical specs, a rule set over them (maybe empty),
+    and a table of their columns in any order, maybe lacking one, with
+    blanks, ``?``, the missing marker, unseen categories, out-of-range
+    numbers and nan, and maybe bad cells in numeric columns, read or not."""
+    specs = []
+    for j in range(draw(st.integers(1, 4))):
+        if draw(st.booleans()):
+            edges = sorted(draw(st.sets(st.integers(-5, 5), min_size=2, max_size=5)))
+            intervals = tuple((float(lo), float(hi)) for lo, hi in zip(edges, edges[1:]))
+            specs.append(FeatureSpec(j, f"f{j}", "numeric", intervals=intervals))
+        else:
+            vocab = sorted(draw(st.sets(st.sampled_from("abcd"), min_size=1, max_size=3)))
+            vocab += [MISSING] * draw(st.booleans())
+            specs.append(FeatureSpec(j, f"f{j}", "categorical", categories=tuple(vocab)))
+    rules = RuleSet(tuple(
+        Rule.of({
+            j: draw(st.sets(st.integers(0, specs[j].vocab_size - 1), min_size=1))
+            for j in draw(st.sets(st.integers(0, len(specs) - 1), min_size=1))
+        })
+        for _ in range(draw(st.integers(0, 3)))
+    ))
+    n_rows = draw(st.integers(1, 6))
+    columns = {
+        f.name: draw(st.lists(numeric_cells if f.kind == "numeric" else category_cells,
+                              min_size=n_rows, max_size=n_rows))
+        for f in specs
+    }
+    numeric = [f.name for f in specs if f.kind == "numeric"]
+    if numeric:
+        for _ in range(draw(st.integers(0, 2))):
+            row = draw(st.integers(0, n_rows - 1))
+            columns[draw(st.sampled_from(numeric))][row] = draw(bad_numeric_cells)
+    names = draw(st.permutations(list(columns)))
+    if draw(st.integers(0, 9)) == 7:
+        names = names[1:]  # a model column the table lacks
+    table = RawTable(names=tuple(names), rows=list(zip(*(columns[n] for n in names))))
+    return specs, rules, table
+
+
+def encoded(table, specs, used):
+    try:
+        return encode_with_specs(table, specs, used)
+    except Exception as exc:  # the comparison covers the exception raised
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(encode_cases())
+def test_encoding_the_read_columns_predicts_as_encoding_all(case):
+    """Encoding only the columns the rules read gives every row the same
+    covering rule as encoding them all, and fails with the same error."""
+    specs, rules, table = case
+    part = encoded(table, specs, rules.feature_ids)
+    full = encoded(table, specs, range(len(specs)))
+    if isinstance(part, tuple) or isinstance(full, tuple):
+        assert isinstance(part, tuple) and isinstance(full, tuple) and part == full
+        return
+    assert first_covering_rule(rules, part).tolist() == first_covering_rule(rules, full).tolist()
+    read = sorted(rules.feature_ids)
+    assert np.array_equal(part[:, read], full[:, read])
+    assert (np.delete(part, read, axis=1) == -1).all()

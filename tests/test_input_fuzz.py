@@ -1,0 +1,162 @@
+"""Standing input fuzzer: whatever a user feeds ``mars predict`` and
+``mars evaluate``, the command returns 0 or the exit code of an
+``errors.py`` class, and raises nothing.
+
+One hypothesis property per input kind: the holdout CSV and the model
+file.  The models' rules read a subset of the columns, so the fuzzer also
+reaches the columns that prediction checks but does not encode."""
+
+import codecs
+import contextlib
+import csv
+import io
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mars import cli, errors
+from mars.data import MISSING, FeatureSpec
+from mars.model import Rule, RuleSet
+from mars.model_io import save_model
+from mars.scoring import Hyperparams
+
+EXIT_CODES = {0} | {
+    cls.exit_code for cls in vars(errors).values()
+    if isinstance(cls, type) and issubclass(cls, errors.MarsError)
+}
+
+FEATURES = (
+    FeatureSpec(0, "x", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
+    FeatureSpec(1, "c", "categorical", categories=("a", "b", "c", MISSING)),
+    FeatureSpec(2, "k", "categorical", categories=("p", "q")),
+    FeatureSpec(3, "noise", "numeric", intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))),
+)
+RULE_SETS = {
+    "none": RuleSet(),
+    "c": RuleSet((Rule.of({1: [0, 1]}),)),
+    "x-k": RuleSet((Rule.of({0: [0], 2: [1]}),)),
+    "c|noise": RuleSet((Rule.of({1: [0]}), Rule.of({3: [1, 2]}))),
+}
+HEADER = ("x", "c", "k", "noise", "y")
+ROWS = (("0.1", "a", "p", "0.3", "1"), ("0.7", "b", "q", "0.9", "0"), ("", "", "p", "?", "0"),
+        ("-2", "zz", "q", "5", "1"), ("nan", MISSING, "p", "0.4", "0"))
+
+# cells that once broke, or might break, a parser
+ODD_CELLS = ["", " ", "?", "nan", "-inf", "1e400", "abc", MISSING, "True", "1_0", "٣", "\x00",
+             ",", '"', "\n", "y", "a" * 300]
+cell_text = st.one_of(st.sampled_from(ODD_CELLS), st.text(max_size=6))
+
+
+@pytest.fixture(scope="module")
+def models(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = {}
+    for name, rules in RULE_SETS.items():
+        paths[name] = tmp / f"{name}.json"
+        save_model(paths[name], FEATURES, rules, Hyperparams.defaults(len(FEATURES)), "y", {})
+    return tmp, paths
+
+
+def exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main([str(a) for a in argv])
+
+
+@st.composite
+def mutated_csvs(draw):
+    """The holdout as bytes after a few edits: odd cells, ragged, dropped or
+    duplicated rows, header columns dropped, duplicated or renamed, a BOM,
+    CRLF line ends, a byte that is not UTF-8."""
+    header = list(HEADER)
+    rows = [list(r) for r in ROWS]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["cell", "ragged", "drop row", "duplicate row", "header"]))
+        if kind == "header":
+            if not header:
+                continue
+            j = draw(st.integers(0, len(header) - 1))
+            op = draw(st.sampled_from(["drop", "duplicate", "rename"]))
+            if op == "drop":
+                del header[j]
+            elif op == "duplicate":
+                header.insert(j, header[j])
+            else:
+                header[j] = draw(cell_text)
+            continue
+        if not rows:
+            continue
+        r = draw(st.integers(0, len(rows) - 1))
+        if kind == "cell" and rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(cell_text)
+        elif kind == "ragged":
+            if draw(st.booleans()) or not rows[r]:
+                rows[r].append(draw(cell_text))
+            else:
+                rows[r].pop()
+        elif kind == "drop row":
+            del rows[r]
+        elif kind == "duplicate row":
+            rows.insert(r, list(rows[r]))
+    text = io.StringIO()
+    csv.writer(text, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+        [header, *rows])
+    data = text.getvalue().encode()
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 9)) == 7:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutated_csvs(), st.sampled_from(sorted(RULE_SETS)), st.sampled_from(["predict", "evaluate"]))
+def test_mutated_holdout_csv_exits_cleanly(models, data, model, command):
+    tmp, paths = models
+    holdout = tmp / "holdout.csv"
+    holdout.write_bytes(data)
+    assert exit_code([command, paths[model], holdout]) in EXIT_CODES
+
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 40), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(-1, 4), max_size=3), st.just({}),
+)
+
+
+@st.composite
+def mutated_models(draw, doc):
+    """The model document after a few edits, each replacing or deleting one
+    entry of an object or array anywhere in it."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(draw(st.integers(1, 3))):
+        node = doc
+        while True:
+            keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+            if not keys:
+                break
+            key = draw(st.sampled_from(keys))
+            child = node[key]
+            if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+                node = child
+                continue
+            if draw(st.integers(0, 4)) == 0:
+                del node[key]
+            else:
+                node[key] = draw(json_leaves)
+            break
+    return json.dumps(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(sorted(RULE_SETS)), st.sampled_from(["predict", "evaluate"]))
+def test_mutated_model_file_exits_cleanly(models, data, model, command):
+    tmp, paths = models
+    holdout = tmp / "holdout-for-models.csv"
+    with open(holdout, "w", newline="") as fh:
+        csv.writer(fh).writerows([HEADER, *ROWS])
+    mutated = tmp / "mutated.json"
+    mutated.write_text(data.draw(mutated_models(json.loads(paths[model].read_text()))))
+    assert exit_code([command, mutated, holdout]) in EXIT_CODES

@@ -1,11 +1,15 @@
-"""Planted-truth sweep: determinism of the records it returns."""
+"""Planted-truth sweep: determinism of the records it returns, and the
+model sizes it reports."""
 
+import csv
 import dataclasses
 
 import pytest
 
 import mars.synth as synth
+from mars import cli
 from mars.errors import DegenerateLabelError
+from mars.model import Rule, RuleSet
 from mars.scoring import Hyperparams
 from mars.search import SearchConfig
 from mars.synth import SweepSpec, SynthSpec, sweep
@@ -105,3 +109,23 @@ def test_sweep_in_two_processes_matches_one():
                 for r in sweep(spec, grid, base, cfg, n_bins=4, jobs=jobs)]
 
     assert records(2) == records(1)
+
+
+def test_sweep_records_rule_condition_and_value_counts_apart(monkeypatch, tmp_path, capsys):
+    # every cell learns this model: 2 rules, 3 conditions, 6 values, 3 features
+    rules = RuleSet((Rule.of({0: [0, 1], 2: [3]}), Rule.of({1: [1, 2, 3]})))
+    monkeypatch.setattr(synth, "run", lambda *args: (rules, None, None))
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--rows", "80", "--features", "3", "--rules", "1", "--max-conditions", "1",
+            "--grid", "1,100", "--replicates", "2", "--bins", "4", "--out", str(out)]
+    assert cli.main(argv) == 0
+
+    header, *rows = csv.reader(out.read_text().splitlines())
+    assert header == ["beta_M", "beta_L", "replicate", "holdout_error", "n_rules",
+                      "n_conditions", "n_values", "n_features", "wall_time_s"]
+    assert len(rows) == 8
+    assert {tuple(row[4:8]) for row in rows} == {("2", "3", "6", "3")}
+    printed = capsys.readouterr().out.splitlines()[1:]
+    assert len(printed) == 4
+    assert all(line.endswith(" rules=2.0 conditions=3.0 values=6.0 features=3.0")
+               for line in printed)
