@@ -158,7 +158,7 @@ def cmd_predict(args) -> int:
     _check_writable({"--out": args.out}, {"the model": args.model, "the input CSV": args.csv})
     model = load_model(args.model)
     table = RawTable.from_csv(args.csv)
-    rows = encode_with_specs(table, model.features, model.rules.feature_ids)
+    rows = encode_with_specs(table.columns(), model.features, model.rules.feature_ids)
     hit = first_covering_rule(model.rules, rows)
     preds = zip((hit >= 0).astype(int).tolist(), hit.tolist())
     sink = open(args.out, "w", newline="") if args.out else sys.stdout
@@ -176,8 +176,9 @@ def cmd_evaluate(args) -> int:
     model = load_model(args.model)
     label = args.label or model.label_name
     table = RawTable.from_csv(args.csv, label_column=label)
-    rows = encode_with_specs(table, model.features, model.rules.feature_ids)
-    labels = parse_labels(table.columns()[label], label)
+    columns = table.columns()
+    rows = encode_with_specs(columns, model.features, model.rules.feature_ids)
+    labels = parse_labels(columns[label], label)
     if labels.size == 0:
         raise DataFormatError(f"{args.csv}: no data rows")
     preds = first_covering_rule(model.rules, rows) >= 0

@@ -367,9 +367,10 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
 
 
 def encode_with_specs(
-    table: RawTable, features: Sequence[FeatureSpec], used: Collection[int]
+    columns: dict[str, tuple], features: Sequence[FeatureSpec], used: Collection[int]
 ) -> np.ndarray:
-    """Encode a raw table against existing feature specs, matching by name.
+    """Encode a raw table, given as its ``RawTable.columns()``, against
+    existing feature specs, matching by name.
 
     Returns an (N, n_features) int32 matrix of value indices, one column per
     spec.  Only the features whose ids (their positions in ``features``) are
@@ -393,13 +394,13 @@ def encode_with_specs(
     -1 is matched by no condition.  Raises FeatureMismatchError listing
     any model feature absent from the table.
     """
-    missing = [f.name for f in features if f.name not in table.names]
+    missing = [f.name for f in features if f.name not in columns]
     if missing:
         raise FeatureMismatchError(
             "input is missing model feature column(s): " + ", ".join(sorted(missing))
         )
-    rows = np.full((len(table.rows), len(features)), -1, dtype=np.int32)
-    columns = table.columns()
+    n_rows = len(next(iter(columns.values()), ()))
+    rows = np.full((n_rows, len(features)), -1, dtype=np.int32)
     for k, f in enumerate(features):
         if k in used:
             rows[:, k] = f.encode_column(columns[f.name])

@@ -192,6 +192,8 @@ class _PriorConstants:
         self.dm_items: dict[tuple[int, int], float] = {}
         # rule length -> (log p(L = length), lgamma(T) - lgamma(length + T))
         self.length_terms: dict[int, tuple[float, float]] = {}
+        # rule count -> log p(M = count)
+        self.count_terms: dict[int, float] = {}
 
     def length_pair(self, length: int, hyper: Hyperparams) -> tuple[float, float]:
         pair = self.length_terms.get(length)
@@ -219,13 +221,16 @@ def log_omega(hyper: Hyperparams) -> float:
 def log_rule_count_prior(m: int, hyper: Hyperparams) -> float:
     """log p(M = m) under the Poisson-Gamma marginal."""
     c = hyper._prior
-    return (
-        lgamma(m + hyper.alpha_m)
-        - lgamma(m + 1.0)
-        - c.lgamma_alpha_m
-        + c.log_ratio_m
-        - m * c.log_bm1
-    )
+    term = c.count_terms.get(m)
+    if term is None:
+        term = c.count_terms[m] = (
+            lgamma(m + hyper.alpha_m)
+            - lgamma(m + 1.0)
+            - c.lgamma_alpha_m
+            + c.log_ratio_m
+            - m * c.log_bm1
+        )
+    return term
 
 
 def log_rule_length_prior(length: int, hyper: Hyperparams) -> float:

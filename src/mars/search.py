@@ -19,20 +19,24 @@ holding the example's value and a random sample of the others.  A seed is
 admitted only when its support clears the current pruning floor; the
 rule-count cap gates the action entirely.
 
-Every neighbor differs from the current rule set in at most one rule, and
-the edit builders return it already in ``normalize``'s canonical form
-(only the edited rule can turn tautological or duplicate another), so
-neighbors are deduplicated as plain rule tuples.  ``_Scorer`` scores a
-rule tuple from per-rule cache entries.  The two actions with the most
-candidates come as moves that build no rule: an add-condition move is
-scored from its rule's ``_GrowthTable``, and an add-rule seed, its
-conditions' (feature, values) pairs and its mask, from the step's
-``_SeedTable``.  Each gives the float ``scoring.score`` gives for the rule
-set the move makes.  Coverage is read from ``Dataset.value_masks`` alone:
-a rule's mask, a seed's included, is the AND of its conditions' masks, a
-seed's rule set covers the current union OR its mask, and a growth table
-counts each (feature, value) as the bits of that value's mask among the
-rows the rule alone covers.
+Every neighbor is a one-rule edit of the current ``Proposal``: rule ``mi``
+replaced, deleted, or, at ``mi`` equal to the rule count, a rule appended.
+``Proposal.edit`` builds each edit from the new rule's (feature, sorted
+values) pairs and resolves a new rule equal to another current rule as
+``normalize`` does, so every edit makes a normalized rule set, and equal
+edits make equal rule sets.  An edit is scored and materialized from the
+same pieces: one ``_splice`` puts the new rule's entry into the proposal's
+entries, and its rule into its rules, ``_prior`` adds the entries' terms
+in rule order (the floats ``scoring.log_prior`` adds), and the likelihood
+is counted from the other rules' cached union OR the new rule's mask.  So
+an edit's posterior is the float ``scoring.score`` gives the rule set it
+makes.  Add-condition moves are scored from counts instead, so that a
+step scores its narrowings without building a mask for each: a rule's
+``_GrowthTable`` holds, per (feature, value), the positive and negative
+rows among those the rule alone covers, and takes its prior from
+``_prior``; a growth becomes an edit only when it is kept.  Coverage is
+read from ``Dataset.value_masks`` alone: a new rule's mask is the AND of
+its conditions' masks.
 
 The search draws its random integers with ``_below`` and ``_sample``,
 which return what ``Random.randint`` and ``Random.sample`` return from the
@@ -42,22 +46,20 @@ included.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
-rules' cache entries and growth tables and its coverage mask, so accepting
-a move is replacing the current proposal, and the next step's cache is
-seeded from that proposal's entries.  The state also owns the run's RNG,
-which ``init_state`` seeds from ``cfg.random_seed`` and every chain draws
-from, and its runlog, which every chain writes to.
+rules' entries and growth tables and its coverage mask, so accepting a
+move is replacing the current proposal.  The state also owns the run's
+RNG, which ``init_state`` seeds from ``cfg.random_seed`` and every chain
+draws from, and its runlog, which every chain writes to.
 
 The chain keeps few of its steps, so a step builds a ``Proposal`` only for
 a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
-action and its posterior, the very float ``max()`` ranked it by (a full
-``Score`` of the rule set gives the same float).  The step compares that
-float with the best and current posteriors and materializes the pick once
-when it is a new best or accepted; a rejected step builds nothing, and a
-move's new rule becomes a ``Rule`` only there.  A
-proposal also lists its misclassified rows once, the first time a step
-samples an example from it, and serves that list to every later step
-until a move is accepted.
+action and its posterior, the very float ``max()`` ranked it by.  The step
+compares that float with the best and current posteriors and materializes
+the pick once when it is a new best or accepted; a rejected step builds
+nothing, and the new rule becomes a ``Rule`` only there.  A proposal also
+lists its misclassified rows once, the first time a step samples an
+example from it, and serves that list to every later step until a move is
+accepted.
 """
 
 from __future__ import annotations
@@ -96,8 +98,11 @@ SIMPLIFY_ACTIONS = ("remove_condition", "remove_rule")
 
 STALL_RESTART_AFTER = 20
 
-# per-rule cache entry: (coverage mask, log p(L_m) term, log p(z_m) term)
+# per-rule entry: (coverage mask, log p(L_m) term, log p(z_m) term)
 RuleEntry = tuple[int, float, float]
+# a rule as the (feature, sorted values) pairs of its conditions, in feature
+# order: the form Rule holds them in
+Pairs = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -161,21 +166,165 @@ class RunLog:
             fh.write(self.to_jsonl())
 
 
-@dataclass
+def _splice(seq: tuple, mi: int, new, k: int | None) -> tuple:
+    """``seq`` with item ``mi`` replaced by ``new``: None deletes it, and
+    ``mi == len(seq)`` appends ``new``.  ``k``, when not None, is a later
+    item equal to ``new``, which is dropped."""
+    if new is None:
+        return seq[:mi] + seq[mi + 1 :]
+    if k is None:
+        return seq[:mi] + (new,) + seq[mi + 1 :]
+    return seq[:mi] + (new,) + seq[mi + 1 : k] + seq[k + 1 :]
+
+
+def _prior(entries: tuple[RuleEntry, ...], hyper: Hyperparams) -> float:
+    """``log_prior`` of the rule set whose rules have ``entries``: the count
+    prior, then each rule's two terms in rule order, the same floats added
+    in the same order."""
+    prior = log_rule_count_prior(len(entries), hyper)
+    for _, length_term, dm_term in entries:
+        prior += length_term
+        prior += dm_term
+    return prior
+
+
+@dataclass(eq=False)
 class Proposal:
-    """A scored rule set: ``rule_cache`` holds the entry of each of its
-    rules, in rule order, and ``union_mask`` the rows they cover.
-    ``growth`` holds the growth tables of its rules, by rule index, built
-    when an add-condition step first narrows that rule, and
-    ``misclassified`` the rows it misclassifies, in ascending order, listed
-    when a step first samples an example from it."""
+    """A rule set scored on ``data`` under ``hyper``: ``entries`` holds the
+    entry of each of its rules, in rule order, and ``union_mask`` the rows
+    they cover.  ``keys`` holds each rule as its pairs and ``index`` each
+    rule's index by its pairs.  ``growth`` holds the growth tables of its
+    rules, by rule index, built when an add-condition step first narrows
+    that rule, and ``misclassified`` the rows it misclassifies, in
+    ascending order, listed when a step first samples an example from it.
+    A proposal compares by identity."""
 
     rules: RuleSet
     score: Score
-    rule_cache: dict[Rule, RuleEntry]
+    entries: tuple[RuleEntry, ...]
     union_mask: int
-    growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False, compare=False)
-    misclassified: list[int] | None = field(default=None, repr=False, compare=False)
+    data: Dataset = field(repr=False)
+    hyper: Hyperparams = field(repr=False)
+    growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False)
+    misclassified: list[int] | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self.keys: tuple[Pairs, ...] = tuple(
+            tuple((c.feature_id, c.values) for c in rule.conditions) for rule in self.rules.rules
+        )
+        self.index = {key: k for k, key in enumerate(self.keys)}
+        self._others: dict[int, int] = {}
+
+    @classmethod
+    def of(cls, rules: tuple[Rule, ...], data: Dataset, hyper: Hyperparams) -> Proposal:
+        """The proposal of a normalized rule tuple, its entries computed
+        afresh."""
+        entries = tuple(
+            (rule_mask(rule, data), *rule_prior_terms(rule, hyper, data.vocab_sizes))
+            for rule in rules
+        )
+        union = 0
+        for mask, _, _ in entries:
+            union |= mask
+        return cls.scored(rules, entries, union, data, hyper)
+
+    @classmethod
+    def scored(
+        cls,
+        rules: tuple[Rule, ...],
+        entries: tuple[RuleEntry, ...],
+        union: int,
+        data: Dataset,
+        hyper: Hyperparams,
+    ) -> Proposal:
+        conf = confusion_from_mask(union, data)
+        score = Score.of(_prior(entries, hyper), log_likelihood(conf, hyper), conf)
+        return cls(RuleSet(rules), score, entries, union, data, hyper)
+
+    def others(self, mi: int) -> int:
+        """The rows every rule but rule ``mi`` covers (all of them, for
+        ``mi`` equal to the rule count); computed once per index."""
+        mask = self._others.get(mi)
+        if mask is None:
+            mask = 0
+            for k, entry in enumerate(self.entries):
+                if k != mi:
+                    mask |= entry[0]
+            self._others[mi] = mask
+        return mask
+
+    def edit(self, mi: int, pairs: Pairs | None) -> _Edit:
+        """The edit putting the rule ``pairs`` at index ``mi``, its rows the
+        AND of its conditions' masks: None deletes rule ``mi``, and ``mi``
+        equal to the rule count appends.
+
+        A new rule equal to another rule ``k`` is resolved as ``normalize``
+        resolves duplicates, keeping the first copy.  When ``k`` comes
+        before ``mi``, or right after it, what is left is rule ``mi``
+        deleted, and the edit is that deletion; otherwise the edit drops
+        the later copy at ``k``."""
+        k = None if pairs is None else self.index.get(pairs)
+        if k is not None and (k < mi or k == mi + 1):
+            pairs = k = None
+        mask = 0
+        if pairs is not None:
+            mask = self.data.full_mask
+            for j, values in pairs:
+                mask &= condition_mask(self.data, j, values)
+        return _Edit(self, mi, pairs, k, mask)
+
+
+class _Edit:
+    """A one-rule edit of ``prop``, built by ``Proposal.edit``: rule ``mi``
+    replaced by the rule ``pairs`` gives, which covers the rows of ``mask``
+    (None and 0 delete rule ``mi``), with the later copy at ``k`` dropped
+    when ``k`` is not None.  Edits of one proposal are equal when they make
+    the same rule set, that is when their ``(mi, pairs, k)`` are equal; the
+    mask follows from those and is left out of the hash, which would cost
+    a pass over its bits per edit."""
+
+    __slots__ = ("prop", "mi", "pairs", "k", "mask")
+
+    def __init__(self, prop: Proposal, mi: int, pairs: Pairs | None, k: int | None, mask: int):
+        self.prop, self.mi, self.pairs, self.k, self.mask = prop, mi, pairs, k, mask
+
+    def __eq__(self, other) -> bool:
+        return other.__class__ is _Edit and (self.mi, self.pairs, self.k) == (
+            other.mi, other.pairs, other.k
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.mi, self.pairs, self.k))
+
+    def _entry(self) -> RuleEntry | None:
+        if self.pairs is None:
+            return None
+        counts = [(j, len(values)) for j, values in self.pairs]
+        return (self.mask, *prior_terms_from_counts(counts, self.prop.hyper))
+
+    def posterior(self) -> float:
+        prop = self.prop
+        data, hyper = prop.data, prop.hyper
+        prior = _prior(_splice(prop.entries, self.mi, self._entry(), self.k), hyper)
+        union = prop.others(self.mi) | self.mask
+        tp = (union & data.pos_mask).bit_count()
+        fp = union.bit_count() - tp
+        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
+
+    def proposal(self) -> Proposal:
+        """The rule set the edit makes, scored; its new rule becomes a
+        ``Rule`` here."""
+        prop, mi, k = self.prop, self.mi, self.k
+        rule = None
+        if self.pairs is not None:
+            rule = Rule(tuple(Condition(j, values) for j, values in self.pairs))
+        return Proposal.scored(
+            _splice(prop.rules.rules, mi, rule, k),
+            _splice(prop.entries, mi, self._entry(), k),
+            prop.others(mi) | self.mask,
+            prop.data,
+            prop.hyper,
+        )
 
 
 @dataclass
@@ -203,36 +352,21 @@ class _GrowthTable:
     those rows per (feature, value), each the bits of the value's mask in
     ``Dataset.value_masks`` among them, and the counts the other rules
     cover.  A move's confusion is those counts plus the sums over its
-    values.  Its prior adds the same floats in the same order as
-    ``_Scorer.posterior`` does for the materialized rule set: the count
-    prior and the terms of the rules before ``mi``, the grown rule's terms
-    from its (feature, value count) pairs, then the terms of the rules
-    after ``mi``.  So a
-    move's score equals the materialized rule set's exactly.
+    values.  Its prior is ``_prior`` of the proposal's entries with the
+    grown rule's terms, from its (feature, value count) pairs, spliced in
+    at ``mi``.  So a move's score equals the materialized rule set's
+    exactly.
     """
 
-    def __init__(self, prop: Proposal, mi: int, data: Dataset, hyper: Hyperparams) -> None:
-        rules = prop.rules.rules
-        rule = rules[mi]
-        cache = prop.rule_cache
-        self.rules, self.mi, self.rule = rules, mi, rule
-        self.data, self.hyper = data, hyper
-        self.parent_mask = cache[rule][0]
-        self.head_prior = log_rule_count_prior(len(rules), hyper)
-        others = 0
-        for k, other in enumerate(rules):
-            if k != mi:
-                mask, length_term, dm_term = cache[other]
-                others |= mask
-                if k < mi:
-                    self.head_prior += length_term
-                    self.head_prior += dm_term
-        self.tail_terms = [term for other in rules[mi + 1 :] for term in cache[other][1:]]
+    def __init__(self, prop: Proposal, mi: int) -> None:
+        data = prop.data
+        self.prop, self.mi = prop, mi
+        others = prop.others(mi)
         self.tp = (others & data.pos_mask).bit_count()
         self.fp = others.bit_count() - self.tp
 
         # counts over the rows rule mi alone covers, per (feature, value)
-        only = self.parent_mask & ~others
+        only = prop.entries[mi][0] & ~others
         pos_only = only & data.pos_mask
         self.pos: list[list[int]] = []
         self.neg: list[list[int]] = []
@@ -243,10 +377,11 @@ class _GrowthTable:
 
         # the rule's (feature, value count) pairs: a grown rule's prior terms
         # depend on these and the new condition's pair alone
-        self.counts = [(c.feature_id, c.n_values) for c in rule.conditions]
+        key = prop.keys[mi]
+        self.counts = [(j, len(values)) for j, values in key]
         # per free feature (one the rule lacks, of two values or more): the
         # feature, its vocabulary size and the vocabulary minus value w at w
-        used = rule.features
+        used = {j for j, _ in key}
         self.free: list[tuple[int, int, list[tuple[int, ...]]]] = []
         for j, vocab in enumerate(data.vocab_sizes):
             if vocab >= 2 and j not in used:
@@ -258,25 +393,23 @@ class _GrowthTable:
         # across the steps the table serves
         self.scores: dict[tuple[int, tuple[int, ...]], float] = {}
         # (feature, values) whose grown rule is another current rule: the
-        # rule set those moves make
-        self.collisions = {}
-        for other in rules:
-            extra = set(other.conditions).difference(rule.conditions)
-            if len(extra) == 1 and len(other.conditions) == len(rule.conditions) + 1:
-                (cond,) = extra
-                self.collisions[cond.feature_id, cond.values] = _replace_rule(rules, mi, other)
+        # edit those moves make
+        self.collisions: dict[tuple[int, tuple[int, ...]], _Edit] = {}
+        for other in prop.keys:
+            extra = set(other).difference(key)
+            if len(extra) == 1 and len(other) == len(key) + 1:
+                (pair,) = extra
+                self.collisions[pair] = prop.edit(mi, other)
 
     def prior(self, feature: int, n_values: int) -> float:
         prior = self.priors.get((feature, n_values))
         if prior is None:
             # the grown rule's pairs in feature order, as Rule sorts them
             grown = sorted([*self.counts, (feature, n_values)])
-            length_term, dm_term = prior_terms_from_counts(grown, self.hyper)
-            prior = self.head_prior + length_term
-            prior += dm_term
-            for term in self.tail_terms:
-                prior += term
-            self.priors[feature, n_values] = prior
+            entry = (0, *prior_terms_from_counts(grown, self.prop.hyper))
+            prior = self.priors[feature, n_values] = _prior(
+                _splice(self.prop.entries, self.mi, entry, None), self.prop.hyper
+            )
         return prior
 
     def posterior(self, feature: int, values: tuple[int, ...]) -> float:
@@ -286,9 +419,9 @@ class _GrowthTable:
             pos, neg = self.pos[feature], self.neg[feature]
             tp = self.tp + sum(map(pos.__getitem__, values))
             fp = self.fp + sum(map(neg.__getitem__, values))
-            data = self.data
+            data = self.prop.data
             score = self.scores[key] = self.prior(feature, len(values)) + log_likelihood_counts(
-                tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper
+                tp, fp, data.n_neg - fp, data.n_pos - tp, self.prop.hyper
             )
         return score
 
@@ -304,149 +437,27 @@ class _Growth(NamedTuple):
     def posterior(self) -> float:
         return self.table.posterior(self.feature, self.values)
 
-    def materialize(self) -> tuple[tuple[Rule, ...], Rule, int]:
-        """The rule set the move makes, with the grown rule at ``table.mi``,
-        that rule and its rows: its parent's AND the new condition's."""
-        t = self.table
-        grown = Rule(t.rule.conditions + (Condition(self.feature, self.values),))
-        mask = t.parent_mask & condition_mask(t.data, self.feature, self.values)
-        return _replace_rule(t.rules, t.mi, grown), grown, mask
+    def proposal(self) -> Proposal:
+        prop, mi = self.table.prop, self.table.mi
+        grown = tuple(sorted([*prop.keys[mi], (self.feature, self.values)]))
+        return prop.edit(mi, grown).proposal()
 
 
-class _SeedTable:
-    """Scores the add-rule moves of one step, each a new rule appended to
-    the current rules, from the new rule's mask and its conditions' value
-    counts instead of from a ``Rule``.
-
-    The rule set a seed makes covers the current union and the seed's
-    mask, so its confusion is counted from ``union_mask | mask``.  Its prior
-    adds the same floats in the same order as ``_Scorer.posterior`` does for
-    the materialized rule set: the count prior of one more rule and the
-    current rules' terms, summed once per step, then the new rule's
-    ``prior_terms_from_counts``.  So a seed's score equals the materialized
-    rule set's exactly.
-    """
-
-    def __init__(self, current: Proposal, data: Dataset, hyper: Hyperparams) -> None:
-        rules = current.rules.rules
-        self.rules, self.union_mask = rules, current.union_mask
-        self.data, self.hyper = data, hyper
-        head = log_rule_count_prior(len(rules) + 1, hyper)
-        for rule in rules:
-            _, length_term, dm_term = current.rule_cache[rule]
-            head += length_term
-            head += dm_term
-        self.head_prior = head
-
-    def posterior(self, conditions: tuple[tuple[int, tuple[int, ...]], ...], mask: int) -> float:
-        hyper = self.hyper
-        length_term, dm_term = prior_terms_from_counts(
-            [(j, len(values)) for j, values in conditions], hyper
-        )
-        prior = self.head_prior + length_term
-        prior += dm_term
-        data = self.data
-        union = self.union_mask | mask
-        tp = (union & data.pos_mask).bit_count()
-        fp = union.bit_count() - tp
-        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
-
-
-class _Seed:
-    """An add-rule move: the current rules plus a new rule given as the
-    (feature, sorted values) pairs of its conditions in feature order, the
-    form ``Rule`` holds them in, and its rows.  ``_seed_moves`` admits each
-    rule once, so a seed compares and hashes by identity."""
-
-    __slots__ = ("table", "conditions", "mask")
-
-    def __init__(
-        self, table: _SeedTable, conditions: tuple[tuple[int, tuple[int, ...]], ...], mask: int
-    ) -> None:
-        self.table, self.conditions, self.mask = table, conditions, mask
-
-    def posterior(self) -> float:
-        return self.table.posterior(self.conditions, self.mask)
-
-    def materialize(self) -> tuple[tuple[Rule, ...], Rule, int]:
-        """The rule set the move makes, its new (last) rule and that rule's
-        rows."""
-        rule = Rule(tuple(Condition(j, values) for j, values in self.conditions))
-        return self.table.rules + (rule,), rule, self.mask
-
-
-Candidate = tuple[Rule, ...] | _Growth | _Seed
-
-
-class _Scorer:
-    """Scores candidates, rule tuples and moves; lives for one step.
-
-    A rule tuple is scored from per-rule cache entries seeded with the
-    current rules' entries: the rule-count prior plus its rules' cached
-    terms (added in ``log_prior``'s order, so the float is the one
-    ``scoring.score`` returns) plus the likelihood of the union of their
-    masks.  A rule not seen this step costs a ``rule_mask`` and a
-    ``rule_prior_terms`` call.  A move, an add-condition ``_Growth`` or an
-    add-rule ``_Seed``, is scored by its table, which gives the same float
-    without building the move's new rule; a move that becomes a proposal
-    writes that rule's entry from the mask it holds.
-    """
-
-    def __init__(self, entries: dict[Rule, RuleEntry], data: Dataset, hyper: Hyperparams) -> None:
-        self.entries = dict(entries)
-        self.data = data
-        self.hyper = hyper
-
-    def _prior_and_union(self, rules: tuple[Rule, ...]) -> tuple[float, int]:
-        entries = self.entries
-        prior = log_rule_count_prior(len(rules), self.hyper)
-        union = 0
-        for rule in rules:
-            entry = entries.get(rule)
-            if entry is None:
-                entry = entries[rule] = (
-                    rule_mask(rule, self.data),
-                    *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes),
-                )
-            union |= entry[0]
-            prior += entry[1]
-            prior += entry[2]
-        return prior, union
-
-    def posterior(self, candidate: Candidate) -> float:
-        if candidate.__class__ is not tuple:
-            return candidate.posterior()
-        prior, union = self._prior_and_union(candidate)
-        data = self.data
-        tp = (union & data.pos_mask).bit_count()
-        fp = union.bit_count() - tp
-        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
-
-    def proposal(self, candidate: Candidate) -> Proposal:
-        rules = candidate
-        if candidate.__class__ is not tuple:
-            rules, rule, mask = candidate.materialize()
-            self.entries[rule] = (mask, *rule_prior_terms(rule, self.hyper, self.data.vocab_sizes))
-        prior, union = self._prior_and_union(rules)
-        conf = confusion_from_mask(union, self.data)
-        score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
-        cache = {rule: self.entries[rule] for rule in rules}
-        return Proposal(RuleSet(rules), score, cache, union)
+Candidate = _Edit | _Growth
 
 
 class Pick(NamedTuple):
     """The candidate ``propose`` chose through ``action``, with its
-    posterior: the float ``scorer.posterior`` gives, equal to the
-    ``log_posterior`` of the proposal it materializes into.  A move
-    becomes a rule set, and its new rule a ``Rule``, only here."""
+    posterior, equal to the ``log_posterior`` of the proposal it
+    materializes into.  A candidate becomes a rule set, and its new rule a
+    ``Rule``, only here."""
 
     candidate: Candidate
     action: str
     log_posterior: float
-    scorer: _Scorer
 
     def proposal(self) -> Proposal:
-        return self.scorer.proposal(self.candidate)
+        return self.candidate.proposal()
 
 
 def _below(getrandbits, n: int) -> int:
@@ -522,7 +533,7 @@ def _start_chain(
     t = 0 with its best, bounds and runlog kept.  The runlog gets the
     chain's ``chain_start`` record, then an ``improve`` record when the
     start is the new best."""
-    start = _Scorer({}, data, hyper).proposal(random_ruleset(data, rng).rules)
+    start = Proposal.of(random_ruleset(data, rng).rules, data, hyper)
     improved = state is None or start.score.log_posterior > state.best.score.log_posterior
     if state is None:
         state = SearchState(start, start, initial_bounds(data, hyper), rng)
@@ -569,85 +580,57 @@ def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] 
 
 
 # ---------------------------------------------------------------------------
-# neighbor generation: each edit is a tuple of rules in normalized form
+# neighbor generation: each neighbor is a one-rule edit of the proposal
 # ---------------------------------------------------------------------------
 
-def _replace_rule(rules: tuple[Rule, ...], mi: int, new_rule: Rule | None) -> tuple[Rule, ...]:
-    """``rules`` with rule ``mi`` replaced by ``new_rule`` (None deletes it).
-
-    A replacement equal to another rule is deduplicated as ``normalize``
-    does: the first occurrence is kept.
-    """
-    if new_rule is None:
-        return rules[:mi] + rules[mi + 1 :]
-    if new_rule in rules:
-        for k, rule in enumerate(rules):
-            if k != mi and rule == new_rule:
-                if k < mi:
-                    return rules[:mi] + rules[mi + 1 :]
-                return rules[:mi] + (new_rule,) + rules[mi + 1 : k] + rules[k + 1 :]
-    return rules[:mi] + (new_rule,) + rules[mi + 1 :]
-
-
-def _edits_add_value(rules, data: Dataset, xrow) -> list[tuple[Rule, ...]]:
+def _edits_add_value(prop: Proposal, xrow) -> list[_Edit]:
     """Grow each condition that rejects the example by the example's value.
 
     ``propose`` passes only false negatives: no rule covers the example, so
     every rule has a condition that rejects it and gives at least one edit."""
+    vocab_sizes = prop.data.vocab_sizes
     edits = []
-    for mi, rule in enumerate(rules):
-        conds = rule.conditions
-        for ci, cond in enumerate(conds):
-            j = cond.feature_id
+    for mi, key in enumerate(prop.keys):
+        for ci, (j, values) in enumerate(key):
             v = int(xrow[j])
-            if v in cond.values:
+            if v in values:
                 continue
-            if cond.n_values + 1 < data.vocab_sizes[j]:
-                grown = Rule(conds[:ci] + (Condition(j, cond.values + (v,)),) + conds[ci + 1 :])
+            if len(values) + 1 < vocab_sizes[j]:
+                grown = key[:ci] + ((j, tuple(sorted((*values, v)))),) + key[ci + 1 :]
             else:
                 # the full vocabulary is always true: the condition goes,
                 # and the rule with it when it was the only one
-                rest = conds[:ci] + conds[ci + 1 :]
-                grown = Rule(rest) if rest else None
-            edits.append(_replace_rule(rules, mi, grown))
+                grown = key[:ci] + key[ci + 1 :] or None
+            edits.append(prop.edit(mi, grown))
     return edits
 
 
-def _edits_remove_condition(rules) -> list[tuple[Rule, ...]]:
-    edits = []
-    for mi, rule in enumerate(rules):
-        for ci in range(len(rule.conditions)):
-            rest = rule.conditions[:ci] + rule.conditions[ci + 1 :]
-            # deleting the lone condition deletes the rule
-            edits.append(_replace_rule(rules, mi, Rule(rest) if rest else None))
-    return edits
+def _edits_remove_condition(prop: Proposal) -> list[_Edit]:
+    # deleting the lone condition deletes the rule
+    return [
+        prop.edit(mi, key[:ci] + key[ci + 1 :] or None)
+        for mi, key in enumerate(prop.keys)
+        for ci in range(len(key))
+    ]
 
 
 def _seed_moves(
-    current: Proposal,
-    data: Dataset,
-    hyper: Hyperparams,
-    xrow,
-    rng: random.Random,
-    budget: int,
-    bounds: BoundState,
-) -> list[_Seed]:
-    """Up to ``budget`` new rules seeded from the example, as moves: each
-    condition holds the example's value and a sample of the spare ones.
-    A seed equal to an earlier seed or a current rule is skipped, and one
-    covering fewer rows than the support floor is not admitted; the
-    rule-count cap gates the action entirely."""
-    rules = current.rules.rules
-    if bounds.m_cap is not None and len(rules) >= bounds.m_cap:
+    current: Proposal, xrow, rng: random.Random, budget: int, bounds: BoundState
+) -> list[_Edit]:
+    """Up to ``budget`` new rules seeded from the example, as edits that
+    append them: each condition holds the example's value and a sample of
+    the spare ones.  A seed equal to an earlier seed or a current rule is
+    skipped, and one covering fewer rows than the support floor is not
+    admitted; the rule-count cap gates the action entirely."""
+    n_rules = len(current.keys)
+    if bounds.m_cap is not None and n_rules >= bounds.m_cap:
         return []
-    vocab_sizes = data.vocab_sizes
+    vocab_sizes = current.data.vocab_sizes
     eligible = [j for j, v in enumerate(vocab_sizes) if v >= 2]
     if not eligible:
         return []
-    table = _SeedTable(current, data, hyper)
-    # a seed is keyed by its conditions' (feature, values) pairs, as Rule holds them
-    seen = {tuple((c.feature_id, c.values) for c in rule.conditions) for rule in rules}
-    seeds: list[_Seed] = []
+    seen = set(current.index)
+    seeds: list[_Edit] = []
     # per feature, the example's value and the vocabulary's other values
     wants = [int(v) for v in xrow]
     spares = {j: [*range(wants[j]), *range(wants[j] + 1, vocab_sizes[j])] for j in eligible}
@@ -668,37 +651,27 @@ def _seed_moves(
         if key in seen:
             continue
         seen.add(key)
-        mask = data.full_mask
-        for j, values in key:
-            mask &= condition_mask(data, j, values)
-        if mask.bit_count() < bounds.min_support:
-            continue
-        seeds.append(_Seed(table, key, mask))
+        seed = current.edit(n_rules, key)
+        if seed.mask.bit_count() >= bounds.min_support:
+            seeds.append(seed)
     return seeds
 
 
-def _growth_moves(
-    current: Proposal,
-    data: Dataset,
-    hyper: Hyperparams,
-    idx: int,
-    xrow,
-    rng: random.Random,
-) -> list[_Growth | tuple[Rule, ...]]:
+def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list[Candidate]:
     """Narrow each rule covering example ``idx`` by one condition on a
     feature it lacks: the vocabulary minus the example's value (excluding
     it at the smallest possible coverage loss) and two random value sets.
-    A move whose grown rule is another current rule comes as the rule set
-    it makes."""
-    moves: list[_Growth | tuple[Rule, ...]] = []
+    A move whose grown rule is another current rule comes as the edit it
+    makes."""
+    moves: list[Candidate] = []
     bit = 1 << idx
     bits = rng.getrandbits
-    for mi, rule in enumerate(current.rules.rules):
-        if not current.rule_cache[rule][0] & bit:
+    for mi, entry in enumerate(current.entries):
+        if not entry[0] & bit:
             continue  # only rules that cover the sampled negative example
         table = current.growth.get(mi)
         if table is None:
-            table = current.growth[mi] = _GrowthTable(current, mi, data, hyper)
+            table = current.growth[mi] = _GrowthTable(current, mi)
         collisions = table.collisions
         for j, vocab, without in table.free:
             variants = (
@@ -712,8 +685,8 @@ def _growth_moves(
     return moves
 
 
-def _edits_remove_rule(rules) -> list[tuple[Rule, ...]]:
-    return [rules[:mi] + rules[mi + 1 :] for mi in range(len(rules))]
+def _edits_remove_rule(prop: Proposal) -> list[_Edit]:
+    return [prop.edit(mi, None) for mi in range(len(prop.keys))]
 
 
 # ---------------------------------------------------------------------------
@@ -739,7 +712,6 @@ def propose(
     """
     rng = state.rng
     current = state.current
-    rules = current.rules.rules
     if example is None:
         order = list(SIMPLIFY_ACTIONS)
         rng.shuffle(order)
@@ -751,36 +723,33 @@ def propose(
         actions.remove(first)
         rng.shuffle(actions)
         order = [first, *actions]
-    scorer = _Scorer(current.rule_cache, data, hyper)
     for action in order:
         if action == "add_value":
-            edits = _edits_add_value(rules, data, xrow)
+            edits = _edits_add_value(current, xrow)
         elif action == "remove_condition":
-            edits = _edits_remove_condition(rules)
+            edits = _edits_remove_condition(current)
         elif action == "add_rule":
-            edits = _seed_moves(current, data, hyper, xrow, rng, cfg.neighbor_budget, state.bounds)
+            edits = _seed_moves(current, xrow, rng, cfg.neighbor_budget, state.bounds)
         elif action == "add_condition":
-            edits = _growth_moves(current, data, hyper, idx, xrow, rng)
+            edits = _growth_moves(current, idx, xrow, rng)
         else:
-            edits = _edits_remove_rule(rules)
+            edits = _edits_remove_rule(current)
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
             edits = _sample(rng.getrandbits, edits, cfg.neighbor_budget)
-        # edits are normalized, so equal tuples are the equal rule sets; equal
-        # growths are the equal rule sets, seeds come deduplicated, and no
-        # move equals a rule tuple.  No edit is the current rule set: each
+        # equal edits are the equal rule sets, and so are equal growths; no
+        # growth equals an edit (a growth that makes another current rule
+        # comes as an edit).  No candidate is the current rule set: each
         # changes the rule count or puts in a rule the set does not hold.
         candidates = list(dict.fromkeys(edits))
         if rng.random() < cfg.explore_prob:
             chosen = rng.choice(candidates)
-            posterior = scorer.posterior(chosen)
+            posterior = chosen.posterior()
         else:
             # max() keeps the first of tied candidates
-            posterior, chosen = max(
-                zip(map(scorer.posterior, candidates), candidates), key=itemgetter(0)
-            )
-        return Pick(chosen, action, posterior, scorer)
+            posterior, chosen = max(((c.posterior(), c) for c in candidates), key=itemgetter(0))
+        return Pick(chosen, action, posterior)
     return None
 
 

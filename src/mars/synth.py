@@ -184,9 +184,9 @@ def _run_cell(args) -> SweepRecord:
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
     rules, _, _ = run(train, hyper, job_cfg)
 
-    test = _subset(table, test_idx)
+    test = _subset(table, test_idx).columns()
     test_rows = encode_with_specs(test, train.features, rules.feature_ids)
-    test_labels = parse_labels(test.columns()[LABEL_COLUMN], LABEL_COLUMN)
+    test_labels = parse_labels(test[LABEL_COLUMN], LABEL_COLUMN)
     holdout = error_rate(rules, test_rows, test_labels)
     return SweepRecord(
         beta_m=beta_m,

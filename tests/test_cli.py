@@ -97,7 +97,8 @@ def test_predict_matches_rule_covers_on_unseen_and_blank_cells(trained, tmp_path
     got = [tuple(int(v) for v in line.split(",")) for line in lines[1:]]
 
     m = load_model(model)
-    rows = encode_with_specs(RawTable.from_csv(holdout), m.features, range(len(m.features)))
+    columns = RawTable.from_csv(holdout).columns()
+    rows = encode_with_specs(columns, m.features, range(len(m.features)))
     expected = []
     for row in rows:
         hit = next((k for k, r in enumerate(m.rules.rules) if rule_covers(r, row)), -1)
@@ -124,6 +125,24 @@ def test_evaluate_accuracy_equals_predictions(trained, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == f"rows: {len(rows)}"
     assert printed[1] == f"accuracy: {accuracy:.4f}"
+
+
+def test_evaluate_transposes_the_holdout_once(trained, tmp_path, monkeypatch, capsys):
+    """The encoder and the label parser read the one ``columns()`` dict."""
+    _, model = trained
+    holdout = write_csv(tmp_path / "h.csv", ["x", "c", "noise", "y"], holdout_rows())
+    assert cli.main(["evaluate", str(model), str(holdout)]) == 0
+    expected = capsys.readouterr().out
+    calls = []
+
+    def counted(self, _orig=RawTable.columns):
+        calls.append(self)
+        return _orig(self)
+
+    monkeypatch.setattr(RawTable, "columns", counted)
+    assert cli.main(["evaluate", str(model), str(holdout)]) == 0
+    assert len(calls) == 1
+    assert capsys.readouterr().out == expected
 
 
 def with_bom(path, header, rows):
@@ -562,7 +581,7 @@ def test_text_in_an_unread_categorical_column_changes_no_prediction(reads_only_c
     assert capsys.readouterr().out == expected
 
     m = load_model(reads_only_c)
-    hit = first_covering_rule(m.rules, encode_with_specs(RawTable.from_csv(odd), m.features,
+    hit = first_covering_rule(m.rules, encode_with_specs(RawTable.from_csv(odd).columns(), m.features,
                                                          range(len(m.features))))
     assert hit.tolist() == [0, -1, 0, -1, -1]
     if command == "predict":

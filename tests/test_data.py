@@ -164,7 +164,7 @@ def test_numeric_cell_encoding(cell, code):
     # the same cell in a column of numbers and in a column with blanks
     for others, codes in (([0.1, 0.9], [0, 3]), (["", 0.9], [-1, 3])):
         table = RawTable(names=("x",), rows=[(c,) for c in [*others, cell]])
-        assert list(encode_with_specs(table, [spec], [0])[:, 0]) == [*codes, code]
+        assert list(encode_with_specs(table.columns(), [spec], [0])[:, 0]) == [*codes, code]
 
 
 def test_non_numeric_cell_in_numeric_column_names_the_column():
@@ -172,12 +172,12 @@ def test_non_numeric_cell_in_numeric_column_names_the_column():
     spec = discretize(table_of(["f03", "y"], rows), n_bins=4).features[0]
     table = RawTable(names=("f03",), rows=[("0.5",), ("",), ("abc",)])
     with pytest.raises(DataFormatError, match="f03.*abc"):
-        encode_with_specs(table, [spec], [0])
+        encode_with_specs(table.columns(), [spec], [0])
     # a bool is not a number, as in training, with or without a blank cell
     for cells in ([0.5, True], [0.5, "", np.False_]):
         table = RawTable(names=("f03",), rows=[(c,) for c in cells])
         with pytest.raises(DataFormatError, match="f03.*(True|False)"):
-            encode_with_specs(table, [spec], [0])
+            encode_with_specs(table.columns(), [spec], [0])
 
 
 @pytest.mark.parametrize("with_missing", [True, False])
@@ -188,7 +188,7 @@ def test_blank_and_unseen_categoricals_encode_column_wise(with_missing):
     cells = ["TX", "NV", "", "?", None, "CA", " CA", MISSING]
     table = RawTable(names=("state",), rows=[(c,) for c in cells])
     expected = [1, default, default, default, default, 0, default, default]
-    assert list(encode_with_specs(table, [spec], [0])[:, 0]) == expected
+    assert list(encode_with_specs(table.columns(), [spec], [0])[:, 0]) == expected
     assert [spec.encode_column([c])[0] for c in cells] == expected
 
 
@@ -202,7 +202,7 @@ def test_training_codes_equal_encoding_the_training_table():
     table = table_of(["num", "digits", "cat", "y"], rows)
     for scheme in ("width", "frequency"):
         data = discretize(table, n_bins=6, scheme=scheme)
-        encoded = encode_with_specs(table, data.features, range(data.n_features))
+        encoded = encode_with_specs(table.columns(), data.features, range(data.n_features))
         assert np.array_equal(encoded, data.rows)
 
 
@@ -224,14 +224,14 @@ def test_encode_with_specs_reports_missing_columns():
     data = discretize(table_of(["state", "x", "y"], rows), n_bins=4)
     new = RawTable(names=("state",), rows=[("CA",)])
     with pytest.raises(FeatureMismatchError, match="x"):
-        encode_with_specs(new, data.features, range(data.n_features))
+        encode_with_specs(new.columns(), data.features, range(data.n_features))
 
 
 def test_encode_with_specs_on_a_table_without_rows():
     rows = [["CA", 0.2, 1], ["TX", 0.8, 0]]
     data = discretize(table_of(["state", "x", "y"], rows), n_bins=4)
     empty = RawTable(names=("x", "state"), rows=[])
-    encoded = encode_with_specs(empty, data.features, range(data.n_features))
+    encoded = encode_with_specs(empty.columns(), data.features, range(data.n_features))
     assert encoded.shape == (0, 2) and encoded.dtype == np.int32
 
 
@@ -502,7 +502,7 @@ def encode_cases(draw):
 
 def encoded(table, specs, used):
     try:
-        return encode_with_specs(table, specs, used)
+        return encode_with_specs(table.columns(), specs, used)
     except Exception as exc:  # the comparison covers the exception raised
         return type(exc), str(exc)
 

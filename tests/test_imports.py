@@ -52,3 +52,47 @@ def test_every_import_is_used():
     assert unused_imports("import numpy as np\nfrom .x import a, b\nb()\n") == ["np", "a"]
     unused = {p.name: unused_imports(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+REPO = PACKAGE.parents[1]
+
+
+def top_level_definitions(source: str) -> list[str]:
+    """The functions, classes and assigned names at the top level of
+    ``source``, dunders left out."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names ``source`` reads, attributes it looks up and names it imports;
+    comments and strings do not count."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name.rsplit(".", 1)[-1])
+    return out
+
+
+def test_every_definition_is_referenced():
+    assert top_level_definitions("A = 1\nB: int = 2\n__all__ = []\ndef f(): pass\nclass C: pass\n"
+                                 ) == ["A", "B", "f", "C"]
+    sample = "from m import a\nimport p.q\nb.c\nd = 1  # e\nf()\n'g'\n"
+    assert referenced_names(sample) == {"a", "q", "b", "c", "f"}
+    used = set()
+    for top in ("src", "tests", "bench"):
+        for path in sorted((REPO / top).rglob("*.py")):
+            used |= referenced_names(path.read_text())
+    dead = {p.name: [n for n in top_level_definitions(p.read_text()) if n not in used]
+            for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: names for name, names in dead.items() if names} == {}

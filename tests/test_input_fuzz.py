@@ -1,10 +1,12 @@
-"""Standing input fuzzer: whatever a user feeds ``mars predict`` and
-``mars evaluate``, the command returns 0 or the exit code of an
-``errors.py`` class, and raises nothing.
+"""Standing input fuzzer: whatever a user feeds ``mars train``,
+``mars predict`` and ``mars evaluate``, the command returns 0 or the exit
+code of an ``errors.py`` class, and raises nothing.
 
 One hypothesis property per input kind: the holdout CSV and the model
-file.  The models' rules read a subset of the columns, so the fuzzer also
-reaches the columns that prediction checks but does not encode."""
+file, and the training CSV and the ``--hyper-config`` file.  The models'
+rules read a subset of the columns, so the fuzzer also reaches the columns
+that prediction checks but does not encode.  Training runs a few search
+steps only: the inputs are checked before the search starts."""
 
 import codecs
 import contextlib
@@ -42,6 +44,12 @@ RULE_SETS = {
 HEADER = ("x", "c", "k", "noise", "y")
 ROWS = (("0.1", "a", "p", "0.3", "1"), ("0.7", "b", "q", "0.9", "0"), ("", "", "p", "?", "0"),
         ("-2", "zz", "q", "5", "1"), ("nan", MISSING, "p", "0.4", "0"))
+# a training table that trains as it stands: finite numbers, both labels
+TRAIN_ROWS = tuple(
+    (f"{i / 10:.1f}", "abc"[i % 3], "pq"[i % 2], f"{i * 7 % 10 / 10:.1f}", str(int(i < 4)))
+    for i in range(10)
+)
+TRAIN_FLAGS = ("--label", "y", "--iters", "5", "--restarts", "0")
 
 # cells that once broke, or might break, a parser
 ODD_CELLS = ["", " ", "?", "nan", "-inf", "1e400", "abc", MISSING, "True", "1_0", "٣", "\x00",
@@ -65,12 +73,12 @@ def exit_code(argv) -> int:
 
 
 @st.composite
-def mutated_csvs(draw):
-    """The holdout as bytes after a few edits: odd cells, ragged, dropped or
-    duplicated rows, header columns dropped, duplicated or renamed, a BOM,
-    CRLF line ends, a byte that is not UTF-8."""
+def mutated_csvs(draw, base=ROWS):
+    """A CSV of the ``base`` rows as bytes after a few edits: odd cells,
+    ragged, dropped or duplicated rows, header columns dropped, duplicated
+    or renamed, a BOM, CRLF line ends, a byte that is not UTF-8."""
     header = list(HEADER)
-    rows = [list(r) for r in ROWS]
+    rows = [list(r) for r in base]
     for _ in range(draw(st.integers(0, 6))):
         kind = draw(st.sampled_from(["cell", "ragged", "drop row", "duplicate row", "header"]))
         if kind == "header":
@@ -160,3 +168,68 @@ def test_mutated_model_file_exits_cleanly(models, data, model, command):
     mutated = tmp / "mutated.json"
     mutated.write_text(data.draw(mutated_models(json.loads(paths[model].read_text()))))
     assert exit_code([command, mutated, holdout]) in EXIT_CODES
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_csvs(TRAIN_ROWS), st.sampled_from(["width", "frequency"]),
+       st.sampled_from(["2", "3", "10"]))
+def test_mutated_training_csv_exits_cleanly(models, data, scheme, bins):
+    tmp, _ = models
+    train = tmp / "train.csv"
+    train.write_bytes(data)
+    argv = ["train", train, "--out", tmp / "trained.json", *TRAIN_FLAGS,
+            "--scheme", scheme, "--bins", bins]
+    assert exit_code(argv) in EXIT_CODES
+
+
+CONFIG_LINES = ("alpha_m = 1", "beta_m=100", "alpha_l = 2  # a comment", "beta_l = 50",
+                "theta = 1, 2, 1, 1", "alpha_pos = 100", "beta_pos = 1", "alpha_neg = 100",
+                "beta_neg = 1", "# a comment line", "")
+ODD_VALUES = ["0", "-1", "1e-320", "1e308", "inf", "nan", "abc", "", "1,2", "1,,2", "1, 2, 3",
+              "1,2,3,4,5", "True", "0x10", "1_0", "٣", "1e400", "=", "#"]
+
+
+@st.composite
+def mutated_configs(draw):
+    """A ``--hyper-config`` file as bytes after a few edits: odd values,
+    unknown, misspelt or upper-case keys, lines without ``=``, dropped or
+    duplicated lines, a BOM, a byte that is not UTF-8."""
+    lines = list(CONFIG_LINES)
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["value", "key", "drop", "duplicate", "no equals"]))
+        i = draw(st.integers(0, len(lines) - 1)) if lines else None
+        if i is None:
+            continue
+        key, equals, value = lines[i].partition("=")
+        if kind == "value":
+            lines[i] = f"{key}={draw(st.one_of(st.sampled_from(ODD_VALUES), cell_text))}"
+        elif kind == "key":
+            new = draw(st.one_of(st.sampled_from(["THETA", "alpha", "gamma", " "]), cell_text))
+            lines[i] = f"{new}{equals}{value}"
+        elif kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = key + value
+    data = "\n".join(lines).encode()
+    if draw(st.booleans()):
+        data = codecs.BOM_UTF8 + data
+    if draw(st.integers(0, 9)) == 7:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutated_configs())
+def test_mutated_hyper_config_exits_cleanly(models, data):
+    tmp, _ = models
+    train = tmp / "train-for-configs.csv"
+    with open(train, "w", newline="") as fh:
+        csv.writer(fh).writerows([HEADER, *TRAIN_ROWS])
+    config = tmp / "hyper.cfg"
+    config.write_bytes(data)
+    argv = ["train", train, "--out", tmp / "configured.json", *TRAIN_FLAGS,
+            "--hyper-config", config]
+    assert exit_code(argv) in EXIT_CODES

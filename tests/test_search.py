@@ -16,6 +16,7 @@ from mars.errors import DegenerateLabelError
 from mars.model import Condition, Rule, RuleSet, rule_covers
 from mars.scoring import Hyperparams, confusion_counts, score
 from mars.search import (
+    Proposal,
     SearchConfig,
     _accepts,
     anneal_step,
@@ -131,9 +132,7 @@ def test_init_state_is_valid_and_bounds_seeded():
 def _state_with(data, rules, cfg=None, seed=0):
     h = hypers(data)
     state = init_state(data, h, cfg or small_cfg(random_seed=seed))
-    from mars.search import _Scorer
-
-    state.current = _Scorer({}, data, h).proposal(rules.rules)
+    state.current = Proposal.of(rules.rules, data, h)
     return state
 
 
@@ -174,7 +173,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
     for k = rng.randrange(count), and the rng ends in the same state."""
     from mars.bitset import kth_set_bit
     from mars.bounds import initial_bounds
-    from mars.search import SearchState, _Scorer
+    from mars.search import SearchState
     from oracles import random_ruleset_for
 
     seed = draw.draw(st.integers(0, 10**6))
@@ -191,7 +190,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
         labels = [rng.randrange(2) for _ in range(n_rows)]
     data = make_dataset(vocab_sizes, rows, labels)
     h = hypers(data)
-    prop = _Scorer({}, data, h).proposal(rules.rules)
+    prop = Proposal.of(rules.rules, data, h)
     state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed))
     reference = random.Random(seed)
     mis = prop.union_mask ^ data.pos_mask
@@ -230,8 +229,8 @@ def test_add_value_neighbors_grow_coverage():
     from mars.model import normalize
 
     before = union_mask(state.current.rules, data)
-    for edit in _edits_add_value(state.current.rules.rules, data, data.rows[ex[0]]):
-        after = union_mask(normalize(RuleSet(edit), data.vocab_sizes), data)
+    for edit in _edits_add_value(state.current, data.rows[ex[0]]):
+        after = union_mask(normalize(RuleSet(materialized(edit)), data.vocab_sizes), data)
         assert after & before == before  # coverage only grows
 
 
@@ -245,7 +244,7 @@ def test_add_condition_canonical_variant_uncovers_example():
     idx = ex[0]
     from mars.search import _growth_moves
 
-    moves = _growth_moves(state.current, data, hypers(data), idx, data.rows[idx], state.rng)
+    moves = _growth_moves(state.current, idx, data.rows[idx], state.rng)
     edits = [materialized(move) for move in moves]
     assert edits
     # canonical candidates (vocabulary minus the example's value) come first
@@ -268,11 +267,12 @@ def test_add_rule_candidates_respect_support_floor():
 
     state.bounds = replace(state.bounds, min_support=3)
     ex = _find_example(state, data, want_positive=True)
-    seeds = _seed_moves(state.current, data, h, data.rows[ex[0]], state.rng, 64, state.bounds)
+    seeds = _seed_moves(state.current, data.rows[ex[0]], state.rng, 64, state.bounds)
     assert seeds
     for seed in seeds:
-        _, rule, mask = seed.materialize()
-        assert mask == rule_mask(rule, data)
+        made = seed.proposal()
+        rule, mask = made.rules.rules[-1], made.entries[-1][0]
+        assert mask == seed.mask == rule_mask(rule, data)
         assert mask.bit_count() >= 3
 
 
@@ -285,7 +285,7 @@ def test_add_rule_blocked_by_rule_count_cap():
 
     state.bounds = replace(state.bounds, m_cap=len(state.current.rules.rules))
     ex = _find_example(state, data, want_positive=True)
-    assert _seed_moves(state.current, data, h, data.rows[ex[0]], state.rng, 64, state.bounds) == []
+    assert _seed_moves(state.current, data.rows[ex[0]], state.rng, 64, state.bounds) == []
 
 
 def test_exploit_mode_returns_posterior_argmax():
@@ -497,9 +497,8 @@ def raw_remove_condition(rules):
 
 
 def materialized(move):
-    """The rule set a move makes (a rule tuple, such as a collision, already
-    is one)."""
-    return move.materialize()[0] if hasattr(move, "materialize") else move
+    """The rule set a move makes."""
+    return move.proposal().rules.rules
 
 
 def raw_add_condition(rules, data, idx, xrow, rng):
@@ -569,12 +568,12 @@ def test_edits_equal_normalized_raw_edits(draw):
 
     from mars.bounds import initial_bounds
     from mars.model import normalize
+    from mars.scoring import rule_prior_terms
     from mars.search import (
         _edits_add_value,
         _edits_remove_condition,
         _edits_remove_rule,
         _growth_moves,
-        _Scorer,
         _seed_moves,
     )
 
@@ -591,28 +590,45 @@ def test_edits_equal_normalized_raw_edits(draw):
     def normalized(edits):
         return [normalize(RuleSet(e), vocab_sizes).rules for e in edits]
 
-    def check(edits):
+    def made(moves):
+        """The rule sets the moves make, each move scored exactly as the
+        rule set it makes."""
+        props = [move.proposal() for move in moves]
+        sets = [p.rules.rules for p in props]
         # no builder returns the current rule set, so propose filters none out
-        assert rules not in [materialized(edit) for edit in edits]
-        return edits
+        assert rules not in sets
+        # equal moves make equal rule sets, and only those: propose's dedup
+        # keeps one move per rule set
+        assert len(set(moves)) == len(set(sets))
+        for move, p in zip(moves, props):
+            full = score(p.rules, data, h)
+            assert move.posterior() == full.log_posterior  # floats compared exactly
+            assert p.score == full
+            assert p.union_mask == union_mask(p.rules, data)
+            assert p.entries == tuple(
+                (rule_mask(rule, data), *rule_prior_terms(rule, h, vocab_sizes))
+                for rule in p.rules.rules
+            )
+        return sets
 
-    assert check(_edits_remove_condition(rules)) == normalized(raw_remove_condition(rules))
-    assert check(_edits_remove_rule(rules)) == normalized(_edits_remove_rule(rules))
     # one proposal for every example: its growth tables are built once, then reused
-    prop = _Scorer({}, data, h).proposal(rules)
+    prop = Proposal.of(rules, data, h)
+    raw_remove_rule = [rules[:mi] + rules[mi + 1:] for mi in range(len(rules))]
+    assert made(_edits_remove_condition(prop)) == normalized(raw_remove_condition(rules))
+    assert made(_edits_remove_rule(prop)) == normalized(raw_remove_rule)
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for idx, xrow in enumerate(data.rows):
         # propose grows values for a false negative only: a positive no rule covers
         if data.labels[idx] and not any(rule_covers(rule, xrow) for rule in rules):
-            got = check(_edits_add_value(rules, data, xrow))
+            got = made(_edits_add_value(prop, xrow))
             assert got == normalized(raw_add_value(rules, data, xrow))
         seed = rng.random()
-        moves = check(_growth_moves(prop, data, h, idx, xrow, random.Random(seed)))
-        assert [materialized(move) for move in moves] == normalized(
+        moves = _growth_moves(prop, idx, xrow, random.Random(seed))
+        assert made(moves) == normalized(
             raw_add_condition(rules, data, idx, xrow, random.Random(seed))
         )
-        seeds = check(_seed_moves(prop, data, h, xrow, random.Random(seed), 8, bounds))
-        assert [materialized(s) for s in seeds] == normalized(
+        seeds = _seed_moves(prop, xrow, random.Random(seed), 8, bounds)
+        assert made(seeds) == normalized(
             raw_add_rule(rules, data, xrow, random.Random(seed), 8, 1)
         )
 
@@ -623,7 +639,7 @@ def test_growth_table_scores_equal_full_rescore(draw):
     from itertools import combinations
 
     from mars.model import normalize
-    from mars.search import _Growth, _GrowthTable, _Scorer
+    from mars.search import _Growth, _GrowthTable
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
     vocab_sizes = draw.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
@@ -635,12 +651,11 @@ def test_growth_table_scores_equal_full_rescore(draw):
     h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
                alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = _Scorer({}, data, h).proposal(rules)
-    scorer = _Scorer(prop.rule_cache, data, h)
+    prop = Proposal.of(rules, data, h)
     offsets = np.cumsum((0, *vocab_sizes[:-1]))
     n_codes = sum(vocab_sizes)
     for mi, rule in enumerate(rules):
-        table = _GrowthTable(prop, mi, data, h)
+        table = _GrowthTable(prop, mi)
         # reference counts over the rows rule mi alone covers: one bincount
         # of codes offset per feature, positive rows shifted past the negatives
         others = union_mask(RuleSet(rules[:mi] + rules[mi + 1:]), data)
@@ -665,17 +680,17 @@ def test_growth_table_scores_equal_full_rescore(draw):
                                          vocab_sizes).rules
                     if (j, vals) in table.collisions:
                         assert grown in rules
-                        assert table.collisions[j, vals] == expected
+                        assert materialized(table.collisions[j, vals]) == expected
                         continue
                     move = _Growth(table, j, vals)
-                    made, made_rule, made_mask = move.materialize()
+                    chosen = move.proposal()
+                    made = chosen.rules.rules
+                    made_rule, made_mask = made[mi], chosen.entries[mi][0]
                     assert made == expected and len(expected) == len(rules)
                     assert made_rule == grown and made_mask == rule_mask(grown, data)
                     full = score(RuleSet(expected), data, h)
-                    assert scorer.posterior(move) == full.log_posterior  # floats compared exactly
-                    chosen = scorer.proposal(move)
+                    assert move.posterior() == full.log_posterior  # floats compared exactly
                     assert chosen.score == full
-                    assert chosen.rule_cache[grown][0] == rule_mask(grown, data)
 
 
 @settings(max_examples=150, deadline=None)
@@ -684,7 +699,7 @@ def test_seed_scores_equal_full_rescore(draw):
     from dataclasses import replace
 
     from mars.bounds import initial_bounds
-    from mars.search import _Scorer, _seed_moves
+    from mars.search import _seed_moves
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
     # a spare pool past 21 values reaches random.sample's set path when at
@@ -699,85 +714,121 @@ def test_seed_scores_equal_full_rescore(draw):
     h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
                alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = _Scorer({}, data, h).proposal(rules)
+    prop = Proposal.of(rules, data, h)
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for xrow in data.rows[:4]:
-        scorer = _Scorer(prop.rule_cache, data, h)
-        for seed in _seed_moves(prop, data, h, xrow, rng, 16, bounds):
-            made, rule, mask = seed.materialize()
+        for seed in _seed_moves(prop, xrow, rng, 16, bounds):
+            chosen = seed.proposal()
+            made = chosen.rules.rules
+            rule, mask = made[-1], seed.mask
             assert made == rules + (rule,)
             assert mask == rule_mask(rule, data)
             assert all(xrow[c.feature_id] in c.values for c in rule.conditions)
             full = score(RuleSet(made), data, h)
-            assert scorer.posterior(seed) == full.log_posterior  # floats compared exactly
-            chosen = scorer.proposal(seed)
+            assert seed.posterior() == full.log_posterior  # floats compared exactly
             assert chosen.score == full
-            assert chosen.rule_cache[rule][0] == mask
+            assert chosen.entries[-1][0] == mask
 
 
 def test_add_rule_proposals_build_no_rule(monkeypatch):
-    """Seeds are scored as moves: only the pick, when the step keeps it,
-    becomes a Rule."""
+    """Every action's candidates, add-rule seeds included, are scored as
+    edits and growths: a step builds no Rule or Condition, except for the
+    one new rule of the pick it keeps."""
     import mars.search as search
+    from mars.search import NEGATIVE_ACTIONS, POSITIVE_ACTIONS
 
     built = []
-    picks = []
+    picked = Counter()
 
     def counting(cls):
         def make(*args, **kwargs):
-            built.append(cls)
-            return cls(*args, **kwargs)
+            made = cls(*args, **kwargs)
+            built.append(made)
+            return made
         return make
 
     def recording(*args, **kwargs):
-        built.clear()
         pick = propose(*args, **kwargs)
-        if pick is not None and pick.action == "add_rule":
-            # the builders tried before add_rule had no neighbor, so built none
-            picks.append(list(built))
+        assert not built  # scoring every candidate built nothing
+        if pick is not None:
+            picked[pick.action] += 1
         return pick
 
     monkeypatch.setattr(search, "Rule", counting(Rule))
     monkeypatch.setattr(search, "Condition", counting(Condition))
     monkeypatch.setattr(search, "propose", recording)
+    kept_actions = Counter()
     for seed in range(10):
         data = tiny_instance(seed)
         h = hypers(data)
         cfg = small_cfg(n_iter=100, random_seed=seed)
         state = init_state(data, h, cfg)
         for _ in range(cfg.n_iter):
+            current, best = state.current, state.best
+            built.clear()
+            actions = Counter(picked)
             anneal_step(state, data, h, cfg)
-    assert picks
-    assert all(not made for made in picks)
+            if state.current is current and state.best is best:
+                assert not built  # a rejected step or a stall builds nothing
+                continue
+            kept = state.current if state.current is not current else state.best
+            (action,) = (picked - actions).elements()
+            kept_actions[action] += 1
+            rules = [x for x in built if isinstance(x, Rule)]
+            conditions = [x for x in built if isinstance(x, Condition)]
+            assert len(rules) <= 1
+            # the new rule and its conditions, or nothing for a deletion
+            assert conditions == [c for rule in rules for c in rule.conditions]
+            assert set(kept.rules.rules) - set(current.rules.rules) <= set(rules)
+            assert set(rules) <= set(kept.rules.rules)
+    assert set(kept_actions) == set(POSITIVE_ACTIONS + NEGATIVE_ACTIONS)
 
 
 def test_growth_moves_hand_a_collision_over_as_its_rule_set():
     from mars.model import normalize
-    from mars.search import _growth_moves, _Scorer
+    from mars.search import _Edit, _growth_moves
 
     # narrowing `wide` by x1 in {1} makes `narrow`, which is already there
     data = make_dataset((2, 2), [[0, 0], [0, 1], [1, 1]], [1, 0, 0])
     wide, narrow = Rule.of({0: (0,)}), Rule.of({0: (0,), 1: (1,)})
     h = hypers(data)
-    prop = _Scorer({}, data, h).proposal((wide, narrow))
-    moves = _growth_moves(prop, data, h, 1, data.rows[1], random.Random(0))
+    prop = Proposal.of((wide, narrow), data, h)
+    moves = _growth_moves(prop, 1, data.rows[1], random.Random(0))
     # the canonical variant excludes the example's value 1: x1 in {0}
     assert materialized(moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
-    assert (narrow,) in moves  # a random variant drew x1 in {1}
+    # a random variant drew x1 in {1}: the move comes as the edit that
+    # deletes `wide`, the copy of `narrow` right after it being kept
+    collision = prop.edit(0, None)
+    assert any(m.__class__ is _Edit and m == collision for m in moves)
+    assert materialized(collision) == (narrow,)
     raw = raw_add_condition((wide, narrow), data, 1, data.rows[1], random.Random(0))
     assert [materialized(m) for m in moves] == [
         normalize(RuleSet(edit), data.vocab_sizes).rules for edit in raw
     ]
 
 
-def test_replace_rule_keeps_first_of_duplicates():
-    from mars.search import _replace_rule
+def test_edit_keeps_first_of_duplicates():
+    from mars.search import _splice
 
+    data = make_dataset((2, 2), [[0, 0], [1, 1]], [1, 0])
+    h = hypers(data)
     a, b, c = Rule.of({0: (0,)}), Rule.of({1: (1,)}), Rule.of({0: (1,), 1: (0,)})
-    assert _replace_rule((a, b, c), 2, b) == (a, b)  # the duplicate comes first
-    assert _replace_rule((a, b, c), 0, b) == (b, c)  # the edited rule comes first
-    assert _replace_rule((a, b, c), 1, None) == (a, c)
-    assert _replace_rule((a, b), 1, c) == (a, c)
+    pairs = {rule: tuple((cond.feature_id, cond.values) for cond in rule.conditions)
+             for rule in (a, b, c)}
+
+    def edited(rules, mi, new):
+        edit = Proposal.of(rules, data, h).edit(mi, None if new is None else pairs[new])
+        return materialized(edit), edit.k
+
+    assert edited((a, b, c), 2, b) == ((a, b), None)  # the duplicate comes first
+    assert edited((a, b, c), 0, b) == ((b, c), None)  # the edited rule comes first
+    assert edited((a, b, c), 1, None) == ((a, c), None)
+    assert edited((a, b), 1, c) == ((a, c), None)
+    # a later duplicate not right after the edited rule is dropped where it is
+    assert edited((a, b, c), 0, c) == ((c, b), 2)
+    assert _splice(("a", "b", "c"), 0, "c", 2) == ("c", "b")
+    assert _splice(("a", "b", "c"), 1, None, None) == ("a", "c")
+    assert _splice(("a", "b"), 2, "c", None) == ("a", "b", "c")
 
 
 @settings(max_examples=150, deadline=None)
@@ -791,6 +842,7 @@ def test_add_value_grows_each_rejecting_condition_by_the_example_value(draw):
     rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(12)]
     data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(12)])
     rules = near_duplicate_ruleset(rng, vocab_sizes)
+    prop = Proposal.of(rules, data, hypers(data))
     for xrow in data.rows:
         if any(rule_covers(rule, xrow) for rule in rules):
             continue
@@ -808,20 +860,22 @@ def test_add_value_grows_each_rejecting_condition_by_the_example_value(draw):
             conds[ci] = Condition(j, conds[ci].values + (int(xrow[j]),))
             grown = rules[:mi] + (Rule(tuple(conds)),) + rules[mi + 1:]
             expected.append(normalize(RuleSet(grown), vocab_sizes).rules)
-        assert _edits_add_value(rules, data, xrow) == expected
+        assert [materialized(e) for e in _edits_add_value(prop, xrow)] == expected
 
 
 def test_add_value_drops_condition_that_reaches_full_vocabulary():
     from mars.search import _edits_add_value
 
     data = make_dataset((2, 3), [[0, 0], [1, 2]], [1, 0])
+    h = hypers(data)
     lone = Rule.of({0: (0,)})
     pair = Rule.of({0: (0,), 1: (0, 1)})
     # growing x0 to {0, 1} leaves nothing of `lone`: the rule goes
-    assert _edits_add_value((lone,), data, data.rows[1]) == [()]
+    edits = _edits_add_value(Proposal.of((lone,), data, h), data.rows[1])
+    assert [materialized(e) for e in edits] == [()]
     # growing x1 to {0, 1, 2} leaves {x0: 0}, which duplicates `lone`
-    edits = _edits_add_value((lone, pair), data, data.rows[1])
-    assert (lone,) in edits
+    edits = _edits_add_value(Proposal.of((lone, pair), data, h), data.rows[1])
+    assert (lone,) in [materialized(e) for e in edits]
 
 
 def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
@@ -855,8 +909,8 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
             # the float the step compares is the materialized proposal's
             assert pick.log_posterior == prop.score.log_posterior
             assert prop.union_mask == union_mask(prop.rules, data)
-            assert list(prop.rule_cache) == list(prop.rules.rules)
-            for rule, entry in prop.rule_cache.items():
+            assert len(prop.entries) == len(prop.rules.rules)
+            for rule, entry in zip(prop.rules.rules, prop.entries):
                 assert entry == (rule_mask(rule, data), *rule_prior_terms(rule, h, data.vocab_sizes))
         assert state.best.score == score(state.best.rules, data, h)
 
@@ -872,7 +926,8 @@ def test_rejected_steps_build_no_proposal(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(search._Scorer, "proposal", counting(search._Scorer.proposal))
+    # every candidate, a growth included, materializes through _Edit.proposal
+    monkeypatch.setattr(search._Edit, "proposal", counting(search._Edit.proposal))
     rejected = 0
     for seed in range(20):
         data = tiny_instance(seed)
