@@ -239,9 +239,11 @@ def cmd_sweep(args) -> int:
             beta_grid=tuple(float(b) for b in args.grid.split(",")),
             replicates=args.replicates,
         )
-        grid.train_size(spec.n_rows)
+        synth.train_size(spec.n_rows)
     except ValueError as exc:
         raise MarsError(f"invalid sweep setting: {exc}") from exc
+    if args.jobs < 1:
+        raise MarsError("invalid sweep setting: --jobs must be at least 1")
     _check_writable({"--out": args.out}, {"--hyper-config": args.hyper_config})
     base = _hyperparams(args, args.features)
     try:

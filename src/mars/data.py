@@ -27,7 +27,7 @@ import numpy as np
 
 from .bitset import mask_from_bools
 from .errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
-from .model import Rule, RuleSet
+from .model import Pairs, RuleSet
 
 MISSING = "⟨missing⟩"
 
@@ -269,10 +269,13 @@ def condition_mask(data: Dataset, feature_id: int, values: Collection[int]) -> i
     return mask
 
 
-def rule_mask(rule: Rule, data: Dataset) -> int:
+def rule_mask(pairs: Pairs, data: Dataset) -> int:
+    """Rows the rule ``pairs`` covers, the rule given as the (feature,
+    values) pairs of its conditions: the AND of their condition masks.
+    Every rule mask is built here, the search's included."""
     mask = data.full_mask
-    for cond in rule.conditions:
-        mask &= condition_mask(data, cond.feature_id, cond.values)
+    for j, values in pairs:
+        mask &= condition_mask(data, j, values)
         if not mask:
             break
     return mask
@@ -281,7 +284,7 @@ def rule_mask(rule: Rule, data: Dataset) -> int:
 def union_mask(ruleset: RuleSet, data: Dataset) -> int:
     mask = 0
     for rule in ruleset.rules:
-        mask |= rule_mask(rule, data)
+        mask |= rule_mask(rule.pairs, data)
     return mask
 
 

@@ -13,6 +13,10 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+# a rule as the (feature, sorted values) pairs of its conditions, in feature
+# order: the form the search edits rules in
+Pairs = tuple[tuple[int, tuple[int, ...]], ...]
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -28,11 +32,6 @@ class Condition:
         if vals[0] < 0:
             raise ValueError(f"negative value index in condition on feature {self.feature_id}")
         object.__setattr__(self, "values", vals)
-        # hashed millions of times by the search's neighbor dedup; cache it
-        object.__setattr__(self, "_hash", hash((self.feature_id, vals)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def n_values(self) -> int:
@@ -53,10 +52,6 @@ class Rule:
         if len(set(feats)) != len(feats):
             raise ValueError("duplicate feature in rule; merge value sets first")
         object.__setattr__(self, "conditions", conds)
-        object.__setattr__(self, "_hash", hash(conds))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def of(cls, conditions: Mapping[int, Iterable[int]]) -> "Rule":
@@ -66,6 +61,10 @@ class Rule:
     @property
     def features(self) -> tuple[int, ...]:
         return tuple(c.feature_id for c in self.conditions)
+
+    @property
+    def pairs(self) -> Pairs:
+        return tuple((c.feature_id, c.values) for c in self.conditions)
 
     @property
     def n_items(self) -> int:

@@ -19,24 +19,27 @@ holding the example's value and a random sample of the others.  A seed is
 admitted only when its support clears the current pruning floor; the
 rule-count cap gates the action entirely.
 
-Every neighbor is a one-rule edit of the current ``Proposal``: rule ``mi``
-replaced, deleted, or, at ``mi`` equal to the rule count, a rule appended.
-``Proposal.edit`` builds each edit from the new rule's (feature, sorted
-values) pairs and resolves a new rule equal to another current rule as
-``normalize`` does, so every edit makes a normalized rule set, and equal
-edits make equal rule sets.  An edit is scored and materialized from the
-same pieces: one ``_splice`` puts the new rule's entry into the proposal's
-entries, and its rule into its rules, ``_prior`` adds the entries' terms
-in rule order (the floats ``scoring.log_prior`` adds), and the likelihood
-is counted from the other rules' cached union OR the new rule's mask.  So
-an edit's posterior is the float ``scoring.score`` gives the rule set it
-makes.  Add-condition moves are scored from counts instead, so that a
-step scores its narrowings without building a mask for each: a rule's
-``_GrowthTable`` holds, per (feature, value), the positive and negative
-rows among those the rule alone covers, and takes its prior from
-``_prior``; a growth becomes an edit only when it is kept.  Coverage is
-read from ``Dataset.value_masks`` alone: a new rule's mask is the AND of
-its conditions' masks.
+Inside the search a rule has one form, the (feature, sorted values) pairs
+of its conditions in feature order (``model.Pairs``); a proposal keeps its
+rules as a tuple of them, and builds a ``RuleSet`` only when a new best is
+logged or returned.  Every neighbor is a one-rule edit of the current
+``Proposal``: rule ``mi`` replaced, deleted, or, at ``mi`` equal to the
+rule count, a rule appended, and ``Proposal.of`` appends a start's rules
+one edit at a time.  ``Proposal.edit`` takes the new rule's pairs, gets
+its mask from ``data.rule_mask``, the one rule-mask builder, and resolves
+a new rule equal to another current rule as ``normalize`` does, so every
+edit makes a normalized rule set, and equal edits make equal rule sets.
+An edit is scored and materialized from the same pieces: one ``_splice``
+puts the new rule's entry into the proposal's entries, and its pairs into
+its rules, ``_prior`` adds the entries' terms in rule order (the floats
+``scoring.log_prior`` adds), and the likelihood is counted from the other
+rules' cached union OR the new rule's mask.  So an edit's posterior is the
+float ``scoring.score`` gives the rule set it makes.  Add-condition moves
+are scored from counts instead, so that a step scores its narrowings
+without building a mask for each: a rule's ``_GrowthTable`` holds, per
+(feature, value), the positive and negative rows among those the rule
+alone covers, and takes its prior from ``_prior``; a growth becomes an
+edit only when it is kept.
 
 The search draws its random integers with ``_below`` and ``_sample``,
 which return what ``Random.randint`` and ``Random.sample`` return from the
@@ -49,17 +52,17 @@ proposal carries its rules, its ``Score`` (with its ``Confusion``), its
 rules' entries and growth tables and its coverage mask, so accepting a
 move is replacing the current proposal.  The state also owns the run's
 RNG, which ``init_state`` seeds from ``cfg.random_seed`` and every chain
-draws from, and its runlog, which every chain writes to.
+draws from, the config, and its runlog, which every chain writes to; the
+step functions take the state alone.
 
 The chain keeps few of its steps, so a step builds a ``Proposal`` only for
 a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
 action and its posterior, the very float ``max()`` ranked it by.  The step
 compares that float with the best and current posteriors and materializes
 the pick once when it is a new best or accepted; a rejected step builds
-nothing, and the new rule becomes a ``Rule`` only there.  A proposal also
-lists its misclassified rows once, the first time a step samples an
-example from it, and serves that list to every later step until a move is
-accepted.
+nothing.  A proposal also lists its misclassified rows once, the first
+time a step samples an example from it, and serves that list to every
+later step until a move is accepted.
 """
 
 from __future__ import annotations
@@ -68,14 +71,15 @@ import json
 import math
 import random
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
-from .data import Dataset, condition_mask, rule_mask
+from .data import Dataset, rule_mask
 from .errors import DegenerateLabelError
-from .model import Condition, Rule, RuleSet, normalize
+from .model import Condition, Pairs, Rule, RuleSet, normalize
 from .scoring import (
     Hyperparams,
     Score,
@@ -84,7 +88,6 @@ from .scoring import (
     log_likelihood_counts,
     log_rule_count_prior,
     prior_terms_from_counts,
-    rule_prior_terms,
 )
 
 # not called here; kept importable from this module for per-layer tracing
@@ -100,9 +103,6 @@ STALL_RESTART_AFTER = 20
 
 # per-rule entry: (coverage mask, log p(L_m) term, log p(z_m) term)
 RuleEntry = tuple[int, float, float]
-# a rule as the (feature, sorted values) pairs of its conditions, in feature
-# order: the form Rule holds them in
-Pairs = tuple[tuple[int, tuple[int, ...]], ...]
 
 
 @dataclass(frozen=True)
@@ -190,56 +190,49 @@ def _prior(entries: tuple[RuleEntry, ...], hyper: Hyperparams) -> float:
 
 @dataclass(eq=False)
 class Proposal:
-    """A rule set scored on ``data`` under ``hyper``: ``entries`` holds the
-    entry of each of its rules, in rule order, and ``union_mask`` the rows
-    they cover.  ``keys`` holds each rule as its pairs and ``index`` each
-    rule's index by its pairs.  ``growth`` holds the growth tables of its
-    rules, by rule index, built when an add-condition step first narrows
-    that rule, and ``misclassified`` the rows it misclassifies, in
-    ascending order, listed when a step first samples an example from it.
-    A proposal compares by identity."""
+    """A rule set scored on ``data`` under ``hyper``.  ``keys`` holds each
+    of its rules as its (feature, values) pairs, the one form the search
+    keeps rules in, and ``index`` each rule's index by its pairs;
+    ``entries`` holds the entry of each rule, in rule order, and
+    ``union_mask`` the rows they cover.  The ``score`` is computed from
+    those here.  ``rules`` builds the ``RuleSet`` once, when first read:
+    only a new best's ``improve`` record and ``run``'s result read it.
+    ``growth`` holds the growth tables of its rules, by rule index, built
+    when an add-condition step first narrows that rule, and
+    ``misclassified`` the rows it misclassifies, in ascending order, listed
+    when a step first samples an example from it.  A proposal compares by
+    identity."""
 
-    rules: RuleSet
-    score: Score
+    keys: tuple[Pairs, ...]
     entries: tuple[RuleEntry, ...]
     union_mask: int
     data: Dataset = field(repr=False)
     hyper: Hyperparams = field(repr=False)
+    score: Score = field(init=False)
     growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False)
     misclassified: list[int] | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        self.keys: tuple[Pairs, ...] = tuple(
-            tuple((c.feature_id, c.values) for c in rule.conditions) for rule in self.rules.rules
-        )
+        conf = confusion_from_mask(self.union_mask, self.data)
+        prior = _prior(self.entries, self.hyper)
+        self.score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
         self.index = {key: k for k, key in enumerate(self.keys)}
         self._others: dict[int, int] = {}
 
     @classmethod
-    def of(cls, rules: tuple[Rule, ...], data: Dataset, hyper: Hyperparams) -> Proposal:
-        """The proposal of a normalized rule tuple, its entries computed
-        afresh."""
-        entries = tuple(
-            (rule_mask(rule, data), *rule_prior_terms(rule, hyper, data.vocab_sizes))
-            for rule in rules
-        )
-        union = 0
-        for mask, _, _ in entries:
-            union |= mask
-        return cls.scored(rules, entries, union, data, hyper)
+    def of(cls, rules: Sequence[Rule], data: Dataset, hyper: Hyperparams) -> Proposal:
+        """The proposal of a normalized rule tuple: the empty proposal with
+        each rule appended in turn."""
+        prop = cls((), (), 0, data, hyper)
+        for rule in rules:
+            prop = prop.edit(len(prop.keys), rule.pairs).proposal()
+        return prop
 
-    @classmethod
-    def scored(
-        cls,
-        rules: tuple[Rule, ...],
-        entries: tuple[RuleEntry, ...],
-        union: int,
-        data: Dataset,
-        hyper: Hyperparams,
-    ) -> Proposal:
-        conf = confusion_from_mask(union, data)
-        score = Score.of(_prior(entries, hyper), log_likelihood(conf, hyper), conf)
-        return cls(RuleSet(rules), score, entries, union, data, hyper)
+    @cached_property
+    def rules(self) -> RuleSet:
+        return RuleSet(
+            tuple(Rule(tuple(Condition(j, values) for j, values in key)) for key in self.keys)
+        )
 
     def others(self, mi: int) -> int:
         """The rows every rule but rule ``mi`` covers (all of them, for
@@ -254,9 +247,9 @@ class Proposal:
         return mask
 
     def edit(self, mi: int, pairs: Pairs | None) -> _Edit:
-        """The edit putting the rule ``pairs`` at index ``mi``, its rows the
-        AND of its conditions' masks: None deletes rule ``mi``, and ``mi``
-        equal to the rule count appends.
+        """The edit putting the rule ``pairs`` at index ``mi``, its rows
+        from ``rule_mask``: None deletes rule ``mi``, and ``mi`` equal to
+        the rule count appends.
 
         A new rule equal to another rule ``k`` is resolved as ``normalize``
         resolves duplicates, keeping the first copy.  When ``k`` comes
@@ -266,11 +259,7 @@ class Proposal:
         k = None if pairs is None else self.index.get(pairs)
         if k is not None and (k < mi or k == mi + 1):
             pairs = k = None
-        mask = 0
-        if pairs is not None:
-            mask = self.data.full_mask
-            for j, values in pairs:
-                mask &= condition_mask(self.data, j, values)
+        mask = 0 if pairs is None else rule_mask(pairs, self.data)
         return _Edit(self, mi, pairs, k, mask)
 
 
@@ -312,14 +301,10 @@ class _Edit:
         return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
 
     def proposal(self) -> Proposal:
-        """The rule set the edit makes, scored; its new rule becomes a
-        ``Rule`` here."""
+        """The rule set the edit makes, scored."""
         prop, mi, k = self.prop, self.mi, self.k
-        rule = None
-        if self.pairs is not None:
-            rule = Rule(tuple(Condition(j, values) for j, values in self.pairs))
-        return Proposal.scored(
-            _splice(prop.rules.rules, mi, rule, k),
+        return Proposal(
+            _splice(prop.keys, mi, self.pairs, k),
             _splice(prop.entries, mi, self._entry(), k),
             prop.others(mi) | self.mask,
             prop.data,
@@ -331,12 +316,15 @@ class _Edit:
 class SearchState:
     """Mutable state of one annealing chain: the current proposal, the best
     one seen in any chain so far, and the pruning bounds, with the RNG
-    every chain of the run draws from and the runlog every chain writes."""
+    every chain of the run draws from, the run's config and the runlog
+    every chain writes.  The data and hyperparameters are the current
+    proposal's."""
 
     current: Proposal
     best: Proposal
     bounds: BoundState
     rng: random.Random
+    cfg: SearchConfig
     t: int = 0
     chain: int = 0
     stall_streak: int = 0
@@ -449,8 +437,7 @@ Candidate = _Edit | _Growth
 class Pick(NamedTuple):
     """The candidate ``propose`` chose through ``action``, with its
     posterior, equal to the ``log_posterior`` of the proposal it
-    materializes into.  A candidate becomes a rule set, and its new rule a
-    ``Rule``, only here."""
+    materializes into.  A candidate becomes a proposal only here."""
 
     candidate: Candidate
     action: str
@@ -526,17 +513,18 @@ def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
 
 
 def _start_chain(
-    data: Dataset, hyper: Hyperparams, rng: random.Random, state: SearchState | None = None
+    data: Dataset, hyper: Hyperparams, cfg: SearchConfig, state: SearchState | None = None
 ) -> SearchState:
     """Make a random rule set the current state of chain ``state.chain``: a
-    new state drawing from ``rng`` for chain 0, or ``state`` restarted at
-    t = 0 with its best, bounds and runlog kept.  The runlog gets the
-    chain's ``chain_start`` record, then an ``improve`` record when the
-    start is the new best."""
+    new state for chain 0, its RNG seeded from ``cfg.random_seed``, or
+    ``state`` restarted at t = 0 with its RNG, best, bounds and runlog
+    kept.  The runlog gets the chain's ``chain_start`` record, then an
+    ``improve`` record when the start is the new best."""
+    rng = random.Random(f"mars-search:{cfg.random_seed}") if state is None else state.rng
     start = Proposal.of(random_ruleset(data, rng).rules, data, hyper)
     improved = state is None or start.score.log_posterior > state.best.score.log_posterior
     if state is None:
-        state = SearchState(start, start, initial_bounds(data, hyper), rng)
+        state = SearchState(start, start, initial_bounds(data, hyper), rng, cfg)
     else:
         state.current, state.t, state.stall_streak = start, 0, 0
         if improved:
@@ -551,15 +539,15 @@ def _start_chain(
 
 def init_state(data: Dataset, hyper: Hyperparams, cfg: SearchConfig) -> SearchState:
     """Chain 0's state from a random rule set, with bounds seeded with its
-    score.  The state owns the run's RNG, seeded here from
-    ``cfg.random_seed``, and its runlog, which holds chain 0's
-    ``chain_start`` and ``improve`` records."""
+    score.  The state owns the run's RNG, seeded from ``cfg.random_seed``,
+    its config and its runlog, which holds chain 0's ``chain_start`` and
+    ``improve`` records."""
     if data.n_pos == 0 or data.n_neg == 0:
         raise DegenerateLabelError("training data needs both positive and negative examples")
-    return _start_chain(data, hyper, random.Random(f"mars-search:{cfg.random_seed}"))
+    return _start_chain(data, hyper, cfg)
 
 
-def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] | None:
+def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
     """Uniform draw from the rows the current rule set misclassifies.
 
     Returns (row_index, label) or None when training accuracy is 1.0.
@@ -570,6 +558,7 @@ def sample_misclassified(state: SearchState, data: Dataset) -> tuple[int, bool] 
     same draw k.
     """
     current = state.current
+    data = current.data
     rows = current.misclassified
     if rows is None:
         rows = current.misclassified = indices(current.union_mask ^ data.pos_mask)
@@ -693,13 +682,7 @@ def _edits_remove_rule(prop: Proposal) -> list[_Edit]:
 # proposal selection
 # ---------------------------------------------------------------------------
 
-def propose(
-    state: SearchState,
-    example: tuple[int, bool] | None,
-    data: Dataset,
-    hyper: Hyperparams,
-    cfg: SearchConfig,
-) -> Pick | None:
+def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None:
     """One pick for a sampled misclassified example, or for None when
     training accuracy is 1.0.
 
@@ -710,14 +693,13 @@ def propose(
     order.  The first action with a neighbor gives the pick; None (a
     stall) is returned when none has any.
     """
-    rng = state.rng
-    current = state.current
+    rng, cfg, current = state.rng, state.cfg, state.current
     if example is None:
         order = list(SIMPLIFY_ACTIONS)
         rng.shuffle(order)
     else:
         idx, is_positive = example
-        xrow = data.rows[idx]
+        xrow = current.data.rows[idx]
         actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
         first = rng.choice(actions)
         actions.remove(first)
@@ -760,13 +742,11 @@ def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
     return rng.random() < math.exp(delta / temp)
 
 
-def anneal_step(
-    state: SearchState, data: Dataset, hyper: Hyperparams, cfg: SearchConfig
-) -> SearchState:
+def anneal_step(state: SearchState) -> SearchState:
     """One Markov-chain step: propose, track best, accept-or-reject.  The
     pick becomes a ``Proposal`` only when it is a new best or accepted.
     Stalls and new bests go to ``state.runlog``."""
-    pick = propose(state, sample_misclassified(state, data), data, hyper, cfg)
+    pick = propose(state, sample_misclassified(state))
     if pick is None:
         state.stall_streak += 1
         state.runlog.emit(event="stall", chain=state.chain, t=state.t)
@@ -777,7 +757,7 @@ def anneal_step(
     # the best-so-far tracks every pick, accepted or not
     improved = pick.log_posterior > state.best.score.log_posterior
     delta = pick.log_posterior - state.current.score.log_posterior
-    accepted = _accepts(state.rng, delta, temperature(cfg, state.t))
+    accepted = _accepts(state.rng, delta, temperature(state.cfg, state.t))
     if improved or accepted:
         prop = pick.proposal()
         if improved:
@@ -806,9 +786,9 @@ def run(
     for chain in range(cfg.n_restarts + 1):
         if chain:
             state.chain = chain
-            _start_chain(data, hyper, state.rng, state)
+            _start_chain(data, hyper, cfg, state)
         for _ in range(cfg.n_iter):
-            anneal_step(state, data, hyper, cfg)
+            anneal_step(state)
             if state.stall_streak >= STALL_RESTART_AFTER:
                 runlog.emit(event="stall_restart", chain=chain, t=state.t)
                 break

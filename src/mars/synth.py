@@ -50,30 +50,32 @@ class SynthSpec:
             raise ValueError("max_conditions must lie in [1, n_features]")
 
 
+# share of a sweep table's rows that go to training; the rest are the holdout
+TRAIN_FRACTION = 0.75
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     beta_grid: tuple[float, ...] = (1.0, 100.0, 10000.0)
-    train_fraction: float = 0.75
     replicates: int = 5
 
     def __post_init__(self) -> None:
         if not self.beta_grid:
             raise ValueError("beta_grid must be non-empty")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError("train_fraction must lie in (0, 1)")
         if self.replicates < 1:
             raise ValueError("replicates must be positive")
 
-    def train_size(self, n_rows: int) -> int:
-        """Rows of an ``n_rows`` table that go to training; the rest are
-        the holdout.  Raises ValueError when either split would be empty."""
-        cut = int(round(n_rows * self.train_fraction))
-        if not 0 < cut < n_rows:
-            raise ValueError(
-                f"{n_rows} rows at train fraction {self.train_fraction:g} leave the "
-                f"{'train' if cut == 0 else 'holdout'} split empty"
-            )
-        return cut
+
+def train_size(n_rows: int) -> int:
+    """Rows of an ``n_rows`` table that go to training; the rest are the
+    holdout.  Of two rows or more the train split gets at least one, so
+    only the holdout can be empty: then this raises ValueError."""
+    cut = int(round(n_rows * TRAIN_FRACTION))
+    if cut == n_rows:
+        raise ValueError(
+            f"{n_rows} rows at train fraction {TRAIN_FRACTION:g} leave the holdout split empty"
+        )
+    return cut
 
 
 @dataclass(frozen=True)
@@ -216,11 +218,11 @@ def sweep(
     are comparable.  Each record gives the model's size as ``RuleSet``
     counts it: ``n_rules``, ``n_conditions``, ``n_values`` (the sum of |V|
     over all conditions) and ``n_features``.  Before any search runs, a row
-    count that leaves the train or holdout split empty raises ValueError,
-    and a train split holding a single class raises DegenerateLabelError.
+    count that leaves the holdout split empty raises ValueError, and a
+    train split holding a single class raises DegenerateLabelError.
     At most ``jobs`` worker processes run, and none when there is one cell.
     """
-    n_train = grid.train_size(spec.n_rows)
+    n_train = train_size(spec.n_rows)
     tasks = []
     for replicate in range(grid.replicates):
         data_seed = derived_seed(spec.seed, "dataset", replicate)

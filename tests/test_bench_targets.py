@@ -49,6 +49,39 @@ def test_search_calls_the_traced_bitset_and_mask_names(monkeypatch):
     assert all(calls.values()), calls
 
 
+def test_add_rule_seeds_get_their_masks_through_the_traced_name(monkeypatch):
+    """Every admitted add-rule seed needs its mask from ``mars.search.rule_mask``,
+    the one rule-mask builder: a seed masked another way would leave the
+    traced ``data.rule_mask_*`` metrics blind to the add-rule action."""
+    import mars.search as search
+    from mars.data import discretize
+    from mars.scoring import Hyperparams
+    from mars.synth import SynthSpec, generate
+
+    calls = 0
+    seeded = []
+
+    def counted(*args, _orig=search.rule_mask):
+        nonlocal calls
+        calls += 1
+        return _orig(*args)
+
+    def recording(*args, _orig=search._seed_moves):
+        nonlocal calls
+        calls = 0
+        seeds = _orig(*args)
+        seeded.append((calls, len(seeds)))
+        return seeds
+
+    monkeypatch.setattr(search, "rule_mask", counted)
+    monkeypatch.setattr(search, "_seed_moves", recording)
+    table, _ = generate(SynthSpec(n_rows=300, n_features=6, seed=1))
+    data = discretize(table)
+    search.run(data, Hyperparams.defaults(data.n_features), search.SearchConfig(n_iter=300))
+    assert sum(n for _, n in seeded), "no add-rule step admitted a seed"
+    assert all(masks >= n for masks, n in seeded), seeded
+
+
 @pytest.mark.parametrize("command", ["predict", "evaluate"])
 def test_predict_and_evaluate_call_the_traced_encode_name_once(monkeypatch, tmp_path, command):
     """The tracer times ``data.encode`` by rebinding ``mars.cli.encode_with_specs``:

@@ -68,7 +68,7 @@ def test_lemma_rule_deletion_bound_exhaustive():
             for z in range(len(rs.rules)):
                 reduced = RuleSet(rs.rules[:z] + rs.rules[z + 1 :])
                 ll_reduced = log_likelihood(confusion_counts(reduced, data), h)
-                supp = rule_mask(rs.rules[z], data).bit_count()
+                supp = rule_mask(rs.rules[z].pairs, data).bit_count()
                 assert ll >= supp * log_ups + ll_reduced - 1e-9
 
 
@@ -230,4 +230,4 @@ def test_soundness_at_the_optimum_exhaustive():
             for rs in maximizers:
                 assert rs.n_rules <= state.m_cap
                 for rule in rs.rules:
-                    assert rule_mask(rule, data).bit_count() >= state.min_support
+                    assert rule_mask(rule.pairs, data).bit_count() >= state.min_support

@@ -367,6 +367,21 @@ def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_with_fewer_than_one_job_exits_1_before_generating(monkeypatch, capsys, tmp_path,
+                                                                  jobs):
+    from mars import synth
+
+    def no_data(*args):
+        raise AssertionError("data generated")
+
+    monkeypatch.setattr(synth, "generate", no_data)
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--rows", "50", "--jobs", jobs, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: invalid sweep setting: --jobs must be at least 1\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["alpha_l", "theta", "beta_m"])
 def test_model_with_overflowing_hyperparameter_exits_5(trained, tmp_path, key):
     tmp, model = trained

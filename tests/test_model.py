@@ -229,8 +229,8 @@ def test_normalize_preserves_classification_unless_tautology_dropped(data):
 def test_coverage_empty_when_rule_matches_nothing():
     data = make_dataset((2, 2), [[0, 0], [0, 1]], [0, 1])
     rule = Rule.of({0: (1,)})
-    assert rule_mask(rule, data) == 0
-    assert indices(rule_mask(rule, data)) == []
+    assert rule_mask(rule.pairs, data) == 0
+    assert indices(rule_mask(rule.pairs, data)) == []
 
 
 def test_support_all_but_one_value():
@@ -242,8 +242,8 @@ def test_support_all_but_one_value():
     excluded = 2
     rule = Rule.of({0: tuple(v for v in range(vocab) if v != excluded)})
     expected = sum(1 for r in rows if r[0] != excluded)
-    assert rule_mask(rule, data).bit_count() == expected
-    assert len(indices(rule_mask(rule, data))) == expected
+    assert rule_mask(rule.pairs, data).bit_count() == expected
+    assert len(indices(rule_mask(rule.pairs, data))) == expected
 
 
 def test_coverage_matches_row_loop():
@@ -255,4 +255,4 @@ def test_coverage_matches_row_loop():
         rs = random_ruleset_for(rng, vocab_sizes, max_rules=1)
         rule = rs.rules[0]
         expected = {i for i, row in enumerate(rows) if rule_covers(rule, row)}
-        assert indices(rule_mask(rule, data)) == sorted(expected)
+        assert indices(rule_mask(rule.pairs, data)) == sorted(expected)

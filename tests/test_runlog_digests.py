@@ -46,6 +46,41 @@ def test_tiny_instance_runs_match_their_digests():
     assert [digest(tiny_instance(s), (0, 1), 80) for s in range(20)] == TINY_DIGESTS
 
 
+def test_bounds_bite_on_the_tiny_instances(monkeypatch):
+    """On the tiny digest runs the pruning bounds do work: the support
+    floor turns away some add-rule seed, and the rule-count cap closes the
+    add-rule action in some step."""
+    import mars.search as search
+
+    edits = []
+    floor_rejects = capped = 0
+    edit, seed_moves = search.Proposal.edit, search._seed_moves
+
+    def recording_edit(prop, mi, pairs):
+        made = edit(prop, mi, pairs)
+        edits.append(made)
+        return made
+
+    def checked_seed_moves(current, xrow, rng, budget, bounds):
+        nonlocal floor_rejects, capped
+        edits.clear()
+        seeds = seed_moves(current, xrow, rng, budget, bounds)
+        if bounds.m_cap is not None and len(current.keys) >= bounds.m_cap:
+            assert seeds == [] and not edits
+            capped += 1
+        admitted = set(map(id, seeds))
+        rejected = [e for e in edits if id(e) not in admitted]
+        assert all(e.mask.bit_count() < bounds.min_support for e in rejected)
+        floor_rejects += len(rejected)
+        return seeds
+
+    monkeypatch.setattr(search.Proposal, "edit", recording_edit)
+    monkeypatch.setattr(search, "_seed_moves", checked_seed_moves)
+    # the wrappers change nothing: these are the digest runs
+    assert [digest(tiny_instance(s), (0, 1), 80) for s in range(20)] == TINY_DIGESTS
+    assert floor_rejects and capped, (floor_rejects, capped)
+
+
 def test_synthetic_run_matches_its_digest():
     table, _ = generate(SynthSpec(n_rows=1000, seed=3))
     assert digest(discretize(table), (0,), 1000) == SYNTH_DIGEST

@@ -140,14 +140,14 @@ def test_perfect_classifier_yields_no_example():
     data = make_dataset((2, 2), [[0, 0], [0, 1], [1, 0], [1, 1]], [1, 1, 0, 0])
     perfect = RuleSet((Rule.of({0: (0,)}),))
     state = _state_with(data, perfect)
-    assert sample_misclassified(state, data) is None
+    assert sample_misclassified(state) is None
 
 
 def test_empty_ruleset_samples_only_positives():
     data = tiny_instance(5)
     state = _state_with(data, RuleSet(()))
     for _ in range(30):
-        idx, label = sample_misclassified(state, data)
+        idx, label = sample_misclassified(state)
         assert label is True
         assert bool(data.labels[idx])
 
@@ -159,7 +159,7 @@ def test_sampling_is_uniform_over_misclassified():
     data = tiny_instance(9)
     state = _state_with(data, RuleSet(()))
     mis = [i for i in range(data.n_rows) if data.labels[i]]
-    draws = Counter(sample_misclassified(state, data)[0] for _ in range(10_000))
+    draws = Counter(sample_misclassified(state)[0] for _ in range(10_000))
     counts = [draws.get(i, 0) for i in mis]
     assert sum(counts) == 10_000
     _, pvalue = chisquare(counts)
@@ -191,13 +191,13 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
     data = make_dataset(vocab_sizes, rows, labels)
     h = hypers(data)
     prop = Proposal.of(rules.rules, data, h)
-    state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed))
+    state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed), small_cfg())
     reference = random.Random(seed)
     mis = prop.union_mask ^ data.pos_mask
     if kind == "perfect":
         assert mis == 0
     for _ in range(5):
-        got = sample_misclassified(state, data)
+        got = sample_misclassified(state)
         if mis == 0:
             assert got is None
         else:
@@ -212,7 +212,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
 
 def _find_example(state, data, want_positive):
     while True:
-        ex = sample_misclassified(state, data)
+        ex = sample_misclassified(state)
         if ex is not None and ex[1] == want_positive:
             return ex
 
@@ -222,7 +222,7 @@ def test_add_value_neighbors_grow_coverage():
     rng = random.Random(1)
     start = RuleSet((Rule.of({0: (0,)}),))
     state = _state_with(data, start)
-    ex = sample_misclassified(state, data)
+    ex = sample_misclassified(state)
     if ex is None or not ex[1]:
         pytest.skip("instance classified; pick another seed")
     from mars.search import _edits_add_value
@@ -272,7 +272,7 @@ def test_add_rule_candidates_respect_support_floor():
     for seed in seeds:
         made = seed.proposal()
         rule, mask = made.rules.rules[-1], made.entries[-1][0]
-        assert mask == seed.mask == rule_mask(rule, data)
+        assert mask == seed.mask == rule_mask(rule.pairs, data)
         assert mask.bit_count() >= 3
 
 
@@ -294,20 +294,20 @@ def test_exploit_mode_returns_posterior_argmax():
     cfg = small_cfg(explore_prob=0.0, neighbor_budget=500, random_seed=4)
     state = init_state(data, h, cfg)
     for _ in range(20):
-        ex = sample_misclassified(state, data)
+        ex = sample_misclassified(state)
         if ex is None:
             break
         rng_snapshot = state.rng.getstate()
-        pick = propose(state, ex, data, h, cfg)
+        pick = propose(state, ex)
         if pick is None:
             continue
         prop = pick.proposal()
         # replay the same action's full neighbor set and verify the argmax
         state.rng.setstate(rng_snapshot)
-        replay = propose(state, ex, data, h, cfg).proposal()
+        replay = propose(state, ex).proposal()
         assert replay.rules == prop.rules
         assert replay.score.log_posterior == prop.score.log_posterior
-        anneal_step(state, data, h, cfg)
+        anneal_step(state)
 
 
 def test_proposals_are_normalized_rulesets():
@@ -318,7 +318,7 @@ def test_proposals_are_normalized_rulesets():
     cfg = small_cfg(random_seed=8)
     state = init_state(data, h, cfg)
     for _ in range(300):
-        anneal_step(state, data, h, cfg)
+        anneal_step(state)
         assert is_normalized(state.current.rules, data.vocab_sizes)
         assert state.best.score.log_posterior >= state.current.score.log_posterior - 1e-12
 
@@ -386,7 +386,7 @@ def test_stepping_the_state_writes_the_runlog_run_writes(seed):
     cfg = small_cfg(n_iter=300, random_seed=seed)
     state = init_state(data, h, cfg)
     for _ in range(cfg.n_iter):
-        anneal_step(state, data, h, cfg)
+        anneal_step(state)
     _, _, runlog = run(data, h, cfg)
     assert runlog.records[-1]["event"] == "done"
     assert all(r["event"] != "stall_restart" for r in runlog.records)
@@ -435,18 +435,18 @@ def test_admitted_rules_meet_support_floor_during_run():
     for _ in range(cfg.n_iter):
         floor = state.bounds.min_support
         before = set(state.current.rules.rules)
-        ex = sample_misclassified(state, data)
+        ex = sample_misclassified(state)
         if ex is None:
-            anneal_step(state, data, h, cfg)
+            anneal_step(state)
             continue
-        pick = propose(state, ex, data, h, cfg)
+        pick = propose(state, ex)
         if pick is not None:
             prop = pick.proposal()
             if pick.action == "add_rule":
                 new_rules = set(prop.rules.rules) - before
                 assert new_rules, "add_rule proposal must introduce a rule"
                 for rule in new_rules:
-                    assert rule_mask(rule, data).bit_count() >= floor
+                    assert rule_mask(rule.pairs, data).bit_count() >= floor
                     admissions += 1
             delta = prop.score.log_posterior - state.current.score.log_posterior
             if _accepts(state.rng, delta, temperature(cfg, state.t)):
@@ -461,7 +461,7 @@ def test_incremental_confusion_stays_consistent():
     cfg = small_cfg(n_iter=400, random_seed=3)
     state = init_state(data, h, cfg)
     for _ in range(cfg.n_iter):
-        anneal_step(state, data, h, cfg)
+        anneal_step(state)
         assert state.current.score.confusion == confusion_counts(state.current.rules, data)
 
 
@@ -504,7 +504,7 @@ def materialized(move):
 def raw_add_condition(rules, data, idx, xrow, rng):
     edits = []
     for mi, rule in enumerate(rules):
-        if not rule_mask(rule, data) >> idx & 1:
+        if not rule_mask(rule.pairs, data) >> idx & 1:
             continue
         for j in range(data.n_features):
             vocab = data.vocab_sizes[j]
@@ -537,7 +537,7 @@ def raw_add_rule(rules, data, xrow, rng, budget, min_support):
         if cand in seen or cand in rules:
             continue
         seen.add(cand)
-        if rule_mask(cand, data).bit_count() >= min_support:
+        if rule_mask(cand.pairs, data).bit_count() >= min_support:
             edits.append(rules + (cand,))
     return edits
 
@@ -606,7 +606,7 @@ def test_edits_equal_normalized_raw_edits(draw):
             assert p.score == full
             assert p.union_mask == union_mask(p.rules, data)
             assert p.entries == tuple(
-                (rule_mask(rule, data), *rule_prior_terms(rule, h, vocab_sizes))
+                (rule_mask(rule.pairs, data), *rule_prior_terms(rule, h, vocab_sizes))
                 for rule in p.rules.rules
             )
         return sets
@@ -659,7 +659,7 @@ def test_growth_table_scores_equal_full_rescore(draw):
         # reference counts over the rows rule mi alone covers: one bincount
         # of codes offset per feature, positive rows shifted past the negatives
         others = union_mask(RuleSet(rules[:mi] + rules[mi + 1:]), data)
-        only = indices(rule_mask(rule, data) & ~others)
+        only = indices(rule_mask(rule.pairs, data) & ~others)
         codes = data.rows[only] + offsets
         codes[data.labels[only]] += n_codes
         counts = np.bincount(codes.ravel(), minlength=2 * n_codes).tolist()
@@ -687,7 +687,7 @@ def test_growth_table_scores_equal_full_rescore(draw):
                     made = chosen.rules.rules
                     made_rule, made_mask = made[mi], chosen.entries[mi][0]
                     assert made == expected and len(expected) == len(rules)
-                    assert made_rule == grown and made_mask == rule_mask(grown, data)
+                    assert made_rule == grown and made_mask == rule_mask(grown.pairs, data)
                     full = score(RuleSet(expected), data, h)
                     assert move.posterior() == full.log_posterior  # floats compared exactly
                     assert chosen.score == full
@@ -722,7 +722,7 @@ def test_seed_scores_equal_full_rescore(draw):
             made = chosen.rules.rules
             rule, mask = made[-1], seed.mask
             assert made == rules + (rule,)
-            assert mask == rule_mask(rule, data)
+            assert mask == rule_mask(rule.pairs, data)
             assert all(xrow[c.feature_id] in c.values for c in rule.conditions)
             full = score(RuleSet(made), data, h)
             assert seed.posterior() == full.log_posterior  # floats compared exactly
@@ -732,8 +732,9 @@ def test_seed_scores_equal_full_rescore(draw):
 
 def test_add_rule_proposals_build_no_rule(monkeypatch):
     """Every action's candidates, add-rule seeds included, are scored as
-    edits and growths: a step builds no Rule or Condition, except for the
-    one new rule of the pick it keeps."""
+    edits and growths, and proposals keep their rules as pairs: scoring
+    builds no Rule or Condition, nor does a kept step that is no new best.
+    A new best builds exactly its rule set, once, for its improve record."""
     import mars.search as search
     from mars.search import NEGATIVE_ACTIONS, POSITIVE_ACTIONS
 
@@ -758,29 +759,35 @@ def test_add_rule_proposals_build_no_rule(monkeypatch):
     monkeypatch.setattr(search, "Condition", counting(Condition))
     monkeypatch.setattr(search, "propose", recording)
     kept_actions = Counter()
+    new_bests = 0
     for seed in range(10):
         data = tiny_instance(seed)
-        h = hypers(data)
         cfg = small_cfg(n_iter=100, random_seed=seed)
-        state = init_state(data, h, cfg)
+        state = init_state(data, hypers(data), cfg)
         for _ in range(cfg.n_iter):
             current, best = state.current, state.best
             built.clear()
             actions = Counter(picked)
-            anneal_step(state, data, h, cfg)
-            if state.current is current and state.best is best:
-                assert not built  # a rejected step or a stall builds nothing
-                continue
-            kept = state.current if state.current is not current else state.best
+            anneal_step(state)
+            if state.best is best:
+                assert not built  # a rejected step, a stall or an accepted non-best
+                if state.current is current:
+                    continue
             (action,) = (picked - actions).elements()
             kept_actions[action] += 1
+            if state.best is best:
+                continue
+            new_bests += 1
+            assert state.runlog.records[-1]["event"] == "improve"
             rules = [x for x in built if isinstance(x, Rule)]
             conditions = [x for x in built if isinstance(x, Condition)]
-            assert len(rules) <= 1
-            # the new rule and its conditions, or nothing for a deletion
-            assert conditions == [c for rule in rules for c in rule.conditions]
-            assert set(kept.rules.rules) - set(current.rules.rules) <= set(rules)
-            assert set(rules) <= set(kept.rules.rules)
+            # the very rules and conditions of the best's rule set, each built once
+            made = state.best.rules.rules
+            assert len(rules) == len(made) and all(r is m for r, m in zip(rules, made))
+            expected = [c for rule in made for c in rule.conditions]
+            assert len(conditions) == len(expected)
+            assert all(c is e for c, e in zip(conditions, expected))
+    assert new_bests
     assert set(kept_actions) == set(POSITIVE_ACTIONS + NEGATIVE_ACTIONS)
 
 
@@ -813,11 +820,9 @@ def test_edit_keeps_first_of_duplicates():
     data = make_dataset((2, 2), [[0, 0], [1, 1]], [1, 0])
     h = hypers(data)
     a, b, c = Rule.of({0: (0,)}), Rule.of({1: (1,)}), Rule.of({0: (1,), 1: (0,)})
-    pairs = {rule: tuple((cond.feature_id, cond.values) for cond in rule.conditions)
-             for rule in (a, b, c)}
 
     def edited(rules, mi, new):
-        edit = Proposal.of(rules, data, h).edit(mi, None if new is None else pairs[new])
+        edit = Proposal.of(rules, data, h).edit(mi, None if new is None else new.pairs)
         return materialized(edit), edit.k
 
     assert edited((a, b, c), 2, b) == ((a, b), None)  # the duplicate comes first
@@ -900,7 +905,7 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
         state = init_state(data, h, cfg)
         chosen.clear()
         for _ in range(cfg.n_iter):
-            anneal_step(state, data, h, cfg)
+            anneal_step(state)
         picks = [pick for pick in chosen if pick is not None]  # None is a stall
         assert picks
         for pick in picks:
@@ -911,7 +916,7 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
             assert prop.union_mask == union_mask(prop.rules, data)
             assert len(prop.entries) == len(prop.rules.rules)
             for rule, entry in zip(prop.rules.rules, prop.entries):
-                assert entry == (rule_mask(rule, data), *rule_prior_terms(rule, h, data.vocab_sizes))
+                assert entry == (rule_mask(rule.pairs, data), *rule_prior_terms(rule, h, data.vocab_sizes))
         assert state.best.score == score(state.best.rules, data, h)
 
 
@@ -938,7 +943,7 @@ def test_rejected_steps_build_no_proposal(monkeypatch):
         kept = 0
         for _ in range(cfg.n_iter):
             current, best = state.current, state.best
-            anneal_step(state, data, h, cfg)
+            anneal_step(state)
             if state.current is not current or state.best is not best:
                 kept += 1
             elif state.stall_streak == 0:

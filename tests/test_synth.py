@@ -12,7 +12,7 @@ from mars.errors import DegenerateLabelError
 from mars.model import Rule, RuleSet
 from mars.scoring import Hyperparams
 from mars.search import SearchConfig
-from mars.synth import SweepSpec, SynthSpec, sweep
+from mars.synth import TRAIN_FRACTION, SweepSpec, SynthSpec, sweep, train_size
 
 
 def test_sweep_is_deterministic():
@@ -49,14 +49,15 @@ def test_sweep_rejects_an_empty_split_before_any_search(monkeypatch):
     grid = SweepSpec(beta_grid=(1.0,), replicates=1)
     for n_rows in range(2, 10):
         spec = SynthSpec(n_rows=n_rows, n_features=2, max_conditions=2, seed=0)
-        cut = int(round(n_rows * grid.train_fraction))
+        cut = int(round(n_rows * TRAIN_FRACTION))
         if 0 < cut < n_rows:
-            assert grid.train_size(n_rows) == cut
+            assert train_size(n_rows) == cut
             continue
         with pytest.raises(ValueError, match="split empty"):
             sweep(spec, grid, Hyperparams.defaults(2), SearchConfig(n_iter=5))
-    with pytest.raises(ValueError, match="train split empty"):
-        SweepSpec(train_fraction=0.1).train_size(4)
+    # of two rows or more the train split is never empty: only the holdout is
+    with pytest.raises(ValueError, match="2 rows at train fraction 0.75 leave the holdout split"):
+        train_size(2)
 
 
 def test_sweep_rejects_a_single_class_train_split_before_any_search(monkeypatch):
