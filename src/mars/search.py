@@ -19,16 +19,22 @@ holding the example's value and a random sample of the others.  A seed is
 admitted only when its support clears the current pruning floor; the
 rule-count cap gates the action entirely.
 
-Inside the search a rule has one form, the (feature, sorted values) pairs
-of its conditions in feature order (``model.Pairs``); a proposal keeps its
-rules as a tuple of them, and builds a ``RuleSet`` only when a new best is
-logged or returned.  Every neighbor is a one-rule edit of the current
-``Proposal``: rule ``mi`` replaced, deleted, or, at ``mi`` equal to the
-rule count, a rule appended, and ``Proposal.of`` appends a start's rules
-one edit at a time.  ``Proposal.edit`` takes the new rule's pairs, gets
-its mask from ``data.rule_mask``, the one rule-mask builder, and resolves
-a new rule equal to another current rule as ``normalize`` does, so every
-edit makes a normalized rule set, and equal edits make equal rule sets.
+Every chain, chain 0 and each restart alike, starts in ``_start_chain``
+from one to three random rules that ``random_ruleset`` draws, each of one
+to three random features with a random proper subset of its vocabulary.
+The start is the best when it is chain 0's or beats the best so far.
+
+Inside the search, chain starts included, a rule has one form, the
+(feature, sorted values) pairs of its conditions in feature order
+(``model.Pairs``); a proposal keeps its rules as a tuple of them, and
+builds a ``RuleSet`` only when a new best is logged or returned.  Every
+neighbor is a one-rule edit of the current ``Proposal``: rule ``mi``
+replaced, deleted, or, at ``mi`` equal to the rule count, a rule appended,
+and ``Proposal.of`` appends a start's rules one edit at a time.
+``Proposal.edit`` takes the new rule's pairs, gets its mask from
+``data.rule_mask``, the one rule-mask builder, and resolves a new rule
+equal to another current rule as ``normalize`` does, so every edit makes
+a normalized rule set, and equal edits make equal rule sets.
 An edit is scored and materialized from the same pieces: one ``_splice``
 puts the new rule's entry into the proposal's entries, and its pairs into
 its rules, ``_prior`` adds the entries' terms in rule order (the floats
@@ -79,7 +85,7 @@ from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
 from .data import Dataset, rule_mask
 from .errors import DegenerateLabelError
-from .model import Condition, Pairs, Rule, RuleSet, normalize
+from .model import Condition, Pairs, Rule, RuleSet
 from .scoring import (
     Hyperparams,
     Score,
@@ -92,7 +98,7 @@ from .scoring import (
 
 # not called here; kept importable from this module for per-layer tracing
 from .bitset import kth_set_bit  # noqa: F401
-from .model import is_normalized  # noqa: F401
+from .model import is_normalized, normalize  # noqa: F401
 from .scoring import log_prior, update_confusion  # noqa: F401
 
 POSITIVE_ACTIONS = ("add_value", "remove_condition", "add_rule")
@@ -220,12 +226,14 @@ class Proposal:
         self._others: dict[int, int] = {}
 
     @classmethod
-    def of(cls, rules: Sequence[Rule], data: Dataset, hyper: Hyperparams) -> Proposal:
-        """The proposal of a normalized rule tuple: the empty proposal with
-        each rule appended in turn."""
+    def of(cls, keys: Sequence[Pairs], data: Dataset, hyper: Hyperparams) -> Proposal:
+        """The proposal of the rules ``keys``, each its (feature, sorted
+        values) pairs in feature order, none holding a whole vocabulary: the
+        empty proposal with each rule appended in turn by ``edit``, which
+        drops a rule equal to an earlier one, as ``normalize`` does."""
         prop = cls((), (), 0, data, hyper)
-        for rule in rules:
-            prop = prop.edit(len(prop.keys), rule.pairs).proposal()
+        for pairs in keys:
+            prop = prop.edit(len(prop.keys), pairs).proposal()
         return prop
 
     @cached_property
@@ -494,41 +502,38 @@ def _sample(getrandbits, population: Sequence, k: int) -> list:
     return result
 
 
-def random_ruleset(data: Dataset, rng: random.Random) -> RuleSet:
-    """1-3 random rules of 1-3 conditions with random proper value sets."""
+def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
+    """1-3 random rules of 1-3 conditions with random proper value sets,
+    each as its (feature, sorted values) pairs in feature order.  A rule may
+    repeat an earlier one, which ``Proposal.of`` drops."""
     eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
     if not eligible:
         raise ValueError("no feature has at least two values; nothing to search")
     bits = rng.getrandbits
-    rules = []
+    keys = []
     for _ in range(1 + _below(bits, 3)):
-        n_feats = 1 + _below(bits, min(3, len(eligible)))
         conds = []
-        for j in _sample(bits, eligible, n_feats):
+        for j in _sample(bits, eligible, 1 + _below(bits, min(3, len(eligible)))):
             vocab = data.vocab_sizes[j]
-            size = 1 + _below(bits, vocab - 1)
-            conds.append(Condition(j, tuple(_sample(bits, range(vocab), size))))
-        rules.append(Rule(tuple(conds)))
-    return normalize(RuleSet(tuple(rules)), data.vocab_sizes)
+            values = _sample(bits, range(vocab), 1 + _below(bits, vocab - 1))
+            conds.append((j, tuple(sorted(values))))
+        conds.sort()  # by feature: the features are distinct
+        keys.append(tuple(conds))
+    return keys
 
 
-def _start_chain(
-    data: Dataset, hyper: Hyperparams, cfg: SearchConfig, state: SearchState | None = None
-) -> SearchState:
-    """Make a random rule set the current state of chain ``state.chain``: a
-    new state for chain 0, its RNG seeded from ``cfg.random_seed``, or
-    ``state`` restarted at t = 0 with its RNG, best, bounds and runlog
-    kept.  The runlog gets the chain's ``chain_start`` record, then an
-    ``improve`` record when the start is the new best."""
-    rng = random.Random(f"mars-search:{cfg.random_seed}") if state is None else state.rng
-    start = Proposal.of(random_ruleset(data, rng).rules, data, hyper)
-    improved = state is None or start.score.log_posterior > state.best.score.log_posterior
-    if state is None:
-        state = SearchState(start, start, initial_bounds(data, hyper), rng, cfg)
-    else:
-        state.current, state.t, state.stall_streak = start, 0, 0
-        if improved:
-            state.best = start
+def _start_chain(state: SearchState) -> SearchState:
+    """Make a random rule set the current state of chain ``state.chain``,
+    at t = 0, drawn from the state's RNG on its current proposal's data.
+    It becomes the best when it is chain 0's or beats the best, and the
+    bounds take its score.  The runlog gets the chain's ``chain_start``
+    record, then an ``improve`` record when the start is the new best."""
+    data, hyper = state.current.data, state.current.hyper
+    start = Proposal.of(random_ruleset(data, state.rng), data, hyper)
+    state.current, state.t, state.stall_streak = start, 0, 0
+    improved = not state.chain or start.score.log_posterior > state.best.score.log_posterior
+    if improved:
+        state.best = start
     state.bounds = update_bounds(state.bounds, start.score.log_posterior)
     runlog = state.runlog
     runlog.emit(event="chain_start", chain=state.chain, log_posterior=start.score.log_posterior)
@@ -538,13 +543,16 @@ def _start_chain(
 
 
 def init_state(data: Dataset, hyper: Hyperparams, cfg: SearchConfig) -> SearchState:
-    """Chain 0's state from a random rule set, with bounds seeded with its
-    score.  The state owns the run's RNG, seeded from ``cfg.random_seed``,
-    its config and its runlog, which holds chain 0's ``chain_start`` and
-    ``improve`` records."""
+    """Chain 0's state, started by ``_start_chain`` as every restart is.
+    The state owns the run's RNG, seeded from ``cfg.random_seed``, its
+    config and its runlog, and starts from the initial bounds; the empty
+    rule set stands in as current and best until chain 0's start replaces
+    both."""
     if data.n_pos == 0 or data.n_neg == 0:
         raise DegenerateLabelError("training data needs both positive and negative examples")
-    return _start_chain(data, hyper, cfg)
+    empty = Proposal((), (), 0, data, hyper)
+    rng = random.Random(f"mars-search:{cfg.random_seed}")
+    return _start_chain(SearchState(empty, empty, initial_bounds(data, hyper), rng, cfg))
 
 
 def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
@@ -786,7 +794,7 @@ def run(
     for chain in range(cfg.n_restarts + 1):
         if chain:
             state.chain = chain
-            _start_chain(data, hyper, cfg, state)
+            _start_chain(state)
         for _ in range(cfg.n_iter):
             anneal_step(state)
             if state.stall_streak >= STALL_RESTART_AFTER:

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from mars import cli
-from mars.data import RawTable, discretize
+from mars.data import FeatureSpec, RawTable, discretize
 from mars.errors import ModelFormatError
 from mars.model import Rule, RuleSet
 from mars.model_io import FORMAT_VERSION, load_model, save_model
@@ -41,6 +41,28 @@ def test_model_file_with_a_byte_order_mark_loads(saved):
     path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     model = load_model(path)
     assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
+
+
+def test_show_prints_each_rule(tmp_path, capsys):
+    features = (
+        FeatureSpec(0, "x", "numeric",
+                    intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))),
+        FeatureSpec(1, "state", "categorical", categories=("A", "B", "C")),
+    )
+    hyper = Hyperparams.defaults(2)
+    path = tmp_path / "model.json"
+    # x's bins 0, 2 and 3 merge into two intervals
+    rules = RuleSet((Rule.of({0: (0, 2, 3)}), Rule.of({0: (1,), 1: (0, 1)})))
+    save_model(path, features, rules, hyper, "y", {})
+    assert cli.main(["show", str(path)]) == 0
+    assert capsys.readouterr().out == (
+        "rule 1: [x ∈ [0, 0.25) ∪ [0.5, 1)]\n"
+        "rule 2: [x ∈ [0.25, 0.5)] AND [state = A or B]\n"
+    )
+    save_model(path, features, RuleSet(()), hyper, "y", {})
+    assert cli.main(["show", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "(empty rule set: every observation is classified negative)\n"
 
 
 @pytest.mark.parametrize("version", [FORMAT_VERSION + 1, 0, "1", True, 1.0])

@@ -125,6 +125,73 @@ def test_init_state_is_valid_and_bounds_seeded():
     assert state.current.score.confusion == confusion_counts(state.current.rules, data)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_random_ruleset_draws_sorted_proper_pairs(draw):
+    from mars.search import random_ruleset
+
+    # vocabularies past 21 values take the set path of _sample
+    vocab_sizes = draw.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
+    if max(vocab_sizes) < 2:
+        vocab_sizes[0] = 2
+    data = make_dataset(vocab_sizes, [[0] * len(vocab_sizes)] * 2, [1, 0])
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    for _ in range(20):
+        keys = random_ruleset(data, rng)
+        assert 1 <= len(keys) <= 3
+        for key in keys:
+            assert 1 <= len(key) <= 3
+            features = [j for j, _ in key]
+            assert features == sorted(set(features))
+            for j, values in key:
+                assert list(values) == sorted(set(values))
+                assert 0 <= values[0] and values[-1] < vocab_sizes[j]
+                assert len(values) < vocab_sizes[j]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_proposal_of_pairs_equals_normalize_and_score(draw):
+    """Rules salted with exact duplicates at random positions: the proposal
+    keeps the rules ``normalize`` keeps, in its order, and its score is the
+    float ``score`` gives them."""
+    from mars.model import normalize
+    from oracles import random_ruleset_for
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    vocab_sizes = draw.draw(st.lists(st.integers(2, 4), min_size=1, max_size=4))
+    n_rows = draw.draw(st.integers(1, 40))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
+    data = make_dataset(vocab_sizes, rows, [rng.random() < 0.5 for _ in range(n_rows)])
+    # unequal theta, so the DM items' order of addition shows in the floats
+    h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
+               alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
+    rules = list(random_ruleset_for(rng, vocab_sizes).rules)
+    for _ in range(draw.draw(st.integers(0, 4))):
+        rules.insert(rng.randrange(len(rules) + 1), rng.choice(rules))
+    prop = Proposal.of([rule.pairs for rule in rules], data, h)
+    expected = normalize(RuleSet(tuple(rules)), vocab_sizes)
+    assert prop.rules == expected
+    assert prop.score == score(expected, data, h)
+
+
+def test_run_never_normalizes(monkeypatch):
+    import mars.search as search
+
+    calls = []
+    real = search.normalize
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(search, "normalize", counted)
+    for seed in range(4):
+        data = tiny_instance(seed)
+        run(data, hypers(data), small_cfg(n_iter=30, n_restarts=2, random_seed=seed))
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # misclassified sampling
 # ---------------------------------------------------------------------------
@@ -132,7 +199,7 @@ def test_init_state_is_valid_and_bounds_seeded():
 def _state_with(data, rules, cfg=None, seed=0):
     h = hypers(data)
     state = init_state(data, h, cfg or small_cfg(random_seed=seed))
-    state.current = Proposal.of(rules.rules, data, h)
+    state.current = Proposal.of([rule.pairs for rule in rules.rules], data, h)
     return state
 
 
@@ -190,7 +257,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
         labels = [rng.randrange(2) for _ in range(n_rows)]
     data = make_dataset(vocab_sizes, rows, labels)
     h = hypers(data)
-    prop = Proposal.of(rules.rules, data, h)
+    prop = Proposal.of([rule.pairs for rule in rules.rules], data, h)
     state = SearchState(prop, prop, initial_bounds(data, h), random.Random(seed), small_cfg())
     reference = random.Random(seed)
     mis = prop.union_mask ^ data.pos_mask
@@ -612,7 +679,7 @@ def test_edits_equal_normalized_raw_edits(draw):
         return sets
 
     # one proposal for every example: its growth tables are built once, then reused
-    prop = Proposal.of(rules, data, h)
+    prop = Proposal.of([rule.pairs for rule in rules], data, h)
     raw_remove_rule = [rules[:mi] + rules[mi + 1:] for mi in range(len(rules))]
     assert made(_edits_remove_condition(prop)) == normalized(raw_remove_condition(rules))
     assert made(_edits_remove_rule(prop)) == normalized(raw_remove_rule)
@@ -651,7 +718,7 @@ def test_growth_table_scores_equal_full_rescore(draw):
     h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
                alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = Proposal.of(rules, data, h)
+    prop = Proposal.of([rule.pairs for rule in rules], data, h)
     offsets = np.cumsum((0, *vocab_sizes[:-1]))
     n_codes = sum(vocab_sizes)
     for mi, rule in enumerate(rules):
@@ -714,7 +781,7 @@ def test_seed_scores_equal_full_rescore(draw):
     h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
                alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = Proposal.of(rules, data, h)
+    prop = Proposal.of([rule.pairs for rule in rules], data, h)
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for xrow in data.rows[:4]:
         for seed in _seed_moves(prop, xrow, rng, 16, bounds):
@@ -799,7 +866,7 @@ def test_growth_moves_hand_a_collision_over_as_its_rule_set():
     data = make_dataset((2, 2), [[0, 0], [0, 1], [1, 1]], [1, 0, 0])
     wide, narrow = Rule.of({0: (0,)}), Rule.of({0: (0,), 1: (1,)})
     h = hypers(data)
-    prop = Proposal.of((wide, narrow), data, h)
+    prop = Proposal.of((wide.pairs, narrow.pairs), data, h)
     moves = _growth_moves(prop, 1, data.rows[1], random.Random(0))
     # the canonical variant excludes the example's value 1: x1 in {0}
     assert materialized(moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
@@ -822,7 +889,8 @@ def test_edit_keeps_first_of_duplicates():
     a, b, c = Rule.of({0: (0,)}), Rule.of({1: (1,)}), Rule.of({0: (1,), 1: (0,)})
 
     def edited(rules, mi, new):
-        edit = Proposal.of(rules, data, h).edit(mi, None if new is None else new.pairs)
+        prop = Proposal.of([rule.pairs for rule in rules], data, h)
+        edit = prop.edit(mi, None if new is None else new.pairs)
         return materialized(edit), edit.k
 
     assert edited((a, b, c), 2, b) == ((a, b), None)  # the duplicate comes first
@@ -847,7 +915,7 @@ def test_add_value_grows_each_rejecting_condition_by_the_example_value(draw):
     rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(12)]
     data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(12)])
     rules = near_duplicate_ruleset(rng, vocab_sizes)
-    prop = Proposal.of(rules, data, hypers(data))
+    prop = Proposal.of([rule.pairs for rule in rules], data, hypers(data))
     for xrow in data.rows:
         if any(rule_covers(rule, xrow) for rule in rules):
             continue
@@ -876,10 +944,10 @@ def test_add_value_drops_condition_that_reaches_full_vocabulary():
     lone = Rule.of({0: (0,)})
     pair = Rule.of({0: (0,), 1: (0, 1)})
     # growing x0 to {0, 1} leaves nothing of `lone`: the rule goes
-    edits = _edits_add_value(Proposal.of((lone,), data, h), data.rows[1])
+    edits = _edits_add_value(Proposal.of((lone.pairs,), data, h), data.rows[1])
     assert [materialized(e) for e in edits] == [()]
     # growing x1 to {0, 1, 2} leaves {x0: 0}, which duplicates `lone`
-    edits = _edits_add_value(Proposal.of((lone, pair), data, h), data.rows[1])
+    edits = _edits_add_value(Proposal.of((lone.pairs, pair.pairs), data, h), data.rows[1])
     assert (lone,) in [materialized(e) for e in edits]
 
 
