@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -12,7 +13,7 @@ from pathlib import Path
 from . import synth
 from .data import RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DataFormatError, MarsError
-from .model import first_covering_rule
+from .model import SIZES, first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
 from .scoring import HYPER_KEYS, Hyperparams
 from .search import SearchConfig, run
@@ -149,8 +150,7 @@ def cmd_train(args) -> int:
     print(f"training accuracy: {conf.accuracy:.4f} "
           f"(tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn})")
     print(f"log-posterior: {best.log_posterior:.6f}")
-    print(f"rules: {rules.n_rules}  conditions: {rules.n_conditions}  "
-          f"values: {rules.n_values}  features: {rules.n_features}")
+    print("  ".join(f"{name.removeprefix('n_')}: {n}" for name, n in rules.sizes().items()))
     return 0
 
 
@@ -183,13 +183,10 @@ def cmd_evaluate(args) -> int:
         raise DataFormatError(f"{args.csv}: no data rows")
     preds = first_covering_rule(model.rules, rows) >= 0
     accuracy = float((preds == labels).mean())
-    rules = model.rules
     print(f"rows: {len(labels)}")
     print(f"accuracy: {accuracy:.4f}")
-    print(f"rules: {rules.n_rules}")
-    print(f"conditions: {rules.n_conditions}")
-    print(f"values: {rules.n_values}")
-    print(f"features: {rules.n_features}")
+    for name, n in model.rules.sizes().items():
+        print(f"{name.removeprefix('n_')}: {n}")
     return 0
 
 
@@ -258,11 +255,8 @@ def cmd_sweep(args) -> int:
     synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")
     for (bm, bl), stats in sorted(synth.cell_means(records).items()):
-        print(
-            f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} "
-            f"rules={stats['n_rules']:.1f} conditions={stats['n_conditions']:.1f} "
-            f"values={stats['n_values']:.1f} features={stats['n_features']:.1f}"
-        )
+        sizes = " ".join(f"{name.removeprefix('n_')}={stats[name]:.1f}" for name in SIZES)
+        print(f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} {sizes}")
     return 0
 
 
@@ -338,7 +332,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe, as ``| head`` does: point stdout at
+        # /dev/null so the interpreter's final flush cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

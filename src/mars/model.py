@@ -17,6 +17,11 @@ import numpy as np
 # order: the form the search edits rules in
 Pairs = tuple[tuple[int, tuple[int, ...]], ...]
 
+# the counts that measure a rule set's size, as RuleSet names them: rules,
+# conditions, values (the sum of |V| over conditions) and distinct features;
+# the runlog, the CLI and the sweep report these, in this order
+SIZES = ("n_rules", "n_conditions", "n_values", "n_features")
+
 
 @dataclass(frozen=True)
 class Condition:
@@ -74,7 +79,9 @@ class Rule:
 
 @dataclass(frozen=True)
 class RuleSet:
-    """Order-insensitive collection of rules; kept as a tuple for determinism."""
+    """Rules in order.  Which rows the set classifies positive does not
+    depend on that order, but equality, the model file and the index of the
+    first covering rule do."""
 
     rules: tuple[Rule, ...] = ()
 
@@ -98,6 +105,10 @@ class RuleSet:
     @property
     def n_features(self) -> int:
         return len(self.feature_ids)
+
+    def sizes(self) -> dict[str, int]:
+        """The rule set's size as ``{name: count}`` for each name in ``SIZES``."""
+        return {name: getattr(self, name) for name in SIZES}
 
 
 def rule_covers(rule: Rule, row: Sequence[int]) -> bool:

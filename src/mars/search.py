@@ -149,17 +149,12 @@ class RunLog:
 
     def improvement(self, state: "SearchState") -> None:
         b = state.bounds
-        s = state.best.score
-        rs = state.best.rules
         self.emit(
             event="improve",
             chain=state.chain,
             t=state.t,
-            log_posterior=s.log_posterior,
-            n_rules=rs.n_rules,
-            n_conditions=rs.n_conditions,
-            n_values=rs.n_values,
-            n_features=rs.n_features,
+            log_posterior=state.best.score.log_posterior,
+            **state.best.rules.sizes(),
             min_support=b.min_support,
             m_cap=b.m_cap,
         )
@@ -804,10 +799,7 @@ def run(
     runlog.emit(
         event="done",
         log_posterior=best.score.log_posterior,
-        n_rules=best.rules.n_rules,
-        n_conditions=best.rules.n_conditions,
-        n_values=best.rules.n_values,
-        n_features=best.rules.n_features,
+        **best.rules.sizes(),
         **asdict(best.score.confusion),
     )
     return best.rules, best.score, runlog

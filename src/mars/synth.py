@@ -14,22 +14,19 @@ import hashlib
 import logging
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DegenerateLabelError
-from .model import RuleSet, first_covering_rule
+from .model import SIZES, RuleSet, first_covering_rule
 from .scoring import Hyperparams
 from .search import SearchConfig, run
 
 log = logging.getLogger(__name__)
 
 LABEL_COLUMN = "label"
-
-# the model-size fields of a SweepRecord, as its CSV columns name them
-_SIZES = ("n_rules", "n_conditions", "n_values", "n_features")
 
 
 @dataclass(frozen=True)
@@ -152,12 +149,8 @@ class SweepRecord:
     beta_l: float
     replicate: int
     holdout_error: float
-    n_rules: int
-    n_conditions: int
-    n_values: int
-    n_features: int
+    sizes: dict[str, int]  # RuleSet.sizes() of the cell's model
     wall_time_s: float
-    rules: RuleSet = field(default_factory=RuleSet, repr=False)
 
 
 def _split_indices(n: int, cut: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -195,12 +188,8 @@ def _run_cell(args) -> SweepRecord:
         beta_l=beta_l,
         replicate=replicate,
         holdout_error=holdout,
-        n_rules=rules.n_rules,
-        n_conditions=rules.n_conditions,
-        n_values=rules.n_values,
-        n_features=rules.n_features,
+        sizes=rules.sizes(),
         wall_time_s=time.perf_counter() - t_start,
-        rules=rules,
     )
 
 
@@ -215,9 +204,9 @@ def sweep(
     """All (beta_M, beta_L) cells x replicates; one trained model each.
 
     Replicate r reuses one generated dataset across every cell so cells
-    are comparable.  Each record gives the model's size as ``RuleSet``
-    counts it: ``n_rules``, ``n_conditions``, ``n_values`` (the sum of |V|
-    over all conditions) and ``n_features``.  Before any search runs, a row
+    are comparable.  Each record's ``sizes`` is its model's
+    ``RuleSet.sizes()``: one count per name in ``model.SIZES``, the order
+    of the metrics CSV's size columns.  Before any search runs, a row
     count that leaves the holdout split empty raises ValueError, and a
     train split holding a single class raises DegenerateLabelError.
     At most ``jobs`` worker processes run, and none when there is one cell.
@@ -257,7 +246,7 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
     return {
         key: {
             "holdout_error": float(np.mean([r.holdout_error for r in rs])),
-            **{size: float(np.mean([getattr(r, size) for r in rs])) for size in _SIZES},
+            **{name: float(np.mean([r.sizes[name] for r in rs])) for name in SIZES},
         }
         for key, rs in cells.items()
     }
@@ -266,11 +255,11 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
 def write_metrics_csv(path, records: list[SweepRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["beta_M", "beta_L", "replicate", "holdout_error", *_SIZES, "wall_time_s"])
+        writer.writerow(["beta_M", "beta_L", "replicate", "holdout_error", *SIZES, "wall_time_s"])
         for r in records:
             writer.writerow(
                 [r.beta_m, r.beta_l, r.replicate, f"{r.holdout_error:.6f}",
-                 *(getattr(r, size) for size in _SIZES), f"{r.wall_time_s:.3f}"]
+                 *(r.sizes[name] for name in SIZES), f"{r.wall_time_s:.3f}"]
             )
 
 

@@ -34,14 +34,18 @@ def write_csv(path, header, rows):
     return path
 
 
-def run_mars(*argv, env=None):
-    """``mars ARGV`` in a fresh interpreter, as a user runs it."""
+def mars_command(*argv, env=None):
+    """``mars ARGV`` as a fresh interpreter runs it: ``subprocess`` keyword
+    arguments for the command and its environment."""
     path = [SRC, os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p), **(env or {})}
-    return subprocess.run(
-        [sys.executable, "-m", "mars.cli", *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return {"args": [sys.executable, "-m", "mars.cli", *map(str, argv)], "env": env}
+
+
+def run_mars(*argv, env=None):
+    """``mars ARGV`` in a fresh interpreter, as a user runs it."""
+    return subprocess.run(**mars_command(*argv, env=env), capture_output=True, text=True,
+                          timeout=120)
 
 
 def assert_clean_error(proc, code, *fragments):
@@ -67,10 +71,20 @@ def trained(tmp_path_factory):
     model = tmp / "model.json"
     argv = ["train", str(train), "--label", "y", "--out", str(model),
             "--iters", "300", "--restarts", "0", "--bins", "4"]
-    with contextlib.redirect_stdout(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         assert cli.main(argv) == 0
+    (tmp / "train.stdout").write_text(stdout.getvalue())
     assert load_model(model).rules.n_rules >= 1
     return tmp, model
+
+
+def test_train_prints_the_saved_model_sizes(trained):
+    tmp, model = trained
+    sizes = load_model(model).rules.sizes()
+    printed = (tmp / "train.stdout").read_text().splitlines()
+    assert printed[-1] == (f"rules: {sizes['n_rules']}  conditions: {sizes['n_conditions']}  "
+                           f"values: {sizes['n_values']}  features: {sizes['n_features']}")
 
 
 def holdout_rows():
@@ -125,6 +139,9 @@ def test_evaluate_accuracy_equals_predictions(trained, tmp_path, capsys):
     printed = capsys.readouterr().out.splitlines()
     assert printed[0] == f"rows: {len(rows)}"
     assert printed[1] == f"accuracy: {accuracy:.4f}"
+    sizes = load_model(model).rules.sizes()
+    assert printed[2:] == [f"rules: {sizes['n_rules']}", f"conditions: {sizes['n_conditions']}",
+                           f"values: {sizes['n_values']}", f"features: {sizes['n_features']}"]
 
 
 def test_evaluate_transposes_the_holdout_once(trained, tmp_path, monkeypatch, capsys):
@@ -499,8 +516,10 @@ def test_output_that_is_an_input_or_another_output_is_an_error(trained, tmp_path
 
 
 def test_train_and_gen_outputs_do_not_depend_on_hash_seed(trained, tmp_path):
-    """Runlog, model and generated data are byte-identical whatever the
-    PYTHONHASHSEED; the training CSV has a categorical column."""
+    """Runlog, model, generated data and the sweep CSV (less its wall
+    times) are byte-identical whatever the PYTHONHASHSEED; the training CSV
+    has a categorical column, and the sweep runs its cells in two worker
+    processes."""
     tmp, _ = trained
     outputs = set()
     for seed in ("0", "1", "2"):
@@ -513,9 +532,33 @@ def test_train_and_gen_outputs_do_not_depend_on_hash_seed(trained, tmp_path):
         train = run_mars("train", tmp / "train.csv", "--label", "y", "--iters", "200",
                          "--bins", "4", "--out", d / "m.json", env=env)
         assert train.returncode == 0, train.stderr
+        sweep = run_mars("sweep", "--rows", "200", "--features", "4", "--rules", "1",
+                         "--max-conditions", "2", "--grid", "1,100", "--replicates", "1",
+                         "--iters", "200", "--bins", "4", "--jobs", "2",
+                         "--out", d / "sweep.csv", env=env)
+        assert sweep.returncode == 0, sweep.stderr
+        sweep_rows = [row[:-1] for row in csv.reader((d / "sweep.csv").read_text().splitlines())]
+        assert sweep_rows[0] == ["beta_M", "beta_L", "replicate", "holdout_error", "n_rules",
+                                 "n_conditions", "n_values", "n_features"]
         files = ("gen.csv", "truth.json", "m.json", "m.json.runlog.jsonl")
-        outputs.add(tuple((d / name).read_bytes() for name in files))
+        outputs.add((tuple((d / name).read_bytes() for name in files),
+                     tuple(map(tuple, sweep_rows))))
     assert len(outputs) == 1
+
+
+def test_predict_into_a_closed_pipe_exits_1_without_a_traceback(trained, tmp_path):
+    """``mars predict ... | head -1``: the reader closes the pipe while more
+    than a pipe buffer of predictions is still to be written."""
+    _, model = trained
+    rows = holdout_rows() * 4000
+    holdout = write_csv(tmp_path / "big.csv", ["x", "c", "noise", "y"], rows)
+    command = mars_command("predict", model, holdout)
+    with subprocess.Popen(**command, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"prediction,rule_index\r\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+    assert proc.returncode == 1
+    assert stderr == b""
 
 
 def test_literal_missing_marker_cell_is_missing_in_training(tmp_path):

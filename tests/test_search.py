@@ -477,9 +477,14 @@ def test_last_improvement_is_the_returned_best_across_restarts(seed):
     # one step per chain: most new bests come from a restart's random start
     data = tiny_instance(seed % 20)
     cfg = SearchConfig(n_iter=1, t0=10, n_restarts=8, random_seed=seed)
-    _, best, runlog = run(data, hypers(data), cfg)
+    rules, best, runlog = run(data, hypers(data), cfg)
     improvements = [r for r in runlog.records if r["event"] == "improve"]
     assert improvements[-1]["log_posterior"] == best.log_posterior
+    # the last improve and the done record both report the returned rules' sizes
+    done = runlog.records[-1]
+    assert done["event"] == "done"
+    assert rules.sizes().items() <= improvements[-1].items()
+    assert rules.sizes().items() <= done.items()
     # every chain logs its chain_start before any improve of its own, the one
     # its random start makes included
     events = [r["event"] for r in runlog.records]
