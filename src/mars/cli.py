@@ -24,6 +24,12 @@ log = logging.getLogger(__name__)
 _PER_FEATURE_KEYS = frozenset(f.name for f in fields(Hyperparams) if f.type.startswith("tuple"))
 
 
+def _labeled_sizes(counts) -> list[tuple[str, float]]:
+    """``(label, count)`` per name in ``SIZES``, labeled without its
+    ``n_`` prefix, as train, evaluate and sweep print a model's size."""
+    return [(name.removeprefix("n_"), counts[name]) for name in SIZES]
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--iters", type=int, default=10_000, help="annealing steps per chain")
@@ -150,7 +156,7 @@ def cmd_train(args) -> int:
     print(f"training accuracy: {conf.accuracy:.4f} "
           f"(tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn})")
     print(f"log-posterior: {best.log_posterior:.6f}")
-    print("  ".join(f"{name.removeprefix('n_')}: {n}" for name, n in rules.sizes().items()))
+    print("  ".join(f"{label}: {n}" for label, n in _labeled_sizes(rules.sizes())))
     return 0
 
 
@@ -185,8 +191,8 @@ def cmd_evaluate(args) -> int:
     accuracy = float((preds == labels).mean())
     print(f"rows: {len(labels)}")
     print(f"accuracy: {accuracy:.4f}")
-    for name, n in model.rules.sizes().items():
-        print(f"{name.removeprefix('n_')}: {n}")
+    for label, n in _labeled_sizes(model.rules.sizes()):
+        print(f"{label}: {n}")
     return 0
 
 
@@ -255,7 +261,7 @@ def cmd_sweep(args) -> int:
     synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")
     for (bm, bl), stats in sorted(synth.cell_means(records).items()):
-        sizes = " ".join(f"{name.removeprefix('n_')}={stats[name]:.1f}" for name in SIZES)
+        sizes = " ".join(f"{label}={n:.1f}" for label, n in _labeled_sizes(stats))
         print(f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} {sizes}")
     return 0
 

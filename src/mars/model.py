@@ -107,7 +107,8 @@ class RuleSet:
         return len(self.feature_ids)
 
     def sizes(self) -> dict[str, int]:
-        """The rule set's size as ``{name: count}`` for each name in ``SIZES``."""
+        """The rule set's size as ``{name: count}`` for each name in ``SIZES``,
+        in that order."""
         return {name: getattr(self, name) for name in SIZES}
 
 

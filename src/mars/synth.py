@@ -149,7 +149,7 @@ class SweepRecord:
     beta_l: float
     replicate: int
     holdout_error: float
-    sizes: dict[str, int]  # RuleSet.sizes() of the cell's model
+    rules: RuleSet  # the cell's learned model
     wall_time_s: float
 
 
@@ -188,7 +188,7 @@ def _run_cell(args) -> SweepRecord:
         beta_l=beta_l,
         replicate=replicate,
         holdout_error=holdout,
-        sizes=rules.sizes(),
+        rules=rules,
         wall_time_s=time.perf_counter() - t_start,
     )
 
@@ -204,9 +204,9 @@ def sweep(
     """All (beta_M, beta_L) cells x replicates; one trained model each.
 
     Replicate r reuses one generated dataset across every cell so cells
-    are comparable.  Each record's ``sizes`` is its model's
-    ``RuleSet.sizes()``: one count per name in ``model.SIZES``, the order
-    of the metrics CSV's size columns.  Before any search runs, a row
+    are comparable.  Each record keeps its cell's learned ``rules``;
+    ``cell_means`` and the metrics CSV report their ``RuleSet.sizes()``, one
+    count per name in ``model.SIZES``, in that order.  Before any search runs, a row
     count that leaves the holdout split empty raises ValueError, and a
     train split holding a single class raises DegenerateLabelError.
     At most ``jobs`` worker processes run, and none when there is one cell.
@@ -246,7 +246,7 @@ def cell_means(records: list[SweepRecord]) -> dict[tuple[float, float], dict[str
     return {
         key: {
             "holdout_error": float(np.mean([r.holdout_error for r in rs])),
-            **{name: float(np.mean([r.sizes[name] for r in rs])) for name in SIZES},
+            **{name: float(np.mean([r.rules.sizes()[name] for r in rs])) for name in SIZES},
         }
         for key, rs in cells.items()
     }
@@ -259,7 +259,7 @@ def write_metrics_csv(path, records: list[SweepRecord]) -> None:
         for r in records:
             writer.writerow(
                 [r.beta_m, r.beta_l, r.replicate, f"{r.holdout_error:.6f}",
-                 *(r.sizes[name] for name in SIZES), f"{r.wall_time_s:.3f}"]
+                 *r.rules.sizes().values(), f"{r.wall_time_s:.3f}"]
             )
 
 
