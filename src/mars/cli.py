@@ -217,6 +217,12 @@ def _synth_spec(args) -> synth.SynthSpec:
 
 def cmd_gen(args) -> int:
     spec = _synth_spec(args)
+    if spec.seed < 0:
+        # numpy seeds a generator from non-negative integers only; a sweep
+        # takes any seed, as it seeds each replicate with a hash of it
+        raise MarsError(
+            f"invalid synthetic data setting: --seed must be non-negative, got {spec.seed}"
+        )
     _check_writable({"--out": args.out, "--truth": args.truth}, {})
     table, truth = synth.generate(spec)
     synth.write_table_csv(args.out, table)

@@ -47,11 +47,15 @@ without building a mask for each: a rule's ``_GrowthTable`` holds, per
 alone covers, and takes its prior from ``_prior``; a growth becomes an
 edit only when it is kept.
 
-The search draws its random integers with ``_below`` and ``_sample``,
-which return what ``Random.randint`` and ``Random.sample`` return from the
-same ``getrandbits`` calls, without their argument checks; a test pins
-them bit for bit to the stdlib calls, the set path of ``sample``
-included.
+Every random integer the search draws comes from ``_below``, ``_sample``,
+``_shuffle`` or ``_ValueSets.draw``.  Each makes the ``getrandbits`` calls
+of a stdlib call and returns what it returns, without its argument checks:
+``_below`` those of ``randrange``, ``randint`` and ``choice``, ``_sample``
+and ``_shuffle`` those of ``sample`` and ``shuffle``, and
+``_ValueSets.draw``, which draws a random value set's size and values in
+one pass, those of ``sorted(sample(range(n), randint(1, n - 1)))``.  Only the explore and
+acceptance coin flips call ``Random.random``.  A test pins every helper
+bit for bit to the stdlib calls, the set path of ``sample`` included.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
@@ -63,7 +67,9 @@ step functions take the state alone.
 
 The chain keeps few of its steps, so a step builds a ``Proposal`` only for
 a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
-action and its posterior, the very float ``max()`` ranked it by.  The step
+action and its posterior, the very float it was ranked by.  An exploit
+pick is the first candidate, in the order the action listed them, that
+reaches the highest posterior, the one ``max()`` would return.  The step
 compares that float with the best and current posteriors and materializes
 the pick once when it is a new best or accepted; a rejected step builds
 nothing.  A proposal also lists its misclassified rows once, the first
@@ -78,7 +84,6 @@ import math
 import random
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
-from operator import itemgetter
 from typing import NamedTuple, Sequence
 
 from .bitset import indices
@@ -334,6 +339,21 @@ class SearchState:
     runlog: RunLog = field(default_factory=RunLog)
 
 
+class _Complements(dict):
+    """The vocabulary ``range(vocab)`` minus value w, at key w, each built
+    when first read: a table serves a few dozen steps, so most of a wide
+    vocabulary's complements are never read."""
+
+    __slots__ = ("vocab",)
+
+    def __init__(self, vocab: int) -> None:
+        self.vocab = vocab
+
+    def __missing__(self, w: int) -> tuple[int, ...]:
+        values = self[w] = (*range(w), *range(w + 1, self.vocab))
+        return values
+
+
 class _GrowthTable:
     """Scores every narrowing of rule ``mi`` of a proposal by one new
     condition, from counts instead of masks.
@@ -373,12 +393,13 @@ class _GrowthTable:
         # per free feature (one the rule lacks, of two values or more): the
         # feature, its vocabulary size and the vocabulary minus value w at w
         used = {j for j, _ in key}
-        self.free: list[tuple[int, int, list[tuple[int, ...]]]] = []
-        for j, vocab in enumerate(data.vocab_sizes):
-            if vocab >= 2 and j not in used:
-                everything = tuple(range(vocab))
-                without = [everything[:w] + everything[w + 1 :] for w in everything]
-                self.free.append((j, vocab, without))
+        self.free: list[tuple[int, int, _Complements]] = [
+            (j, vocab, _Complements(vocab))
+            for j, vocab in enumerate(data.vocab_sizes)
+            if vocab >= 2 and j not in used
+        ]
+        # draws the free features' random value sets
+        self.value_sets = _ValueSets(max((vocab for _, vocab, _ in self.free), default=0))
         self.priors: dict[tuple[int, int], float] = {}
         # a move's score by (feature, values): the random variants repeat
         # across the steps the table serves
@@ -460,21 +481,32 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _sample(getrandbits, population: Sequence, k: int) -> list:
-    """``Random.sample(population, k)`` for 0 <= k <= len(population): the
-    same elements in the same order, from the same ``getrandbits`` calls.
+def _shuffle(getrandbits, x: list) -> None:
+    """``Random.shuffle(x)``, from the same ``getrandbits`` calls."""
+    for i in range(len(x) - 1, 0, -1):
+        j = _below(getrandbits, i + 1)
+        x[i], x[j] = x[j], x[i]
 
-    Like the stdlib, a population no larger than ``setsize`` is drawn from
-    a shrinking pool, a larger one by redrawing indices already taken.
-    """
-    if not k:
-        return []
-    n = len(population)
+
+def _pools(n: int, k: int) -> bool:
+    """Whether ``Random.sample`` draws ``k`` of ``n`` items from a shrinking
+    pool, as it does when the pool is no larger than ``setsize``; else it
+    redraws indices already taken."""
     setsize = 21
     if k > 5:
         setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return n <= setsize
+
+
+def _sample(getrandbits, population: Sequence, k: int) -> list:
+    """``Random.sample(population, k)`` for 0 <= k <= len(population): the
+    same elements in the same order, from the same ``getrandbits`` calls,
+    the pool path and the set path of ``_pools`` alike."""
+    if not k:
+        return []
+    n = len(population)
     result = []
-    if n <= setsize:
+    if _pools(n, k):
         pool = list(population)
         for m in range(n, n - k, -1):
             # _below(getrandbits, m), inlined
@@ -497,6 +529,56 @@ def _sample(getrandbits, population: Sequence, k: int) -> list:
     return result
 
 
+class _ValueSets:
+    """Draws random proper value sets of vocabularies of up to ``size``
+    values, from the tables it keeps for them: ``values``, the list of
+    every value, and ``index_bits``, at each i the bit length of a draw of
+    an index in 0..i, ``(i + 1).bit_length()``."""
+
+    __slots__ = ("values", "index_bits")
+
+    def __init__(self, size: int) -> None:
+        self.values = list(range(size))
+        self.index_bits = [(i + 1).bit_length() for i in range(size)]
+
+    def draw(self, getrandbits, n: int) -> tuple[int, ...]:
+        """A random proper value set of an ``n``-value vocabulary, n >= 2:
+        ``tuple(sorted(_sample(getrandbits, range(n), 1 + _below(getrandbits,
+        n - 1))))`` from the same ``getrandbits`` calls, in one pass.
+
+        The pool path swaps each drawn value to the pool's tail instead of
+        listing it, so the tail ends up holding the drawn values.  The
+        ``_below`` loops are inlined, their bit lengths read from
+        ``index_bits``."""
+        index_bits = self.index_bits
+        last = n - 1
+        # the set's size less one: _below(getrandbits, n - 1)
+        bits = index_bits[n - 2]
+        k = getrandbits(bits)
+        while k >= last:
+            k = getrandbits(bits)
+        if n <= 21 or _pools(n, k + 1):  # no setsize is below 21
+            pool = self.values[:n]
+            for m in range(last, last - k - 1, -1):
+                # _below(getrandbits, m + 1)
+                bits = index_bits[m]
+                j = getrandbits(bits)
+                while j > m:
+                    j = getrandbits(bits)
+                pool[j], pool[m] = pool[m], pool[j]
+            del pool[: last - k]
+            pool.sort()
+            return tuple(pool)
+        bits = index_bits[last]
+        selected = set()
+        for _ in range(k + 1):
+            j = getrandbits(bits)
+            while j > last or j in selected:
+                j = getrandbits(bits)
+            selected.add(j)
+        return tuple(sorted(selected))
+
+
 def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     """1-3 random rules of 1-3 conditions with random proper value sets,
     each as its (feature, sorted values) pairs in feature order.  A rule may
@@ -505,13 +587,12 @@ def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     if not eligible:
         raise ValueError("no feature has at least two values; nothing to search")
     bits = rng.getrandbits
+    draw = _ValueSets(max(data.vocab_sizes)).draw
     keys = []
     for _ in range(1 + _below(bits, 3)):
         conds = []
         for j in _sample(bits, eligible, 1 + _below(bits, min(3, len(eligible)))):
-            vocab = data.vocab_sizes[j]
-            values = _sample(bits, range(vocab), 1 + _below(bits, vocab - 1))
-            conds.append((j, tuple(sorted(values))))
+            conds.append((j, draw(bits, data.vocab_sizes[j])))
         conds.sort()  # by feature: the features are distinct
         keys.append(tuple(conds))
     return keys
@@ -556,9 +637,9 @@ def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
     Returns (row_index, label) or None when training accuracy is 1.0.
     Covered XOR positive is exactly the misclassified set (false positives
     plus false negatives).  The current proposal lists those rows, in
-    ascending order, the first time it is asked and keeps the list; entry
-    ``rng.randrange(count)`` of it is the k-th set bit of that XOR for the
-    same draw k.
+    ascending order, the first time it is asked and keeps the list.  Its
+    entry at k = ``_below(getrandbits, count)``, the draw
+    ``rng.randrange(count)`` makes, is the k-th set bit of that XOR.
     """
     current = state.current
     data = current.data
@@ -567,7 +648,7 @@ def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
         rows = current.misclassified = indices(current.union_mask ^ data.pos_mask)
     if not rows:
         return None
-    idx = rows[state.rng.randrange(len(rows))]
+    idx = rows[_below(state.rng.getrandbits, len(rows))]
     return idx, bool(data.labels[idx])
 
 
@@ -658,22 +739,19 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
     moves: list[Candidate] = []
     bit = 1 << idx
     bits = rng.getrandbits
+    # builds a _Growth as its generated __new__ does, without that Python call
+    new = tuple.__new__
     for mi, entry in enumerate(current.entries):
         if not entry[0] & bit:
             continue  # only rules that cover the sampled negative example
         table = current.growth.get(mi)
         if table is None:
             table = current.growth[mi] = _GrowthTable(current, mi)
-        collisions = table.collisions
+        collisions, draw = table.collisions, table.value_sets.draw
         for j, vocab, without in table.free:
-            variants = (
-                without[xrow[j]],
-                tuple(sorted(_sample(bits, range(vocab), 1 + _below(bits, vocab - 1)))),
-                tuple(sorted(_sample(bits, range(vocab), 1 + _below(bits, vocab - 1)))),
-            )
-            for vals in variants:
+            for vals in (without[xrow[j]], draw(bits, vocab), draw(bits, vocab)):
                 edit = collisions.get((j, vals)) if collisions else None
-                moves.append(_Growth(table, j, vals) if edit is None else edit)
+                moves.append(new(_Growth, (table, j, vals)) if edit is None else edit)
     return moves
 
 
@@ -694,19 +772,21 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
     order.  With no example only complexity-reducing moves can still
     improve the posterior, so the simplify actions are tried in shuffled
     order.  The first action with a neighbor gives the pick; None (a
-    stall) is returned when none has any.
+    stall) is returned when none has any.  The pick is a uniform random
+    candidate with probability ``explore_prob``, else the first candidate
+    of the highest posterior.
     """
     rng, cfg, current = state.rng, state.cfg, state.current
+    bits = rng.getrandbits
     if example is None:
         order = list(SIMPLIFY_ACTIONS)
-        rng.shuffle(order)
+        _shuffle(bits, order)
     else:
         idx, is_positive = example
-        xrow = current.data.rows[idx]
+        xrow = current.data.rows[idx].tolist()  # its value codes as ints
         actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
-        first = rng.choice(actions)
-        actions.remove(first)
-        rng.shuffle(actions)
+        first = actions.pop(_below(bits, len(actions)))
+        _shuffle(bits, actions)
         order = [first, *actions]
     for action in order:
         if action == "add_value":
@@ -722,18 +802,30 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
-            edits = _sample(rng.getrandbits, edits, cfg.neighbor_budget)
-        # equal edits are the equal rule sets, and so are equal growths; no
-        # growth equals an edit (a growth that makes another current rule
-        # comes as an edit).  No candidate is the current rule set: each
-        # changes the rule count or puts in a rule the set does not hold.
-        candidates = list(dict.fromkeys(edits))
+            edits = _sample(bits, edits, cfg.neighbor_budget)
+        # No candidate is the current rule set: each changes the rule count
+        # or puts in a rule the set does not hold.
         if rng.random() < cfg.explore_prob:
-            chosen = rng.choice(candidates)
-            posterior = chosen.posterior()
-        else:
-            # max() keeps the first of tied candidates
-            posterior, chosen = max(((c.posterior(), c) for c in candidates), key=itemgetter(0))
+            # equal edits are the equal rule sets, and so are equal growths;
+            # no growth equals an edit (a growth that makes another current
+            # rule comes as an edit)
+            candidates = list(dict.fromkeys(edits))
+            chosen = candidates[_below(bits, len(candidates))]
+            return Pick(chosen, action, chosen.posterior())
+        # the first candidate of the highest posterior, as max() picks: a
+        # copy comes after its first, so the copies need not be dropped.  A
+        # growth's score is read from its table's memo when it is there.
+        chosen, posterior = None, -math.inf
+        for c in edits:
+            if c.__class__ is _Growth:
+                table, j, vals = c
+                score = table.scores.get((j, vals))
+                if score is None:
+                    score = table.posterior(j, vals)
+            else:
+                score = c.posterior()
+            if score > posterior or chosen is None:
+                chosen, posterior = c, score
         return Pick(chosen, action, posterior)
     return None
 

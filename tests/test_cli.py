@@ -376,6 +376,7 @@ def test_train_help_offers_one_flag_per_hyperparameter(capsys):
         ["sweep", "--rows", "1"],
         # 75% of 2 rows rounds to both: the holdout would be empty
         ["sweep", "--rows", "2", "--iters", "5"],
+        ["gen", "--seed", "-1", "--rows", "10"],
     ],
 )
 def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):

@@ -72,14 +72,22 @@ def test_config_validation():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32),
        st.integers(1, 100).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-# set path: n past 21 with k <= 5, and n past 85 with 6 <= k <= 21
+# set path: n past 21 with k <= 5, and n past 85 with 6 <= k <= 21; seed 1
+# draws a variant of either size, first, at n = 31 and at n = 100
 @example(seed=0, n_k=(31, 3))
 @example(seed=1, n_k=(100, 10))
+@example(seed=1, n_k=(31, 3))
 def test_draw_helpers_make_the_stdlib_draws(seed, n_k):
-    from mars.search import _below, _sample
+    from mars.search import _below, _pools, _sample, _shuffle, _ValueSets
 
     n, k = n_k
     rng, ref = random.Random(seed), random.Random(seed)
+    if n >= 2:
+        variant = _ValueSets(100).draw(rng.getrandbits, n)
+        assert variant == tuple(sorted(ref.sample(range(n), ref.randint(1, n - 1))))
+        assert rng.getstate() == ref.getstate()
+        if seed == 1 and n in (31, 100):
+            assert not _pools(n, len(variant))
     assert _sample(rng.getrandbits, range(n), k) == ref.sample(range(n), k)
     assert rng.getstate() == ref.getstate()
     letters = [f"v{v}" for v in range(n)]
@@ -87,6 +95,17 @@ def test_draw_helpers_make_the_stdlib_draws(seed, n_k):
     assert rng.getstate() == ref.getstate()
     assert _below(rng.getrandbits, n) == ref.randint(0, n - 1)
     assert rng.getstate() == ref.getstate()
+    # the forms propose and sample_misclassified draw with
+    assert letters[_below(rng.getrandbits, n)] == ref.choice(letters)
+    assert rng.getstate() == ref.getstate()
+    assert _below(rng.getrandbits, n) == ref.randrange(n)
+    assert rng.getstate() == ref.getstate()
+    for size in (2, 3):
+        got, want = letters[:size], letters[:size]
+        _shuffle(rng.getrandbits, got)
+        ref.shuffle(want)
+        assert got == want
+        assert rng.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -355,26 +374,51 @@ def test_add_rule_blocked_by_rule_count_cap():
     assert _seed_moves(state.current, data.rows[ex[0]], state.rng, 64, state.bounds) == []
 
 
-def test_exploit_mode_returns_posterior_argmax():
-    data = tiny_instance(19)
-    h = hypers(data)
-    cfg = small_cfg(explore_prob=0.0, neighbor_budget=500, random_seed=4)
-    state = init_state(data, h, cfg)
-    for _ in range(20):
-        ex = sample_misclassified(state)
-        if ex is None:
-            break
-        rng_snapshot = state.rng.getstate()
-        pick = propose(state, ex)
-        if pick is None:
-            continue
-        prop = pick.proposal()
-        # replay the same action's full neighbor set and verify the argmax
-        state.rng.setstate(rng_snapshot)
-        replay = propose(state, ex).proposal()
-        assert replay.rules == prop.rules
-        assert replay.score.log_posterior == prop.score.log_posterior
-        anneal_step(state)
+def test_exploit_mode_returns_posterior_argmax(monkeypatch):
+    from mars import search
+
+    # the moves of the last action builder propose called: the action that
+    # gave the pick
+    built = []
+    for name in ("_edits_add_value", "_edits_remove_condition", "_seed_moves",
+                 "_growth_moves", "_edits_remove_rule"):
+        def recording(*args, build=getattr(search, name)):
+            built.append(build(*args))
+            return built[-1]
+        monkeypatch.setattr(search, name, recording)
+
+    ties = 0
+    # the second run's picks include tied maxima
+    for instance, seed in ((19, 4), (11, 3)):
+        data = tiny_instance(instance)
+        h = hypers(data)
+        cfg = small_cfg(explore_prob=0.0, neighbor_budget=500, random_seed=seed)
+        state = init_state(data, h, cfg)
+        for _ in range(20):
+            ex = sample_misclassified(state)
+            if ex is None:
+                break
+            rng_snapshot = state.rng.getstate()
+            pick = propose(state, ex)
+            if pick is None:
+                continue
+            # every candidate's rule set scored in full: the pick reaches the
+            # highest posterior, and is the first candidate that does
+            assert len(built[-1]) <= cfg.neighbor_budget
+            candidates = list(dict.fromkeys(built[-1]))
+            scores = [score(RuleSet(materialized(c)), data, h).log_posterior
+                      for c in candidates]
+            assert pick.log_posterior >= max(scores)
+            assert candidates[scores.index(pick.log_posterior)] is pick.candidate
+            ties += scores.count(pick.log_posterior) > 1
+            prop = pick.proposal()
+            # replay the same action's full neighbor set and verify the argmax
+            state.rng.setstate(rng_snapshot)
+            replay = propose(state, ex).proposal()
+            assert replay.rules == prop.rules
+            assert replay.score.log_posterior == prop.score.log_posterior
+            anneal_step(state)
+    assert ties
 
 
 def test_proposals_are_normalized_rulesets():
@@ -743,7 +787,10 @@ def test_growth_table_scores_equal_full_rescore(draw):
         ]
         for j, vocab, without in table.free:
             assert vocab == vocab_sizes[j]
-            assert without == [tuple(v for v in range(vocab) if v != w) for w in range(vocab)]
+            assert not without  # each complement is built when first read
+            assert [without[w] for w in range(vocab)] == [
+                tuple(v for v in range(vocab) if v != w) for w in range(vocab)
+            ]
             # every proper value set, the full vocabulary minus one included
             for size in range(1, vocab_sizes[j]):
                 for vals in combinations(range(vocab_sizes[j]), size):
