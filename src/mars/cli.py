@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import synth
-from .data import RawTable, discretize, encode_with_specs, parse_labels
+from .data import N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DataFormatError, MarsError
 from .model import SIZES, first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
@@ -30,14 +30,48 @@ def _labeled_sizes(counts) -> list[tuple[str, float]]:
     return [(name.removeprefix("n_"), counts[name]) for name in SIZES]
 
 
+# The flags that set a dataclass's fields, as {dest: (field, help)}: each
+# flag is --dest with "-" for "_", and takes its default and its type from
+# the field's default.
+_SEARCH_FLAGS = {
+    "seed": ("random_seed", "random seed (default %(default)s)"),
+    "iters": ("n_iter", "annealing steps per chain"),
+    "t0": ("t0", "initial temperature"),
+    "explore": ("explore_prob", "exploration probability"),
+    "restarts": ("n_restarts", "extra chains beyond the first"),
+    "neighbor_budget": ("neighbor_budget", "max neighbors evaluated per action"),
+}
+_SYNTH_FLAGS = {
+    "rows": ("n_rows", "rows per generated table"),
+    "features": ("n_features", "feature columns, each uniform on [0, 1)"),
+    "rules": ("n_rules", "planted rules; a row is positive when one covers it"),
+    "max_conditions": ("max_conditions", "most conditions in a planted rule"),
+}
+
+
+def _add_flags(p: argparse.ArgumentParser, flags: dict, defaults) -> None:
+    for dest, (name, text) in flags.items():
+        default = getattr(defaults, name)
+        p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                       help=text)
+
+
+def _settings(cls, flags: dict, args, what: str, **given):
+    """A ``cls`` of the fields ``flags`` map from ``args``, and of ``given``;
+    a value it rejects is a MarsError naming ``what``."""
+    values = {name: getattr(args, dest) for dest, (name, _) in flags.items()}
+    try:
+        return cls(**values, **given)
+    except ValueError as exc:
+        raise MarsError(f"invalid {what} setting: {exc}") from exc
+
+
 def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--iters", type=int, default=10_000, help="annealing steps per chain")
-    p.add_argument("--t0", type=float, default=100.0, help="initial temperature")
-    p.add_argument("--explore", type=float, default=0.1, help="exploration probability")
-    p.add_argument("--restarts", type=int, default=1, help="extra chains beyond the first")
-    p.add_argument("--neighbor-budget", type=int, default=50,
-                   help="max neighbors evaluated per action")
+    _add_flags(p, _SEARCH_FLAGS, SearchConfig())
+
+
+def _add_synth_flags(p: argparse.ArgumentParser) -> None:
+    _add_flags(p, _SYNTH_FLAGS, synth.SynthSpec())
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
@@ -49,23 +83,13 @@ def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bins", type=int, default=10, help="intervals per numeric feature")
-    p.add_argument("--scheme", choices=("width", "frequency"), default="width",
+    p.add_argument("--bins", type=int, default=N_BINS, help="intervals per numeric feature")
+    p.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0],
                    help="numeric binning scheme")
 
 
 def _search_config(args) -> SearchConfig:
-    try:
-        return SearchConfig(
-            n_iter=args.iters,
-            t0=args.t0,
-            explore_prob=args.explore,
-            random_seed=args.seed,
-            n_restarts=args.restarts,
-            neighbor_budget=args.neighbor_budget,
-        )
-    except ValueError as exc:
-        raise MarsError(f"invalid search setting: {exc}") from exc
+    return _settings(SearchConfig, _SEARCH_FLAGS, args, "search")
 
 
 def _check_bins(args) -> None:
@@ -203,16 +227,7 @@ def cmd_show(args) -> int:
 
 
 def _synth_spec(args) -> synth.SynthSpec:
-    try:
-        return synth.SynthSpec(
-            n_rows=args.rows,
-            n_features=args.features,
-            n_rules=args.rules,
-            max_conditions=args.max_conditions,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise MarsError(f"invalid synthetic data setting: {exc}") from exc
+    return _settings(synth.SynthSpec, _SYNTH_FLAGS, args, "synthetic data", seed=args.seed)
 
 
 def cmd_gen(args) -> int:
@@ -263,7 +278,8 @@ def cmd_sweep(args) -> int:
         raise MarsError(f"invalid hyperparameter in --grid: {exc}") from exc
     cfg = _search_config(args)
     _check_bins(args)
-    records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, jobs=args.jobs)
+    records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, scheme=args.scheme,
+                          jobs=args.jobs)
     synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")
     for (bm, bl), stats in sorted(synth.cell_means(records).items()):
@@ -307,22 +323,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_show)
 
     p = sub.add_parser("gen", help="generate planted-truth synthetic data")
-    p.add_argument("--rows", type=int, default=5000)
-    p.add_argument("--features", type=int, default=15)
-    p.add_argument("--rules", type=int, default=3)
-    p.add_argument("--max-conditions", type=int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    _add_synth_flags(p)
+    p.add_argument("--seed", type=int, default=synth.SynthSpec().seed)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="ground-truth rules JSON path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="trade-off sweep over (beta_M, beta_L)")
-    p.add_argument("--rows", type=int, default=5000)
-    p.add_argument("--features", type=int, default=15)
-    p.add_argument("--rules", type=int, default=3)
-    p.add_argument("--max-conditions", type=int, default=4)
-    p.add_argument("--grid", default="1,100,10000", help="comma-separated beta values")
-    p.add_argument("--replicates", type=int, default=5)
+    _add_synth_flags(p)
+    grid = synth.SweepSpec()
+    p.add_argument("--grid", default=",".join(f"{b:g}" for b in grid.beta_grid),
+                   help="comma-separated beta values")
+    p.add_argument("--replicates", type=int, default=grid.replicates,
+                   help="generated tables; each trains a model per grid cell")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="metrics CSV path")
     _add_data_flags(p)

@@ -31,6 +31,11 @@ from .model import Pairs, RuleSet
 
 MISSING = "⟨missing⟩"
 
+# numeric binning: the bin count ``discretize`` uses unless told otherwise,
+# and the schemes it accepts, its default first
+N_BINS = 10
+SCHEMES = ("width", "frequency")
+
 _LABELS = {"1": True, "1.0": True, "true": True, "yes": True,
            "0": False, "0.0": False, "false": False, "no": False}
 _BOOLS = frozenset((bool, np.bool_))
@@ -288,7 +293,7 @@ def union_mask(ruleset: RuleSet, data: Dataset) -> int:
     return mask
 
 
-def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Dataset:
+def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) -> Dataset:
     """Encode a raw table into a Dataset, binning numeric columns.
 
     ``scheme`` is "width" (equal-width bins over the observed min/max) or
@@ -298,7 +303,7 @@ def discretize(table: RawTable, n_bins: int = 10, scheme: str = "width") -> Data
     """
     if n_bins < 2:
         raise ValueError("n_bins must be at least 2")
-    if scheme not in ("width", "frequency"):
+    if scheme not in SCHEMES:
         raise ValueError(f"unknown discretization scheme {scheme!r}")
     if table.label_column is None:
         raise DataFormatError("table has no label column set")
@@ -364,8 +369,9 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
     else:
         edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)))
     if len(edges) < 3:
-        binning = "equal-width" if scheme == "width" else "equal-frequency"
-        raise DataFormatError(f"column {name!r}: {binning} binning collapsed to a single interval")
+        raise DataFormatError(
+            f"column {name!r}: equal-{scheme} binning collapsed to a single interval"
+        )
     return edges
 
 

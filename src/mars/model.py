@@ -112,11 +112,6 @@ class RuleSet:
         return {name: getattr(self, name) for name in SIZES}
 
 
-def rule_covers(rule: Rule, row: Sequence[int]) -> bool:
-    """True iff every condition of ``rule`` accepts the row's value."""
-    return all(row[c.feature_id] in c.values for c in rule.conditions)
-
-
 def first_covering_rule(ruleset: RuleSet, rows: np.ndarray) -> np.ndarray:
     """Per row of an encoded (N, n_features) matrix, the index of the first
     rule that covers it, or -1 when none does.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import RawTable, discretize, encode_with_specs, parse_labels
+from .data import N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DegenerateLabelError
 from .model import SIZES, RuleSet, first_covering_rule
 from .scoring import Hyperparams
@@ -172,9 +172,9 @@ def error_rate(rules: RuleSet, rows: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _run_cell(args) -> SweepRecord:
-    (table, train_idx, test_idx, beta_m, beta_l, replicate, base, cfg, n_bins) = args
+    (table, train_idx, test_idx, beta_m, beta_l, replicate, base, cfg, n_bins, scheme) = args
     t_start = time.perf_counter()
-    train = discretize(_subset(table, train_idx), n_bins=n_bins)
+    train = discretize(_subset(table, train_idx), n_bins=n_bins, scheme=scheme)
     hyper = replace(base, beta_m=beta_m, beta_l=beta_l)
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
     rules, _, _ = run(train, hyper, job_cfg)
@@ -198,13 +198,15 @@ def sweep(
     grid: SweepSpec,
     base_hyper: Hyperparams,
     cfg: SearchConfig,
-    n_bins: int = 10,
+    n_bins: int = N_BINS,
+    scheme: str = SCHEMES[0],
     jobs: int = 1,
 ) -> list[SweepRecord]:
     """All (beta_M, beta_L) cells x replicates; one trained model each.
 
     Replicate r reuses one generated dataset across every cell so cells
-    are comparable.  Each record keeps its cell's learned ``rules``;
+    are comparable; each cell bins its train split with ``discretize`` at
+    ``n_bins`` and ``scheme``.  Each record keeps its cell's learned ``rules``;
     ``cell_means`` and the metrics CSV report their ``RuleSet.sizes()``, one
     count per name in ``model.SIZES``, in that order.  Before any search runs, a row
     count that leaves the holdout split empty raises ValueError, and a
@@ -225,7 +227,7 @@ def sweep(
             for beta_l in grid.beta_grid:
                 tasks.append(
                     (table, train_idx, test_idx, beta_m, beta_l, replicate, base_hyper, cfg,
-                     n_bins)
+                     n_bins, scheme)
                 )
     # the fork pool starts every worker at once, whether or not it gets a cell
     workers = min(jobs, len(tasks))

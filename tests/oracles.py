@@ -20,6 +20,11 @@ from mars.model import Condition, Rule, RuleSet
 mp.mp.dps = 50
 
 
+def rule_covers(rule: Rule, row: Sequence[int]) -> bool:
+    """True iff every condition of ``rule`` accepts the row's value."""
+    return all(row[c.feature_id] in c.values for c in rule.conditions)
+
+
 # ---------------------------------------------------------------------------
 # high-precision prior / likelihood
 # ---------------------------------------------------------------------------

@@ -19,9 +19,11 @@ import pytest
 import mars
 from mars import cli
 from mars.data import MISSING, FeatureSpec, RawTable, encode_with_specs
-from mars.model import Rule, RuleSet, first_covering_rule, rule_covers
+from mars.model import Rule, RuleSet, first_covering_rule
 from mars.model_io import load_model, save_model
 from mars.scoring import Hyperparams
+
+from oracles import rule_covers
 
 SRC = str(Path(mars.__file__).resolve().parents[1])
 
@@ -361,6 +363,30 @@ def test_train_help_offers_one_flag_per_hyperparameter(capsys):
     names = [f.name for f in fields(Hyperparams)]
     hyper_flags = [flag for flag in listed if flag[2:].replace("-", "_") in names]
     assert sorted(hyper_flags) == sorted("--" + name.replace("_", "-") for name in names)
+
+
+def test_flag_defaults_are_the_library_defaults():
+    import inspect
+
+    from mars import synth
+    from mars.data import discretize
+    from mars.search import SearchConfig
+
+    parser = cli.build_parser()
+    binning = inspect.signature(discretize).parameters
+    for argv in (["train", "data.csv", "--label", "y", "--out", "m.json"],
+                 ["sweep", "--out", "s.csv"]):
+        args = parser.parse_args(argv)
+        assert cli._search_config(args) == SearchConfig()
+        assert (args.bins, args.scheme) == (binning["n_bins"].default, binning["scheme"].default)
+    assert cli._synth_spec(parser.parse_args(["gen", "--out", "g.csv"])) == synth.SynthSpec()
+    args = parser.parse_args(["sweep", "--out", "s.csv"])
+    assert cli._synth_spec(args) == synth.SynthSpec()
+    grid = synth.SweepSpec()
+    assert tuple(float(b) for b in args.grid.split(",")) == grid.beta_grid
+    assert args.replicates == grid.replicates
+    sweep = inspect.signature(synth.sweep).parameters
+    assert (sweep["n_bins"].default, sweep["scheme"].default) == (args.bins, args.scheme)
 
 
 @pytest.mark.parametrize(

@@ -16,10 +16,9 @@ from mars.model import (
     first_covering_rule,
     is_normalized,
     normalize,
-    rule_covers,
 )
 
-from oracles import make_dataset, random_ruleset_for
+from oracles import make_dataset, random_ruleset_for, rule_covers
 
 
 # ---------------------------------------------------------------------------

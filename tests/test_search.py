@@ -13,7 +13,7 @@ from mars.bitset import indices
 from mars.bounds import update_bounds
 from mars.data import rule_mask, union_mask
 from mars.errors import DegenerateLabelError
-from mars.model import Condition, Rule, RuleSet, rule_covers
+from mars.model import Condition, Rule, RuleSet
 from mars.scoring import Hyperparams, confusion_counts, score
 from mars.search import (
     Proposal,
@@ -27,7 +27,7 @@ from mars.search import (
     temperature,
 )
 
-from oracles import make_dataset, tiny_instance
+from oracles import make_dataset, rule_covers, tiny_instance
 
 
 def hypers(data, **kw):
@@ -540,6 +540,73 @@ def test_last_improvement_is_the_returned_best_across_restarts(seed):
         elif record["event"] == "improve":
             assert record["chain"] in started
     assert started == set(range(cfg.n_restarts + 1))
+
+
+def stalling_state(seed: int):
+    """A chain that stalls now and then: on ``tiny_instance(1)`` (18 rows, 6
+    positive) priors this steep soon make the bounds cap the rule count at
+    one and the support floor at 7 rows, so a step can find no legal
+    neighbor."""
+    data = tiny_instance(1)
+    cfg = SearchConfig(n_iter=500, t0=10.0, neighbor_budget=8, random_seed=seed)
+    return init_state(data, hypers(data, beta_m=1e6, beta_l=1e6), cfg)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_a_stall_moves_only_the_clock_and_the_next_pick_ends_the_streak(monkeypatch, seed):
+    import mars.search as search
+
+    picks = []
+    real = search.propose
+
+    def recording(*args):
+        picks.append(real(*args))
+        return picks[-1]
+
+    monkeypatch.setattr(search, "propose", recording)
+    state = stalling_state(seed)
+    stalls = resets = 0
+    for _ in range(state.cfg.n_iter):
+        before = (state.current, state.best, state.bounds, state.t, state.stall_streak)
+        n_records = len(state.runlog.records)
+        anneal_step(state)
+        new_records = state.runlog.records[n_records:]
+        if picks[-1] is None:
+            stalls += 1
+            current, best, bounds, t, streak = before
+            assert state.current is current and state.best is best and state.bounds is bounds
+            assert (state.t, state.stall_streak) == (t + 1, streak + 1)
+            assert new_records == [{"event": "stall", "chain": 0, "t": t}]
+        else:
+            assert state.stall_streak == 0
+            assert all(r["event"] != "stall" for r in new_records)
+            resets += before[-1] > 0
+    assert len(picks) == state.cfg.n_iter
+    assert stalls and resets
+    assert state.bounds.m_cap == 1 and state.bounds.min_support == 7
+
+
+def test_twenty_straight_stalls_end_the_chain_and_start_the_next(monkeypatch):
+    import mars.search as search
+
+    monkeypatch.setattr(search, "propose", lambda state, example: None)
+    data = tiny_instance(1)
+    cfg = small_cfg(n_iter=100, n_restarts=1)
+    _, best, runlog = run(data, hypers(data), cfg)
+    after = search.STALL_RESTART_AFTER
+    assert after == 20
+    for chain in range(cfg.n_restarts + 1):
+        records = [r for r in runlog.records if r.get("chain") == chain]
+        events = [r["event"] for r in records]
+        assert events[0] == "chain_start"
+        # chain 0's random start is the first best; a restart's start may not be
+        start = 2 if events[1] == "improve" else 1
+        assert events[start:] == ["stall"] * after + ["stall_restart"]
+        stalls = [r for r in records if r["event"] == "stall"]
+        assert [r["t"] for r in stalls] == list(range(after))
+        assert records[-1] == {"event": "stall_restart", "chain": chain, "t": after}
+    assert runlog.records[-1]["event"] == "done"
+    assert runlog.records[-1]["log_posterior"] == best.log_posterior
 
 
 def test_admitted_rules_meet_support_floor_during_run():

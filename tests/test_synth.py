@@ -8,6 +8,7 @@ import pytest
 
 import mars.synth as synth
 from mars import cli
+from mars.data import SCHEMES, discretize
 from mars.errors import DegenerateLabelError
 from mars.model import Rule, RuleSet
 from mars.scoring import Hyperparams
@@ -130,3 +131,21 @@ def test_sweep_records_rule_condition_and_value_counts_apart(monkeypatch, tmp_pa
     assert len(printed) == 4
     assert all(line.endswith(" rules=2.0 conditions=3.0 values=6.0 features=3.0")
                for line in printed)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_sweep_bins_every_cell_with_the_given_bins_and_scheme(monkeypatch, tmp_path, scheme):
+    # a sweep cell bins its train split as mars train bins its CSV from the
+    # same --bins and --scheme
+    calls = []
+
+    def recording(table, **settings):
+        calls.append(settings)
+        return discretize(table, **settings)
+
+    monkeypatch.setattr(synth, "discretize", recording)
+    out = tmp_path / "sweep.csv"
+    argv = ["sweep", "--rows", "400", "--replicates", "1", "--grid", "1,100", "--iters", "50",
+            "--bins", "6", "--scheme", scheme, "--out", str(out)]
+    assert cli.main(argv) == 0
+    assert calls == [{"n_bins": 6, "scheme": scheme}] * 4
