@@ -22,6 +22,8 @@ log = logging.getLogger(__name__)
 
 # a hyperparameter declared as a tuple takes one value per feature
 _PER_FEATURE_KEYS = frozenset(f.name for f in fields(Hyperparams) if f.type.startswith("tuple"))
+# mars sweep sets these in each grid cell, from --grid
+_GRID_KEYS = ("beta_m", "beta_l")
 
 
 def _labeled_sizes(counts) -> list[tuple[str, float]]:
@@ -74,12 +76,18 @@ def _add_synth_flags(p: argparse.ArgumentParser) -> None:
     _add_flags(p, _SYNTH_FLAGS, synth.SynthSpec())
 
 
-def _add_hyper_flags(p: argparse.ArgumentParser) -> None:
+def _add_hyper_flags(p: argparse.ArgumentParser, grid_keys=()) -> None:
+    """--hyper-config, and a flag per hyperparameter not in ``grid_keys``."""
     p.add_argument("--hyper-config", default=None,
                    help="flat key=value file overriding hyperparameter defaults")
+    defaults = Hyperparams.defaults(1)
     for key in HYPER_KEYS:
-        flag = "--" + key.replace("_", "-")
-        p.add_argument(flag, type=float, default=None, help=f"hyperparameter {key}")
+        if key in grid_keys:
+            continue
+        value = getattr(defaults, key)
+        shown = f"{value[0]:g} per feature" if key in _PER_FEATURE_KEYS else value
+        p.add_argument("--" + key.replace("_", "-"), type=float, default=None,
+                       help=f"hyperparameter {key} (default {shown})")
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -142,14 +150,15 @@ def _parse_hyper_file(path) -> dict:
     return out
 
 
-def _hyperparams(args, n_features: int) -> Hyperparams:
-    overrides = {}
-    if getattr(args, "hyper_config", None):
-        overrides.update(_parse_hyper_file(args.hyper_config))
-    for key in HYPER_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
+def _hyperparams(args, n_features: int, grid_keys=()) -> Hyperparams:
+    """The defaults, overridden by --hyper-config and then by the flags; the
+    file may not set a key in ``grid_keys``."""
+    overrides = _parse_hyper_file(args.hyper_config) if args.hyper_config else {}
+    for key in grid_keys:
+        if key in overrides:
+            raise MarsError(f"invalid hyperparameter: {args.hyper_config} sets {key}, "
+                            "which mars sweep takes from --grid")
+    overrides.update({k: v for k in HYPER_KEYS if (v := getattr(args, k, None)) is not None})
     try:
         return Hyperparams.defaults(n_features, **overrides)
     except ValueError as exc:
@@ -269,7 +278,7 @@ def cmd_sweep(args) -> int:
     if args.jobs < 1:
         raise MarsError("invalid sweep setting: --jobs must be at least 1")
     _check_writable({"--out": args.out}, {"--hyper-config": args.hyper_config})
-    base = _hyperparams(args, args.features)
+    base = _hyperparams(args, args.features, _GRID_KEYS)
     try:
         for beta_m in grid.beta_grid:
             for beta_l in grid.beta_grid:
@@ -333,13 +342,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_synth_flags(p)
     grid = synth.SweepSpec()
     p.add_argument("--grid", default=",".join(f"{b:g}" for b in grid.beta_grid),
-                   help="comma-separated beta values")
+                   help="comma-separated values; a model is trained for each "
+                        "(beta_M, beta_L) pair of them")
     p.add_argument("--replicates", type=int, default=grid.replicates,
                    help="generated tables; each trains a model per grid cell")
     p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
     p.add_argument("--out", required=True, help="metrics CSV path")
     _add_data_flags(p)
-    _add_hyper_flags(p)
+    _add_hyper_flags(p, _GRID_KEYS)
     _add_search_flags(p)
     p.set_defaults(func=cmd_sweep)
 

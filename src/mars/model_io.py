@@ -100,14 +100,7 @@ def load_model(path) -> Model:
                 for conds in doc["rules"]
             )
         )
-        hp = {k: doc["hyperparams"][k] for k in HYPER_KEYS}
-        if not isinstance(hp["theta"], list):
-            raise TypeError("hyperparameter theta is not a JSON array")
-        for key, value in hp.items():
-            numbers = value if key == "theta" else [value]
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
-                raise TypeError(f"hyperparameter {key} holds {value!r}, not a number")
-        hyper = Hyperparams(**hp)
+        hyper = Hyperparams(**{k: doc["hyperparams"][k] for k in HYPER_KEYS})
         label = doc["label"]
         if not isinstance(label, str):
             raise TypeError(f"label {label!r} is not a string")

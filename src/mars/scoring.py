@@ -23,22 +23,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from math import exp, expm1, inf, isfinite, lgamma, log
+from numbers import Real
 from typing import Iterable, Sequence
 
 from .data import Dataset, union_mask
 from .model import Rule, RuleSet, is_normalized
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class Hyperparams:
     """The nine-parameter bundle governing prior and likelihood.
 
-    Every value is positive and finite, and theta has one weight per
-    feature.  The constants the prior, the likelihood and the pruning
-    bounds derive from the values must be finite floats too, so a value
-    near the float maximum (alpha_l = 1e308, say) is rejected, and so is a
-    beta_l so large (about 1e15) that log(beta_l) - log(beta_l + 1) rounds
-    to 0 and the rule-length prior's zero-truncation takes log(0).  The
+    Every value is a positive, finite number, not a bool or a string, and
+    theta is a list or tuple of them, one weight per feature.  The
+    constants the prior, the likelihood and the pruning bounds derive from
+    the values must be finite floats too, so a value near the float maximum
+    (alpha_l = 1e308, say) is rejected, and so is a beta_l so large (about
+    1e15) that log(beta_l) - log(beta_l + 1) rounds to 0 and the
+    rule-length prior's zero-truncation takes log(0).  The
     ordering constraints required by the pruning bounds
     (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
     alpha_neg > beta_neg) are reported by ``bound_precondition_violations``
@@ -49,26 +51,30 @@ class Hyperparams:
     them); equality and hashing look at the nine fields only.
     """
 
-    alpha_m: float
-    beta_m: float
-    alpha_l: float
-    beta_l: float
+    alpha_m: float = 1.0
+    beta_m: float = 100.0
+    alpha_l: float = 1.0
+    beta_l: float = 100.0
     theta: tuple[float, ...]
-    alpha_pos: float
-    beta_pos: float
-    alpha_neg: float
-    beta_neg: float
+    alpha_pos: float = 100.0
+    beta_pos: float = 1.0
+    alpha_neg: float = 100.0
+    beta_neg: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         for name in HYPER_KEYS:
             value = getattr(self, name)
-            if name != "theta" and not 0 < value < inf:
+            if name == "theta":
+                if not isinstance(value, (list, tuple)) or not all(map(_is_real, value)):
+                    raise TypeError(f"theta must be a list of numbers, got {value!r}")
+                if not value or not all(0 < t < inf for t in value):
+                    raise ValueError("theta must hold a positive, finite number per feature, "
+                                     f"got {value}")
+            elif not _is_real(value):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            elif not 0 < value < inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        if not self.theta:
-            raise ValueError("theta must have one entry per feature")
-        if any(not 0 < t < inf for t in self.theta):
-            raise ValueError("theta entries must be positive and finite")
+        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         try:
             prior = _PriorConstants(self)
             exp(log_omega(self))
@@ -85,29 +91,15 @@ class Hyperparams:
         object.__setattr__(self, "_prior", prior)
 
     @classmethod
-    def defaults(cls, n_features: int, **overrides) -> "Hyperparams":
-        """Default bundle: theta=1, alpha_+=alpha_-=100, beta_+=beta_-=1,
-        alpha_M=alpha_L=1, beta_M=beta_L=100."""
-        params = dict(
-            alpha_m=1.0,
-            beta_m=100.0,
-            alpha_l=1.0,
-            beta_l=100.0,
-            theta=(1.0,) * n_features,
-            alpha_pos=100.0,
-            beta_pos=1.0,
-            alpha_neg=100.0,
-            beta_neg=1.0,
-        )
-        theta = overrides.pop("theta", None)
-        if theta is not None:
-            if isinstance(theta, (int, float)):
-                theta = (float(theta),) * n_features
-            theta = params["theta"] = tuple(theta)
-            if len(theta) != n_features:
-                raise ValueError(f"theta has {len(theta)} entries for {n_features} features")
-        params.update(overrides)
-        return cls(**params)
+    def defaults(cls, n_features: int, theta=1.0, **overrides) -> "Hyperparams":
+        """The field defaults for ``n_features`` features, with ``overrides``;
+        a single number for ``theta`` is the weight of every feature."""
+        if _is_real(theta):
+            theta = (theta,) * n_features
+        hyper = cls(theta=theta, **overrides)
+        if hyper.n_features != n_features:
+            raise ValueError(f"theta has {hyper.n_features} entries for {n_features} features")
+        return hyper
 
     @property
     def n_features(self) -> int:
@@ -130,6 +122,10 @@ class Hyperparams:
 # the field names, in order: flags, config-file keys and the model file's
 # "hyperparams" block all follow them
 HYPER_KEYS = tuple(f.name for f in fields(Hyperparams))
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

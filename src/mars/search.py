@@ -700,8 +700,6 @@ def _seed_moves(
         return []
     vocab_sizes = current.data.vocab_sizes
     eligible = [j for j, v in enumerate(vocab_sizes) if v >= 2]
-    if not eligible:
-        return []
     seen = set(current.index)
     seeds: list[_Edit] = []
     # per feature, the example's value and the vocabulary's other values

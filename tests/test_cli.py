@@ -356,13 +356,44 @@ def test_hyper_config_with_a_byte_order_mark(trained, tmp_path):
 
 
 def test_train_help_offers_one_flag_per_hyperparameter(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["train", "--help"])
-    assert info.value.code == 0
-    listed = re.findall(r"^\s+(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)
+    # mars sweep takes beta_M and beta_L from --grid, and offers the rest
     names = [f.name for f in fields(Hyperparams)]
-    hyper_flags = [flag for flag in listed if flag[2:].replace("-", "_") in names]
-    assert sorted(hyper_flags) == sorted("--" + name.replace("_", "-") for name in names)
+    for command, offered in (("train", names),
+                             ("sweep", [n for n in names if n not in ("beta_m", "beta_l")])):
+        with pytest.raises(SystemExit) as info:
+            cli.main([command, "--help"])
+        assert info.value.code == 0
+        listed = re.findall(r"^\s+(--[a-z][a-z-]*)", capsys.readouterr().out, re.M)
+        hyper_flags = [flag for flag in listed if flag[2:].replace("-", "_") in names]
+        assert sorted(hyper_flags) == sorted("--" + name.replace("_", "-") for name in offered)
+
+
+@pytest.mark.parametrize("flag", ["--beta-m", "--beta-l"])
+def test_sweep_has_no_beta_m_or_beta_l_flag(tmp_path, flag):
+    out = tmp_path / "sweep.csv"
+    proc = run_mars("sweep", "--rows", "50", "--replicates", "1", "--grid", "1", "--iters", "5",
+                    flag, "5", "--out", out)
+    assert proc.returncode == 2
+    assert f"unrecognized arguments: {flag} 5" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["beta_m", "beta_l"])
+def test_sweep_hyper_config_setting_a_grid_beta_exits_1_before_generating(monkeypatch, capsys,
+                                                                          tmp_path, key):
+    from mars import synth
+
+    def no_data(*args):
+        raise AssertionError("data generated")
+
+    monkeypatch.setattr(synth, "generate", no_data)
+    cfg = tmp_path / "hyper.cfg"
+    cfg.write_text(f"alpha_m = 2\n{key} = 7\n")
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", "--rows", "50", "--hyper-config", str(cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid hyperparameter") and key in err and "--grid" in err
+    assert not out.exists()
 
 
 def test_flag_defaults_are_the_library_defaults():

@@ -51,6 +51,36 @@ def test_hyperparams_must_be_positive():
         hypers(3, theta=(1.0, -1.0, 1.0))
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [("alpha_m", True), ("theta", "12"), ("theta", [1, True]), ("beta_neg", "5"),
+     ("theta", {0: 1.0, 1: 1.0})],
+    ids=["bool", "string-theta", "bool-in-theta", "string", "dict-theta"],
+)
+def test_a_value_that_is_not_a_number_is_rejected_by_name(key, value):
+    with pytest.raises(TypeError, match=key):
+        hypers(2, **{key: value})
+
+
+def test_defaults_are_the_field_defaults_with_theta_one_per_feature():
+    assert hypers(3) == Hyperparams(theta=(1.0, 1.0, 1.0))
+    assert hypers(2, theta=0.5) == Hyperparams(theta=[0.5, 0.5])
+
+
+def test_saved_hyperparams_load_equal(tmp_path):
+    from mars.data import FeatureSpec
+    from mars.model_io import load_model, save_model
+
+    features = tuple(FeatureSpec(j, f"c{j}", "categorical", categories=("a", "b"))
+                     for j in range(2))
+    rules = RuleSet((Rule.of({1: (0,)}),))
+    hyper = hypers(2, alpha_m=2, theta=[0.5, 2])
+    path = tmp_path / "model.json"
+    save_model(path, features, rules, hyper, "y", {})
+    model = load_model(path)
+    assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
+
+
 def test_bound_precondition_report():
     ok = hypers(3, beta_m=10.0, beta_l=10.0)
     assert ok.bound_precondition_violations() == []
