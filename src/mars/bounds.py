@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .data import Dataset
-from .scoring import Confusion, Hyperparams, log_likelihood, log_omega, log_rule_count_prior
+from .scoring import Hyperparams, log_likelihood, log_omega, log_rule_count_prior
 
 log = logging.getLogger(__name__)
 
@@ -35,8 +35,8 @@ _SLACK = 1e-9
 def upsilon(data: Dataset, hyper: Hyperparams) -> float:
     """Per-row likelihood-loss factor bounding single-rule deletion.
 
-    Values above 1 carry no pruning power (deleting a rule then never
-    costs likelihood); a warning is logged when that happens.
+    Values of 1 and above carry no pruning power (deleting a rule then
+    never costs likelihood); ``initial_bounds`` then disables the bounds.
     """
     n_pos, n_neg = data.n_pos, data.n_neg
     if not n_pos + hyper.alpha_pos > 1:
@@ -44,15 +44,12 @@ def upsilon(data: Dataset, hyper: Hyperparams) -> float:
     value = (hyper.beta_neg * (n_pos + hyper.alpha_pos + hyper.beta_pos - 1.0)) / (
         (n_neg + hyper.alpha_neg + hyper.beta_neg) * (n_pos + hyper.alpha_pos - 1.0)
     )
-    if value > 1.0:
-        log.warning("upsilon = %.4g > 1: support pruning is powerless here", value)
     return value
 
 
 def log_lstar(data: Dataset, hyper: Hyperparams) -> float:
     """Log-likelihood of perfect classification (the reachable maximum)."""
-    perfect = Confusion(tp=data.n_pos, fp=0, tn=data.n_neg, fn=0)
-    return log_likelihood(perfect, hyper)
+    return log_likelihood(data.n_pos, 0, data.n_neg, 0, hyper)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,8 @@ class Hyperparams:
     """The nine-parameter bundle governing prior and likelihood.
 
     Every value is a positive, finite number, not a bool or a string, and
-    theta is a list or tuple of them, one weight per feature.  The
+    theta is a list or tuple of them, one weight per feature; each is
+    stored as a float (a numpy integer, say, would not serialize).  The
     constants the prior, the likelihood and the pruning bounds derive from
     the values must be finite floats too, so a value near the float maximum
     (alpha_l = 1e308, say) is rejected, and so is a beta_l so large (about
@@ -74,14 +75,17 @@ class Hyperparams:
                 raise TypeError(f"{name} must be a number, got {value!r}")
             elif not 0 < value < inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
         try:
+            for name in HYPER_KEYS:
+                value = getattr(self, name)
+                value = tuple(map(float, value)) if name == "theta" else float(value)
+                object.__setattr__(self, name, value)
             prior = _PriorConstants(self)
             exp(log_omega(self))
             finite = isfinite(
                 _log_beta(self.alpha_pos, self.beta_pos) + _log_beta(self.alpha_neg, self.beta_neg)
             )
-        except (OverflowError, ValueError):  # lgamma or exp overflows, or log(0)
+        except (OverflowError, ValueError):  # float, lgamma or exp overflows, or log(0)
             finite = False
         if not finite:
             raise ValueError(
@@ -168,18 +172,29 @@ class Score:
         return cls(log_prior, log_likelihood, log_prior + log_likelihood, confusion)
 
 
+class _PoissonGamma:
+    """log p(x) of a Poisson count x whose rate has a Gamma(alpha, beta) prior."""
+
+    def __init__(self, alpha: float, beta: float) -> None:
+        self.alpha = alpha
+        self.lgamma_alpha = lgamma(alpha)
+        # log p(x = 0) = alpha * log(beta / (beta + 1))
+        self.log_ratio = alpha * (log(beta) - log(beta + 1.0))
+        self.log_b1 = log(beta + 1.0)
+
+    def log_pmf(self, x: int) -> float:
+        return (lgamma(x + self.alpha) - lgamma(x + 1.0) - self.lgamma_alpha
+                + self.log_ratio - x * self.log_b1)
+
+
 class _PriorConstants:
     """Per-hyperparameter scalars reused across every prior evaluation."""
 
     def __init__(self, hyper: Hyperparams) -> None:
-        self.lgamma_alpha_m = lgamma(hyper.alpha_m)
-        self.log_ratio_m = hyper.alpha_m * (log(hyper.beta_m) - log(hyper.beta_m + 1.0))
-        self.log_bm1 = log(hyper.beta_m + 1.0)
-        self.lgamma_alpha_l = lgamma(hyper.alpha_l)
-        self.log_ratio_l = hyper.alpha_l * (log(hyper.beta_l) - log(hyper.beta_l + 1.0))
-        self.log_bl1 = log(hyper.beta_l + 1.0)
-        # zero-truncation: log(1 - p(L=0)) with p(L=0) = (b/(b+1))^a
-        self.log_trunc = log(-expm1(self.log_ratio_l))
+        self.count = _PoissonGamma(hyper.alpha_m, hyper.beta_m)
+        self.length = _PoissonGamma(hyper.alpha_l, hyper.beta_l)
+        # zero-truncation: log(1 - p(L=0))
+        self.log_trunc = log(-expm1(self.length.log_ratio))
         self.theta_sum = sum(hyper.theta)
         self.lgamma_theta_sum = lgamma(self.theta_sum)
         self.lgamma_theta = tuple(lgamma(t) for t in hyper.theta)
@@ -219,13 +234,7 @@ def log_rule_count_prior(m: int, hyper: Hyperparams) -> float:
     c = hyper._prior
     term = c.count_terms.get(m)
     if term is None:
-        term = c.count_terms[m] = (
-            lgamma(m + hyper.alpha_m)
-            - lgamma(m + 1.0)
-            - c.lgamma_alpha_m
-            + c.log_ratio_m
-            - m * c.log_bm1
-        )
+        term = c.count_terms[m] = c.count.log_pmf(m)
     return term
 
 
@@ -234,14 +243,7 @@ def log_rule_length_prior(length: int, hyper: Hyperparams) -> float:
     if length < 1:
         raise ValueError("rule length must be at least 1")
     c = hyper._prior
-    raw = (
-        lgamma(length + hyper.alpha_l)
-        - lgamma(length + 1.0)
-        - c.lgamma_alpha_l
-        + c.log_ratio_l
-        - length * c.log_bl1
-    )
-    return raw - c.log_trunc
+    return c.length.log_pmf(length) - c.log_trunc
 
 
 def rule_prior_terms(
@@ -285,25 +287,31 @@ def prior_terms_from_counts(
     return length_term, dm_norm + dm
 
 
+# per-rule entry: (coverage mask, log p(L_m) term, log p(z_m) term)
+RuleEntry = tuple[int, float, float]
+
+
+def prior_of_entries(entries: Sequence[RuleEntry], hyper: Hyperparams) -> float:
+    """Log-prior of the rule set whose rules have ``entries``: the count
+    prior, then each rule's two terms, added in rule order."""
+    prior = log_rule_count_prior(len(entries), hyper)
+    for _, length_term, dm_term in entries:
+        prior += length_term
+        prior += dm_term
+    return prior
+
+
 def log_prior(ruleset: RuleSet, hyper: Hyperparams, vocab_sizes: Sequence[int]) -> float:
     """Log of p(M) * prod p(L_m) * prod p(z_m) for a normalized rule set."""
     if len(vocab_sizes) != hyper.n_features:
         raise ValueError("theta length must match the number of features")
-    total = log_rule_count_prior(ruleset.n_rules, hyper)
-    for rule in ruleset.rules:
-        length_term, dm_term = rule_prior_terms(rule, hyper, vocab_sizes)
-        total += length_term
-        total += dm_term
-    return total
+    return prior_of_entries(
+        [(0, *rule_prior_terms(rule, hyper, vocab_sizes)) for rule in ruleset.rules], hyper
+    )
 
 
-def log_likelihood(confusion: Confusion, hyper: Hyperparams) -> float:
-    """Unnormalized conditional log-likelihood from confusion counts."""
-    return log_likelihood_counts(confusion.tp, confusion.fp, confusion.tn, confusion.fn, hyper)
-
-
-def log_likelihood_counts(tp: int, fp: int, tn: int, fn: int, hyper: Hyperparams) -> float:
-    """``log_likelihood`` from the four counts, without building a Confusion."""
+def log_likelihood(tp: int, fp: int, tn: int, fn: int, hyper: Hyperparams) -> float:
+    """Unnormalized conditional log-likelihood from the confusion counts."""
     return _log_beta(tp + hyper.alpha_pos, fp + hyper.beta_pos) + _log_beta(
         tn + hyper.alpha_neg, fn + hyper.beta_neg
     )
@@ -329,7 +337,9 @@ def score(ruleset: RuleSet, data: Dataset, hyper: Hyperparams) -> Score:
     assert is_normalized(ruleset, data.vocab_sizes), "score() expects a normalized rule set"
     conf = confusion_counts(ruleset, data)
     return Score.of(
-        log_prior(ruleset, hyper, data.vocab_sizes), log_likelihood(conf, hyper), conf
+        log_prior(ruleset, hyper, data.vocab_sizes),
+        log_likelihood(conf.tp, conf.fp, conf.tn, conf.fn, hyper),
+        conf,
     )
 
 

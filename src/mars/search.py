@@ -37,15 +37,15 @@ equal to another current rule as ``normalize`` does, so every edit makes
 a normalized rule set, and equal edits make equal rule sets.
 An edit is scored and materialized from the same pieces: one ``_splice``
 puts the new rule's entry into the proposal's entries, and its pairs into
-its rules, ``_prior`` adds the entries' terms in rule order (the floats
-``scoring.log_prior`` adds), and the likelihood is counted from the other
-rules' cached union OR the new rule's mask.  So an edit's posterior is the
-float ``scoring.score`` gives the rule set it makes.  Add-condition moves
-are scored from counts instead, so that a step scores its narrowings
-without building a mask for each: a rule's ``_GrowthTable`` holds, per
-(feature, value), the positive and negative rows among those the rule
-alone covers, and takes its prior from ``_prior``; a growth becomes an
-edit only when it is kept.
+its rules, ``scoring.prior_of_entries`` sums the entries' prior, and
+``scoring.log_likelihood`` scores the confusion counted from the other
+rules' cached union OR the new rule's mask.  ``scoring.score`` calls the
+same two functions, so an edit's posterior is the float it gives the rule
+set the edit makes.  Add-condition moves are scored from counts instead,
+so that a step scores its narrowings without building a mask for each: a
+rule's ``_GrowthTable`` holds, per (feature, value), the positive and
+negative rows among those the rule alone covers, and takes its prior from
+``prior_of_entries``; a growth becomes an edit only when it is kept.
 
 Every random integer the search draws comes from ``_below``, ``_sample``,
 ``_shuffle`` or ``_ValueSets.draw``.  Each makes the ``getrandbits`` calls
@@ -93,11 +93,11 @@ from .errors import DegenerateLabelError
 from .model import Condition, Pairs, Rule, RuleSet
 from .scoring import (
     Hyperparams,
+    RuleEntry,
     Score,
     confusion_from_mask,
     log_likelihood,
-    log_likelihood_counts,
-    log_rule_count_prior,
+    prior_of_entries,
     prior_terms_from_counts,
 )
 
@@ -111,10 +111,6 @@ NEGATIVE_ACTIONS = ("add_condition", "remove_rule")
 SIMPLIFY_ACTIONS = ("remove_condition", "remove_rule")
 
 STALL_RESTART_AFTER = 20
-
-# per-rule entry: (coverage mask, log p(L_m) term, log p(z_m) term)
-RuleEntry = tuple[int, float, float]
-
 
 @dataclass(frozen=True)
 class SearchConfig:
@@ -183,17 +179,6 @@ def _splice(seq: tuple, mi: int, new, k: int | None) -> tuple:
     return seq[:mi] + (new,) + seq[mi + 1 : k] + seq[k + 1 :]
 
 
-def _prior(entries: tuple[RuleEntry, ...], hyper: Hyperparams) -> float:
-    """``log_prior`` of the rule set whose rules have ``entries``: the count
-    prior, then each rule's two terms in rule order, the same floats added
-    in the same order."""
-    prior = log_rule_count_prior(len(entries), hyper)
-    for _, length_term, dm_term in entries:
-        prior += length_term
-        prior += dm_term
-    return prior
-
-
 @dataclass(eq=False)
 class Proposal:
     """A rule set scored on ``data`` under ``hyper``.  ``keys`` holds each
@@ -220,8 +205,11 @@ class Proposal:
 
     def __post_init__(self) -> None:
         conf = confusion_from_mask(self.union_mask, self.data)
-        prior = _prior(self.entries, self.hyper)
-        self.score = Score.of(prior, log_likelihood(conf, self.hyper), conf)
+        self.score = Score.of(
+            prior_of_entries(self.entries, self.hyper),
+            log_likelihood(conf.tp, conf.fp, conf.tn, conf.fn, self.hyper),
+            conf,
+        )
         self.index = {key: k for k, key in enumerate(self.keys)}
         self._others: dict[int, int] = {}
 
@@ -302,11 +290,11 @@ class _Edit:
     def posterior(self) -> float:
         prop = self.prop
         data, hyper = prop.data, prop.hyper
-        prior = _prior(_splice(prop.entries, self.mi, self._entry(), self.k), hyper)
+        prior = prior_of_entries(_splice(prop.entries, self.mi, self._entry(), self.k), hyper)
         union = prop.others(self.mi) | self.mask
         tp = (union & data.pos_mask).bit_count()
         fp = union.bit_count() - tp
-        return prior + log_likelihood_counts(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
+        return prior + log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
 
     def proposal(self) -> Proposal:
         """The rule set the edit makes, scored."""
@@ -363,10 +351,10 @@ class _GrowthTable:
     those rows per (feature, value), each the bits of the value's mask in
     ``Dataset.value_masks`` among them, and the counts the other rules
     cover.  A move's confusion is those counts plus the sums over its
-    values.  Its prior is ``_prior`` of the proposal's entries with the
-    grown rule's terms, from its (feature, value count) pairs, spliced in
-    at ``mi``.  So a move's score equals the materialized rule set's
-    exactly.
+    values.  Its prior is ``prior_of_entries`` of the proposal's entries
+    with the grown rule's terms, from its (feature, value count) pairs,
+    spliced in at ``mi``.  So a move's score equals the materialized rule
+    set's exactly.
     """
 
     def __init__(self, prop: Proposal, mi: int) -> None:
@@ -419,7 +407,7 @@ class _GrowthTable:
             # the grown rule's pairs in feature order, as Rule sorts them
             grown = sorted([*self.counts, (feature, n_values)])
             entry = (0, *prior_terms_from_counts(grown, self.prop.hyper))
-            prior = self.priors[feature, n_values] = _prior(
+            prior = self.priors[feature, n_values] = prior_of_entries(
                 _splice(self.prop.entries, self.mi, entry, None), self.prop.hyper
             )
         return prior
@@ -432,7 +420,7 @@ class _GrowthTable:
             tp = self.tp + sum(map(pos.__getitem__, values))
             fp = self.fp + sum(map(neg.__getitem__, values))
             data = self.prop.data
-            score = self.scores[key] = self.prior(feature, len(values)) + log_likelihood_counts(
+            score = self.scores[key] = self.prior(feature, len(values)) + log_likelihood(
                 tp, fp, data.n_neg - fp, data.n_pos - tp, self.prop.hyper
             )
         return score

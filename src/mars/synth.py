@@ -172,22 +172,16 @@ def error_rate(rules: RuleSet, rows: np.ndarray, labels: np.ndarray) -> float:
 
 
 def _run_cell(args) -> SweepRecord:
-    (table, train_idx, test_idx, beta_m, beta_l, replicate, base, cfg, n_bins, scheme) = args
+    (train, test_rows, test_labels, beta_m, beta_l, replicate, base, cfg) = args
     t_start = time.perf_counter()
-    train = discretize(_subset(table, train_idx), n_bins=n_bins, scheme=scheme)
     hyper = replace(base, beta_m=beta_m, beta_l=beta_l)
     job_cfg = replace(cfg, random_seed=derived_seed(cfg.random_seed, beta_m, beta_l, replicate))
     rules, _, _ = run(train, hyper, job_cfg)
-
-    test = _subset(table, test_idx).columns()
-    test_rows = encode_with_specs(test, train.features, rules.feature_ids)
-    test_labels = parse_labels(test[LABEL_COLUMN], LABEL_COLUMN)
-    holdout = error_rate(rules, test_rows, test_labels)
     return SweepRecord(
         beta_m=beta_m,
         beta_l=beta_l,
         replicate=replicate,
-        holdout_error=holdout,
+        holdout_error=error_rate(rules, test_rows, test_labels),
         rules=rules,
         wall_time_s=time.perf_counter() - t_start,
     )
@@ -205,8 +199,10 @@ def sweep(
     """All (beta_M, beta_L) cells x replicates; one trained model each.
 
     Replicate r reuses one generated dataset across every cell so cells
-    are comparable; each cell bins its train split with ``discretize`` at
-    ``n_bins`` and ``scheme``.  Each record keeps its cell's learned ``rules``;
+    are comparable: its train split is binned once with ``discretize`` at
+    ``n_bins`` and ``scheme``, and its holdout encoded once, before any
+    cell runs; a record's ``wall_time_s`` is its cell's search and holdout
+    scoring.  Each record keeps its cell's learned ``rules``;
     ``cell_means`` and the metrics CSV report their ``RuleSet.sizes()``, one
     count per name in ``model.SIZES``, in that order.  Before any search runs, a row
     count that leaves the holdout split empty raises ValueError, and a
@@ -223,11 +219,14 @@ def sweep(
             raise DegenerateLabelError(
                 f"replicate {replicate}: the {n_train}-row train split holds a single class"
             )
+        train = discretize(_subset(table, train_idx), n_bins=n_bins, scheme=scheme)
+        test = _subset(table, test_idx).columns()
+        test_rows = encode_with_specs(test, train.features, range(len(train.features)))
+        test_labels = parse_labels(test[LABEL_COLUMN], LABEL_COLUMN)
         for beta_m in grid.beta_grid:
             for beta_l in grid.beta_grid:
                 tasks.append(
-                    (table, train_idx, test_idx, beta_m, beta_l, replicate, base_hyper, cfg,
-                     n_bins, scheme)
+                    (train, test_rows, test_labels, beta_m, beta_l, replicate, base_hyper, cfg)
                 )
     # the fork pool starts every worker at once, whether or not it gets a cell
     workers = min(jobs, len(tasks))

@@ -49,6 +49,39 @@ def test_search_calls_the_traced_bitset_and_mask_names(monkeypatch):
     assert all(calls.values()), calls
 
 
+def test_search_scores_candidates_through_the_traced_likelihood_name(monkeypatch):
+    """The tracer times ``scoring.log_likelihood`` by rebinding
+    ``mars.search.log_likelihood``.  A pick ranks its candidates by their
+    posteriors, so the run must call that name at least once per pick: a
+    likelihood scored under another name would leave the metric blind to
+    the candidates, which are most of the search's likelihood calls."""
+    import mars.search as search
+    from mars.data import discretize
+    from mars.scoring import Hyperparams
+    from mars.synth import SynthSpec, generate
+
+    calls = picks = 0
+
+    def counted(*args, _orig=search.log_likelihood):
+        nonlocal calls
+        calls += 1
+        return _orig(*args)
+
+    def proposing(*args, _orig=search.propose):
+        nonlocal picks
+        pick = _orig(*args)
+        picks += pick is not None
+        return pick
+
+    monkeypatch.setattr(search, "log_likelihood", counted)
+    monkeypatch.setattr(search, "propose", proposing)
+    table, _ = generate(SynthSpec(n_rows=300, n_features=6, seed=1))
+    data = discretize(table)
+    search.run(data, Hyperparams.defaults(data.n_features), search.SearchConfig(n_iter=300))
+    assert picks
+    assert calls >= picks, (calls, picks)
+
+
 def test_add_rule_seeds_get_their_masks_through_the_traced_name(monkeypatch):
     """Every admitted add-rule seed needs its mask from ``mars.search.rule_mask``,
     the one rule-mask builder: a seed masked another way would leave the

@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -52,9 +53,25 @@ def test_upsilon_warns_when_above_one(caplog):
     data = balanced_dataset(5)
     weak = hypers(2, alpha_pos=1.5, beta_pos=1.0, alpha_neg=1.0, beta_neg=200.0)
     with caplog.at_level("WARNING", logger="mars.bounds"):
-        value = upsilon(data, weak)
-    assert value > 1.0
+        state = initial_bounds(data, weak)
+    assert upsilon(data, weak) > 1.0
+    assert not state.enabled
     assert any("upsilon" in r.message for r in caplog.records)
+
+
+def test_bounds_switching_off_warn_once_with_every_reason(caplog):
+    # beta_pos = 1e6 breaks alpha_pos > beta_pos and lifts upsilon past 1:
+    # one warning names both
+    data = balanced_dataset(100)
+    with caplog.at_level("WARNING", logger="mars.bounds"):
+        state = initial_bounds(data, hypers(2, beta_pos=1e6))
+    assert not state.enabled
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    message = record.getMessage()
+    assert message.startswith("pruning bounds disabled: ")
+    assert "alpha_pos (100.0) must be > beta_pos (1000000.0)" in message
+    assert "upsilon = 25" in message
 
 
 def test_lemma_rule_deletion_bound_exhaustive():
@@ -64,10 +81,10 @@ def test_lemma_rule_deletion_bound_exhaustive():
         h = hypers(data.n_features)
         log_ups = math.log(upsilon(data, h))
         for rs in enumerate_rulesets(data.vocab_sizes, max_rules=2, max_conditions=2):
-            ll = log_likelihood(confusion_counts(rs, data), h)
+            ll = log_likelihood(*astuple(confusion_counts(rs, data)), h)
             for z in range(len(rs.rules)):
                 reduced = RuleSet(rs.rules[:z] + rs.rules[z + 1 :])
-                ll_reduced = log_likelihood(confusion_counts(reduced, data), h)
+                ll_reduced = log_likelihood(*astuple(confusion_counts(reduced, data)), h)
                 supp = rule_mask(rs.rules[z].pairs, data).bit_count()
                 assert ll >= supp * log_ups + ll_reduced - 1e-9
 
@@ -102,7 +119,7 @@ def test_log_lstar_is_perfect_confusion_likelihood():
     data = tiny_instance(2)
     h = hypers(data.n_features)
     perfect = Confusion(tp=data.n_pos, fp=0, tn=data.n_neg, fn=0)
-    assert log_lstar(data, h) == log_likelihood(perfect, h)
+    assert log_lstar(data, h) == log_likelihood(*astuple(perfect), h)
 
 
 def test_log_lstar_worked_example():
@@ -120,7 +137,7 @@ def test_log_lstar_dominates_every_reachable_confusion():
             tp = rng.randint(0, data.n_pos)
             fp = rng.randint(0, data.n_neg)
             c = Confusion(tp=tp, fp=fp, tn=data.n_neg - fp, fn=data.n_pos - tp)
-            assert top >= log_likelihood(c, h) - 1e-12
+            assert top >= log_likelihood(*astuple(c), h) - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -62,6 +62,15 @@ def test_a_value_that_is_not_a_number_is_rejected_by_name(key, value):
         hypers(2, **{key: value})
 
 
+@pytest.mark.parametrize("key", ["alpha_m", "theta"])
+def test_an_integer_past_the_float_range_is_too_large_not_an_overflow(key):
+    # a model file's JSON can hold such an integer, and load_model reports
+    # a ValueError, not an OverflowError, as a corrupt model file
+    value = [10**400] * 2 if key == "theta" else 10**400
+    with pytest.raises(ValueError, match="values too large"):
+        hypers(2, **{key: value})
+
+
 def test_defaults_are_the_field_defaults_with_theta_one_per_feature():
     assert hypers(3) == Hyperparams(theta=(1.0, 1.0, 1.0))
     assert hypers(2, theta=0.5) == Hyperparams(theta=[0.5, 0.5])
@@ -79,6 +88,19 @@ def test_saved_hyperparams_load_equal(tmp_path):
     save_model(path, features, rules, hyper, "y", {})
     model = load_model(path)
     assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
+
+
+def test_a_numpy_integer_is_stored_saved_and_loaded_as_a_float(tmp_path):
+    from mars.data import FeatureSpec
+    from mars.model_io import load_model, save_model
+
+    features = (FeatureSpec(0, "c0", "categorical", categories=("a", "b")),)
+    hyper = hypers(1, alpha_m=np.int64(3))
+    assert type(hyper.alpha_m) is float
+    path = tmp_path / "model.json"
+    save_model(path, features, RuleSet((Rule.of({0: (0,)}),)), hyper, "y", {})
+    assert load_model(path).hyper == hyper
+    assert '"alpha_m": 3.0' in path.read_text()
 
 
 def test_bound_precondition_report():
@@ -292,14 +314,12 @@ def _random_hypothesis_flip(rng, rs, vocab_sizes, theta):
 def test_likelihood_beta_identity_empty_counts():
     # B(a, 1) = 1/a, so zero counts with alpha=100, beta=1 give -2 ln 100
     h = hypers(2)
-    c = Confusion(0, 0, 0, 0)
-    assert log_likelihood(c, h) == pytest.approx(-2 * math.log(100.0), abs=1e-12)
+    assert log_likelihood(0, 0, 0, 0, h) == pytest.approx(-2 * math.log(100.0), abs=1e-12)
 
 
 def test_likelihood_beta_identity_perfect_classification():
     h = hypers(2)
-    c = Confusion(tp=100, fp=0, tn=100, fn=0)
-    assert log_likelihood(c, h) == pytest.approx(-2 * math.log(200.0), abs=1e-12)
+    assert log_likelihood(100, 0, 100, 0, h) == pytest.approx(-2 * math.log(200.0), abs=1e-12)
 
 
 def test_likelihood_matches_mpmath_oracle():
@@ -317,7 +337,7 @@ def test_likelihood_matches_mpmath_oracle():
             tn=rng.randrange(500), fn=rng.randrange(500),
         )
         expected = oracle_log_likelihood(c.tp, c.fp, c.tn, c.fn, h)
-        assert log_likelihood(c, h) == pytest.approx(expected, abs=1e-9)
+        assert log_likelihood(c.tp, c.fp, c.tn, c.fn, h) == pytest.approx(expected, abs=1e-9)
 
 
 def test_converting_fn_to_tp_improves_likelihood():
@@ -327,8 +347,8 @@ def test_converting_fn_to_tp_improves_likelihood():
     for _ in range(50):
         tp, fp = rng.randrange(200), rng.randrange(50)
         fn, tn = rng.randrange(1, 200), rng.randrange(200)
-        before = log_likelihood(Confusion(tp, fp, tn, fn), h)
-        after = log_likelihood(Confusion(tp + 1, fp, tn, fn - 1), h)
+        before = log_likelihood(tp, fp, tn, fn, h)
+        after = log_likelihood(tp + 1, fp, tn, fn - 1, h)
         assert after > before
 
 
@@ -350,7 +370,7 @@ def test_scores_always_finite():
         rs = random_ruleset_for(rng, vocab)
         assert math.isfinite(log_prior(rs, h, vocab))
         c = Confusion(rng.randrange(10**6), rng.randrange(10**6), rng.randrange(10**6), rng.randrange(10**6))
-        assert math.isfinite(log_likelihood(c, h))
+        assert math.isfinite(log_likelihood(*dataclasses.astuple(c), h))
 
 
 # ---------------------------------------------------------------------------
@@ -404,14 +424,15 @@ def test_score_composition_is_definitional():
         s = score(rs, data, h)
         assert s.log_posterior == s.log_prior + s.log_likelihood
         assert s.log_prior == log_prior(rs, h, data.vocab_sizes)
-        assert s.log_likelihood == log_likelihood(confusion_counts(rs, data), h)
+        counts = dataclasses.astuple(confusion_counts(rs, data))
+        assert s.log_likelihood == log_likelihood(*counts, h)
 
 
 def test_empty_set_score_on_all_negative_coverage():
     data = tiny_instance(4)
     h = hypers(data.n_features)
     s = score(RuleSet(()), data, h)
-    expected_ll = log_likelihood(Confusion(0, 0, data.n_neg, data.n_pos), h)
+    expected_ll = log_likelihood(0, 0, data.n_neg, data.n_pos, h)
     assert s.log_posterior == pytest.approx(
         log_prior(RuleSet(()), h, data.vocab_sizes) + expected_ll, abs=1e-12
     )

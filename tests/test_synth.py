@@ -135,8 +135,8 @@ def test_sweep_records_rule_condition_and_value_counts_apart(monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_sweep_bins_every_cell_with_the_given_bins_and_scheme(monkeypatch, tmp_path, scheme):
-    # a sweep cell bins its train split as mars train bins its CSV from the
-    # same --bins and --scheme
+    # a sweep bins each replicate's train split once, as mars train bins its
+    # CSV from the same --bins and --scheme
     calls = []
 
     def recording(table, **settings):
@@ -148,4 +148,4 @@ def test_sweep_bins_every_cell_with_the_given_bins_and_scheme(monkeypatch, tmp_p
     argv = ["sweep", "--rows", "400", "--replicates", "1", "--grid", "1,100", "--iters", "50",
             "--bins", "6", "--scheme", scheme, "--out", str(out)]
     assert cli.main(argv) == 0
-    assert calls == [{"n_bins": 6, "scheme": scheme}] * 4
+    assert calls == [{"n_bins": 6, "scheme": scheme}]
