@@ -4,8 +4,9 @@ Numeric columns are binned into intervals over the observed training range
 (equal-width by default, equal-frequency as a variant) and then treated as
 categorical; categorical columns pass through with their observed
 vocabulary.  Missing categorical cells become an explicit vocabulary entry
-so rules can reason about missingness: a blank or ``?`` cell (or None),
-and in a categorical column a cell spelled ``⟨missing⟩`` itself.
+so rules can reason about missingness: a blank or ``?`` cell, and in a
+categorical column a cell spelled ``⟨missing⟩`` itself.  Every cell is the
+text a CSV holds.
 
 Training and prediction share one parser per kind of cell: ``parse_numbers``
 decides that a training column is numeric and encodes numeric columns;
@@ -38,7 +39,6 @@ SCHEMES = ("width", "frequency")
 
 _LABELS = {"1": True, "1.0": True, "true": True, "yes": True,
            "0": False, "0.0": False, "false": False, "no": False}
-_BOOLS = frozenset((bool, np.bool_))
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class FeatureSpec:
         # an entry spelled like a missing cell ("", "?") is never matched
         return {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}
 
-    def encode_column(self, cells: Sequence) -> np.ndarray:
+    def encode_column(self, cells: Sequence[str]) -> np.ndarray:
         """Map a column of raw cells to value indices (int32); the rules are
         those of ``encode_with_specs``."""
         if self.kind == "numeric":
@@ -103,76 +103,58 @@ class FeatureSpec:
             return codes
         default = self._category_index.get(MISSING, -1)
         get = self._category_index.get
-        return np.array(
-            [get(c if c.__class__ is str else _category_key(c), default) for c in cells],
-            dtype=np.int32,
-        )
+        return np.array([get(c, default) for c in cells], dtype=np.int32)
 
     def _interval_codes(self, values: np.ndarray) -> np.ndarray:
         codes = np.searchsorted(self._edges, values, side="right") - 1
         return np.clip(codes, 0, self.vocab_size - 1).astype(np.int32)
 
 
-def _is_missing(cell) -> bool:
-    if cell is None:
-        return True
-    if isinstance(cell, str):
-        return cell.strip() in ("", "?")
-    return False
+def _is_missing(cell: str) -> bool:
+    return cell.strip() in ("", "?")
 
 
-def _category_key(cell) -> str | None:
-    return None if cell is None else str(cell)
-
-
-def parse_numbers(cells: Sequence, column: str) -> tuple[np.ndarray, np.ndarray]:
-    """Read a column of raw cells as numbers: (values, missing mask).
+def parse_numbers(cells: Sequence[str], column: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read a column of cells as numbers: (values, missing mask).
 
     A missing cell reads as 0.0; any other cell is read with ``float()``,
-    and DataFormatError names the first one it rejects, or a bool."""
+    and DataFormatError names the first one it rejects."""
     n = len(cells)
     missing = np.zeros(n, dtype=bool)
     try:
-        values = np.fromiter(map(float, cells), dtype=float, count=n)
-    except (TypeError, ValueError):
+        return np.fromiter(map(float, cells), dtype=float, count=n), missing
+    except ValueError:
         pass  # float() rejects every missing cell: find them below
-    else:
-        # float() reads a bool as 0 or 1: only then look for bool cells
-        if not ((values == 0) | (values == 1)).any() or _BOOLS.isdisjoint(map(type, cells)):
-            return values, missing
     values = np.zeros(n)
     for i, cell in enumerate(cells):
         if _is_missing(cell):
             missing[i] = True
             continue
         try:
-            if type(cell) in _BOOLS:
-                raise TypeError
             values[i] = float(cell)
-        except (TypeError, ValueError):
+        except ValueError:
             raise DataFormatError(f"column {column!r}: non-numeric value {cell!r}") from None
     return values, missing
 
 
-def parse_labels(cells: Sequence, column: str) -> np.ndarray:
+def parse_labels(cells: Sequence[str], column: str) -> np.ndarray:
     """Read a binary label column (1/true/yes or 0/false/no, any case),
     parsing each distinct cell text once; DegenerateLabelError otherwise."""
-    texts = list(map(str, cells))
-    value = {t: _LABELS.get(t.strip().lower()) for t in set(texts)}
+    value = {t: _LABELS.get(t.strip().lower()) for t in set(cells)}
     if None in value.values():
-        cell = next(c for c, t in zip(cells, texts) if value[t] is None)
+        cell = next(c for c in cells if value[c] is None)
         raise DegenerateLabelError(
             f"label column {column!r} has non-binary value {cell!r} (use 0/1, true/false or yes/no)"
         )
-    return np.fromiter(map(value.__getitem__, texts), dtype=bool, count=len(texts))
+    return np.fromiter(map(value.__getitem__, cells), dtype=bool, count=len(cells))
 
 
 @dataclass
 class RawTable:
-    """Row-major table of raw cells (strings from CSV, or numbers)."""
+    """Row-major table of cells, each the text a CSV holds."""
 
     names: tuple[str, ...]
-    rows: list[tuple]
+    rows: list[tuple[str, ...]]
     label_column: str | None = None
 
     @classmethod
@@ -185,7 +167,7 @@ class RawTable:
                 except StopIteration:
                     raise DataFormatError(f"{path}: empty file") from None
                 names = tuple(h.strip() for h in header)
-                rows: list[tuple] = []
+                rows: list[tuple[str, ...]] = []
                 for lineno, cells in enumerate(reader, start=2):
                     if not cells:
                         continue
@@ -206,7 +188,7 @@ class RawTable:
             raise DataFormatError(f"{path}: no column named {label_column!r}")
         return cls(names=names, rows=rows, label_column=label_column)
 
-    def columns(self) -> dict[str, tuple]:
+    def columns(self) -> dict[str, tuple[str, ...]]:
         """Every column's cells by name: one transpose of the rows."""
         cells = list(zip(*self.rows)) or [()] * len(self.names)
         return dict(zip(self.names, cells))
@@ -327,7 +309,7 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
     return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
 
 
-def _build_feature(fid: int, name: str, raw: Sequence, n_bins: int, scheme: str):
+def _build_feature(fid: int, name: str, raw: Sequence[str], n_bins: int, scheme: str):
     try:
         values, missing = parse_numbers(raw, name)
     except DataFormatError:
@@ -348,8 +330,7 @@ def _build_feature(fid: int, name: str, raw: Sequence, n_bins: int, scheme: str)
         spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
         return spec, spec._interval_codes(values)
 
-    # keyed by text, as encode_column looks cells up, so 0 and False stay apart
-    keys = {c if c.__class__ is str else _category_key(c) for c in raw}
+    keys = set(raw)
     missing_keys = {k for k in keys if k == MISSING or _is_missing(k)}
     vocab = sorted(keys - missing_keys)
     if missing_keys:
@@ -376,7 +357,7 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
 
 
 def encode_with_specs(
-    columns: dict[str, tuple], features: Sequence[FeatureSpec], used: Collection[int]
+    columns: dict[str, tuple[str, ...]], features: Sequence[FeatureSpec], used: Collection[int]
 ) -> np.ndarray:
     """Encode a raw table, given as its ``RawTable.columns()``, against
     existing feature specs, matching by name.
@@ -394,8 +375,8 @@ def encode_with_specs(
     - a numeric cell, read by ``parse_numbers``, falls in the interval
       [lo, hi) that holds it; values outside the training range clamp into
       the first or last interval, and nan into the last; a blank or ``?``
-      cell (or None) becomes -1; a bool or any other cell ``float()``
-      rejects raises DataFormatError naming the column and the cell;
+      cell becomes -1; any other cell ``float()`` rejects raises
+      DataFormatError naming the column and the cell;
     - a categorical cell maps to its vocabulary entry by its text; blank,
       ``?``, a literal ``⟨missing⟩`` and unseen values map to the missing
       entry when the vocabulary has one, else to -1.

@@ -115,7 +115,8 @@ def _draw_rule(rng: np.random.Generator, spec: SynthSpec) -> PlantedRule:
 def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
     """Feature matrix, labels, and the planted ground-truth rules.
 
-    Rules are redrawn (logged) while the planted set covers 0% or 100% of
+    The table holds the text ``mars gen`` writes: each feature value to 9
+    decimals and the label as "0" or "1".  Rules are redrawn (logged) while the planted set covers 0% or 100% of
     the rows, so the labels are never degenerate.
     """
     rng = np.random.default_rng(spec.seed)
@@ -137,9 +138,9 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
     else:
         raise RuntimeError("could not plant a non-degenerate rule set")
 
-    labels = union.astype(int)
     names = tuple(f"f{j:02d}" for j in range(spec.n_features)) + (LABEL_COLUMN,)
-    rows = [tuple(table[i]) + (int(labels[i]),) for i in range(spec.n_rows)]
+    rows = [tuple(f"{x:.9f}" for x in values) + ("1" if hit else "0",)
+            for values, hit in zip(table.tolist(), union.tolist())]
     return RawTable(names=names, rows=rows, label_column=LABEL_COLUMN), tuple(rules)
 
 
@@ -268,5 +269,4 @@ def write_table_csv(path, table: RawTable) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table.names)
-        for row in table.rows:
-            writer.writerow([f"{c:.9f}" if isinstance(c, float) else c for c in row])
+        writer.writerows(table.rows)

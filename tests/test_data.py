@@ -22,7 +22,7 @@ from oracles import make_dataset
 
 
 def table_of(names, rows, label="y"):
-    return RawTable(names=tuple(names), rows=[tuple(r) for r in rows], label_column=label)
+    return RawTable(names=tuple(names), rows=[tuple(map(str, r)) for r in rows], label_column=label)
 
 
 def test_equal_width_bin_arithmetic():
@@ -138,13 +138,13 @@ def test_out_of_range_numeric_clamps_at_predict_time():
 @pytest.mark.parametrize(
     "cell, code",
     [
-        (-3.0, 0),  # below the training range: first interval
-        (99.0, 3),  # above it: last interval
-        (0.5, 2),
-        (0.25, 1),  # an edge belongs to the interval it opens
-        (1, 3),  # the training maximum closes the last interval
-        (np.float64(0.3), 1),
-        (float("nan"), 3),
+        ("-3.0", 0),  # below the training range: first interval
+        ("99.0", 3),  # above it: last interval
+        ("0.5", 2),
+        ("0.25", 1),  # an edge belongs to the interval it opens
+        ("1", 3),  # the training maximum closes the last interval
+        ("0.3", 1),
+        ("nan", 3),
         ("nan", 3),
         ("0.6", 2),
         (" 0.6 ", 2),
@@ -154,7 +154,6 @@ def test_out_of_range_numeric_clamps_at_predict_time():
         ("", -1),
         ("?", -1),
         (" ? ", -1),
-        (None, -1),
     ],
 )
 def test_numeric_cell_encoding(cell, code):
@@ -162,7 +161,7 @@ def test_numeric_cell_encoding(cell, code):
     spec = discretize(table_of(["x", "y"], rows), n_bins=4).features[0]
     assert spec.encode_column([cell]).tolist() == [code]
     # the same cell in a column of numbers and in a column with blanks
-    for others, codes in (([0.1, 0.9], [0, 3]), (["", 0.9], [-1, 3])):
+    for others, codes in ((["0.1", "0.9"], [0, 3]), (["", "0.9"], [-1, 3])):
         table = RawTable(names=("x",), rows=[(c,) for c in [*others, cell]])
         assert list(encode_with_specs(table.columns(), [spec], [0])[:, 0]) == [*codes, code]
 
@@ -173,8 +172,8 @@ def test_non_numeric_cell_in_numeric_column_names_the_column():
     table = RawTable(names=("f03",), rows=[("0.5",), ("",), ("abc",)])
     with pytest.raises(DataFormatError, match="f03.*abc"):
         encode_with_specs(table.columns(), [spec], [0])
-    # a bool is not a number, as in training, with or without a blank cell
-    for cells in ([0.5, True], [0.5, "", np.False_]):
+    # a bool's text is not a number, as in training, with or without a blank cell
+    for cells in (["0.5", "True"], ["0.5", "", "False"]):
         table = RawTable(names=("f03",), rows=[(c,) for c in cells])
         with pytest.raises(DataFormatError, match="f03.*(True|False)"):
             encode_with_specs(table.columns(), [spec], [0])
@@ -185,9 +184,9 @@ def test_blank_and_unseen_categoricals_encode_column_wise(with_missing):
     train = [["CA", 1], ["TX", 0]] + ([["", 1]] if with_missing else [])
     spec = discretize(table_of(["state", "y"], train), n_bins=4).features[0]
     default = spec.categories.index(MISSING) if with_missing else -1
-    cells = ["TX", "NV", "", "?", None, "CA", " CA", MISSING]
+    cells = ["TX", "NV", "", "?", "CA", " CA", MISSING]
     table = RawTable(names=("state",), rows=[(c,) for c in cells])
-    expected = [1, default, default, default, default, 0, default, default]
+    expected = [1, default, default, default, 0, default, default]
     assert list(encode_with_specs(table.columns(), [spec], [0])[:, 0]) == expected
     assert [spec.encode_column([c])[0] for c in cells] == expected
 
@@ -361,21 +360,19 @@ def outcome(build):
 finite = st.floats(-1e6, 1e6)
 cell_kinds = {
     "numbers": st.one_of(
-        st.integers(-1000, 1000), finite, finite.map(np.float64), st.sampled_from([0, 1, 0.0, -0.0])
-    ),
+        st.integers(-1000, 1000), finite, st.sampled_from([0, 1, 0.0, -0.0])
+    ).map(str),
     "numeric text": st.one_of(
         finite.map(repr), finite.map(lambda x: f" {x:.3f} "), st.integers(-9, 9).map(str),
         st.sampled_from(["nan", "inf", "-inf", "1_0", "1e3"]),
     ),
-    "special floats": st.sampled_from([float("nan"), float("inf"), np.float64("-inf")]),
-    "missing": st.sampled_from(["", " ", "?", " ? ", None]),
+    "missing": st.sampled_from(["", " ", "?", " ? "]),
     "text": st.sampled_from(["a", "b", " a", "CA", "x1", "1e", "True", "None"]),
-    "bools": st.sampled_from([True, False, np.True_, np.False_]),
     "marker": st.just(MISSING),
 }
-negatives = st.sampled_from([0, "0", "No", False, 0.0, " false "])
-positives = st.sampled_from([1, "1", " yes", True, 1.0, "TRUE"])
-non_labels = st.sampled_from(["2", -0.0, "", None, "maybe"])
+negatives = st.sampled_from(["0", "No", "False", "0.0", " false "])
+positives = st.sampled_from(["1", " yes", "True", "1.0", "TRUE"])
+non_labels = st.sampled_from(["2", "-0.0", "", "maybe"])
 
 
 @st.composite
@@ -401,11 +398,11 @@ def raw_tables(draw):
 @settings(max_examples=400, deadline=None)
 @given(raw_tables())
 @example((RawTable(names=("c", "x", "label"), label_column="label", rows=[
-    ("a", 0.1, 1), ("b", 0.5, 0), (MISSING, 0.9, 1), ("a", 0.2, 0)]), 2, "width"))
+    ("a", "0.1", "1"), ("b", "0.5", "0"), (MISSING, "0.9", "1"), ("a", "0.2", "0")]), 2, "width"))
 @example((RawTable(names=("c", "y"), label_column="y", rows=[
-    (0, 1), (False, 0), ("", 1), (MISSING, 0)]), 2, "width"))
+    ("0", "1"), ("False", "0"), ("", "1"), (MISSING, "0")]), 2, "width"))
 @example((RawTable(names=("x", "y"), label_column="y", rows=[
-    ("0.1", 1), ("nan", 0), ("0.5", 1), ("0.7", 0)]), 2, "width"))
+    ("0.1", "1"), ("nan", "0"), ("0.5", "1"), ("0.7", "0")]), 2, "width"))
 def test_discretize_matches_the_previous_ingest(case):
     """Same features, codes and labels as the previous code, or the same
     exception type and message, but for the two intended changes.  A

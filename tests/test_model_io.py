@@ -15,7 +15,7 @@ from mars.scoring import HYPER_KEYS, Hyperparams
 
 @pytest.fixture
 def saved(tmp_path):
-    rows = [(0.1, "CA", 1), (0.9, "?", 0), (0.5, "TX", 1), (0.3, "TX", 0)]
+    rows = [("0.1", "CA", "1"), ("0.9", "?", "0"), ("0.5", "TX", "1"), ("0.3", "TX", "0")]
     data = discretize(RawTable(names=("x", "state", "y"), rows=rows, label_column="y"), n_bins=3)
     rules = RuleSet((Rule.of({0: (0, 1), 1: (2,)}), Rule.of({1: (0,)})))
     hyper = Hyperparams.defaults(2, beta_m=7.5, theta=(0.5, 2.0))

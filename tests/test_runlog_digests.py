@@ -97,7 +97,7 @@ def wide_vocabulary_table():
     for row in table.rows:
         out = list(row)
         for j in range(1, label, 2):
-            out[j] = "" if rng.random() < 0.05 else f"c{min(int(row[j] * 30), 29):02d}"
+            out[j] = "" if rng.random() < 0.05 else f"c{min(int(float(row[j]) * 30), 29):02d}"
         rows.append(tuple(out))
     return replace(table, rows=rows)
 

@@ -8,7 +8,7 @@ import pytest
 
 import mars.synth as synth
 from mars import cli
-from mars.data import SCHEMES, discretize
+from mars.data import SCHEMES, RawTable, discretize
 from mars.errors import DegenerateLabelError
 from mars.model import Rule, RuleSet
 from mars.scoring import Hyperparams
@@ -39,7 +39,16 @@ def test_one_row_cannot_hold_both_labels():
     with pytest.raises(ValueError, match="n_rows"):
         SynthSpec(n_rows=1)
     table, _ = synth.generate(SynthSpec(n_rows=2, n_features=2, max_conditions=2, seed=0))
-    assert sorted(row[-1] for row in table.rows) == [0, 1]
+    assert sorted(row[-1] for row in table.rows) == ["0", "1"]
+
+
+def test_generated_table_is_the_table_gen_writes(tmp_path):
+    """``mars sweep`` trains on ``generate``'s table and ``mars gen`` writes
+    it: the two must be the same text, cell for cell."""
+    table, _ = synth.generate(SynthSpec(n_rows=50, n_features=3, max_conditions=2, seed=4))
+    path = tmp_path / "gen.csv"
+    synth.write_table_csv(path, table)
+    assert table == RawTable.from_csv(path, label_column=synth.LABEL_COLUMN)
 
 
 def test_sweep_rejects_an_empty_split_before_any_search(monkeypatch):
