@@ -11,7 +11,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import synth
-from .data import N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
+from .data import MAX_BINS, N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DataFormatError, MarsError
 from .model import SIZES, first_covering_rule
 from .model_io import load_model, render_rules, save_model, training_metadata
@@ -91,7 +91,8 @@ def _add_hyper_flags(p: argparse.ArgumentParser, grid_keys=()) -> None:
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--bins", type=int, default=N_BINS, help="intervals per numeric feature")
+    p.add_argument("--bins", type=int, default=N_BINS,
+                   help=f"intervals per numeric feature, 2 to {MAX_BINS}")
     p.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0],
                    help="numeric binning scheme")
 
@@ -101,8 +102,10 @@ def _search_config(args) -> SearchConfig:
 
 
 def _check_bins(args) -> None:
-    if args.bins < 2:
-        raise MarsError(f"invalid data setting: --bins must be at least 2, got {args.bins}")
+    if not 2 <= args.bins <= MAX_BINS:
+        raise MarsError(
+            f"invalid data setting: --bins must lie in [2, {MAX_BINS}], got {args.bins}"
+        )
 
 
 def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
@@ -184,10 +187,16 @@ def cmd_train(args) -> int:
     runlog.write(runlog_path)
 
     conf = best.confusion
+    majority = max(conf.n_pos, conf.n_neg) / (conf.n_pos + conf.n_neg)
     print(f"model written to {args.out}")
     print(f"runlog written to {runlog_path}")
     print(f"training accuracy: {conf.accuracy:.4f} "
           f"(tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn})")
+    print(f"majority-class rate: {majority:.4f}")
+    if conf.accuracy < majority:
+        log.warning("training accuracy %.4f is below the majority-class rate %.4f: the search "
+                    "may have ended in a rule set that covers the negatives; try another "
+                    "--seed or more --restarts", conf.accuracy, majority)
     print(f"log-posterior: {best.log_posterior:.6f}")
     print("  ".join(f"{label}: {n}" for label, n in _labeled_sizes(rules.sizes())))
     return 0

@@ -33,8 +33,10 @@ from .model import Pairs, RuleSet
 MISSING = "⟨missing⟩"
 
 # numeric binning: the bin count ``discretize`` uses unless told otherwise,
-# and the schemes it accepts, its default first
+# the most it accepts (equal-width binning makes that many intervals
+# whatever the data), and the schemes it accepts, its default first
 N_BINS = 10
+MAX_BINS = 1000
 SCHEMES = ("width", "frequency")
 
 _LABELS = {"1": True, "1.0": True, "true": True, "yes": True,
@@ -283,8 +285,8 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
     repeated quantiles or a range only a few floats wide give, so the
     vocabulary may end up smaller than ``n_bins``.
     """
-    if n_bins < 2:
-        raise ValueError("n_bins must be at least 2")
+    if not 2 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins must lie in [2, {MAX_BINS}]")
     if scheme not in SCHEMES:
         raise ValueError(f"unknown discretization scheme {scheme!r}")
     if table.label_column is None:

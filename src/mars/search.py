@@ -47,15 +47,14 @@ rule's ``_GrowthTable`` holds, per (feature, value), the positive and
 negative rows among those the rule alone covers, and takes its prior from
 ``prior_of_entries``; a growth becomes an edit only when it is kept.
 
-Every random integer the search draws comes from ``_below``, ``_sample``,
-``_shuffle`` or ``_ValueSets.draw``.  Each makes the ``getrandbits`` calls
-of a stdlib call and returns what it returns, without its argument checks:
-``_below`` those of ``randrange``, ``randint`` and ``choice``, ``_sample``
-and ``_shuffle`` those of ``sample`` and ``shuffle``, and
-``_ValueSets.draw``, which draws a random value set's size and values in
-one pass, those of ``sorted(sample(range(n), randint(1, n - 1)))``.  Only the explore and
-acceptance coin flips call ``Random.random``.  A test pins every helper
-bit for bit to the stdlib calls, the set path of ``sample`` included.
+The search draws its value sets and its samples with two samplers of its
+own, ``_ValueSets.draw`` and ``_sample``, each a partial Fisher–Yates
+shuffle on ``getrandbits``; its other integers come from ``Random``'s
+``randrange``, ``randint``, ``choice`` and ``shuffle``, and only the
+explore and acceptance coin flips call ``Random.random``.  A value set of
+an n-value vocabulary has a size uniform over 1..n-1, and its values are a
+uniform subset of that size.  A test pins both samplers, draw for draw, to
+a reference partial shuffle.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
@@ -459,61 +458,23 @@ class Pick(NamedTuple):
         return self.candidate.proposal()
 
 
-def _below(getrandbits, n: int) -> int:
-    """``Random._randbelow(n)`` for n > 0, from the same ``getrandbits``
-    calls: ``randint(a, b)`` is ``a + _below(getrandbits, b - a + 1)``."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
-def _shuffle(getrandbits, x: list) -> None:
-    """``Random.shuffle(x)``, from the same ``getrandbits`` calls."""
-    for i in range(len(x) - 1, 0, -1):
-        j = _below(getrandbits, i + 1)
-        x[i], x[j] = x[j], x[i]
-
-
-def _pools(n: int, k: int) -> bool:
-    """Whether ``Random.sample`` draws ``k`` of ``n`` items from a shrinking
-    pool, as it does when the pool is no larger than ``setsize``; else it
-    redraws indices already taken."""
-    setsize = 21
-    if k > 5:
-        setsize += 4 ** math.ceil(math.log(k * 3, 4))
-    return n <= setsize
-
-
 def _sample(getrandbits, population: Sequence, k: int) -> list:
-    """``Random.sample(population, k)`` for 0 <= k <= len(population): the
-    same elements in the same order, from the same ``getrandbits`` calls,
-    the pool path and the set path of ``_pools`` alike."""
+    """``k`` distinct items of ``population``, 0 <= k <= len(population), in
+    the order drawn: a partial Fisher–Yates shuffle of a copy, which draws
+    each index uniformly below the pool's size by rejection on
+    ``getrandbits`` and moves the pool's last item into the drawn slot."""
     if not k:
         return []
     n = len(population)
+    pool = list(population)
     result = []
-    if _pools(n, k):
-        pool = list(population)
-        for m in range(n, n - k, -1):
-            # _below(getrandbits, m), inlined
-            bits = m.bit_length()
-            j = getrandbits(bits)
-            while j >= m:
-                j = getrandbits(bits)
-            result.append(pool[j])
-            pool[j] = pool[m - 1]
-        return result
-    bits = n.bit_length()
-    selected = set()
-    for _ in range(k):
+    for m in range(n, n - k, -1):
+        bits = m.bit_length()
         j = getrandbits(bits)
-        # _below's rejection and the taken-index rejection in one loop
-        while j >= n or j in selected:
+        while j >= m:
             j = getrandbits(bits)
-        selected.add(j)
-        result.append(population[j])
+        result.append(pool[j])
+        pool[j] = pool[m - 1]
     return result
 
 
@@ -530,41 +491,30 @@ class _ValueSets:
         self.index_bits = [(i + 1).bit_length() for i in range(size)]
 
     def draw(self, getrandbits, n: int) -> tuple[int, ...]:
-        """A random proper value set of an ``n``-value vocabulary, n >= 2:
-        ``tuple(sorted(_sample(getrandbits, range(n), 1 + _below(getrandbits,
-        n - 1))))`` from the same ``getrandbits`` calls, in one pass.
-
-        The pool path swaps each drawn value to the pool's tail instead of
-        listing it, so the tail ends up holding the drawn values.  The
-        ``_below`` loops are inlined, their bit lengths read from
-        ``index_bits``."""
+        """A random proper value set of an ``n``-value vocabulary, n >= 2, in
+        ascending order: its size uniform over 1..n-1, its values a uniform
+        subset of that size, drawn as ``_sample`` draws them.  The partial
+        shuffle swaps each drawn value to the pool's tail instead of listing
+        it, so the tail ends up holding the set, and each index draw reads
+        its bit length from ``index_bits``."""
         index_bits = self.index_bits
         last = n - 1
-        # the set's size less one: _below(getrandbits, n - 1)
+        # the set's size less one, uniform over 0..n-2
         bits = index_bits[n - 2]
         k = getrandbits(bits)
         while k >= last:
             k = getrandbits(bits)
-        if n <= 21 or _pools(n, k + 1):  # no setsize is below 21
-            pool = self.values[:n]
-            for m in range(last, last - k - 1, -1):
-                # _below(getrandbits, m + 1)
-                bits = index_bits[m]
-                j = getrandbits(bits)
-                while j > m:
-                    j = getrandbits(bits)
-                pool[j], pool[m] = pool[m], pool[j]
-            del pool[: last - k]
-            pool.sort()
-            return tuple(pool)
-        bits = index_bits[last]
-        selected = set()
-        for _ in range(k + 1):
+        pool = self.values[:n]
+        for m in range(last, last - k - 1, -1):
+            # an index uniform over 0..m
+            bits = index_bits[m]
             j = getrandbits(bits)
-            while j > last or j in selected:
+            while j > m:
                 j = getrandbits(bits)
-            selected.add(j)
-        return tuple(sorted(selected))
+            pool[j], pool[m] = pool[m], pool[j]
+        del pool[: last - k]
+        pool.sort()
+        return tuple(pool)
 
 
 def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
@@ -577,9 +527,9 @@ def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     bits = rng.getrandbits
     draw = _ValueSets(max(data.vocab_sizes)).draw
     keys = []
-    for _ in range(1 + _below(bits, 3)):
+    for _ in range(rng.randint(1, 3)):
         conds = []
-        for j in _sample(bits, eligible, 1 + _below(bits, min(3, len(eligible)))):
+        for j in _sample(bits, eligible, rng.randint(1, min(3, len(eligible)))):
             conds.append((j, draw(bits, data.vocab_sizes[j])))
         conds.sort()  # by feature: the features are distinct
         keys.append(tuple(conds))
@@ -625,9 +575,8 @@ def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
     Returns (row_index, label) or None when training accuracy is 1.0.
     Covered XOR positive is exactly the misclassified set (false positives
     plus false negatives).  The current proposal lists those rows, in
-    ascending order, the first time it is asked and keeps the list.  Its
-    entry at k = ``_below(getrandbits, count)``, the draw
-    ``rng.randrange(count)`` makes, is the k-th set bit of that XOR.
+    ascending order, the first time it is asked and keeps the list, and
+    ``rng.choice`` draws the row from it.
     """
     current = state.current
     data = current.data
@@ -636,7 +585,7 @@ def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
         rows = current.misclassified = indices(current.union_mask ^ data.pos_mask)
     if not rows:
         return None
-    idx = rows[_below(state.rng.getrandbits, len(rows))]
+    idx = state.rng.choice(rows)
     return idx, bool(data.labels[idx])
 
 
@@ -699,9 +648,9 @@ def _seed_moves(
     while len(seeds) < budget and attempts < 3 * budget:
         attempts += 1
         conds = []
-        for j in _sample(bits, eligible, 1 + _below(bits, max_feats)):
+        for j in _sample(bits, eligible, rng.randint(1, max_feats)):
             # the example's value, and a sample of the spare ones
-            values = _sample(bits, spares[j], _below(bits, vocab_sizes[j] - 1))
+            values = _sample(bits, spares[j], rng.randrange(vocab_sizes[j] - 1))
             values.append(wants[j])
             values.sort()
             conds.append((j, tuple(values)))
@@ -763,16 +712,15 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
     of the highest posterior.
     """
     rng, cfg, current = state.rng, state.cfg, state.current
-    bits = rng.getrandbits
     if example is None:
         order = list(SIMPLIFY_ACTIONS)
-        _shuffle(bits, order)
+        rng.shuffle(order)
     else:
         idx, is_positive = example
         xrow = current.data.rows[idx].tolist()  # its value codes as ints
         actions = list(POSITIVE_ACTIONS if is_positive else NEGATIVE_ACTIONS)
-        first = actions.pop(_below(bits, len(actions)))
-        _shuffle(bits, actions)
+        first = actions.pop(rng.randrange(len(actions)))
+        rng.shuffle(actions)
         order = [first, *actions]
     for action in order:
         if action == "add_value":
@@ -788,7 +736,7 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
         if not edits:
             continue
         if len(edits) > cfg.neighbor_budget:
-            edits = _sample(bits, edits, cfg.neighbor_budget)
+            edits = _sample(rng.getrandbits, edits, cfg.neighbor_budget)
         # No candidate is the current rule set: each changes the rule count
         # or puts in a rule the set does not hold.
         if rng.random() < cfg.explore_prob:
@@ -796,7 +744,7 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
             # no growth equals an edit (a growth that makes another current
             # rule comes as an edit)
             candidates = list(dict.fromkeys(edits))
-            chosen = candidates[_below(bits, len(candidates))]
+            chosen = rng.choice(candidates)
             return Pick(chosen, action, chosen.posterior())
         # the first candidate of the highest posterior, as max() picks: a
         # copy comes after its first, so the copies need not be dropped.  A

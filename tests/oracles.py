@@ -147,6 +147,19 @@ def categorical_specs(vocab_sizes: Sequence[int]) -> list[FeatureSpec]:
     ]
 
 
+def partial_shuffle_sample(rng: random.Random, population: Sequence, k: int) -> list:
+    """``k`` distinct items of ``population`` in the order drawn, by a partial
+    Fisher–Yates shuffle (Knuth's Algorithm P stopped after ``k`` swaps):
+    step i draws an index below the m = n - i items not yet drawn with
+    ``rng.randrange(m)`` and swaps that item to position m - 1."""
+    pool = list(population)
+    n = len(pool)
+    for m in range(n, n - k, -1):
+        j = rng.randrange(m)
+        pool[j], pool[m - 1] = pool[m - 1], pool[j]
+    return pool[n - k:][::-1]
+
+
 def make_dataset(
     vocab_sizes: Sequence[int],
     rows: Iterable[Sequence[int]],

@@ -19,9 +19,10 @@ import pytest
 import mars
 from mars import cli
 from mars.data import MISSING, FeatureSpec, RawTable, encode_with_specs
-from mars.model import Rule, RuleSet, first_covering_rule
+from mars.model import Condition, Rule, RuleSet, first_covering_rule
 from mars.model_io import load_model, save_model
-from mars.scoring import Hyperparams
+from mars.scoring import Hyperparams, score
+from mars.search import RunLog
 
 from oracles import rule_covers
 
@@ -87,6 +88,39 @@ def test_train_prints_the_saved_model_sizes(trained):
     printed = (tmp / "train.stdout").read_text().splitlines()
     assert printed[-1] == (f"rules: {sizes['n_rules']}  conditions: {sizes['n_conditions']}  "
                            f"values: {sizes['n_values']}  features: {sizes['n_features']}")
+
+
+def test_train_prints_the_majority_class_rate(trained):
+    tmp, _ = trained
+    with open(tmp / "train.csv", newline="") as fh:
+        labels = [row["y"] for row in csv.DictReader(fh)]
+    rate = max(labels.count("0"), labels.count("1")) / len(labels)
+    printed = (tmp / "train.stdout").read_text().splitlines()
+    at = next(i for i, line in enumerate(printed) if line.startswith("training accuracy:"))
+    assert printed[at + 1] == f"majority-class rate: {rate:.4f}"
+
+
+def test_train_warns_below_the_majority_class_rate(trained, tmp_path, monkeypatch, capsys,
+                                                   caplog):
+    """A model less accurate than predicting the majority class, such as the
+    complement of the planted rule, is reported with both numbers."""
+    tmp, _ = trained
+
+    def inverted_run(data, hyper, cfg):
+        # x >= 0.5 covers only negatives: the planted rule needs x < 0.5
+        vocab = data.vocab_sizes[0]
+        rules = RuleSet((Rule((Condition(0, tuple(range(vocab // 2, vocab))),)),))
+        return rules, score(rules, data, hyper), RunLog()
+
+    monkeypatch.setattr(cli, "run", inverted_run)
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", tmp_path / "m.json"]
+    assert cli.main([str(a) for a in argv]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    accuracy = next(line for line in printed if line.startswith("training accuracy:")).split()[2]
+    rate = next(line for line in printed if line.startswith("majority-class rate:")).split()[2]
+    assert float(accuracy) < float(rate)
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert f"training accuracy {accuracy} is below the majority-class rate {rate}" in warning
 
 
 def holdout_rows():
@@ -478,15 +512,23 @@ def test_model_with_a_non_string_label_exits_5(trained, tmp_path, label):
     assert_clean_error(run_mars("evaluate", bad, tmp / "train.csv"), 5, "is not a string")
 
 
-def test_bins_below_two_is_an_error_not_a_traceback(trained, tmp_path):
+def test_bins_out_of_range_is_an_error_not_a_traceback(trained, tmp_path):
+    """--bins below 2 or past 1000 fails before any data is read or
+    allocated; 1000 itself trains."""
     tmp, _ = trained
-    out = tmp_path / "m.json"
-    argv = ["train", tmp / "train.csv", "--label", "y", "--out", out, "--bins", "1"]
-    assert_clean_error(run_mars(*argv), 1, "--bins")
-    assert not out.exists()
-    out = tmp_path / "sweep.csv"
-    assert_clean_error(run_mars("sweep", "--rows", "50", "--bins", "1", "--out", out), 1, "--bins")
-    assert not out.exists()
+    model, sweep = tmp_path / "m.json", tmp_path / "sweep.csv"
+    for bins in ("1", "1001", "1000000000"):
+        argv = ["train", tmp / "train.csv", "--label", "y", "--out", model, "--bins", bins]
+        assert_clean_error(run_mars(*argv), 1, "--bins", "1000")
+        assert not model.exists()
+        argv = ["sweep", "--rows", "50", "--bins", bins, "--out", sweep]
+        assert_clean_error(run_mars(*argv), 1, "--bins", "1000")
+        assert not sweep.exists()
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", model, "--bins", "1000",
+            "--iters", "5"]
+    proc = run_mars(*argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(model.read_text())["training"]["discretization"]["n_bins"] == 1000
 
 
 @pytest.mark.parametrize(

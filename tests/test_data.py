@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mars.data import (
+    MAX_BINS,
     MISSING,
     Dataset,
     FeatureSpec,
@@ -126,6 +127,13 @@ def test_bad_n_bins_rejected():
     rows = [[0.1, 1], [0.9, 0]]
     with pytest.raises(ValueError):
         discretize(table_of(["x", "y"], rows), n_bins=1)
+
+
+def test_n_bins_is_at_most_max_bins():
+    rows = [[0.1, 1], [0.9, 0], [0.35, 1]]
+    assert discretize(table_of(["x", "y"], rows), n_bins=MAX_BINS).vocab_sizes == (MAX_BINS,)
+    with pytest.raises(ValueError, match=str(MAX_BINS)):
+        discretize(table_of(["x", "y"], rows), n_bins=MAX_BINS + 1)
 
 
 def test_out_of_range_numeric_clamps_at_predict_time():
@@ -448,12 +456,13 @@ def test_condition_mask_equals_or_of_value_masks(draw):
     assert condition_mask(data, j, tuple(values)) == plain
 
 
+# every cell is a text, as a CSV gives them
 numeric_cells = st.one_of(
     st.floats(-10, 10).map(repr), st.integers(-9, 9).map(str),
-    st.sampled_from(["", " ", "?", " ? ", "nan", "inf", "-1e400", " 2.5 ", None, 0.5]),
+    st.sampled_from(["", " ", "?", " ? ", "nan", "inf", "-1e400", " 2.5 ", "0.5", "1e0"]),
 )
-category_cells = st.sampled_from(["a", "b", "c", " a", "zz", "", "?", MISSING, None, 0])
-bad_numeric_cells = st.sampled_from(["abc", MISSING, "True", "1e", True, np.False_])
+category_cells = st.sampled_from(["a", "b", "c", " a", "zz", "", "?", MISSING, "None", "0"])
+bad_numeric_cells = st.sampled_from(["abc", MISSING, "True", "1e", "None", "False"])
 
 
 @st.composite

@@ -26,7 +26,7 @@ TINY_DIGESTS = [
     "11c18e731efc5cdb", "0d2258036a7da2a1", "8dd0531e56e987a1", "b1de794162300b74",
 ]
 SYNTH_DIGEST = "dea9f4330f2494b1"
-WIDE_DIGEST = "9df100ddb13a8c8c"
+WIDE_DIGEST = "5c88b69516e689eb"
 
 
 def digest(data, seeds, n_iter):
@@ -88,8 +88,8 @@ def test_synthetic_run_matches_its_digest():
 
 def wide_vocabulary_table():
     """A synthetic table with every other feature recoded into 30 string
-    categories plus blanks: 31-value vocabularies, wide enough that value
-    sets are drawn by ``random.sample``'s set path."""
+    categories plus blanks: 31-value vocabularies, wider than the 21 items
+    up to which the search's samplers draw what ``random.sample`` draws."""
     table, _ = generate(SynthSpec(n_rows=600, n_features=8, seed=5))
     rng = random.Random("wide-vocabulary")
     label = table.names.index(table.label_column)

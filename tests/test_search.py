@@ -27,7 +27,7 @@ from mars.search import (
     temperature,
 )
 
-from oracles import make_dataset, rule_covers, tiny_instance
+from oracles import make_dataset, partial_shuffle_sample, rule_covers, tiny_instance
 
 
 def hypers(data, **kw):
@@ -72,39 +72,35 @@ def test_config_validation():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32),
        st.integers(1, 100).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, n))))
-# set path: n past 21 with k <= 5, and n past 85 with 6 <= k <= 21; seed 1
-# draws a variant of either size, first, at n = 31 and at n = 100
+# past 21 items random.sample may redraw taken indices instead (its set
+# path), as at (31, 3) and (100, 10); the samplers shuffle a pool at every size
 @example(seed=0, n_k=(31, 3))
 @example(seed=1, n_k=(100, 10))
 @example(seed=1, n_k=(31, 3))
-def test_draw_helpers_make_the_stdlib_draws(seed, n_k):
-    from mars.search import _below, _pools, _sample, _shuffle, _ValueSets
+def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
+    from mars.search import _sample, _ValueSets
 
     n, k = n_k
     rng, ref = random.Random(seed), random.Random(seed)
     if n >= 2:
         variant = _ValueSets(100).draw(rng.getrandbits, n)
-        assert variant == tuple(sorted(ref.sample(range(n), ref.randint(1, n - 1))))
+        want = sorted(partial_shuffle_sample(ref, range(n), ref.randint(1, n - 1)))
+        assert variant == tuple(want)
         assert rng.getstate() == ref.getstate()
-        if seed == 1 and n in (31, 100):
-            assert not _pools(n, len(variant))
-    assert _sample(rng.getrandbits, range(n), k) == ref.sample(range(n), k)
+    assert _sample(rng.getrandbits, range(n), k) == partial_shuffle_sample(ref, range(n), k)
     assert rng.getstate() == ref.getstate()
     letters = [f"v{v}" for v in range(n)]
-    assert _sample(rng.getrandbits, letters, k) == ref.sample(letters, k)
+    assert _sample(rng.getrandbits, letters, k) == partial_shuffle_sample(ref, letters, k)
     assert rng.getstate() == ref.getstate()
-    assert _below(rng.getrandbits, n) == ref.randint(0, n - 1)
-    assert rng.getstate() == ref.getstate()
-    # the forms propose and sample_misclassified draw with
-    assert letters[_below(rng.getrandbits, n)] == ref.choice(letters)
-    assert rng.getstate() == ref.getstate()
-    assert _below(rng.getrandbits, n) == ref.randrange(n)
-    assert rng.getstate() == ref.getstate()
-    for size in (2, 3):
-        got, want = letters[:size], letters[:size]
-        _shuffle(rng.getrandbits, got)
-        ref.shuffle(want)
-        assert got == want
+    if n <= 21:
+        # random.sample shuffles a pool too at these sizes, so a search whose
+        # vocabularies and candidate lists stay this small draws what it drew
+        # when it called random.sample
+        rng, ref = random.Random(seed), random.Random(seed)
+        if n >= 2:
+            want = sorted(ref.sample(range(n), ref.randint(1, n - 1)))
+            assert _ValueSets(100).draw(rng.getrandbits, n) == tuple(want)
+        assert _sample(rng.getrandbits, letters, k) == ref.sample(letters, k)
         assert rng.getstate() == ref.getstate()
 
 
@@ -149,7 +145,7 @@ def test_init_state_is_valid_and_bounds_seeded():
 def test_random_ruleset_draws_sorted_proper_pairs(draw):
     from mars.search import random_ruleset
 
-    # vocabularies past 21 values take the set path of _sample
+    # vocabularies past 21 values, where random.sample would redraw taken indices
     vocab_sizes = draw.draw(st.lists(st.integers(1, 40), min_size=1, max_size=6))
     if max(vocab_sizes) < 2:
         vocab_sizes[0] = 2
@@ -695,7 +691,8 @@ def raw_add_condition(rules, data, idx, xrow, rng):
                 continue
             variants = [tuple(v for v in range(vocab) if v != int(xrow[j]))]
             for _ in range(2):
-                variants.append(tuple(rng.sample(range(vocab), rng.randint(1, vocab - 1))))
+                size = rng.randint(1, vocab - 1)
+                variants.append(tuple(partial_shuffle_sample(rng, range(vocab), size)))
             for vals in variants:
                 grown = Rule(rule.conditions + (Condition(j, vals),))
                 edits.append(rules[:mi] + (grown,) + rules[mi + 1:])
@@ -703,19 +700,21 @@ def raw_add_condition(rules, data, idx, xrow, rng):
 
 
 def raw_add_rule(rules, data, xrow, rng, budget, min_support):
-    """The add-rule edits drawn with the stdlib's ``randint`` and ``sample``
-    on lists: the features, then per feature the example's value and a
-    sample of the spare ones."""
+    """The add-rule edits drawn with ``randint`` and the reference partial
+    shuffle on lists: the features, then per feature the example's value
+    and a sample of the spare ones."""
     eligible = [j for j, v in enumerate(data.vocab_sizes) if v >= 2]
     edits, seen = [], set()
     for _ in range(3 * budget):
         if len(edits) == budget:
             break
         conds = []
-        for j in rng.sample(eligible, rng.randint(1, min(3, len(eligible)))):
+        n_feats = rng.randint(1, min(3, len(eligible)))
+        for j in partial_shuffle_sample(rng, eligible, n_feats):
             want = int(xrow[j])
             spare = [v for v in range(data.vocab_sizes[j]) if v != want]
-            conds.append(Condition(j, (want, *rng.sample(spare, rng.randint(0, len(spare) - 1)))))
+            values = partial_shuffle_sample(rng, spare, rng.randint(0, len(spare) - 1))
+            conds.append(Condition(j, (want, *values)))
         cand = Rule(tuple(conds))
         if cand in seen or cand in rules:
             continue
@@ -761,7 +760,8 @@ def test_edits_equal_normalized_raw_edits(draw):
     )
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
-    # vocabularies past 21 values reach random.sample's set path
+    # vocabularies past 21 values, where random.sample would redraw taken
+    # indices instead of shuffling a pool
     vocab_sizes = draw.draw(
         st.lists(st.integers(2, 3) | st.integers(22, 31), min_size=2, max_size=4)
     )
@@ -888,8 +888,8 @@ def test_seed_scores_equal_full_rescore(draw):
     from mars.search import _seed_moves
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
-    # a spare pool past 21 values reaches random.sample's set path when at
-    # most five values are drawn from it; smaller pools use the shrinking pool
+    # vocabularies past 21 values, where random.sample would redraw taken
+    # indices instead of shuffling a pool
     vocab_sizes = draw.draw(
         st.lists(st.integers(2, 3) | st.integers(22, 31), min_size=1, max_size=4)
     )
