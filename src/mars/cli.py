@@ -32,10 +32,10 @@ def _labeled_sizes(counts) -> list[tuple[str, float]]:
     return [(name.removeprefix("n_"), counts[name]) for name in SIZES]
 
 
-# The flags that set a dataclass's fields, as {dest: (field, help)}: each
-# flag is --dest with "-" for "_", and takes its default and its type from
-# the field's default.
-_SEARCH_FLAGS = {
+# The flags that set a dataclass's fields, as (dataclass, name in errors,
+# {dest: (field, help)}): each flag is --dest with "-" for "_", and takes its
+# default and its type from the field's default.
+_SEARCH_FLAGS = SearchConfig, "search", {
     "seed": ("random_seed", "random seed (default %(default)s)"),
     "iters": ("n_iter", "annealing steps per chain"),
     "t0": ("t0", "initial temperature"),
@@ -43,7 +43,7 @@ _SEARCH_FLAGS = {
     "restarts": ("n_restarts", "extra chains beyond the first"),
     "neighbor_budget": ("neighbor_budget", "max neighbors evaluated per action"),
 }
-_SYNTH_FLAGS = {
+_SYNTH_FLAGS = synth.SynthSpec, "synthetic data", {
     "rows": ("n_rows", "rows per generated table"),
     "features": ("n_features", "feature columns, each uniform on [0, 1)"),
     "rules": ("n_rules", "planted rules; a row is positive when one covers it"),
@@ -51,29 +51,24 @@ _SYNTH_FLAGS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, flags: dict, defaults) -> None:
+def _add_flags(p: argparse.ArgumentParser, table) -> None:
+    cls, _, flags = table
+    defaults = cls()
     for dest, (name, text) in flags.items():
         default = getattr(defaults, name)
         p.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
                        help=text)
 
 
-def _settings(cls, flags: dict, args, what: str, **given):
-    """A ``cls`` of the fields ``flags`` map from ``args``, and of ``given``;
-    a value it rejects is a MarsError naming ``what``."""
+def _settings(table, args, **given):
+    """The table's dataclass, of the fields its flags map from ``args`` and
+    of ``given``; a value it rejects is a MarsError naming the table."""
+    cls, what, flags = table
     values = {name: getattr(args, dest) for dest, (name, _) in flags.items()}
     try:
         return cls(**values, **given)
     except ValueError as exc:
         raise MarsError(f"invalid {what} setting: {exc}") from exc
-
-
-def _add_search_flags(p: argparse.ArgumentParser) -> None:
-    _add_flags(p, _SEARCH_FLAGS, SearchConfig())
-
-
-def _add_synth_flags(p: argparse.ArgumentParser) -> None:
-    _add_flags(p, _SYNTH_FLAGS, synth.SynthSpec())
 
 
 def _add_hyper_flags(p: argparse.ArgumentParser, grid_keys=()) -> None:
@@ -95,10 +90,6 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
                    help=f"intervals per numeric feature, 2 to {MAX_BINS}")
     p.add_argument("--scheme", choices=SCHEMES, default=SCHEMES[0],
                    help="numeric binning scheme")
-
-
-def _search_config(args) -> SearchConfig:
-    return _settings(SearchConfig, _SEARCH_FLAGS, args, "search")
 
 
 def _check_bins(args) -> None:
@@ -169,7 +160,7 @@ def _hyperparams(args, n_features: int, grid_keys=()) -> Hyperparams:
 
 
 def cmd_train(args) -> int:
-    cfg = _search_config(args)
+    cfg = _settings(_SEARCH_FLAGS, args)
     _check_bins(args)
     runlog_path = args.runlog or (str(args.out) + ".runlog.jsonl")
     _check_writable(
@@ -244,12 +235,8 @@ def cmd_show(args) -> int:
     return 0
 
 
-def _synth_spec(args) -> synth.SynthSpec:
-    return _settings(synth.SynthSpec, _SYNTH_FLAGS, args, "synthetic data", seed=args.seed)
-
-
 def cmd_gen(args) -> int:
-    spec = _synth_spec(args)
+    spec = _settings(_SYNTH_FLAGS, args, seed=args.seed)
     if spec.seed < 0:
         # numpy seeds a generator from non-negative integers only; a sweep
         # takes any seed, as it seeds each replicate with a hash of it
@@ -275,7 +262,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    spec = _synth_spec(args)
+    spec = _settings(_SYNTH_FLAGS, args, seed=args.seed)
     try:
         grid = synth.SweepSpec(
             beta_grid=tuple(float(b) for b in args.grid.split(",")),
@@ -294,7 +281,7 @@ def cmd_sweep(args) -> int:
                 replace(base, beta_m=beta_m, beta_l=beta_l)
     except ValueError as exc:
         raise MarsError(f"invalid hyperparameter in --grid: {exc}") from exc
-    cfg = _search_config(args)
+    cfg = _settings(_SEARCH_FLAGS, args)
     _check_bins(args)
     records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, scheme=args.scheme,
                           jobs=args.jobs)
@@ -321,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runlog", default=None, help="JSON-lines run log path")
     _add_data_flags(p)
     _add_hyper_flags(p)
-    _add_search_flags(p)
+    _add_flags(p, _SEARCH_FLAGS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("predict", help="classify rows with a trained model")
@@ -341,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_show)
 
     p = sub.add_parser("gen", help="generate planted-truth synthetic data")
-    _add_synth_flags(p)
+    _add_flags(p, _SYNTH_FLAGS)
     p.add_argument("--seed", type=int, default=synth.SynthSpec().seed)
     p.add_argument("--out", required=True)
     p.add_argument("--truth", default=None, help="ground-truth rules JSON path")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("sweep", help="trade-off sweep over (beta_M, beta_L)")
-    _add_synth_flags(p)
+    _add_flags(p, _SYNTH_FLAGS)
     grid = synth.SweepSpec()
     p.add_argument("--grid", default=",".join(f"{b:g}" for b in grid.beta_grid),
                    help="comma-separated values; a model is trained for each "
@@ -359,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="metrics CSV path")
     _add_data_flags(p)
     _add_hyper_flags(p, _GRID_KEYS)
-    _add_search_flags(p)
+    _add_flags(p, _SEARCH_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -36,7 +36,7 @@ def _feature_to_json(f: FeatureSpec) -> dict:
 
 def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
     if not isinstance(blob, dict):
-        raise ModelFormatError(f"feature {fid}: not a JSON object")
+        raise TypeError(f"feature {fid}: not a JSON object")
     kind = blob.get("kind")
     if kind == "categorical":
         if not isinstance(blob["values"], list):
@@ -46,7 +46,7 @@ def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
         return FeatureSpec(
             fid, blob["name"], "numeric", intervals=tuple((lo, hi) for lo, hi in blob["intervals"])
         )
-    raise ModelFormatError(f"feature {blob.get('name')!r}: unknown kind {kind!r}")
+    raise ValueError(f"feature {blob.get('name')!r}: unknown kind {kind!r}")
 
 
 def save_model(
@@ -93,7 +93,7 @@ def load_model(path) -> Model:
         features = tuple(_feature_from_json(fid, blob) for fid, blob in enumerate(doc["features"]))
         fid_of = {f.name: f.feature_id for f in features}
         if len(fid_of) != len(features):
-            raise ModelFormatError(f"{path}: two features share a name")
+            raise ValueError("two features share a name")
         rules = RuleSet(
             tuple(
                 Rule(tuple(Condition(fid_of[name], tuple(values)) for name, values in conds))
@@ -105,24 +105,20 @@ def load_model(path) -> Model:
         if not isinstance(label, str):
             raise TypeError(f"label {label!r} is not a string")
         meta = doc.get("training", {})
+        if hyper.n_features != len(features):
+            raise ValueError(f"theta has {hyper.n_features} entries for {len(features)} features")
+        for rule in rules.rules:
+            for cond in rule.conditions:
+                name = features[cond.feature_id].name
+                if any(type(v) is not int for v in cond.values):
+                    raise TypeError(f"rule condition on {name!r} has a non-integer value index")
+                vocab = features[cond.feature_id].vocab_size
+                if cond.values[-1] >= vocab or cond.n_values >= vocab:
+                    raise ValueError(
+                        f"rule condition on {name!r} does not fit the feature's vocabulary"
+                    )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
-    if hyper.n_features != len(features):
-        raise ModelFormatError(
-            f"{path}: theta has {hyper.n_features} entries for {len(features)} features"
-        )
-    for rule in rules.rules:
-        for cond in rule.conditions:
-            name = features[cond.feature_id].name
-            if any(type(v) is not int for v in cond.values):
-                raise ModelFormatError(
-                    f"{path}: rule condition on {name!r} has a non-integer value index"
-                )
-            vocab = features[cond.feature_id].vocab_size
-            if cond.values[-1] >= vocab or cond.n_values >= vocab:
-                raise ModelFormatError(
-                    f"{path}: rule condition on {name!r} does not fit the feature's vocabulary"
-                )
     return Model(features=features, rules=rules, hyper=hyper, label_name=label, metadata=meta)
 
 

@@ -85,9 +85,8 @@ from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
-from .bitset import indices
 from .bounds import BoundState, initial_bounds, update_bounds
-from .data import Dataset, rule_mask
+from .data import Dataset, indices, rule_mask
 from .errors import DegenerateLabelError
 from .model import Condition, Pairs, Rule, RuleSet
 from .scoring import (
@@ -101,7 +100,7 @@ from .scoring import (
 )
 
 # not called here; kept importable from this module for per-layer tracing
-from .bitset import kth_set_bit  # noqa: F401
+from .data import kth_set_bit  # noqa: F401
 from .model import is_normalized, normalize  # noqa: F401
 from .scoring import log_prior, update_confusion  # noqa: F401
 
@@ -602,7 +601,7 @@ def _edits_add_value(prop: Proposal, xrow) -> list[_Edit]:
     edits = []
     for mi, key in enumerate(prop.keys):
         for ci, (j, values) in enumerate(key):
-            v = int(xrow[j])
+            v = xrow[j]
             if v in values:
                 continue
             if len(values) + 1 < vocab_sizes[j]:
@@ -639,9 +638,6 @@ def _seed_moves(
     eligible = [j for j, v in enumerate(vocab_sizes) if v >= 2]
     seen = set(current.index)
     seeds: list[_Edit] = []
-    # per feature, the example's value and the vocabulary's other values
-    wants = [int(v) for v in xrow]
-    spares = {j: [*range(wants[j]), *range(wants[j] + 1, vocab_sizes[j])] for j in eligible}
     max_feats = min(3, len(eligible))
     bits = rng.getrandbits
     attempts = 0
@@ -649,9 +645,10 @@ def _seed_moves(
         attempts += 1
         conds = []
         for j in _sample(bits, eligible, rng.randint(1, max_feats)):
-            # the example's value, and a sample of the spare ones
-            values = _sample(bits, spares[j], rng.randrange(vocab_sizes[j] - 1))
-            values.append(wants[j])
+            # the example's value, and a sample of the vocabulary's others
+            v, vocab = xrow[j], vocab_sizes[j]
+            values = _sample(bits, [*range(v), *range(v + 1, vocab)], rng.randrange(vocab - 1))
+            values.append(v)
             values.sort()
             conds.append((j, tuple(values)))
         conds.sort()  # by feature: the features are distinct

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from mars.bitset import indices, kth_set_bit, mask_from_bools
+from mars.data import indices, kth_set_bit, mask_from_bools
 
 # bits on both sides of the 64-bit word boundaries
 EDGE_BITS = (0, 1, 63, 64, 65, 127, 128, 129)

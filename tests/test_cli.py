@@ -442,11 +442,11 @@ def test_flag_defaults_are_the_library_defaults():
     for argv in (["train", "data.csv", "--label", "y", "--out", "m.json"],
                  ["sweep", "--out", "s.csv"]):
         args = parser.parse_args(argv)
-        assert cli._search_config(args) == SearchConfig()
+        assert cli._settings(cli._SEARCH_FLAGS, args) == SearchConfig()
         assert (args.bins, args.scheme) == (binning["n_bins"].default, binning["scheme"].default)
-    assert cli._synth_spec(parser.parse_args(["gen", "--out", "g.csv"])) == synth.SynthSpec()
-    args = parser.parse_args(["sweep", "--out", "s.csv"])
-    assert cli._synth_spec(args) == synth.SynthSpec()
+    for argv in (["gen", "--out", "g.csv"], ["sweep", "--out", "s.csv"]):
+        args = parser.parse_args(argv)
+        assert cli._settings(cli._SYNTH_FLAGS, args, seed=args.seed) == synth.SynthSpec()
     grid = synth.SweepSpec()
     assert tuple(float(b) for b in args.grid.split(",")) == grid.beta_grid
     assert args.replicates == grid.replicates

@@ -70,29 +70,30 @@ def top_level_definitions(source: str) -> list[str]:
     return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names ``source`` reads, attributes it looks up and names it imports;
-    comments and strings do not count."""
+def read_names(source: str) -> set[str]:
+    """Names ``source`` reads and attributes it looks up; imports, comments
+    and strings do not count."""
     out = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
-        elif isinstance(node, ast.alias):
-            out.add(node.name.rsplit(".", 1)[-1])
     return out
+
+
+# the benchmark traces these through mars.search, which imports them for it
+# alone; ROADMAP item 9 moves them out of src/
+TRACED_ONLY = {"kth_set_bit", "update_confusion"}
 
 
 def test_every_definition_is_referenced():
     assert top_level_definitions("A = 1\nB: int = 2\n__all__ = []\ndef f(): pass\nclass C: pass\n"
                                  ) == ["A", "B", "f", "C"]
     sample = "from m import a\nimport p.q\nb.c\nd = 1  # e\nf()\n'g'\n"
-    assert referenced_names(sample) == {"a", "q", "b", "c", "f"}
-    used = set()
-    for top in ("src", "tests", "bench"):
-        for path in sorted((REPO / top).rglob("*.py")):
-            used |= referenced_names(path.read_text())
-    dead = {p.name: [n for n in top_level_definitions(p.read_text()) if n not in used]
+    assert read_names(sample) == {"b", "c", "f"}
+    sources = [p.read_text() for p in sorted((REPO / "src").rglob("*.py"))]
+    read = set().union(*map(read_names, sources)) | TRACED_ONLY
+    dead = {p.name: [n for n in top_level_definitions(p.read_text()) if n not in read]
             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mars.bitset import indices
-from mars.data import rule_mask
+from mars.data import indices, rule_mask
 from mars.model import (
     Condition,
     Rule,

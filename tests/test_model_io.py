@@ -145,6 +145,8 @@ def rename_an_unused_feature(name):
                      id="bool-interval-bound"),
         pytest.param(share_a_name, id="duplicate-feature-name"),
         pytest.param(set_feature(1, values="abc"), id="string-categories"),
+        pytest.param(lambda doc: doc.update(features=[7]), id="feature-not-an-object"),
+        pytest.param(set_feature(1, kind="weird"), id="unknown-kind"),
     ],
 )
 def test_malformed_feature_list_rejected(saved, capsys, edit):
@@ -152,9 +154,10 @@ def test_malformed_feature_list_rejected(saved, capsys, edit):
     rewrite(path, edit)
     with pytest.raises(ModelFormatError) as info:
         load_model(path)
+    assert str(info.value).startswith(f"{path}: corrupt model file (")
     assert info.value.exit_code == 5
     assert cli.main(["show", str(path)]) == 5
-    assert capsys.readouterr().err.startswith("error: ")
+    assert capsys.readouterr().err.startswith(f"error: {path}: corrupt model file (")
 
 
 def test_non_utf8_model_file_rejected(saved, capsys):

@@ -9,9 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mars.bitset import indices
 from mars.bounds import update_bounds
-from mars.data import rule_mask, union_mask
+from mars.data import indices, rule_mask, union_mask
 from mars.errors import DegenerateLabelError
 from mars.model import Condition, Rule, RuleSet
 from mars.scoring import Hyperparams, confusion_counts, score
@@ -253,8 +252,8 @@ def test_sampling_is_uniform_over_misclassified():
 def test_sampling_makes_the_kth_set_bit_draws(draw):
     """Draw for draw, the row is the k-th set bit of covered XOR positive
     for k = rng.randrange(count), and the rng ends in the same state."""
-    from mars.bitset import kth_set_bit
     from mars.bounds import initial_bounds
+    from mars.data import kth_set_bit
     from mars.search import SearchState
     from oracles import random_ruleset_for
 
@@ -634,7 +633,7 @@ def test_admitted_rules_meet_support_floor_during_run():
     assert admissions > 0
 
 
-def test_incremental_confusion_stays_consistent():
+def test_current_confusion_equals_a_recount_after_every_step():
     data = tiny_instance(12)
     h = hypers(data)
     cfg = small_cfg(n_iter=400, random_seed=3)
