@@ -68,16 +68,29 @@ class BoundState:
     log_ceiling: float
     alpha_m: float
     enabled: bool
-    v_best: float = -math.inf
     m_cap: int | None = None
     min_support: int = 1
+
+
+def _precondition_violations(hyper: Hyperparams) -> list[str]:
+    """Ordering constraints the pruning bounds assume; empty if all hold."""
+    out = []
+    if not hyper.alpha_m < hyper.beta_m:
+        out.append(f"alpha_m ({hyper.alpha_m}) must be < beta_m ({hyper.beta_m})")
+    if not hyper.alpha_l < hyper.beta_l:
+        out.append(f"alpha_l ({hyper.alpha_l}) must be < beta_l ({hyper.beta_l})")
+    if not hyper.alpha_pos > hyper.beta_pos:
+        out.append(f"alpha_pos ({hyper.alpha_pos}) must be > beta_pos ({hyper.beta_pos})")
+    if not hyper.alpha_neg > hyper.beta_neg:
+        out.append(f"alpha_neg ({hyper.alpha_neg}) must be > beta_neg ({hyper.beta_neg})")
+    return out
 
 
 def initial_bounds(data: Dataset, hyper: Hyperparams) -> BoundState:
     """Build the pruning state, disabling it when its premises fail."""
     ups = upsilon(data, hyper)
     l_omega = log_omega(hyper)
-    problems = hyper.bound_precondition_violations()
+    problems = _precondition_violations(hyper)
     if ups >= 1.0:
         problems.append(f"upsilon = {ups:.4g} >= 1")
     if l_omega <= 0.0:
@@ -99,15 +112,15 @@ def initial_bounds(data: Dataset, hyper: Hyperparams) -> BoundState:
 def update_bounds(state: BoundState, new_log_posterior: float) -> BoundState:
     """Fold a newly observed posterior value into the pruning state.
 
-    No-op unless the value improves on v_best.  The recomputed cap and
-    support floor are clamped against their previous values: every bound
-    computed at any earlier (lower) v_best is still valid for the optimum,
-    so the floor never loosens and the cap never widens.
+    The recomputed cap and support floor are clamped against their
+    previous values: every bound computed at an earlier (lower) best
+    posterior is still valid for the optimum, so the floor never loosens
+    and the cap never widens.  A value that does not improve on the best
+    gives a cap and floor no tighter than the state's, so it leaves the
+    state as it is; so does any value while the bounds are disabled.
     """
-    if new_log_posterior <= state.v_best:
-        return state
     if not state.enabled:
-        return replace(state, v_best=new_log_posterior)
+        return state
 
     headroom = state.log_ceiling - new_log_posterior
     raw_cap = math.floor(headroom / state.log_omega + _SLACK)
@@ -127,4 +140,4 @@ def update_bounds(state: BoundState, new_log_posterior: float) -> BoundState:
     raw_support = math.ceil(numer / state.log_upsilon - _SLACK)
     min_support = max(int(raw_support), 1, state.min_support)
 
-    return replace(state, v_best=new_log_posterior, m_cap=m_cap, min_support=min_support)
+    return replace(state, m_cap=m_cap, min_support=min_support)

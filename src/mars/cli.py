@@ -107,12 +107,16 @@ def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None
     for role, path in outputs.items():
         if path is None:
             continue
-        if Path(path).is_dir():
-            raise MarsError(f"cannot write {path}: it is a directory")
-        parent = Path(path).parent
-        if not parent.is_dir():
-            raise MarsError(f"cannot write {path}: directory {parent} does not exist")
-        other = claimed.setdefault(Path(path).resolve(), role)
+        try:
+            if Path(path).is_dir():
+                raise MarsError(f"cannot write {path}: it is a directory")
+            parent = Path(path).parent
+            if not parent.is_dir():
+                raise MarsError(f"cannot write {path}: directory {parent} does not exist")
+            resolved = Path(path).resolve()
+        except OSError as exc:  # a name the OS refuses, say one too long
+            raise MarsError(f"cannot write {path}: {exc.strerror}") from exc
+        other = claimed.setdefault(resolved, role)
         if other != role:
             raise MarsError(f"cannot write {path} as {role}: it is also {other}")
 

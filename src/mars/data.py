@@ -49,22 +49,22 @@ _LABELS = {"1": True, "1.0": True, "true": True, "yes": True,
 
 @dataclass(frozen=True)
 class FeatureSpec:
-    """One feature's identity and vocabulary.
-
-    ``kind`` is "categorical" (``categories`` holds the value strings) or
-    "numeric" (``intervals`` holds ordered, contiguous [lo, hi) bounds that
-    cover the observed training range).
+    """One feature's name and vocabulary: ``categories`` holds a
+    categorical feature's value strings, ``intervals`` a numeric feature's
+    ordered, contiguous [lo, hi) bounds that cover the observed training
+    range.  A spec holds exactly one of the two; its feature id is its
+    position in the feature list.
     """
 
-    feature_id: int
     name: str
-    kind: str
     categories: tuple[str, ...] | None = None
     intervals: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str):
-            raise ValueError(f"feature {self.feature_id}: name {self.name!r} is not a string")
+            raise ValueError(f"feature name {self.name!r} is not a string")
+        if (self.categories is None) == (self.intervals is None):
+            raise ValueError(f"feature {self.name!r}: give either categories or intervals")
         if self.kind == "categorical":
             if not self.categories:
                 raise ValueError(f"feature {self.name!r}: empty vocabulary")
@@ -72,7 +72,7 @@ class FeatureSpec:
                 raise ValueError(f"feature {self.name!r}: a vocabulary entry is not a string")
             if len(set(self.categories)) != len(self.categories):
                 raise ValueError(f"feature {self.name!r}: duplicate vocabulary entry")
-        elif self.kind == "numeric":
+        else:
             if not self.intervals:
                 raise ValueError(f"feature {self.name!r}: no intervals")
             for (lo, hi) in self.intervals:
@@ -83,8 +83,10 @@ class FeatureSpec:
             for (_, hi), (lo2, _) in zip(self.intervals, self.intervals[1:]):
                 if hi != lo2:
                     raise ValueError(f"feature {self.name!r}: intervals not contiguous")
-        else:
-            raise ValueError(f"feature {self.name!r}: unknown kind {self.kind!r}")
+
+    @property
+    def kind(self) -> str:
+        return "categorical" if self.categories is not None else "numeric"
 
     @property
     def vocab_size(self) -> int:
@@ -338,13 +340,12 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
         )
 
     specs, encoded = zip(*(
-        _build_feature(fid, name, columns[name], n_bins, scheme)
-        for fid, name in enumerate(feature_names)
+        _build_feature(name, columns[name], n_bins, scheme) for name in feature_names
     ))
     return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
 
 
-def _build_feature(fid: int, name: str, raw: Sequence[str], n_bins: int, scheme: str):
+def _build_feature(name: str, raw: Sequence[str], n_bins: int, scheme: str):
     try:
         values, missing = parse_numbers(raw, name)
     except DataFormatError:
@@ -362,7 +363,7 @@ def _build_feature(fid: int, name: str, raw: Sequence[str], n_bins: int, scheme:
             raise DataFormatError(f"column {name!r} has a single distinct value")
         edges = _bin_edges(values, n_bins, scheme, name)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
-        spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
+        spec = FeatureSpec(name, intervals=intervals)
         return spec, spec._interval_codes(values)
 
     keys = set(raw)
@@ -372,7 +373,7 @@ def _build_feature(fid: int, name: str, raw: Sequence[str], n_bins: int, scheme:
         vocab.append(MISSING)
     if len(vocab) < 2:
         raise DataFormatError(f"column {name!r} has a single distinct value")
-    spec = FeatureSpec(fid, name, "categorical", categories=tuple(vocab))
+    spec = FeatureSpec(name, categories=tuple(vocab))
     return spec, spec.encode_column(raw)
 
 

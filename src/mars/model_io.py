@@ -41,11 +41,9 @@ def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
     if kind == "categorical":
         if not isinstance(blob["values"], list):
             raise TypeError(f"feature {blob['name']!r}: values is not a JSON array")
-        return FeatureSpec(fid, blob["name"], "categorical", categories=tuple(blob["values"]))
+        return FeatureSpec(blob["name"], categories=tuple(blob["values"]))
     if kind == "numeric":
-        return FeatureSpec(
-            fid, blob["name"], "numeric", intervals=tuple((lo, hi) for lo, hi in blob["intervals"])
-        )
+        return FeatureSpec(blob["name"], intervals=tuple((lo, hi) for lo, hi in blob["intervals"]))
     raise ValueError(f"feature {blob.get('name')!r}: unknown kind {kind!r}")
 
 
@@ -58,13 +56,12 @@ def save_model(
     training_meta: dict,
 ) -> None:
     """Write the model as a versioned, human-auditable JSON document."""
-    name_of = {f.feature_id: f.name for f in features}
     doc = {
         "format_version": FORMAT_VERSION,
         "label": label_name,
         "features": [_feature_to_json(f) for f in features],
         "rules": [
-            [[name_of[c.feature_id], list(c.values)] for c in rule.conditions]
+            [[features[c.feature_id].name, list(c.values)] for c in rule.conditions]
             for rule in rules.rules
         ],
         "hyperparams": asdict(hyper),
@@ -91,7 +88,7 @@ def load_model(path) -> Model:
         )
     try:
         features = tuple(_feature_from_json(fid, blob) for fid, blob in enumerate(doc["features"]))
-        fid_of = {f.name: f.feature_id for f in features}
+        fid_of = {f.name: fid for fid, f in enumerate(features)}
         if len(fid_of) != len(features):
             raise ValueError("two features share a name")
         rules = RuleSet(

@@ -44,8 +44,9 @@ class Hyperparams:
     rule-length prior's zero-truncation takes log(0).  The
     ordering constraints required by the pruning bounds
     (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
-    alpha_neg > beta_neg) are reported by ``bound_precondition_violations``
-    rather than enforced: scoring is well-defined without them.
+    alpha_neg > beta_neg) are not enforced: scoring is well-defined
+    without them, and ``bounds.initial_bounds`` disables the bounds when
+    one fails.
 
     The prior's derived constants are built once, at construction (so
     ``dataclasses.replace`` rebuilds them and a pickled bundle carries
@@ -108,19 +109,6 @@ class Hyperparams:
     @property
     def n_features(self) -> int:
         return len(self.theta)
-
-    def bound_precondition_violations(self) -> list[str]:
-        """Ordering constraints the pruning bounds assume; empty if all hold."""
-        out = []
-        if not self.alpha_m < self.beta_m:
-            out.append(f"alpha_m ({self.alpha_m}) must be < beta_m ({self.beta_m})")
-        if not self.alpha_l < self.beta_l:
-            out.append(f"alpha_l ({self.alpha_l}) must be < beta_l ({self.beta_l})")
-        if not self.alpha_pos > self.beta_pos:
-            out.append(f"alpha_pos ({self.alpha_pos}) must be > beta_pos ({self.beta_pos})")
-        if not self.alpha_neg > self.beta_neg:
-            out.append(f"alpha_neg ({self.alpha_neg}) must be > beta_neg ({self.beta_neg})")
-        return out
 
 
 # the field names, in order: flags, config-file keys and the model file's

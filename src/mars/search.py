@@ -257,27 +257,19 @@ class Proposal:
         return _Edit(self, mi, pairs, k, mask)
 
 
-class _Edit:
+class _Edit(NamedTuple):
     """A one-rule edit of ``prop``, built by ``Proposal.edit``: rule ``mi``
     replaced by the rule ``pairs`` gives, which covers the rows of ``mask``
     (None and 0 delete rule ``mi``), with the later copy at ``k`` dropped
     when ``k`` is not None.  Edits of one proposal are equal when they make
     the same rule set, that is when their ``(mi, pairs, k)`` are equal; the
-    mask follows from those and is left out of the hash, which would cost
-    a pass over its bits per edit."""
+    mask follows from those."""
 
-    __slots__ = ("prop", "mi", "pairs", "k", "mask")
-
-    def __init__(self, prop: Proposal, mi: int, pairs: Pairs | None, k: int | None, mask: int):
-        self.prop, self.mi, self.pairs, self.k, self.mask = prop, mi, pairs, k, mask
-
-    def __eq__(self, other) -> bool:
-        return other.__class__ is _Edit and (self.mi, self.pairs, self.k) == (
-            other.mi, other.pairs, other.k
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.mi, self.pairs, self.k))
+    prop: Proposal
+    mi: int
+    pairs: Pairs | None
+    k: int | None
+    mask: int
 
     def _entry(self) -> RuleEntry | None:
         if self.pairs is None:
@@ -462,8 +454,6 @@ def _sample(getrandbits, population: Sequence, k: int) -> list:
     the order drawn: a partial Fisher–Yates shuffle of a copy, which draws
     each index uniformly below the pool's size by rejection on
     ``getrandbits`` and moves the pool's last item into the drawn slot."""
-    if not k:
-        return []
     n = len(population)
     pool = list(population)
     result = []

@@ -116,7 +116,9 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
     """Feature matrix, labels, and the planted ground-truth rules.
 
     The table holds the text ``mars gen`` writes: each feature value to 9
-    decimals and the label as "0" or "1".  Rules are redrawn (logged) while the planted set covers 0% or 100% of
+    decimals and the label as "0" or "1".
+
+    Rules are redrawn (logged) while the planted set covers 0% or 100% of
     the rows, so the labels are never degenerate.
     """
     rng = np.random.default_rng(spec.seed)

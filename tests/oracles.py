@@ -140,9 +140,8 @@ def enumerate_rulesets(
 def categorical_specs(vocab_sizes: Sequence[int]) -> list[FeatureSpec]:
     alphabet = "abcdefghij"
     return [
-        FeatureSpec(j, f"f{j}", "categorical",
-                    categories=tuple(alphabet[:v] if v <= len(alphabet) else
-                                     (f"v{k:02d}" for k in range(v))))
+        FeatureSpec(f"f{j}", categories=tuple(alphabet[:v] if v <= len(alphabet) else
+                                              (f"v{k:02d}" for k in range(v))))
         for j, v in enumerate(vocab_sizes)
     ]
 

@@ -126,8 +126,8 @@ def test_predict_and_evaluate_call_the_traced_encode_name_once(monkeypatch, tmp_
     from mars.scoring import Hyperparams
 
     model = tmp_path / "model.json"
-    features = [FeatureSpec(0, "c", "categorical", categories=("a", "b")),
-                FeatureSpec(1, "x", "numeric", intervals=((0.0, 1.0), (1.0, 2.0)))]
+    features = [FeatureSpec("c", categories=("a", "b")),
+                FeatureSpec("x", intervals=((0.0, 1.0), (1.0, 2.0)))]
     save_model(model, features, RuleSet((Rule.of({0: [0]}),)), Hyperparams.defaults(2), "y", {})
     holdout = tmp_path / "holdout.csv"
     holdout.write_text("c,x,y\na,0.5,1\nb,1.5,0\n")

@@ -186,11 +186,14 @@ def test_min_support_matches_published_arithmetic():
 
 
 def test_update_ignores_non_improving_values():
+    # the cap and floor clamps, not a stored best, keep the state as it is
     data = balanced_dataset(20)
-    h = hypers(2, beta_m=50.0, beta_l=50.0)
-    state = update_bounds(initial_bounds(data, h), -40.0)
-    again = update_bounds(state, -60.0)
-    assert again == state
+    for alpha_m in (1.0, 5.0, 40.0):
+        h = hypers(2, alpha_m=alpha_m, beta_m=50.0, beta_l=50.0)
+        state = update_bounds(update_bounds(initial_bounds(data, h), -60.0), -40.0)
+        assert state.enabled
+        for worse in (-40.0, -60.0, -1e6):
+            assert update_bounds(state, worse) == state
 
 
 def test_bounds_disabled_when_preconditions_fail(caplog):
@@ -202,7 +205,6 @@ def test_bounds_disabled_when_preconditions_fail(caplog):
     state = update_bounds(state, -10.0)
     assert state.min_support == 1
     assert state.m_cap is None
-    assert state.v_best == -10.0
 
 
 def test_monotone_tightening_in_v_best():

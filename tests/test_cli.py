@@ -555,6 +555,30 @@ def test_output_in_missing_directory_is_an_error_not_a_traceback(trained, tmp_pa
     assert not any(path.exists() for path in outputs.values())
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
+     ("predict", "--out"), ("sweep", "--out")],
+)
+def test_output_name_the_os_rejects_is_an_error_not_a_traceback(trained, tmp_path, command,
+                                                                flag):
+    tmp, model = trained
+    too_long = tmp_path / ("x" * 300)
+    outputs = {"--out": tmp_path / "out", "--truth": tmp_path / "truth.json",
+               "--runlog": tmp_path / "runlog.jsonl"}
+    outputs[flag] = too_long
+    argv = {
+        "gen": ["gen", "--rows", "20", "--out", outputs["--out"], "--truth", outputs["--truth"]],
+        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "5",
+                  "--out", outputs["--out"], "--runlog", outputs["--runlog"]],
+        "predict": ["predict", model, tmp / "train.csv", "--out", outputs["--out"]],
+        "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "1,100",
+                  "--iters", "5", "--out", outputs["--out"]],
+    }[command]
+    assert_clean_error(run_mars(*argv), 1, f"cannot write {too_long}")
+    assert not any(path.exists() for path in outputs.values() if path != too_long)
+
+
 def test_train_checks_output_paths_before_searching(trained, tmp_path, monkeypatch, capsys):
     tmp, _ = trained
 
@@ -694,10 +718,10 @@ def test_non_finite_cell_in_numeric_training_column_exits_2(tmp_path, cell):
 def reads_only_c(tmp_path):
     """A model over x, c, k and noise whose one rule reads c alone: c in {a, b}."""
     features = [
-        FeatureSpec(0, "x", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
-        FeatureSpec(1, "c", "categorical", categories=("a", "b", "c", MISSING)),
-        FeatureSpec(2, "k", "categorical", categories=("p", "q")),
-        FeatureSpec(3, "noise", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
+        FeatureSpec("x", intervals=((0.0, 0.5), (0.5, 1.0))),
+        FeatureSpec("c", categories=("a", "b", "c", MISSING)),
+        FeatureSpec("k", categories=("p", "q")),
+        FeatureSpec("noise", intervals=((0.0, 0.5), (0.5, 1.0))),
     ]
     model = tmp_path / "reads_c.json"
     rules = RuleSet((Rule.of({1: [0, 1]}),))

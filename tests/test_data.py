@@ -242,6 +242,15 @@ def test_encode_with_specs_on_a_table_without_rows():
     assert encoded.shape == (0, 2) and encoded.dtype == np.int32
 
 
+def test_a_spec_holds_exactly_one_vocabulary():
+    assert FeatureSpec("c", categories=("a", "b")).kind == "categorical"
+    assert FeatureSpec("x", intervals=((0.0, 1.0), (1.0, 2.0))).kind == "numeric"
+    with pytest.raises(ValueError, match="either categories or intervals"):
+        FeatureSpec("x")
+    with pytest.raises(ValueError, match="either categories or intervals"):
+        FeatureSpec("x", categories=("a", "b"), intervals=((0.0, 1.0), (1.0, 2.0)))
+
+
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "data.csv"
     path.write_text("a,b,y\n0.5,CA,1\n0.25,TX,0\n0.75,CA,1\n")
@@ -322,7 +331,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
             raise DataFormatError(f"column {name!r} has a single distinct value")
         edges = _bin_edges(values, n_bins, scheme, name)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
-        spec = FeatureSpec(fid, name, "numeric", intervals=intervals)
+        spec = FeatureSpec(name, intervals=intervals)
         return spec, spec._interval_codes(values)
 
     as_text = [MISSING if _ref_is_missing(c) else str(c) for c in raw]
@@ -331,7 +340,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
         vocab.append(MISSING)
     if len(vocab) < 2:
         raise DataFormatError(f"column {name!r} has a single distinct value")
-    spec = FeatureSpec(fid, name, "categorical", categories=tuple(vocab))
+    spec = FeatureSpec(name, categories=tuple(vocab))
     return spec, spec.encode_column(raw)
 
 
@@ -476,11 +485,11 @@ def encode_cases(draw):
         if draw(st.booleans()):
             edges = sorted(draw(st.sets(st.integers(-5, 5), min_size=2, max_size=5)))
             intervals = tuple((float(lo), float(hi)) for lo, hi in zip(edges, edges[1:]))
-            specs.append(FeatureSpec(j, f"f{j}", "numeric", intervals=intervals))
+            specs.append(FeatureSpec(f"f{j}", intervals=intervals))
         else:
             vocab = sorted(draw(st.sets(st.sampled_from("abcd"), min_size=1, max_size=3)))
             vocab += [MISSING] * draw(st.booleans())
-            specs.append(FeatureSpec(j, f"f{j}", "categorical", categories=tuple(vocab)))
+            specs.append(FeatureSpec(f"f{j}", categories=tuple(vocab)))
     rules = RuleSet(tuple(
         Rule.of({
             j: draw(st.sets(st.integers(0, specs[j].vocab_size - 1), min_size=1))

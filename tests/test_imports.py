@@ -97,3 +97,12 @@ def test_every_definition_is_referenced():
     dead = {p.name: [n for n in top_level_definitions(p.read_text()) if n not in read]
             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+MAX_LINE = 100
+
+
+def test_source_lines_fit_the_width():
+    long = [f"{p.name}:{n}" for p in sorted(PACKAGE.glob("*.py"))
+            for n, line in enumerate(p.read_text().splitlines(), start=1) if len(line) > MAX_LINE]
+    assert long == []

@@ -30,10 +30,10 @@ EXIT_CODES = {0} | {
 }
 
 FEATURES = (
-    FeatureSpec(0, "x", "numeric", intervals=((0.0, 0.5), (0.5, 1.0))),
-    FeatureSpec(1, "c", "categorical", categories=("a", "b", "c", MISSING)),
-    FeatureSpec(2, "k", "categorical", categories=("p", "q")),
-    FeatureSpec(3, "noise", "numeric", intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))),
+    FeatureSpec("x", intervals=((0.0, 0.5), (0.5, 1.0))),
+    FeatureSpec("c", categories=("a", "b", "c", MISSING)),
+    FeatureSpec("k", categories=("p", "q")),
+    FeatureSpec("noise", intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 1.0))),
 )
 RULE_SETS = {
     "none": RuleSet(),

@@ -45,9 +45,8 @@ def test_model_file_with_a_byte_order_mark_loads(saved):
 
 def test_show_prints_each_rule(tmp_path, capsys):
     features = (
-        FeatureSpec(0, "x", "numeric",
-                    intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))),
-        FeatureSpec(1, "state", "categorical", categories=("A", "B", "C")),
+        FeatureSpec("x", intervals=((0.0, 0.25), (0.25, 0.5), (0.5, 0.75), (0.75, 1.0))),
+        FeatureSpec("state", categories=("A", "B", "C")),
     )
     hyper = Hyperparams.defaults(2)
     path = tmp_path / "model.json"

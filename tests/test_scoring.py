@@ -80,8 +80,7 @@ def test_saved_hyperparams_load_equal(tmp_path):
     from mars.data import FeatureSpec
     from mars.model_io import load_model, save_model
 
-    features = tuple(FeatureSpec(j, f"c{j}", "categorical", categories=("a", "b"))
-                     for j in range(2))
+    features = tuple(FeatureSpec(f"c{j}", categories=("a", "b")) for j in range(2))
     rules = RuleSet((Rule.of({1: (0,)}),))
     hyper = hypers(2, alpha_m=2, theta=[0.5, 2])
     path = tmp_path / "model.json"
@@ -94,7 +93,7 @@ def test_a_numpy_integer_is_stored_saved_and_loaded_as_a_float(tmp_path):
     from mars.data import FeatureSpec
     from mars.model_io import load_model, save_model
 
-    features = (FeatureSpec(0, "c0", "categorical", categories=("a", "b")),)
+    features = (FeatureSpec("c0", categories=("a", "b")),)
     hyper = hypers(1, alpha_m=np.int64(3))
     assert type(hyper.alpha_m) is float
     path = tmp_path / "model.json"
@@ -104,10 +103,12 @@ def test_a_numpy_integer_is_stored_saved_and_loaded_as_a_float(tmp_path):
 
 
 def test_bound_precondition_report():
+    from mars.bounds import _precondition_violations
+
     ok = hypers(3, beta_m=10.0, beta_l=10.0)
-    assert ok.bound_precondition_violations() == []
+    assert _precondition_violations(ok) == []
     bad = hypers(3, alpha_m=5.0, beta_m=1.0)
-    assert any("alpha_m" in v for v in bad.bound_precondition_violations())
+    assert any("alpha_m" in v for v in _precondition_violations(bad))
 
 
 def prior_floats(h):
