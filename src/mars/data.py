@@ -32,7 +32,7 @@ from typing import Collection, Sequence
 import numpy as np
 
 from .errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
-from .model import Pairs, RuleSet
+from .model import Pairs
 
 MISSING = "⟨missing⟩"
 
@@ -302,13 +302,6 @@ def rule_mask(pairs: Pairs, data: Dataset) -> int:
         mask &= condition_mask(data, j, values)
         if not mask:
             break
-    return mask
-
-
-def union_mask(ruleset: RuleSet, data: Dataset) -> int:
-    mask = 0
-    for rule in ruleset.rules:
-        mask |= rule_mask(rule.pairs, data)
     return mask
 
 

@@ -22,12 +22,12 @@ compared.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from math import exp, expm1, inf, isfinite, lgamma, log
+from math import expm1, inf, isfinite, lgamma, log
 from numbers import Real
 from typing import Iterable, Sequence
 
-from .data import Dataset, union_mask
-from .model import Rule, RuleSet, is_normalized
+from .data import Dataset, rule_mask
+from .model import RuleSet, is_normalized
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -38,9 +38,10 @@ class Hyperparams:
     theta is a list or tuple of them, one weight per feature; each is
     stored as a float (a numpy integer, say, would not serialize).  The
     constants the prior, the likelihood and the pruning bounds derive from
-    the values must be finite floats too, so a value near the float maximum
-    (alpha_l = 1e308, say) is rejected, and so is a beta_l so large (about
-    1e15) that log(beta_l) - log(beta_l + 1) rounds to 0 and the
+    the values must be finite floats too (the bounds read omega only as
+    ``log_omega``, so omega itself may overflow), so a value near the float
+    maximum (alpha_l = 1e308, say) is rejected, and so is a beta_l so large
+    (about 1e15) that log(beta_l) - log(beta_l + 1) rounds to 0 and the
     rule-length prior's zero-truncation takes log(0).  The
     ordering constraints required by the pruning bounds
     (alpha_m < beta_m, alpha_l < beta_l, alpha_pos > beta_pos,
@@ -82,11 +83,9 @@ class Hyperparams:
                 value = tuple(map(float, value)) if name == "theta" else float(value)
                 object.__setattr__(self, name, value)
             prior = _PriorConstants(self)
-            exp(log_omega(self))
-            finite = isfinite(
-                _log_beta(self.alpha_pos, self.beta_pos) + _log_beta(self.alpha_neg, self.beta_neg)
-            )
-        except (OverflowError, ValueError):  # float, lgamma or exp overflows, or log(0)
+            finite = isfinite(log_omega(self) + _log_beta(self.alpha_pos, self.beta_pos)
+                              + _log_beta(self.alpha_neg, self.beta_neg))
+        except (OverflowError, ValueError):  # float or lgamma overflows, or log(0)
             finite = False
         if not finite:
             raise ValueError(
@@ -234,32 +233,14 @@ def log_rule_length_prior(length: int, hyper: Hyperparams) -> float:
     return c.length.log_pmf(length) - c.log_trunc
 
 
-def rule_prior_terms(
-    rule: Rule, hyper: Hyperparams, vocab_sizes: Sequence[int]
-) -> tuple[float, float]:
-    """One rule's (length, Dirichlet-multinomial) terms of the log-prior:
-    log p(L_m) and log p(z_m)."""
-    counts = []
-    for cond in rule.conditions:
-        j, values = cond.feature_id, cond.values
-        # a condition's values are distinct, sorted and non-negative: the
-        # last is in the vocabulary only when all of them are
-        if values[-1] >= vocab_sizes[j]:
-            raise ValueError(
-                f"rule condition on feature {j} exceeds its vocabulary "
-                f"({len(values)} items, {vocab_sizes[j]} values)"
-            )
-        counts.append((j, len(values)))
-    return prior_terms_from_counts(counts, hyper)
-
-
 def prior_terms_from_counts(
     counts: Iterable[tuple[int, int]], hyper: Hyperparams
 ) -> tuple[float, float]:
-    """``rule_prior_terms`` of a rule given as the (feature, value count)
-    pair of each condition, in feature order: the terms depend on how many
-    values a condition holds, not which, and the pairs' order is the order
-    the Dirichlet-multinomial items are added in."""
+    """One rule's (length, Dirichlet-multinomial) terms of the log-prior,
+    log p(L_m) and log p(z_m), from the (feature, value count) pair of each
+    condition, in feature order: the terms depend on how many values a
+    condition holds, not which, and the pairs' order is the order the
+    Dirichlet-multinomial items are added in."""
     c = hyper._prior
     theta = c.theta
     dm_items = c.dm_items
@@ -293,9 +274,20 @@ def log_prior(ruleset: RuleSet, hyper: Hyperparams, vocab_sizes: Sequence[int]) 
     """Log of p(M) * prod p(L_m) * prod p(z_m) for a normalized rule set."""
     if len(vocab_sizes) != hyper.n_features:
         raise ValueError("theta length must match the number of features")
-    return prior_of_entries(
-        [(0, *rule_prior_terms(rule, hyper, vocab_sizes)) for rule in ruleset.rules], hyper
-    )
+    entries = []
+    for rule in ruleset.rules:
+        counts = []
+        for j, values in rule.pairs:
+            # a condition's values are distinct, sorted and non-negative: the
+            # last is in the vocabulary only when all of them are
+            if values[-1] >= vocab_sizes[j]:
+                raise ValueError(
+                    f"rule condition on feature {j} exceeds its vocabulary "
+                    f"({len(values)} items, {vocab_sizes[j]} values)"
+                )
+            counts.append((j, len(values)))
+        entries.append((0, *prior_terms_from_counts(counts, hyper)))
+    return prior_of_entries(entries, hyper)
 
 
 def log_likelihood(tp: int, fp: int, tn: int, fn: int, hyper: Hyperparams) -> float:
@@ -309,11 +301,6 @@ def _log_beta(a: float, b: float) -> float:
     return lgamma(a) + lgamma(b) - lgamma(a + b)
 
 
-def confusion_counts(ruleset: RuleSet, data: Dataset) -> Confusion:
-    """Confusion counts of the rule set's coverage against the labels."""
-    return confusion_from_mask(union_mask(ruleset, data), data)
-
-
 def confusion_from_mask(covered: int, data: Dataset) -> Confusion:
     tp = (covered & data.pos_mask).bit_count()
     fp = covered.bit_count() - tp
@@ -323,7 +310,10 @@ def confusion_from_mask(covered: int, data: Dataset) -> Confusion:
 def score(ruleset: RuleSet, data: Dataset, hyper: Hyperparams) -> Score:
     """Full decomposed posterior score of a normalized rule set."""
     assert is_normalized(ruleset, data.vocab_sizes), "score() expects a normalized rule set"
-    conf = confusion_counts(ruleset, data)
+    covered = 0
+    for rule in ruleset.rules:
+        covered |= rule_mask(rule.pairs, data)
+    conf = confusion_from_mask(covered, data)
     return Score.of(
         log_prior(ruleset, hyper, data.vocab_sizes),
         log_likelihood(conf.tp, conf.fp, conf.tn, conf.fn, hyper),

@@ -6,13 +6,19 @@ from dataclasses import astuple
 
 import pytest
 
-from mars.bounds import initial_bounds, log_lstar, log_omega, update_bounds, upsilon
+from mars.bounds import (
+    BoundState,
+    initial_bounds,
+    log_lstar,
+    log_omega,
+    update_bounds,
+    upsilon,
+)
 from mars.data import rule_mask
 from mars.model import RuleSet
 from mars.scoring import (
     Confusion,
     Hyperparams,
-    confusion_counts,
     log_likelihood,
     log_rule_count_prior,
     score,
@@ -81,10 +87,10 @@ def test_lemma_rule_deletion_bound_exhaustive():
         h = hypers(data.n_features)
         log_ups = math.log(upsilon(data, h))
         for rs in enumerate_rulesets(data.vocab_sizes, max_rules=2, max_conditions=2):
-            ll = log_likelihood(*astuple(confusion_counts(rs, data)), h)
+            ll = log_likelihood(*astuple(score(rs, data, h).confusion), h)
             for z in range(len(rs.rules)):
                 reduced = RuleSet(rs.rules[:z] + rs.rules[z + 1 :])
-                ll_reduced = log_likelihood(*astuple(confusion_counts(reduced, data)), h)
+                ll_reduced = log_likelihood(*astuple(score(reduced, data, h).confusion), h)
                 supp = rule_mask(rs.rules[z].pairs, data).bit_count()
                 assert ll >= supp * log_ups + ll_reduced - 1e-9
 
@@ -194,6 +200,17 @@ def test_update_ignores_non_improving_values():
         assert state.enabled
         for worse in (-40.0, -60.0, -1e6):
             assert update_bounds(state, worse) == state
+
+
+def test_support_floor_holds_when_the_cap_shrinks():
+    # at alpha_m > 1 the raw floor grows with the cap, so a tighter cap
+    # computes a lower floor; the clamp keeps the earlier, still valid one
+    state = BoundState(log_upsilon=-0.01, log_omega=1.0, log_ceiling=0.0, alpha_m=5.0,
+                       enabled=True)
+    state = update_bounds(state, -10.0)
+    assert (state.m_cap, state.min_support) == (10, 228)
+    state = update_bounds(state, -2.0)
+    assert (state.m_cap, state.min_support) == (2, 228)  # 152 unclamped
 
 
 def test_bounds_disabled_when_preconditions_fail(caplog):

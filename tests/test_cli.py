@@ -298,7 +298,8 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
         (["--alpha-m", "-1"], None, "alpha_m"),
         (["--hyper-config", "{cfg}"], "beta_m = abc\n", "beta_m"),
         (["--hyper-config", "{cfg}"], None, "cannot read"),  # the file does not exist
-        (["--hyper-config", "{cfg}"], "beta_m = 1,2\n", "beta_m"),  # one value per feature: theta only
+        # one value per feature: theta only
+        (["--hyper-config", "{cfg}"], "beta_m = 1,2\n", "beta_m"),
         (["--hyper-config", "{cfg}"], "theta = 1,2\n", "theta has 2 entries for 3 features"),
         # non-finite values: inf once reached bounds.update_bounds as a traceback
         (["--alpha-pos", "inf"], None, "alpha_pos"),
@@ -307,11 +308,12 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
         (["--alpha-l", "nan"], None, "alpha_l"),
         (["--theta", "inf"], None, "theta"),
         (["--hyper-config", "{cfg}"], "theta = 1,1,inf\n", "theta"),
-        # finite but so large that a derived constant overflows: these once
-        # ended in OverflowError from lgamma (scoring) or exp (bounds)
+        # finite but so large that a derived constant of the prior or the
+        # likelihood is not a finite float: these once ended in an
+        # OverflowError from lgamma or a math domain error from log(0)
         (["--alpha-l", "1e308"], None, "invalid hyperparameter"),
         (["--theta", "1e308"], None, "invalid hyperparameter"),
-        (["--beta-m", "1e308"], None, "invalid hyperparameter"),
+        (["--beta-l", "1e308"], None, "invalid hyperparameter"),  # log(0) in the prior
         (["--alpha-pos", "1e308"], None, "invalid hyperparameter"),
         (["--beta-l", "1e16"], None, "invalid hyperparameter"),  # log(0) in the prior
         (["--hyper-config", "{cfg}"], "alpha_l = 1e308\n", "invalid hyperparameter"),
@@ -342,6 +344,25 @@ def test_tiny_valid_hyperparameter_trains(trained, tmp_path, flags):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        (["--beta-m", "1e308"], {"beta_m": 1e308}),
+        (["--alpha-l", "2000", "--beta-l", "1"], {"alpha_l": 2000.0, "beta_l": 1.0}),
+    ],
+)
+def test_hyperparameter_with_a_large_omega_trains(trained, tmp_path, flags, expected):
+    # log(omega) is about 717 and 1387 here: finite, though exp(log(omega))
+    # overflows; the bounds read only log(omega)
+    tmp, _ = trained
+    out = tmp_path / "m.json"
+    proc = run_mars("train", tmp / "train.csv", "--label", "y", "--out", out, "--iters", "20",
+                    *flags)
+    assert proc.returncode == 0, proc.stderr
+    hyper = load_model(out).hyper
+    assert {key: getattr(hyper, key) for key in expected} == expected
 
 
 def test_sweep_with_a_single_class_train_split_exits_3(tmp_path):
@@ -491,7 +512,7 @@ def test_sweep_with_fewer_than_one_job_exits_1_before_generating(monkeypatch, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("key", ["alpha_l", "theta", "beta_m"])
+@pytest.mark.parametrize("key", ["alpha_l", "theta", "beta_l"])
 def test_model_with_overflowing_hyperparameter_exits_5(trained, tmp_path, key):
     tmp, model = trained
     doc = json.loads(Path(model).read_text())
@@ -763,8 +784,9 @@ def test_text_in_an_unread_categorical_column_changes_no_prediction(reads_only_c
     assert capsys.readouterr().out == expected
 
     m = load_model(reads_only_c)
-    hit = first_covering_rule(m.rules, encode_with_specs(RawTable.from_csv(odd).columns(), m.features,
-                                                         range(len(m.features))))
+    encoded = encode_with_specs(RawTable.from_csv(odd).columns(), m.features,
+                                range(len(m.features)))
+    hit = first_covering_rule(m.rules, encoded)
     assert hit.tolist() == [0, -1, 0, -1, -1]
     if command == "predict":
         assert expected.splitlines() == ["prediction,rule_index", "1,0", "0,-1", "1,0", "0,-1",

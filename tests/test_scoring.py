@@ -15,11 +15,10 @@ from mars.model import Condition, Rule, RuleSet
 from mars.scoring import (
     Confusion,
     Hyperparams,
-    confusion_counts,
     log_likelihood,
     log_prior,
     log_rule_count_prior,
-    rule_prior_terms,
+    prior_terms_from_counts,
     score,
     update_confusion,
 )
@@ -114,7 +113,8 @@ def test_bound_precondition_report():
 def prior_floats(h):
     rules = [Rule.of({0: (0,)}), Rule.of({0: (0, 1), 2: (1, 2, 3)}), Rule.of({1: (2,), 2: (0,)})]
     return ([log_rule_count_prior(m, h) for m in range(4)]
-            + [rule_prior_terms(r, h, (3, 3, 4)) for r in rules])
+            + [prior_terms_from_counts([(c.feature_id, c.n_values) for c in r.conditions], h)
+               for r in rules])
 
 
 def test_replace_rebuilds_the_prior_constants():
@@ -228,7 +228,8 @@ def test_rule_prior_terms_sum_to_log_prior_exactly():
         rs = random_ruleset_for(rng, vocab)
         total = log_rule_count_prior(rs.n_rules, h)
         for rule in rs.rules:
-            length_term, dm_term = rule_prior_terms(rule, h, vocab)
+            counts = [(c.feature_id, c.n_values) for c in rule.conditions]
+            length_term, dm_term = prior_terms_from_counts(counts, h)
             dm = 0.0
             for c in rule.conditions:
                 t = h.theta[c.feature_id]
@@ -268,7 +269,8 @@ def test_theorem_one_flip_property():
     while checked < 300:
         n_features = rng.randint(3, 6)
         vocab = tuple(rng.randint(4, 7) for _ in range(n_features))
-        theta = tuple(rng.uniform(0.3, 2.5) for _ in range(n_features)) if rng.random() < 0.5 else (1.0,) * n_features
+        theta = (tuple(rng.uniform(0.3, 2.5) for _ in range(n_features)) if rng.random() < 0.5
+                 else (1.0,) * n_features)
         h = hypers(n_features, theta=theta)
         rs = random_ruleset_for(rng, vocab, max_rules=3, max_conditions=3)
         flip = _random_hypothesis_flip(rng, rs, vocab, theta)
@@ -370,7 +372,7 @@ def test_scores_always_finite():
         )
         rs = random_ruleset_for(rng, vocab)
         assert math.isfinite(log_prior(rs, h, vocab))
-        c = Confusion(rng.randrange(10**6), rng.randrange(10**6), rng.randrange(10**6), rng.randrange(10**6))
+        c = Confusion(*(rng.randrange(10**6) for _ in range(4)))
         assert math.isfinite(log_likelihood(*dataclasses.astuple(c), h))
 
 
@@ -380,14 +382,14 @@ def test_scores_always_finite():
 
 def test_confusion_empty_ruleset():
     data = tiny_instance(0)
-    c = confusion_counts(RuleSet(()), data)
+    c = score(RuleSet(()), data, hypers(data.n_features)).confusion
     assert (c.tp, c.fp, c.tn, c.fn) == (0, 0, data.n_neg, data.n_pos)
 
 
 def test_confusion_full_coverage_all_positive():
     data = make_dataset((2, 2), [[0, 0], [1, 0], [0, 1]], [1, 1, 1])
     rs = RuleSet((Rule.of({0: (0,)}), Rule.of({0: (1,)})))
-    c = confusion_counts(rs, data)
+    c = score(rs, data, hypers(2)).confusion
     assert (c.tp, c.fp, c.tn, c.fn) == (3, 0, 0, 0)
 
 
@@ -397,18 +399,20 @@ def test_confusion_matches_brute_force_recount():
     rows = [[rng.randrange(v) for v in vocab] for _ in range(50)]
     labels = [rng.randrange(2) for _ in range(50)]
     data = make_dataset(vocab, rows, labels)
+    h = hypers(3)
     for _ in range(40):
         rs = random_ruleset_for(rng, vocab)
-        c = confusion_counts(rs, data)
+        c = score(rs, data, h).confusion
         assert (c.tp, c.fp, c.tn, c.fn) == oracle_confusion(rs, data.rows, data.labels)
 
 
 def test_confusion_invariants_maintained():
     data = tiny_instance(3)
     rng = random.Random(0)
+    h = hypers(data.n_features)
     for _ in range(30):
         rs = random_ruleset_for(rng, data.vocab_sizes)
-        c = confusion_counts(rs, data)
+        c = score(rs, data, h).confusion
         assert c.n_pos == data.n_pos and c.n_neg == data.n_neg
 
 
@@ -425,7 +429,7 @@ def test_score_composition_is_definitional():
         s = score(rs, data, h)
         assert s.log_posterior == s.log_prior + s.log_likelihood
         assert s.log_prior == log_prior(rs, h, data.vocab_sizes)
-        counts = dataclasses.astuple(confusion_counts(rs, data))
+        counts = oracle_confusion(rs, data.rows, data.labels)
         assert s.log_likelihood == log_likelihood(*counts, h)
 
 
@@ -481,13 +485,15 @@ def test_update_confusion_matches_recount_over_random_walk():
     rng = random.Random(99)
     data = tiny_instance(7)
     current = random_ruleset_for(rng, data.vocab_sizes)
-    conf = confusion_counts(current, data)
+    conf = Confusion(*oracle_confusion(current, data.rows, data.labels))
     covered = {i for i, row in enumerate(data.rows)
-               if any(all(int(row[c.feature_id]) in c.values for c in r.conditions) for r in current.rules)}
+               if any(all(int(row[c.feature_id]) in c.values for c in r.conditions)
+                      for r in current.rules)}
     for _ in range(200):
         nxt = random_ruleset_for(rng, data.vocab_sizes)
         new_cov = {i for i, row in enumerate(data.rows)
-                   if any(all(int(row[c.feature_id]) in c.values for c in r.conditions) for r in nxt.rules)}
+                   if any(all(int(row[c.feature_id]) in c.values for c in r.conditions)
+                          for r in nxt.rules)}
         conf = update_confusion(conf, new_cov - covered, covered - new_cov, data.labels)
         assert (conf.tp, conf.fp, conf.tn, conf.fn) == oracle_confusion(nxt, data.rows, data.labels)
         current, covered = nxt, new_cov

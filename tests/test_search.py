@@ -10,10 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mars.bounds import update_bounds
-from mars.data import indices, rule_mask, union_mask
+from mars.data import indices, mask_from_bools, rule_mask
 from mars.errors import DegenerateLabelError
-from mars.model import Condition, Rule, RuleSet
-from mars.scoring import Hyperparams, confusion_counts, score
+from mars.model import Condition, Rule, RuleSet, first_covering_rule
+from mars.scoring import Confusion, Hyperparams, score
 from mars.search import (
     Proposal,
     SearchConfig,
@@ -26,7 +26,13 @@ from mars.search import (
     temperature,
 )
 
-from oracles import make_dataset, partial_shuffle_sample, rule_covers, tiny_instance
+from oracles import (
+    make_dataset,
+    oracle_confusion,
+    partial_shuffle_sample,
+    rule_covers,
+    tiny_instance,
+)
 
 
 def hypers(data, **kw):
@@ -135,8 +141,10 @@ def test_init_state_is_valid_and_bounds_seeded():
     assert state.bounds.min_support == expected.min_support
     assert state.bounds.m_cap == expected.m_cap
     # coverage index consistent with a scratch recompute
-    assert state.current.union_mask == union_mask(state.current.rules, data)
-    assert state.current.score.confusion == confusion_counts(state.current.rules, data)
+    rules = state.current.rules
+    assert state.current.union_mask == mask_from_bools(first_covering_rule(rules, data.rows) >= 0)
+    recount = oracle_confusion(rules, data.rows, data.labels)
+    assert state.current.score.confusion == Confusion(*recount)
 
 
 @settings(max_examples=150, deadline=None)
@@ -265,7 +273,7 @@ def test_sampling_makes_the_kth_set_bit_draws(draw):
     kind = draw.draw(st.sampled_from(["random", "empty", "perfect"]))
     rules = RuleSet(()) if kind == "empty" else random_ruleset_for(rng, vocab_sizes)
     if kind == "perfect":
-        covered = union_mask(rules, make_dataset(vocab_sizes, rows, [0] * n_rows))
+        covered = mask_from_bools(first_covering_rule(rules, np.array(rows)) >= 0)
         labels = [covered >> i & 1 for i in range(n_rows)]
     else:
         labels = [rng.randrange(2) for _ in range(n_rows)]
@@ -309,9 +317,10 @@ def test_add_value_neighbors_grow_coverage():
     from mars.search import _edits_add_value
     from mars.model import normalize
 
-    before = union_mask(state.current.rules, data)
+    before = mask_from_bools(first_covering_rule(state.current.rules, data.rows) >= 0)
     for edit in _edits_add_value(state.current, data.rows[ex[0]]):
-        after = union_mask(normalize(RuleSet(materialized(edit)), data.vocab_sizes), data)
+        grown = normalize(RuleSet(materialized(edit)), data.vocab_sizes)
+        after = mask_from_bools(first_covering_rule(grown, data.rows) >= 0)
         assert after & before == before  # coverage only grows
 
 
@@ -640,7 +649,7 @@ def test_current_confusion_equals_a_recount_after_every_step():
     state = init_state(data, h, cfg)
     for _ in range(cfg.n_iter):
         anneal_step(state)
-        assert state.current.score.confusion == confusion_counts(state.current.rules, data)
+        assert state.current.score.confusion == score(state.current.rules, data, h).confusion
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +758,7 @@ def test_edits_equal_normalized_raw_edits(draw):
 
     from mars.bounds import initial_bounds
     from mars.model import normalize
-    from mars.scoring import rule_prior_terms
+    from mars.scoring import prior_terms_from_counts
     from mars.search import (
         _edits_add_value,
         _edits_remove_condition,
@@ -786,9 +795,13 @@ def test_edits_equal_normalized_raw_edits(draw):
             full = score(p.rules, data, h)
             assert move.posterior() == full.log_posterior  # floats compared exactly
             assert p.score == full
-            assert p.union_mask == union_mask(p.rules, data)
+            # rule_covers row by row: here first_covering_rule's np.isin calls
+            # would double the test's time
+            covered = [any(rule_covers(r, row) for r in p.rules.rules) for row in rows]
+            assert p.union_mask == mask_from_bools(covered)
             assert p.entries == tuple(
-                (rule_mask(rule.pairs, data), *rule_prior_terms(rule, h, vocab_sizes))
+                (rule_mask(rule.pairs, data),
+                 *prior_terms_from_counts([(c.feature_id, c.n_values) for c in rule.conditions], h))
                 for rule in p.rules.rules
             )
         return sets
@@ -840,7 +853,8 @@ def test_growth_table_scores_equal_full_rescore(draw):
         table = _GrowthTable(prop, mi)
         # reference counts over the rows rule mi alone covers: one bincount
         # of codes offset per feature, positive rows shifted past the negatives
-        others = union_mask(RuleSet(rules[:mi] + rules[mi + 1:]), data)
+        rest = RuleSet(rules[:mi] + rules[mi + 1:])
+        others = mask_from_bools(first_covering_rule(rest, data.rows) >= 0)
         only = indices(rule_mask(rule.pairs, data) & ~others)
         codes = data.rows[only] + offsets
         codes[data.labels[only]] += n_codes
@@ -1071,7 +1085,7 @@ def test_add_value_drops_condition_that_reaches_full_vocabulary():
 
 def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
     import mars.search as search
-    from mars.scoring import rule_prior_terms
+    from mars.scoring import prior_terms_from_counts
 
     chosen = []
 
@@ -1099,10 +1113,12 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
             assert prop.score == score(prop.rules, data, h)  # floats compared exactly
             # the float the step compares is the materialized proposal's
             assert pick.log_posterior == prop.score.log_posterior
-            assert prop.union_mask == union_mask(prop.rules, data)
+            covered = first_covering_rule(prop.rules, data.rows) >= 0
+            assert prop.union_mask == mask_from_bools(covered)
             assert len(prop.entries) == len(prop.rules.rules)
             for rule, entry in zip(prop.rules.rules, prop.entries):
-                assert entry == (rule_mask(rule.pairs, data), *rule_prior_terms(rule, h, data.vocab_sizes))
+                counts = [(c.feature_id, c.n_values) for c in rule.conditions]
+                assert entry == (rule_mask(rule.pairs, data), *prior_terms_from_counts(counts, h))
         assert state.best.score == score(state.best.rules, data, h)
 
 
