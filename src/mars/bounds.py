@@ -9,11 +9,12 @@ Two quantities gate rule proposals during search:
 Both derive from the per-covered-row likelihood-loss factor ``upsilon``
 (removing a rule costing ``supp`` covered rows can shrink the conditional
 likelihood by at most ``upsilon**supp``) and the prior-penalty constant
-``omega``.  Each constant is computed once, in the natural-log domain:
-the prior constants and ``log_omega`` belong to ``Hyperparams`` (module
-``scoring``, which never imports this one); ``log_upsilon`` and
-``log_ceiling`` (log L* + log p(M = 0)) are fixed per dataset by
-``initial_bounds``, and ``update_bounds`` only reads them.  The final
+``omega``, in the natural-log domain.  ``scoring.log_omega(hyper)``
+(module ``scoring`` never imports this one) is called by
+``Hyperparams.__post_init__``, to reject a bundle whose log omega is not
+finite, and by ``initial_bounds``, which fixes ``log_omega``,
+``log_upsilon`` and ``log_ceiling`` (log L* + log p(M = 0)) per dataset
+in the state that ``update_bounds`` only reads.  The final
 ceil/floor gets 1e-9 of slack toward the permissive side so a one-ulp
 rounding error can never prune the optimum.
 """

@@ -108,12 +108,12 @@ def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None
         if path is None:
             continue
         try:
-            if Path(path).is_dir():
-                raise MarsError(f"cannot write {path}: it is a directory")
-            parent = Path(path).parent
-            if not parent.is_dir():
-                raise MarsError(f"cannot write {path}: directory {parent} does not exist")
             resolved = Path(path).resolve()
+            if resolved.is_dir():
+                raise MarsError(f"cannot write {path}: it is a directory")
+            # the resolved parent: a symlink may point into a directory that is missing
+            if not resolved.parent.is_dir():
+                raise MarsError(f"cannot write {path}: directory {resolved.parent} does not exist")
         except OSError as exc:  # a name the OS refuses, say one too long
             raise MarsError(f"cannot write {path}: {exc.strerror}") from exc
         other = claimed.setdefault(resolved, role)

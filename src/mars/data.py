@@ -215,20 +215,12 @@ def indices(mask: int) -> list[int]:
 
 
 def kth_set_bit(mask: int, k: int) -> int:
-    """Position of the k-th (0-based) set bit of ``mask``: the lowest p whose
-    prefix ``mask & ((2 << p) - 1)`` holds more than k set bits, bisected."""
+    """Position of the k-th (0-based) set bit of ``mask``."""
     if k < 0:
         raise ValueError("k must be non-negative")
     if k >= mask.bit_count():
         raise ValueError("k exceeds the number of set bits")
-    lo, hi = 0, mask.bit_length() - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if (mask & ((2 << mid) - 1)).bit_count() > k:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return indices(mask)[k]
 
 
 class Dataset:

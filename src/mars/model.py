@@ -139,7 +139,6 @@ def normalize(ruleset: RuleSet, vocab_sizes: Sequence[int]) -> RuleSet:
     deduplicated, keeping first occurrence order.
     """
     out: list[Rule] = []
-    seen: set[Rule] = set()
     for rule in ruleset.rules:
         kept = []
         for cond in rule.conditions:
@@ -150,14 +149,9 @@ def normalize(ruleset: RuleSet, vocab_sizes: Sequence[int]) -> RuleSet:
                 )
             if cond.n_values < vocab:
                 kept.append(cond)
-        if not kept:
-            continue
-        slim = Rule(tuple(kept))
-        if slim in seen:
-            continue
-        seen.add(slim)
-        out.append(slim)
-    return RuleSet(tuple(out))
+        if kept:
+            out.append(Rule(tuple(kept)))
+    return RuleSet(tuple(dict.fromkeys(out)))
 
 
 def is_normalized(ruleset: RuleSet, vocab_sizes: Sequence[int]) -> bool:

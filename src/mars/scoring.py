@@ -101,13 +101,17 @@ class Hyperparams:
         if _is_real(theta):
             theta = (theta,) * n_features
         hyper = cls(theta=theta, **overrides)
-        if hyper.n_features != n_features:
-            raise ValueError(f"theta has {hyper.n_features} entries for {n_features} features")
+        hyper.check_features(n_features)
         return hyper
 
     @property
     def n_features(self) -> int:
         return len(self.theta)
+
+    def check_features(self, n_features: int) -> None:
+        """Raise ValueError unless theta holds one weight per feature."""
+        if self.n_features != n_features:
+            raise ValueError(f"theta has {self.n_features} entries for {n_features} features")
 
 
 # the field names, in order: flags, config-file keys and the model file's
@@ -270,23 +274,13 @@ def prior_of_entries(entries: Sequence[RuleEntry], hyper: Hyperparams) -> float:
     return prior
 
 
-def log_prior(ruleset: RuleSet, hyper: Hyperparams, vocab_sizes: Sequence[int]) -> float:
+def log_prior(ruleset: RuleSet, hyper: Hyperparams) -> float:
     """Log of p(M) * prod p(L_m) * prod p(z_m) for a normalized rule set."""
-    if len(vocab_sizes) != hyper.n_features:
-        raise ValueError("theta length must match the number of features")
-    entries = []
-    for rule in ruleset.rules:
-        counts = []
-        for j, values in rule.pairs:
-            # a condition's values are distinct, sorted and non-negative: the
-            # last is in the vocabulary only when all of them are
-            if values[-1] >= vocab_sizes[j]:
-                raise ValueError(
-                    f"rule condition on feature {j} exceeds its vocabulary "
-                    f"({len(values)} items, {vocab_sizes[j]} values)"
-                )
-            counts.append((j, len(values)))
-        entries.append((0, *prior_terms_from_counts(counts, hyper)))
+    entries = [
+        (0, *prior_terms_from_counts([(c.feature_id, c.n_values) for c in rule.conditions],
+                                     hyper))
+        for rule in ruleset.rules
+    ]
     return prior_of_entries(entries, hyper)
 
 
@@ -309,13 +303,15 @@ def confusion_from_mask(covered: int, data: Dataset) -> Confusion:
 
 def score(ruleset: RuleSet, data: Dataset, hyper: Hyperparams) -> Score:
     """Full decomposed posterior score of a normalized rule set."""
-    assert is_normalized(ruleset, data.vocab_sizes), "score() expects a normalized rule set"
+    hyper.check_features(data.n_features)
+    if not is_normalized(ruleset, data.vocab_sizes):
+        raise ValueError("score() expects a normalized rule set")
     covered = 0
     for rule in ruleset.rules:
         covered |= rule_mask(rule.pairs, data)
     conf = confusion_from_mask(covered, data)
     return Score.of(
-        log_prior(ruleset, hyper, data.vocab_sizes),
+        log_prior(ruleset, hyper),
         log_likelihood(conf.tp, conf.fp, conf.tn, conf.fn, hyper),
         conf,
     )

@@ -551,6 +551,7 @@ def init_state(data: Dataset, hyper: Hyperparams, cfg: SearchConfig) -> SearchSt
     config and its runlog, and starts from the initial bounds; the empty
     rule set stands in as current and best until chain 0's start replaces
     both."""
+    hyper.check_features(data.n_features)
     if data.n_pos == 0 or data.n_neg == 0:
         raise DegenerateLabelError("training data needs both positive and negative examples")
     empty = Proposal((), (), 0, data, hyper)

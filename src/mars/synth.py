@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .data import N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
-from .errors import DegenerateLabelError
+from .errors import DegenerateLabelError, MarsError
 from .model import SIZES, RuleSet, first_covering_rule
 from .scoring import Hyperparams
 from .search import SearchConfig, run
@@ -119,7 +119,8 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
     decimals and the label as "0" or "1".
 
     Rules are redrawn (logged) while the planted set covers 0% or 100% of
-    the rows, so the labels are never degenerate.
+    the rows, so the labels are never degenerate; after 1000 redraws that
+    leave it so, MarsError.
     """
     rng = np.random.default_rng(spec.seed)
     table = rng.random((spec.n_rows, spec.n_features))
@@ -138,7 +139,8 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
             log.info("planted rules cover every row; redrawing rule %d", widest)
             rules[widest] = _draw_rule(rng, spec)
     else:
-        raise RuntimeError("could not plant a non-degenerate rule set")
+        raise MarsError(f"could not plant {spec.n_rules} rules that cover some but not all "
+                        f"of {spec.n_rows} rows")
 
     names = tuple(f"f{j:02d}" for j in range(spec.n_features)) + (LABEL_COLUMN,)
     rows = [tuple(f"{x:.9f}" for x in values) + ("1" if hit else "0",)

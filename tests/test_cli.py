@@ -512,6 +512,24 @@ def test_sweep_with_fewer_than_one_job_exits_1_before_generating(monkeypatch, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["gen", "sweep"])
+def test_planting_that_fails_is_an_error_not_a_traceback(monkeypatch, capsys, tmp_path,
+                                                         command):
+    from mars import synth
+
+    # a rule that covers every row: no redraw can leave some rows uncovered
+    whole = synth.PlantedRule((synth.PlantedCondition(0, 0.0, 1.0),))
+    monkeypatch.setattr(synth, "_draw_rule", lambda rng, spec: whole)
+    out = tmp_path / "out.csv"
+    argv = {"gen": ["gen", "--rows", "50", "--out", str(out)],
+            "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "1",
+                      "--iters", "10", "--out", str(out)]}[command]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == (
+        "error: could not plant 3 rules that cover some but not all of 50 rows\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key", ["alpha_l", "theta", "beta_l"])
 def test_model_with_overflowing_hyperparameter_exits_5(trained, tmp_path, key):
     tmp, model = trained
@@ -573,6 +591,40 @@ def test_output_in_missing_directory_is_an_error_not_a_traceback(trained, tmp_pa
                   "--iters", "5", "--out", outputs["--out"]],
     }[command]
     assert_clean_error(run_mars(*argv), 1, str(missing), "does not exist")
+    assert not any(path.exists() for path in outputs.values())
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
+     ("predict", "--out"), ("sweep", "--out")],
+)
+def test_output_symlink_into_a_missing_directory_fails_before_any_data(
+        trained, tmp_path, monkeypatch, capsys, command, flag):
+    from mars import synth
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read or generated")
+
+    for owner, name in ((RawTable, "from_csv"), (cli, "load_model"), (synth, "generate")):
+        monkeypatch.setattr(owner, name, no_data)
+    tmp, model = trained
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "no" / "x")
+    outputs = {"--out": tmp_path / "out", "--truth": tmp_path / "truth.json",
+               "--runlog": tmp_path / "runlog.jsonl"}
+    outputs[flag] = link
+    argv = {
+        "gen": ["gen", "--rows", "20", "--out", outputs["--out"], "--truth", outputs["--truth"]],
+        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "5",
+                  "--out", outputs["--out"], "--runlog", outputs["--runlog"]],
+        "predict": ["predict", model, tmp / "train.csv", "--out", outputs["--out"]],
+        "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "1,100",
+                  "--iters", "5", "--out", outputs["--out"]],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {link}: directory ") and "does not exist" in err
     assert not any(path.exists() for path in outputs.values())
 
 

@@ -107,3 +107,10 @@ def test_source_lines_fit_the_width():
     long = [f"{p.relative_to(REPO)}:{n}" for p in files
             for n, line in enumerate(p.read_text().splitlines(), start=1) if len(line) > MAX_LINE]
     assert long == []
+
+
+def test_the_package_holds_no_assert():
+    # python -O strips an assert, and the check with it
+    found = [f"{p.name}:{node.lineno}" for p in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(p.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []

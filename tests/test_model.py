@@ -182,6 +182,9 @@ def test_normalize_dedups_rules():
     rule = Rule.of({0: (0,)})
     out = normalize(RuleSet((rule, rule)), (2, 2))
     assert out == RuleSet((rule,))
+    # the first copy of each rule stays, in order
+    a, b, c = Rule.of({0: (1,)}), Rule.of({1: (0,)}), Rule.of({0: (0,), 1: (1,)})
+    assert normalize(RuleSet((a, b, a, c)), (3, 3)) == RuleSet((a, b, c))
 
 
 def test_normalize_drops_tautological_rule():

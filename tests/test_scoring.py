@@ -156,7 +156,7 @@ def test_scoring_never_imports_bounds():
 def test_empty_ruleset_prior_closed_form():
     # alpha_M = beta_M = 1 makes p(M=0) = 1/2
     h = hypers(3, alpha_m=1.0, beta_m=1.0)
-    assert log_prior(RuleSet(()), h, (2, 2, 2)) == pytest.approx(math.log(0.5), abs=1e-12)
+    assert log_prior(RuleSet(()), h) == pytest.approx(math.log(0.5), abs=1e-12)
 
 
 def test_rule_count_prior_matches_quadrature():
@@ -172,7 +172,7 @@ def test_single_item_rule_uniform_theta():
     n_features = 4
     h = hypers(n_features)
     rs = RuleSet((Rule.of({2: (0,)}),))
-    lp = log_prior(rs, h, (3,) * n_features)
+    lp = log_prior(rs, h)
     expected = (
         log_rule_count_prior(1, h)
         + _log_trunc_length(1, h)
@@ -190,11 +190,10 @@ def _log_trunc_length(length, h):
 def test_item_flip_prior_ratio_is_three():
     # counts (2, 1) with theta = 1: moving an item from j2 to j1 multiplies
     # the prior by (l1 + theta1) / (l2 + theta2 - 1) = 3 / 1 = 3
-    vocab = (6, 6, 6)
     h = hypers(3)
     before = RuleSet((Rule.of({0: (0, 1), 1: (0,)}),))
     after = RuleSet((Rule.of({0: (0, 1, 2)}),))
-    diff = log_prior(after, h, vocab) - log_prior(before, h, vocab)
+    diff = log_prior(after, h) - log_prior(before, h)
     assert diff == pytest.approx(math.log(3.0), abs=1e-12)
 
 
@@ -212,7 +211,7 @@ def test_log_prior_matches_mpmath_oracle():
             theta=theta,
         )
         rs = random_ruleset_for(rng, vocab)
-        assert log_prior(rs, h, vocab) == pytest.approx(oracle_log_prior(rs, h, vocab), abs=1e-9)
+        assert log_prior(rs, h) == pytest.approx(oracle_log_prior(rs, h, vocab), abs=1e-9)
 
 
 def test_rule_prior_terms_sum_to_log_prior_exactly():
@@ -238,14 +237,34 @@ def test_rule_prior_terms_sum_to_log_prior_exactly():
             assert dm_term == math.lgamma(theta_sum) - math.lgamma(rule.n_items + theta_sum) + dm
             total += length_term
             total += dm_term
-        assert total == log_prior(rs, h, vocab)
+        assert total == log_prior(rs, h)
 
 
 def test_log_prior_rejects_vocabulary_overflow():
-    h = hypers(2)
+    # log_prior reads only value counts: score rejects a value past the vocabulary
+    data = make_dataset((3, 3), [[0, 0], [2, 1]], [0, 1])
     rs = RuleSet((Rule.of({0: (0, 5)}),))
-    with pytest.raises(ValueError):
-        log_prior(rs, h, (3, 3))
+    with pytest.raises(ValueError, match="past its vocabulary"):
+        score(rs, data, hypers(2))
+
+
+@pytest.mark.parametrize(
+    "rules",
+    [(Rule.of({0: (1,)}), Rule.of({0: (1,)})), (Rule.of({0: (0, 1, 2)}),)],
+    ids=["equal-rules", "whole-vocabulary"],
+)
+def test_score_rejects_an_unnormalized_rule_set_with_value_error(rules):
+    # a raised check, not an assert that python -O strips
+    data = make_dataset((3, 3), [[0, 0], [2, 1]], [0, 1])
+    with pytest.raises(ValueError, match="normalized"):
+        score(RuleSet(rules), data, hypers(2))
+
+
+@pytest.mark.parametrize("n_theta", [1, 3])
+def test_score_rejects_theta_of_another_length(n_theta):
+    data = make_dataset((3, 3), [[0, 0], [2, 1]], [0, 1])
+    with pytest.raises(ValueError, match=f"theta has {n_theta} entries for 2 features"):
+        score(RuleSet(()), data, hypers(n_theta))
 
 
 def test_prior_decreases_with_added_rule():
@@ -259,7 +278,7 @@ def test_prior_decreases_with_added_rule():
         if extra in rs.rules:
             continue
         grown = RuleSet(rs.rules + (extra,))
-        assert log_prior(grown, h, vocab) < log_prior(rs, h, vocab)
+        assert log_prior(grown, h) < log_prior(rs, h)
 
 
 def test_theorem_one_flip_property():
@@ -277,7 +296,7 @@ def test_theorem_one_flip_property():
         if flip is None:
             continue
         before, after = flip
-        assert log_prior(after, h, vocab) >= log_prior(before, h, vocab) - 1e-9
+        assert log_prior(after, h) >= log_prior(before, h) - 1e-9
         checked += 1
 
 
@@ -371,7 +390,7 @@ def test_scores_always_finite():
             beta_neg=rng.uniform(0.1, 1e4),
         )
         rs = random_ruleset_for(rng, vocab)
-        assert math.isfinite(log_prior(rs, h, vocab))
+        assert math.isfinite(log_prior(rs, h))
         c = Confusion(*(rng.randrange(10**6) for _ in range(4)))
         assert math.isfinite(log_likelihood(*dataclasses.astuple(c), h))
 
@@ -428,7 +447,7 @@ def test_score_composition_is_definitional():
         rs = random_ruleset_for(rng, data.vocab_sizes)
         s = score(rs, data, h)
         assert s.log_posterior == s.log_prior + s.log_likelihood
-        assert s.log_prior == log_prior(rs, h, data.vocab_sizes)
+        assert s.log_prior == log_prior(rs, h)
         counts = oracle_confusion(rs, data.rows, data.labels)
         assert s.log_likelihood == log_likelihood(*counts, h)
 
@@ -439,7 +458,7 @@ def test_empty_set_score_on_all_negative_coverage():
     s = score(RuleSet(()), data, h)
     expected_ll = log_likelihood(0, 0, data.n_neg, data.n_pos, h)
     assert s.log_posterior == pytest.approx(
-        log_prior(RuleSet(()), h, data.vocab_sizes) + expected_ll, abs=1e-12
+        log_prior(RuleSet(()), h) + expected_ll, abs=1e-12
     )
 
 

@@ -128,6 +128,15 @@ def test_init_rejects_degenerate_labels():
         init_state(data, Hyperparams.defaults(2), small_cfg())
 
 
+@pytest.mark.parametrize("n_theta", [2, 5])
+def test_run_rejects_theta_of_another_length(n_theta):
+    data = tiny_instance(3)
+    assert data.n_features == 3
+    h = Hyperparams.defaults(n_theta)
+    with pytest.raises(ValueError, match=f"theta has {n_theta} entries for 3 features"):
+        run(data, h, small_cfg())
+
+
 def test_init_state_is_valid_and_bounds_seeded():
     from mars.bounds import initial_bounds
     from mars.model import is_normalized
