@@ -99,16 +99,26 @@ def _check_bins(args) -> None:
         )
 
 
+def _resolve(path: str, verb: str) -> Path:
+    """``path`` with its symlinks followed.  A symlink loop, on which
+    Python 3.11's ``Path.resolve`` raises RuntimeError, is a MarsError."""
+    try:
+        return Path(path).resolve()
+    except (OSError, RuntimeError) as exc:
+        raise MarsError(f"cannot {verb} {path}: {exc}") from exc
+
+
 def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None]) -> None:
-    """Fail before any file is read when an output file cannot be created,
-    or when it is an input or another output: writing it would destroy that
-    file.  Both maps go from a role, such as ``--out``, to a path or None."""
-    claimed = {Path(path).resolve(): role for role, path in inputs.items() if path is not None}
+    """Fail before any file is read when an input or output path cannot be
+    resolved, when an output file cannot be created, or when an output is an
+    input or another output: writing it would destroy that file.  Both maps
+    go from a role, such as ``--out``, to a path or None."""
+    claimed = {_resolve(path, "read"): role for role, path in inputs.items() if path is not None}
     for role, path in outputs.items():
         if path is None:
             continue
+        resolved = _resolve(path, "write")
         try:
-            resolved = Path(path).resolve()
             if resolved.is_dir():
                 raise MarsError(f"cannot write {path}: it is a directory")
             # the resolved parent: a symlink may point into a directory that is missing

@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Collection, Sequence
 
 import numpy as np
@@ -92,15 +91,6 @@ class FeatureSpec:
     def vocab_size(self) -> int:
         return len(self.categories) if self.kind == "categorical" else len(self.intervals)
 
-    @cached_property
-    def _edges(self) -> np.ndarray:
-        return np.array([iv[0] for iv in self.intervals] + [self.intervals[-1][1]])
-
-    @cached_property
-    def _category_index(self) -> dict[str, int]:
-        # an entry spelled like a missing cell ("", "?") is never matched
-        return {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}
-
     def encode_column(self, cells: Sequence[str]) -> np.ndarray:
         """Map a column of raw cells to value indices (int32); the rules are
         those of ``encode_with_specs``."""
@@ -109,12 +99,14 @@ class FeatureSpec:
             codes = self._interval_codes(values)
             codes[missing] = -1
             return codes
-        default = self._category_index.get(MISSING, -1)
-        get = self._category_index.get
+        # an entry spelled like a missing cell ("", "?") is never matched
+        get = {v: k for k, v in enumerate(self.categories) if not _is_missing(v)}.get
+        default = get(MISSING, -1)
         return np.array([get(c, default) for c in cells], dtype=np.int32)
 
     def _interval_codes(self, values: np.ndarray) -> np.ndarray:
-        codes = np.searchsorted(self._edges, values, side="right") - 1
+        edges = np.array([iv[0] for iv in self.intervals] + [self.intervals[-1][1]])
+        codes = np.searchsorted(edges, values, side="right") - 1
         return np.clip(codes, 0, self.vocab_size - 1).astype(np.int32)
 
 

@@ -102,8 +102,7 @@ def load_model(path) -> Model:
         if not isinstance(label, str):
             raise TypeError(f"label {label!r} is not a string")
         meta = doc.get("training", {})
-        if hyper.n_features != len(features):
-            raise ValueError(f"theta has {hyper.n_features} entries for {len(features)} features")
+        hyper.check_features(len(features))
         for rule in rules.rules:
             for cond in rule.conditions:
                 name = features[cond.feature_id].name

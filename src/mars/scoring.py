@@ -189,7 +189,6 @@ class _PriorConstants:
         self.theta_sum = sum(hyper.theta)
         self.lgamma_theta_sum = lgamma(self.theta_sum)
         self.lgamma_theta = tuple(lgamma(t) for t in hyper.theta)
-        self.theta = hyper.theta
         # (feature, item count) -> lgamma(l + theta_j) - lgamma(theta_j)
         self.dm_items: dict[tuple[int, int], float] = {}
         # rule length -> (log p(L = length), lgamma(T) - lgamma(length + T))
@@ -246,7 +245,7 @@ def prior_terms_from_counts(
     condition holds, not which, and the pairs' order is the order the
     Dirichlet-multinomial items are added in."""
     c = hyper._prior
-    theta = c.theta
+    theta = hyper.theta
     dm_items = c.dm_items
     length = 0
     dm = 0.0

@@ -146,18 +146,6 @@ class RunLog:
     def emit(self, **fields) -> None:
         self.records.append(fields)
 
-    def improvement(self, state: "SearchState") -> None:
-        b = state.bounds
-        self.emit(
-            event="improve",
-            chain=state.chain,
-            t=state.t,
-            log_posterior=state.best.score.log_posterior,
-            **state.best.rules.sizes(),
-            min_support=b.min_support,
-            m_cap=b.m_cap,
-        )
-
     def to_jsonl(self) -> str:
         return "".join(json.dumps(r, sort_keys=True) + "\n" for r in self.records)
 
@@ -525,23 +513,28 @@ def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     return keys
 
 
+def _record_best(state: SearchState, prop: Proposal) -> None:
+    """Make ``prop`` the best: the bounds take its posterior, and the runlog
+    gets an ``improve`` record of it."""
+    posterior = prop.score.log_posterior
+    state.best, state.bounds = prop, update_bounds(state.bounds, posterior)
+    state.runlog.emit(event="improve", chain=state.chain, t=state.t, log_posterior=posterior,
+                      **prop.rules.sizes(), min_support=state.bounds.min_support,
+                      m_cap=state.bounds.m_cap)
+
+
 def _start_chain(state: SearchState) -> SearchState:
     """Make a random rule set the current state of chain ``state.chain``,
     at t = 0, drawn from the state's RNG on its current proposal's data.
-    It becomes the best when it is chain 0's or beats the best, and the
-    bounds take its score.  The runlog gets the chain's ``chain_start``
-    record, then an ``improve`` record when the start is the new best."""
+    The runlog gets the chain's ``chain_start`` record; the start is then
+    recorded as the best when it is chain 0's or beats the best."""
     data, hyper = state.current.data, state.current.hyper
     start = Proposal.of(random_ruleset(data, state.rng), data, hyper)
     state.current, state.t, state.stall_streak = start, 0, 0
-    improved = not state.chain or start.score.log_posterior > state.best.score.log_posterior
-    if improved:
-        state.best = start
-    state.bounds = update_bounds(state.bounds, start.score.log_posterior)
-    runlog = state.runlog
-    runlog.emit(event="chain_start", chain=state.chain, log_posterior=start.score.log_posterior)
-    if improved:
-        runlog.improvement(state)
+    posterior = start.score.log_posterior
+    state.runlog.emit(event="chain_start", chain=state.chain, log_posterior=posterior)
+    if not state.chain or posterior > state.best.score.log_posterior:
+        _record_best(state, start)
     return state
 
 
@@ -778,9 +771,7 @@ def anneal_step(state: SearchState) -> SearchState:
     if improved or accepted:
         prop = pick.proposal()
         if improved:
-            state.best = prop
-            state.bounds = update_bounds(state.bounds, prop.score.log_posterior)
-            state.runlog.improvement(state)
+            _record_best(state, prop)
         if accepted:
             state.current = prop
     state.t += 1

@@ -125,8 +125,8 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
     rng = np.random.default_rng(spec.seed)
     table = rng.random((spec.n_rows, spec.n_features))
     rules = [_draw_rule(rng, spec) for _ in range(spec.n_rules)]
+    per_rule = [r.coverage(table) for r in rules]
     for _ in range(1000):
-        per_rule = [r.coverage(table) for r in rules]
         union = np.logical_or.reduce(per_rule)
         n_cov = int(union.sum())
         if 0 < n_cov < spec.n_rows:
@@ -134,10 +134,12 @@ def generate(spec: SynthSpec) -> tuple[RawTable, tuple[PlantedRule, ...]]:
         if n_cov == 0:
             log.info("planted rules cover no rows; redrawing all")
             rules = [_draw_rule(rng, spec) for _ in range(spec.n_rules)]
+            per_rule = [r.coverage(table) for r in rules]
         else:
-            widest = int(np.argmax([c.sum() for c in per_rule]))
+            widest = int(np.argmax(np.count_nonzero(per_rule, axis=1)))
             log.info("planted rules cover every row; redrawing rule %d", widest)
             rules[widest] = _draw_rule(rng, spec)
+            per_rule[widest] = rules[widest].coverage(table)
     else:
         raise MarsError(f"could not plant {spec.n_rules} rules that cover some but not all "
                         f"of {spec.n_rows} rows")

@@ -629,6 +629,43 @@ def test_output_symlink_into_a_missing_directory_fails_before_any_data(
 
 
 @pytest.mark.parametrize(
+    "command, role",
+    [("gen", "--out"), ("train", "csv"), ("train", "--out"), ("train", "--runlog"),
+     ("train", "--hyper-config"), ("predict", "model"), ("predict", "csv"),
+     ("predict", "--out"), ("sweep", "--out")],
+)
+def test_a_symlink_loop_fails_before_any_data(trained, tmp_path, monkeypatch, capsys, command,
+                                             role):
+    from mars import synth
+
+    def no_data(*args, **kwargs):
+        raise AssertionError("data read or generated")
+
+    for owner, name in ((RawTable, "from_csv"), (cli, "load_model"), (synth, "generate")):
+        monkeypatch.setattr(owner, name, no_data)
+    tmp, model = trained
+    loop = tmp_path / "loopA"
+    loop.symlink_to(tmp_path / "loopB")
+    (tmp_path / "loopB").symlink_to(loop)
+    paths = {"csv": tmp / "train.csv", "model": model, "--out": tmp_path / "out",
+             "--runlog": tmp_path / "runlog.jsonl", "--hyper-config": tmp_path / "hyper.cfg"}
+    paths["--hyper-config"].write_text("beta_m = 7\n")
+    paths[role] = loop
+    argv = {
+        "gen": ["gen", "--rows", "20", "--out", paths["--out"]],
+        "train": ["train", paths["csv"], "--label", "y", "--iters", "5", "--out", paths["--out"],
+                  "--runlog", paths["--runlog"], "--hyper-config", paths["--hyper-config"]],
+        "predict": ["predict", paths["model"], paths["csv"], "--out", paths["--out"]],
+        "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "1,100",
+                  "--iters", "5", "--out", paths["--out"]],
+    }[command]
+    assert cli.main([str(a) for a in argv]) == 1
+    verb = "write" if role in ("--out", "--runlog") else "read"
+    assert capsys.readouterr().err.startswith(f"error: cannot {verb} {loop}: ")
+    assert not any(paths[r].exists() for r in ("--out", "--runlog"))
+
+
+@pytest.mark.parametrize(
     "command, flag",
     [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
      ("predict", "--out"), ("sweep", "--out")],

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mars
+from mars.model import SIZES
 
 PACKAGE = Path(mars.__file__).resolve().parent
 MODULES = sorted(
@@ -83,7 +84,7 @@ def read_names(source: str) -> set[str]:
 
 
 # the benchmark traces these through mars.search, which imports them for it
-# alone; ROADMAP item 9 moves them out of src/
+# alone; ROADMAP item 7 moves them out of src/
 TRACED_ONLY = {"kth_set_bit", "update_confusion"}
 
 
@@ -97,6 +98,27 @@ def test_every_definition_is_referenced():
     dead = {p.name: [n for n in top_level_definitions(p.read_text()) if n not in read]
             for p in sorted(PACKAGE.glob("*.py"))}
     assert {name: names for name, names in dead.items() if names} == {}
+
+
+def class_methods(source: str) -> list[str]:
+    """The methods and properties of the classes in ``source``, as
+    ``Class.name``, dunders left out."""
+    return [f"{node.name}.{item.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (item.name.startswith("__") and item.name.endswith("__"))]
+
+
+def test_every_method_is_referenced():
+    assert class_methods("class C:\n    def __init__(self): pass\n    @property\n"
+                         "    def p(self): pass\n    def m(self): pass\ndef f(): pass\n"
+                         ) == ["C.p", "C.m"]
+    sources = [p.read_text() for p in sorted((REPO / "src").rglob("*.py"))]
+    # RuleSet.sizes() reads the SIZES counts through getattr
+    read = set().union(*map(read_names, sources)) | set(SIZES)
+    dead = {p.name: [m for m in class_methods(p.read_text()) if m.split(".")[1] not in read]
+            for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: methods for name, methods in dead.items() if methods} == {}
 
 
 MAX_LINE = 100

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mars.bounds import update_bounds
-from mars.data import indices, mask_from_bools, rule_mask
+from mars.bounds import initial_bounds, update_bounds
+from mars.data import discretize, indices, mask_from_bools, rule_mask
 from mars.errors import DegenerateLabelError
 from mars.model import Condition, Rule, RuleSet, first_covering_rule
 from mars.scoring import Confusion, Hyperparams, score
@@ -25,6 +25,7 @@ from mars.search import (
     sample_misclassified,
     temperature,
 )
+from mars.synth import SynthSpec, generate
 
 from oracles import (
     make_dataset,
@@ -553,6 +554,25 @@ def test_last_improvement_is_the_returned_best_across_restarts(seed):
         elif record["event"] == "improve":
             assert record["chain"] in started
     assert started == set(range(cfg.n_restarts + 1))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_the_bounds_follow_the_improve_records_alone(case):
+    # the bounds are a function of the new bests: folding each improve
+    # record's posterior into the initial bounds, in order, gives the bounds
+    # that record reports, whatever the restarts' starts scored
+    if case < 4:
+        data = tiny_instance(case)
+    else:
+        data = discretize(generate(SynthSpec(n_rows=400, seed=case))[0])
+    h = hypers(data)
+    _, _, runlog = run(data, h, small_cfg(n_restarts=3, random_seed=case))
+    bounds = initial_bounds(data, h)
+    for record in runlog.records:
+        if record["event"] == "improve":
+            bounds = update_bounds(bounds, record["log_posterior"])
+            assert (record["min_support"], record["m_cap"]) == (bounds.min_support, bounds.m_cap)
+    assert bounds.m_cap is not None
 
 
 def stalling_state(seed: int):

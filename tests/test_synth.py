@@ -3,6 +3,7 @@ model sizes it reports."""
 
 import csv
 import dataclasses
+import logging
 
 import pytest
 
@@ -49,6 +50,25 @@ def test_generated_table_is_the_table_gen_writes(tmp_path):
     path = tmp_path / "gen.csv"
     synth.write_table_csv(path, table)
     assert table == RawTable.from_csv(path, label_column=synth.LABEL_COLUMN)
+
+
+def test_a_redraw_counts_only_the_redrawn_rules_coverage(monkeypatch, caplog):
+    # this spec's planted rules cover every row on four draws before they
+    # plant: each redraw replaces one rule, and only its coverage is counted
+    calls = []
+    coverage = synth.PlantedRule.coverage
+
+    def counted(rule, table):
+        calls.append(rule)
+        return coverage(rule, table)
+
+    monkeypatch.setattr(synth.PlantedRule, "coverage", counted)
+    spec = SynthSpec(n_rows=100, n_features=1, n_rules=6, max_conditions=1, seed=8)
+    with caplog.at_level(logging.INFO, logger=synth.__name__):
+        synth.generate(spec)
+    redraws = [r.getMessage() for r in caplog.records if "redrawing" in r.getMessage()]
+    assert len(redraws) == 4 and all("redrawing rule" in m for m in redraws)
+    assert len(calls) <= spec.n_rules + len(redraws)
 
 
 def test_sweep_rejects_an_empty_split_before_any_search(monkeypatch):
