@@ -43,23 +43,30 @@ rules' cached union OR the new rule's mask.  ``scoring.score`` calls the
 same two functions, so an edit's posterior is the float it gives the rule
 set the edit makes.  Add-condition moves are scored from counts instead,
 so that a step scores its narrowings without building a mask for each: a
-rule's ``_GrowthTable`` holds, per (feature, value), the positive and
-negative rows among those the rule alone covers, and takes its prior from
-``prior_of_entries``; a growth becomes an edit only when it is kept.
+rule's ``_GrowthTable`` packs, per (feature, value), the value's bit and
+the positive and negative rows among those the rule alone covers into one
+int, so a value set is the sum of its values' ints and carries its counts.
+It takes its prior from ``prior_of_entries``.  The packed ints and the
+score memo, keyed by that sum, follow from the rules alone, so they sit in
+a growth memo that every proposal of the run shares, and a rule set the
+chain comes back to finds them there.  A growth becomes an edit, and its
+values are decoded from its sum, only when it is kept.
 
 The search draws its value sets and its samples with two samplers of its
-own, ``_ValueSets.draw`` and ``_sample``, each a partial Fisher–Yates
+own, ``_ValueSets.pick`` and ``_sample``, each a partial Fisher–Yates
 shuffle on ``getrandbits``; its other integers come from ``Random``'s
 ``randrange``, ``randint``, ``choice`` and ``shuffle``, and only the
 explore and acceptance coin flips call ``Random.random``.  A value set of
 an n-value vocabulary has a size uniform over 1..n-1, and its values are a
-uniform subset of that size.  A test pins both samplers, draw for draw, to
-a reference partial shuffle.
+uniform subset of that size; ``pick`` returns the sum of the entries of
+the values it draws, packed ints for a growth and one-hot ints for a chain
+start's rules.  A test pins both samplers, draw for draw, to a reference
+partial shuffle.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
-rules' entries and growth tables and its coverage mask, so accepting a
-move is replacing the current proposal.  The state also owns the run's
+rules' entries and growth tables, its coverage mask and the run's growth
+memo, so accepting a move is replacing the current proposal.  The state also owns the run's
 RNG, which ``init_state`` seeds from ``cfg.random_seed`` and every chain
 draws from, the config, and its runlog, which every chain writes to; the
 step functions take the state alone.
@@ -177,8 +184,9 @@ class Proposal:
     ``growth`` holds the growth tables of its rules, by rule index, built
     when an add-condition step first narrows that rule, and
     ``misclassified`` the rows it misclassifies, in ascending order, listed
-    when a step first samples an example from it.  A proposal compares by
-    identity."""
+    when a step first samples an example from it.  ``memo`` is the run's
+    growth memo, which the tables read and every proposal edited from this
+    one shares.  A proposal compares by identity."""
 
     keys: tuple[Pairs, ...]
     entries: tuple[RuleEntry, ...]
@@ -188,6 +196,7 @@ class Proposal:
     score: Score = field(init=False)
     growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False)
     misclassified: list[int] | None = field(default=None, repr=False)
+    memo: dict[tuple[tuple[Pairs, ...], int], tuple] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         conf = confusion_from_mask(self.union_mask, self.data)
@@ -200,12 +209,15 @@ class Proposal:
         self._others: dict[int, int] = {}
 
     @classmethod
-    def of(cls, keys: Sequence[Pairs], data: Dataset, hyper: Hyperparams) -> Proposal:
+    def of(
+        cls, keys: Sequence[Pairs], data: Dataset, hyper: Hyperparams, memo: dict | None = None
+    ) -> Proposal:
         """The proposal of the rules ``keys``, each its (feature, sorted
         values) pairs in feature order, none holding a whole vocabulary: the
         empty proposal with each rule appended in turn by ``edit``, which
-        drops a rule equal to an earlier one, as ``normalize`` does."""
-        prop = cls((), (), 0, data, hyper)
+        drops a rule equal to an earlier one, as ``normalize`` does.  It
+        shares the growth ``memo`` when one is given."""
+        prop = cls((), (), 0, data, hyper, memo={} if memo is None else memo)
         for pairs in keys:
             prop = prop.edit(len(prop.keys), pairs).proposal()
         return prop
@@ -283,6 +295,7 @@ class _Edit(NamedTuple):
             prop.others(mi) | self.mask,
             prop.data,
             prop.hyper,
+            memo=prop.memo,
         )
 
 
@@ -305,34 +318,30 @@ class SearchState:
     runlog: RunLog = field(default_factory=RunLog)
 
 
-class _Complements(dict):
-    """The vocabulary ``range(vocab)`` minus value w, at key w, each built
-    when first read: a table serves a few dozen steps, so most of a wide
-    vocabulary's complements are never read."""
-
-    __slots__ = ("vocab",)
-
-    def __init__(self, vocab: int) -> None:
-        self.vocab = vocab
-
-    def __missing__(self, w: int) -> tuple[int, ...]:
-        values = self[w] = (*range(w), *range(w + 1, self.vocab))
-        return values
-
-
 class _GrowthTable:
     """Scores every narrowing of rule ``mi`` of a proposal by one new
     condition, from counts instead of masks.
 
     Narrowing rule ``mi`` changes only which of the rows it alone covers
-    stay covered, so the table holds the positive and negative counts of
-    those rows per (feature, value), each the bits of the value's mask in
-    ``Dataset.value_masks`` among them, and the counts the other rules
-    cover.  A move's confusion is those counts plus the sums over its
-    values.  Its prior is ``prior_of_entries`` of the proposal's entries
-    with the grown rule's terms, from its (feature, value count) pairs,
-    spliced in at ``mi``.  So a move's score equals the materialized rule
-    set's exactly.
+    stay covered.  So ``free`` lists, per free feature ``j`` (one the rule
+    lacks, of two values or more), one packed int per value ``v``,
+    ``pos << hi | neg << lo | 1 << v``: pos and neg count the positive and
+    negative rows of the value's mask in ``Dataset.value_masks`` among the
+    rows the rule alone covers, ``lo`` is the feature's vocabulary size and
+    ``hi`` is ``lo`` plus the row count's bit length, so no field of a sum
+    of entries carries into the next.  A value set is the sum ``x`` of
+    its values' entries: the low field holds its values as bits, the others
+    its counts.  A move's confusion is the counts ``tp`` and ``fp`` the
+    other rules cover plus those, and its prior is ``prior_of_entries`` of
+    the proposal's entries with the grown rule's terms, from its (feature,
+    value count) pairs, spliced in at ``mi``.  So a move's score equals the
+    materialized rule set's exactly.
+
+    The packed entries, the prior memo and the score memo (one dict per
+    feature, keyed by ``x``) follow from the rules alone, so they live in
+    the run-level ``Proposal.memo`` under ``(keys, mi)``, and every proposal
+    of the same rules reads them.  The table keeps what is its proposal's:
+    ``prop``, ``tp`` and ``fp``, and the collisions.
     """
 
     def __init__(self, prop: Proposal, mi: int) -> None:
@@ -341,83 +350,96 @@ class _GrowthTable:
         others = prop.others(mi)
         self.tp = (others & data.pos_mask).bit_count()
         self.fp = others.bit_count() - self.tp
-
-        # counts over the rows rule mi alone covers, per (feature, value)
-        only = prop.entries[mi][0] & ~others
-        pos_only = only & data.pos_mask
-        self.pos: list[list[int]] = []
-        self.neg: list[list[int]] = []
-        for masks in data.value_masks:
-            pos = [(pos_only & m).bit_count() for m in masks]
-            self.pos.append(pos)
-            self.neg.append([(only & m).bit_count() - p for m, p in zip(masks, pos)])
-
-        # the rule's (feature, value count) pairs: a grown rule's prior terms
-        # depend on these and the new condition's pair alone
+        shared = prop.memo.get((prop.keys, mi))
+        if shared is None:
+            shared = prop.memo[prop.keys, mi] = self._counts(prop, mi, others)
+        self.free, self.pick, self.priors, self.scores = shared
+        # (feature, x) whose grown rule is another current rule: the edit
+        # those moves make
+        self.collisions: dict[tuple[int, int], _Edit] = {}
         key = prop.keys[mi]
-        self.counts = [(j, len(values)) for j, values in key]
-        # per free feature (one the rule lacks, of two values or more): the
-        # feature, its vocabulary size and the vocabulary minus value w at w
-        used = {j for j, _ in key}
-        self.free: list[tuple[int, int, _Complements]] = [
-            (j, vocab, _Complements(vocab))
-            for j, vocab in enumerate(data.vocab_sizes)
-            if vocab >= 2 and j not in used
-        ]
-        # draws the free features' random value sets
-        self.value_sets = _ValueSets(max((vocab for _, vocab, _ in self.free), default=0))
-        self.priors: dict[tuple[int, int], float] = {}
-        # a move's score by (feature, values): the random variants repeat
-        # across the steps the table serves
-        self.scores: dict[tuple[int, tuple[int, ...]], float] = {}
-        # (feature, values) whose grown rule is another current rule: the
-        # edit those moves make
-        self.collisions: dict[tuple[int, tuple[int, ...]], _Edit] = {}
         for other in prop.keys:
             extra = set(other).difference(key)
             if len(extra) == 1 and len(other) == len(key) + 1:
-                (pair,) = extra
-                self.collisions[pair] = prop.edit(mi, other)
+                ((j, values),) = extra
+                packed = next(p for f, _, p, _ in self.free if f == j)
+                self.collisions[j, sum(packed[v] for v in values)] = prop.edit(mi, other)
+
+    @staticmethod
+    def _counts(prop: Proposal, mi: int, others: int) -> tuple:
+        """The shared part of the tables of rule ``mi`` of ``prop``'s rules:
+        per free feature its index, vocabulary size, packed entries and
+        their sum, the random-variant drawer, and the empty prior and score
+        memos."""
+        data = prop.data
+        width = data.n_rows.bit_length()
+        used = {j for j, _ in prop.keys[mi]}
+        # the rows rule mi alone covers
+        only = prop.entries[mi][0] & ~others
+        pos_only = only & data.pos_mask
+        free = []
+        for j, masks in enumerate(data.value_masks):
+            lo = len(masks)
+            if lo < 2 or j in used:
+                continue
+            hi = lo + width
+            packed = []
+            for v, m in enumerate(masks):
+                pos = (pos_only & m).bit_count()
+                packed.append(pos << hi | ((only & m).bit_count() - pos) << lo | 1 << v)
+            free.append((j, lo, packed, sum(packed)))
+        pick = _ValueSets(max((lo for _, lo, _, _ in free), default=0)).pick
+        return free, pick, {}, [{} for _ in data.vocab_sizes]
 
     def prior(self, feature: int, n_values: int) -> float:
         prior = self.priors.get((feature, n_values))
         if prior is None:
+            prop = self.prop
             # the grown rule's pairs in feature order, as Rule sorts them
-            grown = sorted([*self.counts, (feature, n_values)])
-            entry = (0, *prior_terms_from_counts(grown, self.prop.hyper))
+            grown = sorted([*((j, len(values)) for j, values in prop.keys[self.mi]),
+                            (feature, n_values)])
+            entry = (0, *prior_terms_from_counts(grown, prop.hyper))
             prior = self.priors[feature, n_values] = prior_of_entries(
-                _splice(self.prop.entries, self.mi, entry, None), self.prop.hyper
+                _splice(prop.entries, self.mi, entry, None), prop.hyper
             )
         return prior
 
-    def posterior(self, feature: int, values: tuple[int, ...]) -> float:
-        key = (feature, values)
-        score = self.scores.get(key)
+    def posterior(self, feature: int, x: int) -> float:
+        scores = self.scores[feature]
+        score = scores.get(x)
         if score is None:
-            pos, neg = self.pos[feature], self.neg[feature]
-            tp = self.tp + sum(map(pos.__getitem__, values))
-            fp = self.fp + sum(map(neg.__getitem__, values))
             data = self.prop.data
-            score = self.scores[key] = self.prior(feature, len(values)) + log_likelihood(
-                tp, fp, data.n_neg - fp, data.n_pos - tp, self.prop.hyper
+            lo, width = data.vocab_sizes[feature], data.n_rows.bit_length()
+            tp = self.tp + (x >> lo + width)
+            fp = self.fp + (x >> lo & (1 << width) - 1)
+            score = scores[x] = self.prior(feature, (x & (1 << lo) - 1).bit_count()) + (
+                log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, self.prop.hyper)
             )
         return score
 
 
+def _values(x: int, vocab: int) -> tuple[int, ...]:
+    """The values whose bits the low ``vocab`` bits of ``x`` hold, ascending."""
+    return tuple(v for v in range(vocab) if x >> v & 1)
+
+
 class _Growth(NamedTuple):
     """An add-condition move: rule ``table.mi`` narrowed by the condition
-    ``feature`` in ``values`` (sorted, a proper subset of the vocabulary)."""
+    ``feature`` in the value set whose packed entries sum to ``x`` (a proper
+    subset of the vocabulary).  Its values are decoded only when the move
+    becomes a proposal."""
 
     table: _GrowthTable
     feature: int
-    values: tuple[int, ...]
+    x: int
 
     def posterior(self) -> float:
-        return self.table.posterior(self.feature, self.values)
+        return self.table.posterior(self.feature, self.x)
 
     def proposal(self) -> Proposal:
         prop, mi = self.table.prop, self.table.mi
-        grown = tuple(sorted([*prop.keys[mi], (self.feature, self.values)]))
+        values = _values(self.x, prop.data.vocab_sizes[self.feature])
+        grown = tuple(sorted([*prop.keys[mi], (self.feature, values)]))
         return prop.edit(mi, grown).proposal()
 
 
@@ -457,23 +479,22 @@ def _sample(getrandbits, population: Sequence, k: int) -> list:
 
 class _ValueSets:
     """Draws random proper value sets of vocabularies of up to ``size``
-    values, from the tables it keeps for them: ``values``, the list of
-    every value, and ``index_bits``, at each i the bit length of a draw of
-    an index in 0..i, ``(i + 1).bit_length()``."""
+    values, reading each index draw's bit length from ``index_bits``: at
+    each i the bit length of a draw of an index in 0..i,
+    ``(i + 1).bit_length()``."""
 
-    __slots__ = ("values", "index_bits")
+    __slots__ = ("index_bits",)
 
     def __init__(self, size: int) -> None:
-        self.values = list(range(size))
         self.index_bits = [(i + 1).bit_length() for i in range(size)]
 
-    def draw(self, getrandbits, n: int) -> tuple[int, ...]:
-        """A random proper value set of an ``n``-value vocabulary, n >= 2, in
-        ascending order: its size uniform over 1..n-1, its values a uniform
+    def pick(self, getrandbits, entries: list[int], n: int) -> int:
+        """The sum of the entries of a random proper value set of an
+        ``n``-value vocabulary, n >= 2, whose value v has the entry
+        ``entries[v]``: its size uniform over 1..n-1, its values a uniform
         subset of that size, drawn as ``_sample`` draws them.  The partial
-        shuffle swaps each drawn value to the pool's tail instead of listing
-        it, so the tail ends up holding the set, and each index draw reads
-        its bit length from ``index_bits``."""
+        shuffle adds each drawn entry to the sum and moves the pool's last
+        entry into its slot."""
         index_bits = self.index_bits
         last = n - 1
         # the set's size less one, uniform over 0..n-2
@@ -481,17 +502,17 @@ class _ValueSets:
         k = getrandbits(bits)
         while k >= last:
             k = getrandbits(bits)
-        pool = self.values[:n]
+        pool = entries[:n]
+        total = 0
         for m in range(last, last - k - 1, -1):
             # an index uniform over 0..m
             bits = index_bits[m]
             j = getrandbits(bits)
             while j > m:
                 j = getrandbits(bits)
-            pool[j], pool[m] = pool[m], pool[j]
-        del pool[: last - k]
-        pool.sort()
-        return tuple(pool)
+            total += pool[j]
+            pool[j] = pool[m]
+        return total
 
 
 def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
@@ -502,12 +523,15 @@ def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     if not eligible:
         raise ValueError("no feature has at least two values; nothing to search")
     bits = rng.getrandbits
-    draw = _ValueSets(max(data.vocab_sizes)).draw
+    # one-hot entries: a picked set's sum holds its values as bits
+    one_hot = [1 << v for v in range(max(data.vocab_sizes))]
+    pick = _ValueSets(len(one_hot)).pick
     keys = []
     for _ in range(rng.randint(1, 3)):
         conds = []
         for j in _sample(bits, eligible, rng.randint(1, min(3, len(eligible)))):
-            conds.append((j, draw(bits, data.vocab_sizes[j])))
+            vocab = data.vocab_sizes[j]
+            conds.append((j, _values(pick(bits, one_hot, vocab), vocab)))
         conds.sort()  # by feature: the features are distinct
         keys.append(tuple(conds))
     return keys
@@ -529,7 +553,7 @@ def _start_chain(state: SearchState) -> SearchState:
     The runlog gets the chain's ``chain_start`` record; the start is then
     recorded as the best when it is chain 0's or beats the best."""
     data, hyper = state.current.data, state.current.hyper
-    start = Proposal.of(random_ruleset(data, state.rng), data, hyper)
+    start = Proposal.of(random_ruleset(data, state.rng), data, hyper, state.current.memo)
     state.current, state.t, state.stall_streak = start, 0, 0
     posterior = start.score.log_posterior
     state.runlog.emit(event="chain_start", chain=state.chain, log_posterior=posterior)
@@ -663,11 +687,13 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
         table = current.growth.get(mi)
         if table is None:
             table = current.growth[mi] = _GrowthTable(current, mi)
-        collisions, draw = table.collisions, table.value_sets.draw
-        for j, vocab, without in table.free:
-            for vals in (without[xrow[j]], draw(bits, vocab), draw(bits, vocab)):
-                edit = collisions.get((j, vals)) if collisions else None
-                moves.append(new(_Growth, (table, j, vals)) if edit is None else edit)
+        collisions, pick = table.collisions, table.pick
+        for j, vocab, packed, total in table.free:
+            # the vocabulary minus the example's value, then two random sets
+            without = total - packed[xrow[j]]
+            for x in (without, pick(bits, packed, vocab), pick(bits, packed, vocab)):
+                edit = collisions.get((j, x)) if collisions else None
+                moves.append(new(_Growth, (table, j, x)) if edit is None else edit)
     return moves
 
 
@@ -733,10 +759,10 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
         chosen, posterior = None, -math.inf
         for c in edits:
             if c.__class__ is _Growth:
-                table, j, vals = c
-                score = table.scores.get((j, vals))
+                table, j, x = c
+                score = table.scores[j].get(x)
                 if score is None:
-                    score = table.posterior(j, vals)
+                    score = table.posterior(j, x)
             else:
                 score = c.posterior()
             if score > posterior or chosen is None:
@@ -767,7 +793,8 @@ def anneal_step(state: SearchState) -> SearchState:
     # the best-so-far tracks every pick, accepted or not
     improved = pick.log_posterior > state.best.score.log_posterior
     delta = pick.log_posterior - state.current.score.log_posterior
-    accepted = _accepts(state.rng, delta, temperature(state.cfg, state.t))
+    # an uphill pick is accepted without reading the schedule
+    accepted = delta >= 0 or _accepts(state.rng, delta, temperature(state.cfg, state.t))
     if improved or accepted:
         prop = pick.proposal()
         if improved:

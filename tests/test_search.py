@@ -84,15 +84,28 @@ def test_config_validation():
 @example(seed=1, n_k=(100, 10))
 @example(seed=1, n_k=(31, 3))
 def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
-    from mars.search import _sample, _ValueSets
+    from mars.search import _sample, _values, _ValueSets
 
     n, k = n_k
+    pick = _ValueSets(100).pick
+    one_hot = [1 << v for v in range(100)]
+    # arbitrary entries, negative ones included, more of them than the
+    # vocabulary: a sum of 64-bit draws tells its summands apart
+    entries = [random.Random(f"entries:{seed}").getrandbits(64) - 2**63 for _ in range(100)]
     rng, ref = random.Random(seed), random.Random(seed)
     if n >= 2:
-        variant = _ValueSets(100).draw(rng.getrandbits, n)
+        # one-hot entries sum to the picked value set's bits
+        variant = _values(pick(rng.getrandbits, one_hot, n), n)
         want = sorted(partial_shuffle_sample(ref, range(n), ref.randint(1, n - 1)))
         assert variant == tuple(want)
         assert rng.getstate() == ref.getstate()
+        # any entries: the sum of exactly the entries of the values drawn
+        before = list(entries)
+        got = pick(rng.getrandbits, entries, n)
+        drawn = partial_shuffle_sample(ref, range(n), ref.randint(1, n - 1))
+        assert got == sum(entries[v] for v in drawn)
+        assert rng.getstate() == ref.getstate()
+        assert entries == before  # the entries are read, not shuffled
     assert _sample(rng.getrandbits, range(n), k) == partial_shuffle_sample(ref, range(n), k)
     assert rng.getstate() == ref.getstate()
     letters = [f"v{v}" for v in range(n)]
@@ -105,7 +118,7 @@ def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
         rng, ref = random.Random(seed), random.Random(seed)
         if n >= 2:
             want = sorted(ref.sample(range(n), ref.randint(1, n - 1)))
-            assert _ValueSets(100).draw(rng.getrandbits, n) == tuple(want)
+            assert _values(pick(rng.getrandbits, one_hot, n), n) == tuple(want)
         assert _sample(rng.getrandbits, letters, k) == ref.sample(letters, k)
         assert rng.getstate() == ref.getstate()
 
@@ -857,27 +870,23 @@ def test_edits_equal_normalized_raw_edits(draw):
         )
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.data())
-def test_growth_table_scores_equal_full_rescore(draw):
+def assert_growth_tables_rescore(data, h, rules, rng):
+    """Each growth table of the proposal of ``rules`` against references:
+    its packed entries unpack to the bincount counts, and each value set's
+    packed sum scores exactly as the rule set the growth makes, or is found
+    as a collision by that sum.  Value sets are every proper one for up to
+    five values, and past that every set of one value and of all values but
+    one, plus ten random ones."""
     from itertools import combinations
 
     from mars.model import normalize
     from mars.search import _Growth, _GrowthTable
 
-    rng = random.Random(draw.draw(st.integers(0, 10**6)))
-    vocab_sizes = draw.draw(st.lists(st.integers(2, 4), min_size=2, max_size=4))
-    n_rows = draw.draw(st.integers(1, 40))
-    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
-    labels = [rng.random() < 0.5 for _ in range(n_rows)]
-    data = make_dataset(vocab_sizes, rows, labels)
-    # unequal theta, so the DM items' order of addition shows in the floats
-    h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
-               alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
-    rules = near_duplicate_ruleset(rng, vocab_sizes)
+    vocab_sizes = data.vocab_sizes
     prop = Proposal.of([rule.pairs for rule in rules], data, h)
     offsets = np.cumsum((0, *vocab_sizes[:-1]))
     n_codes = sum(vocab_sizes)
+    width = data.n_rows.bit_length()
     for mi, rule in enumerate(rules):
         table = _GrowthTable(prop, mi)
         # reference counts over the rows rule mi alone covers: one bincount
@@ -888,37 +897,129 @@ def test_growth_table_scores_equal_full_rescore(draw):
         codes = data.rows[only] + offsets
         codes[data.labels[only]] += n_codes
         counts = np.bincount(codes.ravel(), minlength=2 * n_codes).tolist()
-        assert table.neg == [counts[o:o + v] for o, v in zip(offsets, vocab_sizes)]
-        assert table.pos == [counts[n_codes + o:n_codes + o + v]
-                             for o, v in zip(offsets, vocab_sizes)]
-        assert [j for j, _, _ in table.free] == [
+        assert [j for j, _, _, _ in table.free] == [
             j for j, v in enumerate(vocab_sizes) if j not in rule.features and v >= 2
         ]
-        for j, vocab, without in table.free:
-            assert vocab == vocab_sizes[j]
-            assert not without  # each complement is built when first read
-            assert [without[w] for w in range(vocab)] == [
-                tuple(v for v in range(vocab) if v != w) for w in range(vocab)
-            ]
-            # every proper value set, the full vocabulary minus one included
-            for size in range(1, vocab_sizes[j]):
-                for vals in combinations(range(vocab_sizes[j]), size):
-                    grown = Rule(rule.conditions + (Condition(j, vals),))
-                    expected = normalize(RuleSet(rules[:mi] + (grown,) + rules[mi + 1:]),
-                                         vocab_sizes).rules
-                    if (j, vals) in table.collisions:
-                        assert grown in rules
-                        assert materialized(table.collisions[j, vals]) == expected
-                        continue
-                    move = _Growth(table, j, vals)
-                    chosen = move.proposal()
-                    made = chosen.rules.rules
-                    made_rule, made_mask = made[mi], chosen.entries[mi][0]
-                    assert made == expected and len(expected) == len(rules)
-                    assert made_rule == grown and made_mask == rule_mask(grown.pairs, data)
-                    full = score(RuleSet(expected), data, h)
-                    assert move.posterior() == full.log_posterior  # floats compared exactly
-                    assert chosen.score == full
+        for j, vocab, packed, total in table.free:
+            assert vocab == vocab_sizes[j] and len(packed) == vocab
+            assert total == sum(packed)
+            # each entry unpacks to its value's bit and counts
+            o = offsets[j]
+            for v, entry in enumerate(packed):
+                assert entry & (1 << vocab) - 1 == 1 << v
+                assert entry >> vocab & (1 << width) - 1 == counts[o + v]
+                assert entry >> vocab + width == counts[n_codes + o + v]
+            if vocab <= 5:
+                sets = [vals for size in range(1, vocab)
+                        for vals in combinations(range(vocab), size)]
+            else:
+                sets = [(v,) for v in range(vocab)]
+                sets += [tuple(u for u in range(vocab) if u != v) for v in range(vocab)]
+                sets += [tuple(sorted(rng.sample(range(vocab), rng.randint(2, vocab - 2))))
+                         for _ in range(10)]
+            for vals in sets:
+                x = sum(packed[v] for v in vals)
+                grown = Rule(rule.conditions + (Condition(j, vals),))
+                expected = normalize(RuleSet(rules[:mi] + (grown,) + rules[mi + 1:]),
+                                     vocab_sizes).rules
+                # a growth that makes another current rule is found by its sum
+                assert ((j, x) in table.collisions) == (grown in rules)
+                if grown in rules:
+                    assert materialized(table.collisions[j, x]) == expected
+                    continue
+                move = _Growth(table, j, x)
+                chosen = move.proposal()
+                made = chosen.rules.rules
+                made_rule, made_mask = made[mi], chosen.entries[mi][0]
+                assert made == expected and len(expected) == len(rules)
+                assert made_rule == grown and made_mask == rule_mask(grown.pairs, data)
+                full = score(RuleSet(expected), data, h)
+                assert move.posterior() == full.log_posterior  # floats compared exactly
+                assert chosen.score == full
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_growth_table_scores_equal_full_rescore(draw):
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    # vocabularies up to 40 values: a packed entry's fields sit past its
+    # vocabulary's bits
+    vocab_sizes = draw.draw(
+        st.lists(st.integers(2, 4) | st.integers(5, 40), min_size=2, max_size=4)
+    )
+    n_rows = draw.draw(st.integers(1, 40))
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(n_rows)]
+    labels = [rng.random() < 0.5 for _ in range(n_rows)]
+    data = make_dataset(vocab_sizes, rows, labels)
+    # unequal theta, so the DM items' order of addition shows in the floats
+    h = hypers(data, theta=[rng.uniform(0.2, 5.0) for _ in vocab_sizes],
+               alpha_l=rng.uniform(0.5, 5.0), beta_l=rng.uniform(1.0, 50.0))
+    assert_growth_tables_rescore(data, h, near_duplicate_ruleset(rng, vocab_sizes), rng)
+
+
+@pytest.mark.parametrize("n_rows", [31, 32])
+def test_growth_table_fields_hold_a_value_of_every_row(n_rows):
+    # feature 0 has value 0 in every row and the one rule covers every row,
+    # so that value's count of a class is the row count: at 32 rows that
+    # takes the count field's top bit, and a field one bit short would
+    # carry into the next
+    rows = [[0, i % 3, i % 40] for i in range(n_rows)]
+    rules = (Rule.of({2: tuple(range(39))}),)
+    for labels in ([0] * n_rows, [1] * n_rows, [i % 2 for i in range(n_rows)]):
+        data = make_dataset((2, 3, 40), rows, labels)
+        assert_growth_tables_rescore(data, hypers(data), rules, random.Random(n_rows))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_proposals_of_equal_rules_share_one_growth_memo(draw):
+    from mars.search import _Growth, _growth_moves
+
+    rng = random.Random(draw.draw(st.integers(0, 10**6)))
+    vocab_sizes = draw.draw(
+        st.lists(st.integers(2, 4) | st.integers(5, 31), min_size=2, max_size=4)
+    )
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(16)]
+    data = make_dataset(vocab_sizes, rows, [rng.random() < 0.5 for _ in range(16)])
+    h = hypers(data)
+    keys = tuple(rule.pairs for rule in near_duplicate_ruleset(rng, vocab_sizes))
+    # a one-condition rule the set lacks, to append and delete again
+    extra = next(
+        ((j, (v,)),)
+        for j, vocab in enumerate(vocab_sizes)
+        for v in range(vocab)
+        if ((j, (v,)),) not in keys
+    )
+    first = Proposal.of(keys, data, h)
+    detour = Proposal.of((*keys, extra), data, h, first.memo)
+    second = detour.edit(len(keys), None).proposal()
+    assert second.keys == first.keys and second.memo is first.memo
+    for idx, xrow in enumerate(data.rows):
+        seed = rng.random()
+        # the detour's other rules put their own entries in the memo, the
+        # first proposal fills it and the second reads it; a table of an
+        # empty memo is the reference
+        moves_of = {}
+        for prop in (detour, first, second):
+            moves_of[prop] = _growth_moves(prop, idx, xrow, random.Random(seed))
+            for move in moves_of[prop]:
+                move.posterior()
+        shared = [moves_of[first], moves_of[second]]
+        want = _growth_moves(Proposal.of(keys, data, h), idx, xrow, random.Random(seed))
+        for mi, table in second.growth.items():
+            assert table.prop is second
+            assert table.scores is first.growth[mi].scores
+            assert table.free is first.growth[mi].free
+        for moves in shared:
+            assert len(moves) == len(want)
+            for move, ref in zip(moves, want):
+                assert move.__class__ is ref.__class__
+                if move.__class__ is _Growth:
+                    assert move[1:] == ref[1:]
+                    assert move.posterior() == ref.posterior()  # floats compared exactly
+                else:
+                    assert materialized(move) == materialized(ref)
+                    assert move.posterior() == ref.posterior()
 
 
 @settings(max_examples=150, deadline=None)
