@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import logging
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -131,6 +133,15 @@ def _check_writable(outputs: dict[str, str | None], inputs: dict[str, str | None
             raise MarsError(f"cannot write {path} as {role}: it is also {other}")
 
 
+@contextmanager
+def _writing(path: str):
+    """A failed write of ``path``, as to a full disk, is a MarsError."""
+    try:
+        yield
+    except OSError as exc:
+        raise MarsError(f"cannot write {path}: {exc.strerror}") from exc
+
+
 def _parse_hyper_file(path) -> dict:
     out = {}
     try:
@@ -188,8 +199,10 @@ def cmd_train(args) -> int:
 
     meta = training_metadata(cfg.random_seed, cfg.n_iter, best, data.n_rows)
     meta["discretization"] = {"n_bins": args.bins, "scheme": args.scheme}
-    save_model(args.out, data.features, rules, hyper, data.label_name, meta)
-    runlog.write(runlog_path)
+    with _writing(args.out):
+        save_model(args.out, data.features, rules, hyper, data.label_name, meta)
+    with _writing(runlog_path):
+        runlog.write(runlog_path)
 
     conf = best.confusion
     majority = max(conf.n_pos, conf.n_neg) / (conf.n_pos + conf.n_neg)
@@ -213,15 +226,12 @@ def cmd_predict(args) -> int:
     table = RawTable.from_csv(args.csv)
     rows = encode_with_specs(table.columns(), model.features, model.rules.feature_ids)
     hit = first_covering_rule(model.rules, rows)
-    preds = zip((hit >= 0).astype(int).tolist(), hit.tolist())
-    sink = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        writer = csv.writer(sink)
-        writer.writerow(["prediction", "rule_index"])
-        writer.writerows(preds)
-    finally:
-        if args.out:
-            sink.close()
+    preds = [("prediction", "rule_index"), *zip((hit >= 0).astype(int).tolist(), hit.tolist())]
+    if not args.out:
+        csv.writer(sys.stdout).writerows(preds)
+        return 0
+    with _writing(args.out), open(args.out, "w", newline="") as sink:
+        csv.writer(sink).writerows(preds)
     return 0
 
 
@@ -259,16 +269,15 @@ def cmd_gen(args) -> int:
         )
     _check_writable({"--out": args.out, "--truth": args.truth}, {})
     table, truth = synth.generate(spec)
-    synth.write_table_csv(args.out, table)
+    with _writing(args.out):
+        synth.write_table_csv(args.out, table)
     print(f"wrote {len(table.rows)} rows to {args.out}")
     if args.truth:
-        import json
-
         doc = [
             [{"feature": table.names[c.feature], "lo": c.lo, "hi": c.hi} for c in r.conditions]
             for r in truth
         ]
-        with open(args.truth, "w") as fh:
+        with _writing(args.truth), open(args.truth, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
         print(f"wrote ground truth to {args.truth}")
@@ -299,7 +308,8 @@ def cmd_sweep(args) -> int:
     _check_bins(args)
     records = synth.sweep(spec, grid, base, cfg, n_bins=args.bins, scheme=args.scheme,
                           jobs=args.jobs)
-    synth.write_metrics_csv(args.out, records)
+    with _writing(args.out):
+        synth.write_metrics_csv(args.out, records)
     print(f"wrote {len(records)} sweep rows to {args.out}")
     for (bm, bl), stats in sorted(synth.cell_means(records).items()):
         sizes = " ".join(f"{label}={n:.1f}" for label, n in _labeled_sizes(stats))

@@ -46,10 +46,10 @@ so that a step scores its narrowings without building a mask for each: a
 rule's ``_GrowthTable`` packs, per (feature, value), the value's bit and
 the positive and negative rows among those the rule alone covers into one
 int, so a value set is the sum of its values' ints and carries its counts.
-It takes its prior from ``prior_of_entries``.  The packed ints and the
-score memo, keyed by that sum, follow from the rules alone, so they sit in
-a growth memo that every proposal of the run shares, and a rule set the
-chain comes back to finds them there.  A growth becomes an edit, and its
+It takes its prior from ``prior_of_entries``.  A table follows from the
+rules alone, so it is built whole, once per chain, for each (rules, rule
+index) a step narrows, and kept in the chain's growth memo, where a rule
+set the chain comes back to finds it.  A growth becomes an edit, and its
 values are decoded from its sum, only when it is kept.
 
 The search draws its value sets and its samples with two samplers of its
@@ -65,11 +65,13 @@ partial shuffle.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
-rules' entries and growth tables, its coverage mask and the run's growth
-memo, so accepting a move is replacing the current proposal.  The state also owns the run's
-RNG, which ``init_state`` seeds from ``cfg.random_seed`` and every chain
-draws from, the config, and its runlog, which every chain writes to; the
-step functions take the state alone.
+rules' entries, its coverage mask and its chain's growth memo, so
+accepting a move is replacing the current proposal.  Each chain starts
+with an empty memo, so one run keeps at most one chain's tables at a time
+beside the best's.  The state also owns the run's RNG, which
+``init_state`` seeds from ``cfg.random_seed`` and every chain draws from,
+the config, and its runlog, which every chain writes to; the step
+functions take the state alone.
 
 The chain keeps few of its steps, so a step builds a ``Proposal`` only for
 a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
@@ -181,12 +183,12 @@ class Proposal:
     ``union_mask`` the rows they cover.  The ``score`` is computed from
     those here.  ``rules`` builds the ``RuleSet`` once, when first read:
     only a new best's ``improve`` record and ``run``'s result read it.
-    ``growth`` holds the growth tables of its rules, by rule index, built
-    when an add-condition step first narrows that rule, and
-    ``misclassified`` the rows it misclassifies, in ascending order, listed
-    when a step first samples an example from it.  ``memo`` is the run's
-    growth memo, which the tables read and every proposal edited from this
-    one shares.  A proposal compares by identity."""
+    ``misclassified`` lists the rows it misclassifies, in ascending order,
+    when a step first samples an example from it.  ``memo`` is its chain's
+    growth memo, which every proposal edited from this one shares, and
+    ``growth`` the memo's growth tables of these rules, by rule index: a
+    chain that comes back to a rule set finds them there.  A proposal
+    compares by identity."""
 
     keys: tuple[Pairs, ...]
     entries: tuple[RuleEntry, ...]
@@ -194,9 +196,10 @@ class Proposal:
     data: Dataset = field(repr=False)
     hyper: Hyperparams = field(repr=False)
     score: Score = field(init=False)
-    growth: dict[int, _GrowthTable] = field(default_factory=dict, repr=False)
     misclassified: list[int] | None = field(default=None, repr=False)
-    memo: dict[tuple[tuple[Pairs, ...], int], tuple] = field(default_factory=dict, repr=False)
+    memo: dict[tuple[Pairs, ...], dict[int, _GrowthTable]] = field(
+        default_factory=dict, repr=False
+    )
 
     def __post_init__(self) -> None:
         conf = confusion_from_mask(self.union_mask, self.data)
@@ -207,17 +210,16 @@ class Proposal:
         )
         self.index = {key: k for k, key in enumerate(self.keys)}
         self._others: dict[int, int] = {}
+        self.growth = self.memo.setdefault(self.keys, {})
 
     @classmethod
-    def of(
-        cls, keys: Sequence[Pairs], data: Dataset, hyper: Hyperparams, memo: dict | None = None
-    ) -> Proposal:
+    def of(cls, keys: Sequence[Pairs], data: Dataset, hyper: Hyperparams) -> Proposal:
         """The proposal of the rules ``keys``, each its (feature, sorted
         values) pairs in feature order, none holding a whole vocabulary: the
         empty proposal with each rule appended in turn by ``edit``, which
-        drops a rule equal to an earlier one, as ``normalize`` does.  It
-        shares the growth ``memo`` when one is given."""
-        prop = cls((), (), 0, data, hyper, memo={} if memo is None else memo)
+        drops a rule equal to an earlier one, as ``normalize`` does, in a
+        growth memo of its own."""
+        prop = cls((), (), 0, data, hyper)
         for pairs in keys:
             prop = prop.edit(len(prop.keys), pairs).proposal()
         return prop
@@ -319,65 +321,43 @@ class SearchState:
 
 
 class _GrowthTable:
-    """Scores every narrowing of rule ``mi`` of a proposal by one new
-    condition, from counts instead of masks.
+    """Scores every narrowing of rule ``mi`` of a rule set by one new
+    condition, from counts instead of masks.  It follows from the rules
+    alone: a chain builds it once, when a step first narrows rule ``mi`` of
+    those rules, and keeps it in its growth memo.
 
     Narrowing rule ``mi`` changes only which of the rows it alone covers
     stay covered.  So ``free`` lists, per free feature ``j`` (one the rule
-    lacks, of two values or more), one packed int per value ``v``,
-    ``pos << hi | neg << lo | 1 << v``: pos and neg count the positive and
-    negative rows of the value's mask in ``Dataset.value_masks`` among the
-    rows the rule alone covers, ``lo`` is the feature's vocabulary size and
-    ``hi`` is ``lo`` plus the row count's bit length, so no field of a sum
-    of entries carries into the next.  A value set is the sum ``x`` of
-    its values' entries: the low field holds its values as bits, the others
-    its counts.  A move's confusion is the counts ``tp`` and ``fp`` the
-    other rules cover plus those, and its prior is ``prior_of_entries`` of
-    the proposal's entries with the grown rule's terms, from its (feature,
-    value count) pairs, spliced in at ``mi``.  So a move's score equals the
-    materialized rule set's exactly.
-
-    The packed entries, the prior memo and the score memo (one dict per
-    feature, keyed by ``x``) follow from the rules alone, so they live in
-    the run-level ``Proposal.memo`` under ``(keys, mi)``, and every proposal
-    of the same rules reads them.  The table keeps what is its proposal's:
-    ``prop``, ``tp`` and ``fp``, and the collisions.
+    lacks, of two values or more), its vocabulary size ``lo``, one packed
+    int per value ``v``, ``pos << hi | neg << lo | 1 << v``, and their sum:
+    pos and neg count the positive and negative rows of the value's mask in
+    ``Dataset.value_masks`` among the rows the rule alone covers, and ``hi``
+    is ``lo`` plus the row count's bit length, so no field of a sum of
+    entries carries into the next.  A value set is the sum ``x`` of its
+    values' entries, which ``pick`` draws: the low field holds its values
+    as bits, the others its counts.  A move's confusion is the counts
+    ``tp`` and ``fp`` the other rules cover plus those, and its prior is
+    ``prior_of_entries`` of the rules' ``entries`` with the grown rule's
+    terms, from its (feature, value count) pairs, spliced in at ``mi``.  So
+    a move's score equals the materialized rule set's exactly; ``priors``
+    and ``scores`` (one dict per feature, keyed by ``x``) keep each one
+    computed.  ``collisions`` maps a ``(feature, x)`` whose grown rule is
+    another of the rules to that rule's pairs.  The table holds no
+    proposal, and reads the entries for their prior terms only.
     """
 
     def __init__(self, prop: Proposal, mi: int) -> None:
-        data = prop.data
-        self.prop, self.mi = prop, mi
+        data = self.data = prop.data
+        self.mi, self.key, self.entries, self.hyper = mi, prop.keys[mi], prop.entries, prop.hyper
         others = prop.others(mi)
         self.tp = (others & data.pos_mask).bit_count()
         self.fp = others.bit_count() - self.tp
-        shared = prop.memo.get((prop.keys, mi))
-        if shared is None:
-            shared = prop.memo[prop.keys, mi] = self._counts(prop, mi, others)
-        self.free, self.pick, self.priors, self.scores = shared
-        # (feature, x) whose grown rule is another current rule: the edit
-        # those moves make
-        self.collisions: dict[tuple[int, int], _Edit] = {}
-        key = prop.keys[mi]
-        for other in prop.keys:
-            extra = set(other).difference(key)
-            if len(extra) == 1 and len(other) == len(key) + 1:
-                ((j, values),) = extra
-                packed = next(p for f, _, p, _ in self.free if f == j)
-                self.collisions[j, sum(packed[v] for v in values)] = prop.edit(mi, other)
-
-    @staticmethod
-    def _counts(prop: Proposal, mi: int, others: int) -> tuple:
-        """The shared part of the tables of rule ``mi`` of ``prop``'s rules:
-        per free feature its index, vocabulary size, packed entries and
-        their sum, the random-variant drawer, and the empty prior and score
-        memos."""
-        data = prop.data
         width = data.n_rows.bit_length()
-        used = {j for j, _ in prop.keys[mi]}
+        used = {j for j, _ in self.key}
         # the rows rule mi alone covers
         only = prop.entries[mi][0] & ~others
         pos_only = only & data.pos_mask
-        free = []
+        self.free = []
         for j, masks in enumerate(data.value_masks):
             lo = len(masks)
             if lo < 2 or j in used:
@@ -387,20 +367,26 @@ class _GrowthTable:
             for v, m in enumerate(masks):
                 pos = (pos_only & m).bit_count()
                 packed.append(pos << hi | ((only & m).bit_count() - pos) << lo | 1 << v)
-            free.append((j, lo, packed, sum(packed)))
-        pick = _ValueSets(max((lo for _, lo, _, _ in free), default=0)).pick
-        return free, pick, {}, [{} for _ in data.vocab_sizes]
+            self.free.append((j, lo, packed, sum(packed)))
+        self.pick = _ValueSets(max((lo for _, lo, _, _ in self.free), default=0)).pick
+        self.priors: dict[tuple[int, int], float] = {}
+        self.scores: list[dict[int, float]] = [{} for _ in data.vocab_sizes]
+        self.collisions: dict[tuple[int, int], Pairs] = {}
+        for other in prop.keys:
+            extra = set(other).difference(self.key)
+            if len(extra) == 1 and len(other) == len(self.key) + 1:
+                ((j, values),) = extra
+                packed = next(p for f, _, p, _ in self.free if f == j)
+                self.collisions[j, sum(packed[v] for v in values)] = other
 
     def prior(self, feature: int, n_values: int) -> float:
         prior = self.priors.get((feature, n_values))
         if prior is None:
-            prop = self.prop
             # the grown rule's pairs in feature order, as Rule sorts them
-            grown = sorted([*((j, len(values)) for j, values in prop.keys[self.mi]),
-                            (feature, n_values)])
-            entry = (0, *prior_terms_from_counts(grown, prop.hyper))
+            grown = sorted([*((j, len(values)) for j, values in self.key), (feature, n_values)])
+            entry = (0, *prior_terms_from_counts(grown, self.hyper))
             prior = self.priors[feature, n_values] = prior_of_entries(
-                _splice(prop.entries, self.mi, entry, None), prop.hyper
+                _splice(self.entries, self.mi, entry, None), self.hyper
             )
         return prior
 
@@ -408,12 +394,12 @@ class _GrowthTable:
         scores = self.scores[feature]
         score = scores.get(x)
         if score is None:
-            data = self.prop.data
+            data = self.data
             lo, width = data.vocab_sizes[feature], data.n_rows.bit_length()
             tp = self.tp + (x >> lo + width)
             fp = self.fp + (x >> lo & (1 << width) - 1)
             score = scores[x] = self.prior(feature, (x & (1 << lo) - 1).bit_count()) + (
-                log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, self.prop.hyper)
+                log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
             )
         return score
 
@@ -424,11 +410,12 @@ def _values(x: int, vocab: int) -> tuple[int, ...]:
 
 
 class _Growth(NamedTuple):
-    """An add-condition move: rule ``table.mi`` narrowed by the condition
-    ``feature`` in the value set whose packed entries sum to ``x`` (a proper
-    subset of the vocabulary).  Its values are decoded only when the move
-    becomes a proposal."""
+    """An add-condition move of ``prop``: rule ``table.mi`` narrowed by the
+    condition ``feature`` in the value set whose packed entries sum to
+    ``x`` (a proper subset of the vocabulary), scored by ``table``.  Its
+    values are decoded only when the move becomes a proposal."""
 
+    prop: Proposal
     table: _GrowthTable
     feature: int
     x: int
@@ -437,7 +424,7 @@ class _Growth(NamedTuple):
         return self.table.posterior(self.feature, self.x)
 
     def proposal(self) -> Proposal:
-        prop, mi = self.table.prop, self.table.mi
+        prop, mi = self.prop, self.table.mi
         values = _values(self.x, prop.data.vocab_sizes[self.feature])
         grown = tuple(sorted([*prop.keys[mi], (self.feature, values)]))
         return prop.edit(mi, grown).proposal()
@@ -553,7 +540,7 @@ def _start_chain(state: SearchState) -> SearchState:
     The runlog gets the chain's ``chain_start`` record; the start is then
     recorded as the best when it is chain 0's or beats the best."""
     data, hyper = state.current.data, state.current.hyper
-    start = Proposal.of(random_ruleset(data, state.rng), data, hyper, state.current.memo)
+    start = Proposal.of(random_ruleset(data, state.rng), data, hyper)
     state.current, state.t, state.stall_streak = start, 0, 0
     posterior = start.score.log_posterior
     state.runlog.emit(event="chain_start", chain=state.chain, log_posterior=posterior)
@@ -692,8 +679,9 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
             # the vocabulary minus the example's value, then two random sets
             without = total - packed[xrow[j]]
             for x in (without, pick(bits, packed, vocab), pick(bits, packed, vocab)):
-                edit = collisions.get((j, x)) if collisions else None
-                moves.append(new(_Growth, (table, j, x)) if edit is None else edit)
+                other = collisions.get((j, x)) if collisions else None
+                moves.append(new(_Growth, (current, table, j, x)) if other is None
+                             else current.edit(mi, other))
     return moves
 
 
@@ -759,7 +747,7 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
         chosen, posterior = None, -math.inf
         for c in edits:
             if c.__class__ is _Growth:
-                table, j, x = c
+                _, table, j, x = c
                 score = table.scores[j].get(x)
                 if score is None:
                     score = table.posterior(j, x)

@@ -689,6 +689,31 @@ def test_output_name_the_os_rejects_is_an_error_not_a_traceback(trained, tmp_pat
     assert not any(path.exists() for path in outputs.values() if path != too_long)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize(
+    "command, flag",
+    [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
+     ("predict", "--out"), ("sweep", "--out")],
+)
+def test_a_write_that_fails_is_an_error_not_a_traceback(trained, tmp_path, command, flag):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    tmp, model = trained
+    outputs = {"--out": tmp_path / "out", "--truth": tmp_path / "truth.json",
+               "--runlog": tmp_path / "runlog.jsonl"}
+    outputs[flag] = "/dev/full"
+    argv = {
+        "gen": ["gen", "--rows", "20", "--out", outputs["--out"], "--truth", outputs["--truth"]],
+        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "5",
+                  "--out", outputs["--out"], "--runlog", outputs["--runlog"]],
+        "predict": ["predict", model, tmp / "train.csv", "--out", outputs["--out"]],
+        "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "100",
+                  "--iters", "5", "--out", outputs["--out"]],
+    }[command]
+    proc = run_mars(*argv)
+    assert_clean_error(proc, 1)
+    assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
+
+
 def test_train_checks_output_paths_before_searching(trained, tmp_path, monkeypatch, capsys):
     tmp, _ = trained
 

@@ -874,9 +874,10 @@ def assert_growth_tables_rescore(data, h, rules, rng):
     """Each growth table of the proposal of ``rules`` against references:
     its packed entries unpack to the bincount counts, and each value set's
     packed sum scores exactly as the rule set the growth makes, or is found
-    as a collision by that sum.  Value sets are every proper one for up to
-    five values, and past that every set of one value and of all values but
-    one, plus ten random ones."""
+    as a collision by that sum, whose pairs make that rule set as an edit.
+    Value sets are every proper one for up to five values, and past that
+    every set of one value and of all values but one, plus ten random
+    ones."""
     from itertools import combinations
 
     from mars.model import normalize
@@ -925,9 +926,10 @@ def assert_growth_tables_rescore(data, h, rules, rng):
                 # a growth that makes another current rule is found by its sum
                 assert ((j, x) in table.collisions) == (grown in rules)
                 if grown in rules:
-                    assert materialized(table.collisions[j, x]) == expected
+                    assert table.collisions[j, x] == grown.pairs
+                    assert materialized(prop.edit(mi, table.collisions[j, x])) == expected
                     continue
-                move = _Growth(table, j, x)
+                move = _Growth(prop, table, j, x)
                 chosen = move.proposal()
                 made = chosen.rules.rules
                 made_rule, made_mask = made[mi], chosen.entries[mi][0]
@@ -991,35 +993,113 @@ def test_proposals_of_equal_rules_share_one_growth_memo(draw):
         if ((j, (v,)),) not in keys
     )
     first = Proposal.of(keys, data, h)
-    detour = Proposal.of((*keys, extra), data, h, first.memo)
+    detour = first.edit(len(keys), extra).proposal()
     second = detour.edit(len(keys), None).proposal()
     assert second.keys == first.keys and second.memo is first.memo
+    assert second.growth is first.growth and detour.growth is not first.growth
     for idx, xrow in enumerate(data.rows):
         seed = rng.random()
-        # the detour's other rules put their own entries in the memo, the
-        # first proposal fills it and the second reads it; a table of an
-        # empty memo is the reference
+        # the detour's rules put their own tables in the memo, the first
+        # proposal fills it and the second reads it; a proposal of an empty
+        # memo is the reference
         moves_of = {}
         for prop in (detour, first, second):
             moves_of[prop] = _growth_moves(prop, idx, xrow, random.Random(seed))
             for move in moves_of[prop]:
                 move.posterior()
         shared = [moves_of[first], moves_of[second]]
-        want = _growth_moves(Proposal.of(keys, data, h), idx, xrow, random.Random(seed))
-        for mi, table in second.growth.items():
-            assert table.prop is second
-            assert table.scores is first.growth[mi].scores
-            assert table.free is first.growth[mi].free
+        reference = Proposal.of(keys, data, h)
+        assert reference.memo is not first.memo
+        want = _growth_moves(reference, idx, xrow, random.Random(seed))
         for moves in shared:
             assert len(moves) == len(want)
             for move, ref in zip(moves, want):
                 assert move.__class__ is ref.__class__
                 if move.__class__ is _Growth:
-                    assert move[1:] == ref[1:]
-                    assert move.posterior() == ref.posterior()  # floats compared exactly
-                else:
-                    assert materialized(move) == materialized(ref)
-                    assert move.posterior() == ref.posterior()
+                    assert move.table is first.growth[move.table.mi]
+                    assert move[2:] == ref[2:]
+                assert move.posterior() == ref.posterior()  # floats compared exactly
+                assert materialized(move) == materialized(ref)
+
+
+def test_each_growth_table_is_built_once_per_chain(monkeypatch):
+    import mars.search as search
+
+    built = []  # (keys, mi) of each table built, and None where a chain starts
+    init, start_chain = search._GrowthTable.__init__, search._start_chain
+
+    def counting_init(self, prop, mi):
+        built.append((prop.keys, mi))
+        init(self, prop, mi)
+
+    def marking_start(state):
+        built.append(None)
+        return start_chain(state)
+
+    monkeypatch.setattr(search._GrowthTable, "__init__", counting_init)
+    monkeypatch.setattr(search, "_start_chain", marking_start)
+    for seed in range(10):
+        data = tiny_instance(seed)
+        built.clear()
+        run(data, hypers(data), small_cfg(n_iter=150, n_restarts=2, random_seed=seed))
+        chains, tables = [[]], 0
+        for item in built[1:]:
+            if item is None:
+                chains.append([])
+            else:
+                chains[-1].append(item)
+                tables += 1
+        assert built[0] is None and len(chains) == 3
+        assert all(len(set(chain)) == len(chain) for chain in chains)
+    assert tables
+
+
+def test_a_dropped_proposal_is_collected_while_its_growth_memo_lives():
+    import gc
+    import weakref
+
+    from mars.search import _GrowthTable, _growth_moves
+
+    rng = random.Random(5)
+    vocab_sizes = (3, 4, 2)
+    rows = [[rng.randrange(v) for v in vocab_sizes] for _ in range(16)]
+    data = make_dataset(vocab_sizes, rows, [i % 2 for i in range(16)])
+    # near duplicates, so some tables hold collisions
+    keys = tuple(rule.pairs for rule in near_duplicate_ruleset(rng, vocab_sizes))
+    prop = Proposal.of(keys, data, hypers(data))
+    for idx, xrow in enumerate(data.rows):
+        for move in _growth_moves(prop, idx, xrow, random.Random(idx)):
+            move.posterior()
+    memo, tables = prop.memo, dict(prop.growth)
+    assert tables and any(table.collisions for table in tables.values())
+    dropped = weakref.ref(prop)
+    del prop, move
+    gc.collect()
+    assert dropped() is None
+    assert memo[keys] == tables
+    assert all(isinstance(table, _GrowthTable) for table in memo[keys].values())
+
+
+def test_each_chain_starts_a_growth_memo_of_its_own(monkeypatch):
+    import mars.search as search
+
+    memos = []  # the current proposal's memo at each step, by chain
+    step = search.anneal_step
+
+    def recording(state):
+        while len(memos) <= state.chain:
+            memos.append([])
+        memos[state.chain].append(state.current.memo)
+        return step(state)
+
+    monkeypatch.setattr(search, "anneal_step", recording)
+    data = tiny_instance(2)
+    run(data, hypers(data), small_cfg(n_iter=60, n_restarts=3, random_seed=1))
+    assert len(memos) == 4
+    firsts = [chain[0] for chain in memos]
+    assert len({id(memo) for memo in firsts}) == len(firsts)
+    for chain in memos:
+        assert all(memo is chain[0] for memo in chain)
 
 
 @settings(max_examples=150, deadline=None)
