@@ -1025,32 +1025,28 @@ def test_proposals_of_equal_rules_share_one_growth_memo(draw):
 def test_each_growth_table_is_built_once_per_chain(monkeypatch):
     import mars.search as search
 
-    built = []  # (keys, mi) of each table built, and None where a chain starts
+    chains, built = [], Counter()  # chains started; tables built by (chain, keys, mi)
     init, start_chain = search._GrowthTable.__init__, search._start_chain
 
     def counting_init(self, prop, mi):
-        built.append((prop.keys, mi))
+        built[chains[-1], prop.keys, mi] += 1
         init(self, prop, mi)
 
     def marking_start(state):
-        built.append(None)
+        chains.append(state.chain)
         return start_chain(state)
 
     monkeypatch.setattr(search._GrowthTable, "__init__", counting_init)
     monkeypatch.setattr(search, "_start_chain", marking_start)
+    tables = 0
     for seed in range(10):
         data = tiny_instance(seed)
+        chains.clear()
         built.clear()
         run(data, hypers(data), small_cfg(n_iter=150, n_restarts=2, random_seed=seed))
-        chains, tables = [[]], 0
-        for item in built[1:]:
-            if item is None:
-                chains.append([])
-            else:
-                chains[-1].append(item)
-                tables += 1
-        assert built[0] is None and len(chains) == 3
-        assert all(len(set(chain)) == len(chain) for chain in chains)
+        assert chains == [0, 1, 2]
+        assert all(n == 1 for n in built.values())
+        tables += len(built)
     assert tables
 
 
