@@ -142,6 +142,27 @@ def _writing(path: str):
         raise MarsError(f"cannot write {path}: {exc.strerror}") from exc
 
 
+def _drop_stdout() -> None:
+    """Point stdout at /dev/null, so that the interpreter's final flush of
+    what could not be written cannot raise again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
+@contextmanager
+def _stdout():
+    """Standard output for what a command prints, flushed at the end: a
+    failed write, as to a full disk, is a MarsError.  A closed pipe is left
+    to ``entrypoint``."""
+    try:
+        yield
+        sys.stdout.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        _drop_stdout()
+        raise MarsError(f"cannot write standard output: {exc.strerror}") from exc
+
+
 def _parse_hyper_file(path) -> dict:
     out = {}
     try:
@@ -206,17 +227,22 @@ def cmd_train(args) -> int:
 
     conf = best.confusion
     majority = max(conf.n_pos, conf.n_neg) / (conf.n_pos + conf.n_neg)
-    print(f"model written to {args.out}")
-    print(f"runlog written to {runlog_path}")
-    print(f"training accuracy: {conf.accuracy:.4f} "
-          f"(tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn})")
-    print(f"majority-class rate: {majority:.4f}")
-    if conf.accuracy < majority:
-        log.warning("training accuracy %.4f is below the majority-class rate %.4f: the search "
-                    "may have ended in a rule set that covers the negatives; try another "
-                    "--seed or more --restarts", conf.accuracy, majority)
-    print(f"log-posterior: {best.log_posterior:.6f}")
-    print("  ".join(f"{label}: {n}" for label, n in _labeled_sizes(rules.sizes())))
+    with _stdout():
+        print(f"model written to {args.out}")
+        print(f"runlog written to {runlog_path}")
+        print(f"training accuracy: {conf.accuracy:.4f} "
+              f"(tp={conf.tp} fp={conf.fp} tn={conf.tn} fn={conf.fn})")
+        print(f"majority-class rate: {majority:.4f}")
+        if conf.accuracy < majority:
+            log.warning("training accuracy %.4f is below the majority-class rate %.4f: the "
+                        "search may have ended in a rule set that covers the negatives; try "
+                        "another --seed or more --restarts", conf.accuracy, majority)
+        if conf.tn == conf.fn == 0 or conf.tp == conf.fp == 0:
+            log.warning("the model covers %s training rows, so it predicts one class for "
+                        "every row; if a rule set should do better, try another --seed or "
+                        "more --restarts", "all" if conf.tn == conf.fn == 0 else "no")
+        print(f"log-posterior: {best.log_posterior:.6f}")
+        print("  ".join(f"{label}: {n}" for label, n in _labeled_sizes(rules.sizes())))
     return 0
 
 
@@ -228,7 +254,8 @@ def cmd_predict(args) -> int:
     hit = first_covering_rule(model.rules, rows)
     preds = [("prediction", "rule_index"), *zip((hit >= 0).astype(int).tolist(), hit.tolist())]
     if not args.out:
-        csv.writer(sys.stdout).writerows(preds)
+        with _stdout():
+            csv.writer(sys.stdout).writerows(preds)
         return 0
     with _writing(args.out), open(args.out, "w", newline="") as sink:
         csv.writer(sink).writerows(preds)
@@ -246,16 +273,18 @@ def cmd_evaluate(args) -> int:
         raise DataFormatError(f"{args.csv}: no data rows")
     preds = first_covering_rule(model.rules, rows) >= 0
     accuracy = float((preds == labels).mean())
-    print(f"rows: {len(labels)}")
-    print(f"accuracy: {accuracy:.4f}")
-    for label, n in _labeled_sizes(model.rules.sizes()):
-        print(f"{label}: {n}")
+    with _stdout():
+        print(f"rows: {len(labels)}")
+        print(f"accuracy: {accuracy:.4f}")
+        for label, n in _labeled_sizes(model.rules.sizes()):
+            print(f"{label}: {n}")
     return 0
 
 
 def cmd_show(args) -> int:
     model = load_model(args.model)
-    sys.stdout.write(render_rules(model))
+    with _stdout():
+        sys.stdout.write(render_rules(model))
     return 0
 
 
@@ -271,7 +300,6 @@ def cmd_gen(args) -> int:
     table, truth = synth.generate(spec)
     with _writing(args.out):
         synth.write_table_csv(args.out, table)
-    print(f"wrote {len(table.rows)} rows to {args.out}")
     if args.truth:
         doc = [
             [{"feature": table.names[c.feature], "lo": c.lo, "hi": c.hi} for c in r.conditions]
@@ -280,7 +308,10 @@ def cmd_gen(args) -> int:
         with _writing(args.truth), open(args.truth, "w") as fh:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
-        print(f"wrote ground truth to {args.truth}")
+    with _stdout():
+        print(f"wrote {len(table.rows)} rows to {args.out}")
+        if args.truth:
+            print(f"wrote ground truth to {args.truth}")
     return 0
 
 
@@ -310,10 +341,11 @@ def cmd_sweep(args) -> int:
                           jobs=args.jobs)
     with _writing(args.out):
         synth.write_metrics_csv(args.out, records)
-    print(f"wrote {len(records)} sweep rows to {args.out}")
-    for (bm, bl), stats in sorted(synth.cell_means(records).items()):
-        sizes = " ".join(f"{label}={n:.1f}" for label, n in _labeled_sizes(stats))
-        print(f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} {sizes}")
+    with _stdout():
+        print(f"wrote {len(records)} sweep rows to {args.out}")
+        for (bm, bl), stats in sorted(synth.cell_means(records).items()):
+            sizes = " ".join(f"{label}={n:.1f}" for label, n in _labeled_sizes(stats))
+            print(f"beta_M={bm:g} beta_L={bl:g}: error={stats['holdout_error']:.4f} {sizes}")
     return 0
 
 
@@ -391,9 +423,8 @@ def entrypoint() -> None:
         code = main()
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed the pipe, as ``| head`` does: point stdout at
-        # /dev/null so the interpreter's final flush cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader closed the pipe, as ``| head`` does
+        _drop_stdout()
         code = 1
     sys.exit(code)
 

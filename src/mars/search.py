@@ -28,29 +28,34 @@ Inside the search, chain starts included, a rule has one form, the
 (feature, sorted values) pairs of its conditions in feature order
 (``model.Pairs``); a proposal keeps its rules as a tuple of them, and
 builds a ``RuleSet`` only when a new best is logged or returned.  Every
-neighbor is a one-rule edit of the current ``Proposal``: rule ``mi``
+neighbor is a one-rule change of the current ``Proposal``: rule ``mi``
 replaced, deleted, or, at ``mi`` equal to the rule count, a rule appended,
 and ``Proposal.of`` appends a start's rules one edit at a time.
 ``Proposal.edit`` takes the new rule's pairs, gets its mask from
 ``data.rule_mask``, the one rule-mask builder, and resolves a new rule
 equal to another current rule as ``normalize`` does, so every edit makes
 a normalized rule set, and equal edits make equal rule sets.
-An edit is scored and materialized from the same pieces: one ``_splice``
-puts the new rule's entry into the proposal's entries, and its pairs into
-its rules, ``scoring.prior_of_entries`` sums the entries' prior, and
-``scoring.log_likelihood`` scores the confusion counted from the other
-rules' cached union OR the new rule's mask.  ``scoring.score`` calls the
-same two functions, so an edit's posterior is the float it gives the rule
-set the edit makes.  Add-condition moves are scored from counts instead,
-so that a step scores its narrowings without building a mask for each: a
-rule's ``_GrowthTable`` packs, per (feature, value), the value's bit and
-the positive and negative rows among those the rule alone covers into one
-int, so a value set is the sum of its values' ints and carries its counts.
-It takes its prior from ``prior_of_entries``.  A table follows from the
-rules alone, so it is built whole, once per chain, for each (rules, rule
-index) a step narrows, and kept in the chain's growth memo, where a rule
-set the chain comes back to finds it.  A growth becomes an edit, and its
-values are decoded from its sum, only when it is kept.
+
+A neighbor, a candidate, is plain data that holds no proposal: an edit
+``(mi, pairs, k, mask)`` or a growth ``(table, feature, x)``.  The current
+proposal scores a candidate with ``posterior_of`` and applies it with
+``apply``.  It scores and applies an edit from the same pieces: one
+``_splice`` puts the new rule's entry into its entries, and the rule's
+pairs into its rules, ``scoring.prior_of_entries`` sums the entries'
+prior, and ``scoring.log_likelihood`` scores the confusion counted from
+the other rules' cached union OR the new rule's mask.  ``scoring.score``
+calls the same two functions, so an edit's posterior is the float it gives
+the rule set the edit makes.  Add-condition moves are growths, scored from
+counts instead, so that a step scores its narrowings without building a
+mask for each: a rule's ``_GrowthTable`` packs, per (feature, value), the
+value's bit and the positive and negative rows among those the rule alone
+covers into one int, so a value set is the sum ``x`` of its values' ints
+and carries its counts.  It takes its prior from ``prior_of_entries``.  A
+table follows from the rules alone, so it is built whole, once per chain,
+for each (rules, rule index) a step narrows, and kept in the chain's
+growth memo, where a rule set the chain comes back to finds it.  The
+proposal applies a growth as the edit it makes, its values decoded from
+``x``.
 
 The search draws its value sets and its samples with two samplers of its
 own, ``_ValueSets.pick`` and ``_sample``, each a partial Fisher–Yates
@@ -78,11 +83,11 @@ a move it keeps.  ``propose`` returns a ``Pick``: the chosen candidate, its
 action and its posterior, the very float it was ranked by.  An exploit
 pick is the first candidate, in the order the action listed them, that
 reaches the highest posterior, the one ``max()`` would return.  The step
-compares that float with the best and current posteriors and materializes
-the pick once when it is a new best or accepted; a rejected step builds
-nothing.  A proposal also lists its misclassified rows once, the first
-time a step samples an example from it, and serves that list to every
-later step until a move is accepted.
+compares that float with the best and current posteriors, and the current
+proposal applies the pick's candidate once when it is a new best or
+accepted; a rejected step builds nothing.  A proposal also lists its
+misclassified rows once, the first time a step samples an example from
+it, and serves that list to every later step until a move is accepted.
 """
 
 from __future__ import annotations
@@ -185,10 +190,11 @@ class Proposal:
     only a new best's ``improve`` record and ``run``'s result read it.
     ``misclassified`` lists the rows it misclassifies, in ascending order,
     when a step first samples an example from it.  ``memo`` is its chain's
-    growth memo, which every proposal edited from this one shares, and
+    growth memo, which every proposal applied from this one shares, and
     ``growth`` the memo's growth tables of these rules, by rule index: a
     chain that comes back to a rule set finds them there.  A proposal
-    compares by identity."""
+    scores a candidate, a one-rule change of it, with ``posterior_of`` and
+    applies it with ``apply``.  A proposal compares by identity."""
 
     keys: tuple[Pairs, ...]
     entries: tuple[RuleEntry, ...]
@@ -221,7 +227,7 @@ class Proposal:
         growth memo of its own."""
         prop = cls((), (), 0, data, hyper)
         for pairs in keys:
-            prop = prop.edit(len(prop.keys), pairs).proposal()
+            prop = prop.apply(prop.edit(len(prop.keys), pairs))
         return prop
 
     @cached_property
@@ -256,49 +262,57 @@ class Proposal:
         if k is not None and (k < mi or k == mi + 1):
             pairs = k = None
         mask = 0 if pairs is None else rule_mask(pairs, self.data)
-        return _Edit(self, mi, pairs, k, mask)
+        return _Edit(mi, pairs, k, mask)
 
-
-class _Edit(NamedTuple):
-    """A one-rule edit of ``prop``, built by ``Proposal.edit``: rule ``mi``
-    replaced by the rule ``pairs`` gives, which covers the rows of ``mask``
-    (None and 0 delete rule ``mi``), with the later copy at ``k`` dropped
-    when ``k`` is not None.  Edits of one proposal are equal when they make
-    the same rule set, that is when their ``(mi, pairs, k)`` are equal; the
-    mask follows from those."""
-
-    prop: Proposal
-    mi: int
-    pairs: Pairs | None
-    k: int | None
-    mask: int
-
-    def _entry(self) -> RuleEntry | None:
-        if self.pairs is None:
+    def _entry(self, edit: _Edit) -> RuleEntry | None:
+        if edit.pairs is None:
             return None
-        counts = [(j, len(values)) for j, values in self.pairs]
-        return (self.mask, *prior_terms_from_counts(counts, self.prop.hyper))
+        counts = [(j, len(values)) for j, values in edit.pairs]
+        return (edit.mask, *prior_terms_from_counts(counts, self.hyper))
 
-    def posterior(self) -> float:
-        prop = self.prop
-        data, hyper = prop.data, prop.hyper
-        prior = prior_of_entries(_splice(prop.entries, self.mi, self._entry(), self.k), hyper)
-        union = prop.others(self.mi) | self.mask
+    def posterior_of(self, c: Candidate) -> float:
+        """The posterior of the rule set candidate ``c`` makes of this one."""
+        if c.__class__ is tuple:
+            table, feature, x = c
+            return table.posterior(feature, x)
+        data, hyper = self.data, self.hyper
+        prior = prior_of_entries(_splice(self.entries, c.mi, self._entry(c), c.k), hyper)
+        union = self.others(c.mi) | c.mask
         tp = (union & data.pos_mask).bit_count()
         fp = union.bit_count() - tp
         return prior + log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, hyper)
 
-    def proposal(self) -> Proposal:
-        """The rule set the edit makes, scored."""
-        prop, mi, k = self.prop, self.mi, self.k
+    def apply(self, c: Candidate) -> Proposal:
+        """The rule set candidate ``c`` makes of this one, scored.  A growth
+        is applied as the edit it makes, its values decoded from its sum."""
+        if c.__class__ is tuple:
+            table, feature, x = c
+            values = _values(x, self.data.vocab_sizes[feature])
+            c = self.edit(table.mi, tuple(sorted([*table.key, (feature, values)])))
+        mi, k = c.mi, c.k
         return Proposal(
-            _splice(prop.keys, mi, self.pairs, k),
-            _splice(prop.entries, mi, self._entry(), k),
-            prop.others(mi) | self.mask,
-            prop.data,
-            prop.hyper,
-            memo=prop.memo,
+            _splice(self.keys, mi, c.pairs, k),
+            _splice(self.entries, mi, self._entry(c), k),
+            self.others(mi) | c.mask,
+            self.data,
+            self.hyper,
+            memo=self.memo,
         )
+
+
+class _Edit(NamedTuple):
+    """A one-rule edit of a proposal, built by ``Proposal.edit``: rule
+    ``mi`` replaced by the rule ``pairs`` gives, which covers the rows of
+    ``mask`` (None and 0 delete rule ``mi``), with the later copy at ``k``
+    dropped when ``k`` is not None.  It holds no proposal: the one it was
+    built from scores and applies it.  Edits of one proposal are equal when
+    they make the same rule set, that is when their ``(mi, pairs, k)`` are
+    equal; the mask follows from those."""
+
+    mi: int
+    pairs: Pairs | None
+    k: int | None
+    mask: int
 
 
 @dataclass
@@ -339,7 +353,7 @@ class _GrowthTable:
     ``tp`` and ``fp`` the other rules cover plus those, and its prior is
     ``prior_of_entries`` of the rules' ``entries`` with the grown rule's
     terms, from its (feature, value count) pairs, spliced in at ``mi``.  So
-    a move's score equals the materialized rule set's exactly; ``priors``
+    a move's score equals that of the rule set it makes exactly; ``priors``
     and ``scores`` (one dict per feature, keyed by ``x``) keep each one
     computed.  ``collisions`` maps a ``(feature, x)`` whose grown rule is
     another of the rules to that rule's pairs.  The table holds no
@@ -409,41 +423,18 @@ def _values(x: int, vocab: int) -> tuple[int, ...]:
     return tuple(v for v in range(vocab) if x >> v & 1)
 
 
-class _Growth(NamedTuple):
-    """An add-condition move of ``prop``: rule ``table.mi`` narrowed by the
-    condition ``feature`` in the value set whose packed entries sum to
-    ``x`` (a proper subset of the vocabulary), scored by ``table``.  Its
-    values are decoded only when the move becomes a proposal."""
-
-    prop: Proposal
-    table: _GrowthTable
-    feature: int
-    x: int
-
-    def posterior(self) -> float:
-        return self.table.posterior(self.feature, self.x)
-
-    def proposal(self) -> Proposal:
-        prop, mi = self.prop, self.table.mi
-        values = _values(self.x, prop.data.vocab_sizes[self.feature])
-        grown = tuple(sorted([*prop.keys[mi], (self.feature, values)]))
-        return prop.edit(mi, grown).proposal()
-
-
-Candidate = _Edit | _Growth
+# an edit, or a growth (table, feature, x) as ``_growth_moves`` builds it
+Candidate = _Edit | tuple
 
 
 class Pick(NamedTuple):
     """The candidate ``propose`` chose through ``action``, with its
-    posterior, equal to the ``log_posterior`` of the proposal it
-    materializes into.  A candidate becomes a proposal only here."""
+    posterior: the ``log_posterior`` of the proposal that the current one
+    makes when it applies the candidate."""
 
     candidate: Candidate
     action: str
     log_posterior: float
-
-    def proposal(self) -> Proposal:
-        return self.candidate.proposal()
 
 
 def _sample(getrandbits, population: Sequence, k: int) -> list:
@@ -661,13 +652,13 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
     """Narrow each rule covering example ``idx`` by one condition on a
     feature it lacks: the vocabulary minus the example's value (excluding
     it at the smallest possible coverage loss) and two random value sets.
-    A move whose grown rule is another current rule comes as the edit it
-    makes."""
+    A move is the growth ``(table, feature, x)``: rule ``table.mi``, whose
+    growth table it is, narrowed by the condition ``feature`` in the value
+    set whose packed entries sum to ``x``.  A move whose grown rule is
+    another current rule comes as the edit it makes."""
     moves: list[Candidate] = []
     bit = 1 << idx
     bits = rng.getrandbits
-    # builds a _Growth as its generated __new__ does, without that Python call
-    new = tuple.__new__
     for mi, entry in enumerate(current.entries):
         if not entry[0] & bit:
             continue  # only rules that cover the sampled negative example
@@ -680,8 +671,7 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
             without = total - packed[xrow[j]]
             for x in (without, pick(bits, packed, vocab), pick(bits, packed, vocab)):
                 other = collisions.get((j, x)) if collisions else None
-                moves.append(new(_Growth, (current, table, j, x)) if other is None
-                             else current.edit(mi, other))
+                moves.append((table, j, x) if other is None else current.edit(mi, other))
     return moves
 
 
@@ -740,19 +730,19 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
             # rule comes as an edit)
             candidates = list(dict.fromkeys(edits))
             chosen = rng.choice(candidates)
-            return Pick(chosen, action, chosen.posterior())
+            return Pick(chosen, action, current.posterior_of(chosen))
         # the first candidate of the highest posterior, as max() picks: a
         # copy comes after its first, so the copies need not be dropped.  A
         # growth's score is read from its table's memo when it is there.
         chosen, posterior = None, -math.inf
         for c in edits:
-            if c.__class__ is _Growth:
-                _, table, j, x = c
+            if c.__class__ is tuple:
+                table, j, x = c
                 score = table.scores[j].get(x)
                 if score is None:
                     score = table.posterior(j, x)
             else:
-                score = c.posterior()
+                score = current.posterior_of(c)
             if score > posterior or chosen is None:
                 chosen, posterior = c, score
         return Pick(chosen, action, posterior)
@@ -784,7 +774,7 @@ def anneal_step(state: SearchState) -> SearchState:
     # an uphill pick is accepted without reading the schedule
     accepted = delta >= 0 or _accepts(state.rng, delta, temperature(state.cfg, state.t))
     if improved or accepted:
-        prop = pick.proposal()
+        prop = state.current.apply(pick.candidate)
         if improved:
             _record_best(state, prop)
         if accepted:

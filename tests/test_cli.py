@@ -123,6 +123,36 @@ def test_train_warns_below_the_majority_class_rate(trained, tmp_path, monkeypatc
     assert f"training accuracy {accuracy} is below the majority-class rate {rate}" in warning
 
 
+def test_train_warns_when_the_model_covers_every_row_or_none(tmp_path, monkeypatch, capsys,
+                                                             caplog):
+    """A model that covers every training row, or none, predicts one class
+    everywhere: its accuracy is the rate of that class.  On this planted
+    instance, 99% positive, a 500-step search ends in a rule set that
+    covers every row."""
+    csv_path = tmp_path / "probe.csv"
+    argv = ["gen", "--rows", "1000", "--rules", "6", "--max-conditions", "2", "--seed", "9",
+            "--out", csv_path]
+    assert cli.main([str(a) for a in argv]) == 0
+    train = ["train", csv_path, "--label", "label", "--out", tmp_path / "m.json"]
+    capsys.readouterr()
+    assert cli.main([str(a) for a in [*train, "--iters", "500"]]) == 0
+    printed = capsys.readouterr().out
+    assert "tn=0 fn=0" in printed and "covers" not in printed
+    (warning,) = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert "the model covers all training rows" in warning
+
+    def empty_run(data, hyper, cfg):
+        rules = RuleSet(())
+        return rules, score(rules, data, hyper), RunLog()
+
+    caplog.clear()
+    monkeypatch.setattr(cli, "run", empty_run)
+    assert cli.main([str(a) for a in train]) == 0
+    assert "tp=0 fp=0" in capsys.readouterr().out
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert any("the model covers no training rows" in w for w in warnings)
+
+
 def holdout_rows():
     # unseen category "z", blank and "?" cells, out-of-range numerics
     return [
@@ -693,7 +723,8 @@ def test_output_name_the_os_rejects_is_an_error_not_a_traceback(trained, tmp_pat
 @pytest.mark.parametrize(
     "command, flag",
     [("gen", "--out"), ("gen", "--truth"), ("train", "--out"), ("train", "--runlog"),
-     ("predict", "--out"), ("sweep", "--out")],
+     ("predict", "--out"), ("sweep", "--out"), ("show", "stdout"), ("predict", "stdout"),
+     ("evaluate", "stdout"), ("gen", "stdout"), ("train", "stdout")],
 )
 def test_a_write_that_fails_is_an_error_not_a_traceback(trained, tmp_path, command, flag):
     # every write to /dev/full fails with ENOSPC, as on a full disk
@@ -701,17 +732,31 @@ def test_a_write_that_fails_is_an_error_not_a_traceback(trained, tmp_path, comma
     outputs = {"--out": tmp_path / "out", "--truth": tmp_path / "truth.json",
                "--runlog": tmp_path / "runlog.jsonl"}
     outputs[flag] = "/dev/full"
+    # predict writes its predictions to standard output when it has no --out
+    predict_out = [] if flag == "stdout" else ["--out", outputs["--out"]]
     argv = {
         "gen": ["gen", "--rows", "20", "--out", outputs["--out"], "--truth", outputs["--truth"]],
-        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "5",
+        # as many steps as the fixture's model took, so that it warns of nothing
+        "train": ["train", tmp / "train.csv", "--label", "y", "--iters", "300", "--bins", "4",
                   "--out", outputs["--out"], "--runlog", outputs["--runlog"]],
-        "predict": ["predict", model, tmp / "train.csv", "--out", outputs["--out"]],
+        "predict": ["predict", model, tmp / "train.csv", *predict_out],
         "sweep": ["sweep", "--rows", "50", "--replicates", "1", "--grid", "100",
                   "--iters", "5", "--out", outputs["--out"]],
+        "show": ["show", model],
+        "evaluate": ["evaluate", model, tmp / "train.csv"],
     }[command]
-    proc = run_mars(*argv)
-    assert_clean_error(proc, 1)
-    assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
+    if flag != "stdout":
+        proc = run_mars(*argv)
+        assert_clean_error(proc, 1)
+        assert proc.stderr == "error: cannot write /dev/full: No space left on device\n"
+        return
+    # unbuffered, the first write fails; buffered, the flush at the end does
+    for unbuffered in ("1", ""):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(**mars_command(*argv, env={"PYTHONUNBUFFERED": unbuffered}),
+                                  stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+        assert_clean_error(proc, 1)
+        assert proc.stderr == "error: cannot write standard output: No space left on device\n"
 
 
 def test_train_checks_output_paths_before_searching(trained, tmp_path, monkeypatch, capsys):

@@ -342,7 +342,7 @@ def test_add_value_neighbors_grow_coverage():
 
     before = mask_from_bools(first_covering_rule(state.current.rules, data.rows) >= 0)
     for edit in _edits_add_value(state.current, data.rows[ex[0]]):
-        grown = normalize(RuleSet(materialized(edit)), data.vocab_sizes)
+        grown = normalize(RuleSet(materialized(state.current, edit)), data.vocab_sizes)
         after = mask_from_bools(first_covering_rule(grown, data.rows) >= 0)
         assert after & before == before  # coverage only grows
 
@@ -358,7 +358,7 @@ def test_add_condition_canonical_variant_uncovers_example():
     from mars.search import _growth_moves
 
     moves = _growth_moves(state.current, idx, data.rows[idx], state.rng)
-    edits = [materialized(move) for move in moves]
+    edits = [materialized(state.current, move) for move in moves]
     assert edits
     # canonical candidates (vocabulary minus the example's value) come first
     # per (rule, feature) block; each must stop covering the example
@@ -383,7 +383,7 @@ def test_add_rule_candidates_respect_support_floor():
     seeds = _seed_moves(state.current, data.rows[ex[0]], state.rng, 64, state.bounds)
     assert seeds
     for seed in seeds:
-        made = seed.proposal()
+        made = state.current.apply(seed)
         rule, mask = made.rules.rules[-1], made.entries[-1][0]
         assert mask == seed.mask == rule_mask(rule.pairs, data)
         assert mask.bit_count() >= 3
@@ -433,15 +433,15 @@ def test_exploit_mode_returns_posterior_argmax(monkeypatch):
             # highest posterior, and is the first candidate that does
             assert len(built[-1]) <= cfg.neighbor_budget
             candidates = list(dict.fromkeys(built[-1]))
-            scores = [score(RuleSet(materialized(c)), data, h).log_posterior
+            scores = [score(RuleSet(materialized(state.current, c)), data, h).log_posterior
                       for c in candidates]
             assert pick.log_posterior >= max(scores)
             assert candidates[scores.index(pick.log_posterior)] is pick.candidate
             ties += scores.count(pick.log_posterior) > 1
-            prop = pick.proposal()
+            prop = state.current.apply(pick.candidate)
             # replay the same action's full neighbor set and verify the argmax
             state.rng.setstate(rng_snapshot)
-            replay = propose(state, ex).proposal()
+            replay = state.current.apply(propose(state, ex).candidate)
             assert replay.rules == prop.rules
             assert replay.score.log_posterior == prop.score.log_posterior
             anneal_step(state)
@@ -670,7 +670,7 @@ def test_admitted_rules_meet_support_floor_during_run():
             continue
         pick = propose(state, ex)
         if pick is not None:
-            prop = pick.proposal()
+            prop = state.current.apply(pick.candidate)
             if pick.action == "add_rule":
                 new_rules = set(prop.rules.rules) - before
                 assert new_rules, "add_rule proposal must introduce a rule"
@@ -725,9 +725,9 @@ def raw_remove_condition(rules):
     return edits
 
 
-def materialized(move):
-    """The rule set a move makes."""
-    return move.proposal().rules.rules
+def materialized(prop, move):
+    """The rule set a move makes of ``prop``."""
+    return prop.apply(move).rules.rules
 
 
 def raw_add_condition(rules, data, idx, xrow, rng):
@@ -826,7 +826,7 @@ def test_edits_equal_normalized_raw_edits(draw):
     def made(moves):
         """The rule sets the moves make, each move scored exactly as the
         rule set it makes."""
-        props = [move.proposal() for move in moves]
+        props = [prop.apply(move) for move in moves]
         sets = [p.rules.rules for p in props]
         # no builder returns the current rule set, so propose filters none out
         assert rules not in sets
@@ -835,7 +835,7 @@ def test_edits_equal_normalized_raw_edits(draw):
         assert len(set(moves)) == len(set(sets))
         for move, p in zip(moves, props):
             full = score(p.rules, data, h)
-            assert move.posterior() == full.log_posterior  # floats compared exactly
+            assert prop.posterior_of(move) == full.log_posterior  # floats compared exactly
             assert p.score == full
             # rule_covers row by row: here first_covering_rule's np.isin calls
             # would double the test's time
@@ -881,7 +881,7 @@ def assert_growth_tables_rescore(data, h, rules, rng):
     from itertools import combinations
 
     from mars.model import normalize
-    from mars.search import _Growth, _GrowthTable
+    from mars.search import _GrowthTable
 
     vocab_sizes = data.vocab_sizes
     prop = Proposal.of([rule.pairs for rule in rules], data, h)
@@ -927,16 +927,16 @@ def assert_growth_tables_rescore(data, h, rules, rng):
                 assert ((j, x) in table.collisions) == (grown in rules)
                 if grown in rules:
                     assert table.collisions[j, x] == grown.pairs
-                    assert materialized(prop.edit(mi, table.collisions[j, x])) == expected
+                    assert materialized(prop, prop.edit(mi, table.collisions[j, x])) == expected
                     continue
-                move = _Growth(prop, table, j, x)
-                chosen = move.proposal()
+                move = (table, j, x)
+                chosen = prop.apply(move)
                 made = chosen.rules.rules
                 made_rule, made_mask = made[mi], chosen.entries[mi][0]
                 assert made == expected and len(expected) == len(rules)
                 assert made_rule == grown and made_mask == rule_mask(grown.pairs, data)
                 full = score(RuleSet(expected), data, h)
-                assert move.posterior() == full.log_posterior  # floats compared exactly
+                assert prop.posterior_of(move) == full.log_posterior  # floats compared exactly
                 assert chosen.score == full
 
 
@@ -975,7 +975,7 @@ def test_growth_table_fields_hold_a_value_of_every_row(n_rows):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_proposals_of_equal_rules_share_one_growth_memo(draw):
-    from mars.search import _Growth, _growth_moves
+    from mars.search import _growth_moves
 
     rng = random.Random(draw.draw(st.integers(0, 10**6)))
     vocab_sizes = draw.draw(
@@ -993,8 +993,8 @@ def test_proposals_of_equal_rules_share_one_growth_memo(draw):
         if ((j, (v,)),) not in keys
     )
     first = Proposal.of(keys, data, h)
-    detour = first.edit(len(keys), extra).proposal()
-    second = detour.edit(len(keys), None).proposal()
+    detour = first.apply(first.edit(len(keys), extra))
+    second = detour.apply(detour.edit(len(keys), None))
     assert second.keys == first.keys and second.memo is first.memo
     assert second.growth is first.growth and detour.growth is not first.growth
     for idx, xrow in enumerate(data.rows):
@@ -1006,20 +1006,21 @@ def test_proposals_of_equal_rules_share_one_growth_memo(draw):
         for prop in (detour, first, second):
             moves_of[prop] = _growth_moves(prop, idx, xrow, random.Random(seed))
             for move in moves_of[prop]:
-                move.posterior()
-        shared = [moves_of[first], moves_of[second]]
+                prop.posterior_of(move)
         reference = Proposal.of(keys, data, h)
         assert reference.memo is not first.memo
         want = _growth_moves(reference, idx, xrow, random.Random(seed))
-        for moves in shared:
+        for prop in (first, second):
+            moves = moves_of[prop]
             assert len(moves) == len(want)
             for move, ref in zip(moves, want):
                 assert move.__class__ is ref.__class__
-                if move.__class__ is _Growth:
-                    assert move.table is first.growth[move.table.mi]
-                    assert move[2:] == ref[2:]
-                assert move.posterior() == ref.posterior()  # floats compared exactly
-                assert materialized(move) == materialized(ref)
+                if move.__class__ is tuple:
+                    assert move[0] is first.growth[move[0].mi]
+                    assert move[1:] == ref[1:]
+                # floats compared exactly
+                assert prop.posterior_of(move) == reference.posterior_of(ref)
+                assert materialized(prop, move) == materialized(reference, ref)
 
 
 def test_each_growth_table_is_built_once_per_chain(monkeypatch):
@@ -1065,7 +1066,7 @@ def test_a_dropped_proposal_is_collected_while_its_growth_memo_lives():
     prop = Proposal.of(keys, data, hypers(data))
     for idx, xrow in enumerate(data.rows):
         for move in _growth_moves(prop, idx, xrow, random.Random(idx)):
-            move.posterior()
+            prop.posterior_of(move)
     memo, tables = prop.memo, dict(prop.growth)
     assert tables and any(table.collisions for table in tables.values())
     dropped = weakref.ref(prop)
@@ -1123,14 +1124,14 @@ def test_seed_scores_equal_full_rescore(draw):
     bounds = replace(initial_bounds(data, h), min_support=1, m_cap=None)
     for xrow in data.rows[:4]:
         for seed in _seed_moves(prop, xrow, rng, 16, bounds):
-            chosen = seed.proposal()
+            chosen = prop.apply(seed)
             made = chosen.rules.rules
             rule, mask = made[-1], seed.mask
             assert made == rules + (rule,)
             assert mask == rule_mask(rule.pairs, data)
             assert all(xrow[c.feature_id] in c.values for c in rule.conditions)
             full = score(RuleSet(made), data, h)
-            assert seed.posterior() == full.log_posterior  # floats compared exactly
+            assert prop.posterior_of(seed) == full.log_posterior  # floats compared exactly
             assert chosen.score == full
             assert chosen.entries[-1][0] == mask
 
@@ -1207,14 +1208,14 @@ def test_growth_moves_hand_a_collision_over_as_its_rule_set():
     prop = Proposal.of((wide.pairs, narrow.pairs), data, h)
     moves = _growth_moves(prop, 1, data.rows[1], random.Random(0))
     # the canonical variant excludes the example's value 1: x1 in {0}
-    assert materialized(moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
+    assert materialized(prop, moves[0]) == (Rule.of({0: (0,), 1: (0,)}), narrow)
     # a random variant drew x1 in {1}: the move comes as the edit that
     # deletes `wide`, the copy of `narrow` right after it being kept
     collision = prop.edit(0, None)
     assert any(m.__class__ is _Edit and m == collision for m in moves)
-    assert materialized(collision) == (narrow,)
+    assert materialized(prop, collision) == (narrow,)
     raw = raw_add_condition((wide, narrow), data, 1, data.rows[1], random.Random(0))
-    assert [materialized(m) for m in moves] == [
+    assert [materialized(prop, m) for m in moves] == [
         normalize(RuleSet(edit), data.vocab_sizes).rules for edit in raw
     ]
 
@@ -1229,7 +1230,7 @@ def test_edit_keeps_first_of_duplicates():
     def edited(rules, mi, new):
         prop = Proposal.of([rule.pairs for rule in rules], data, h)
         edit = prop.edit(mi, None if new is None else new.pairs)
-        return materialized(edit), edit.k
+        return materialized(prop, edit), edit.k
 
     assert edited((a, b, c), 2, b) == ((a, b), None)  # the duplicate comes first
     assert edited((a, b, c), 0, b) == ((b, c), None)  # the edited rule comes first
@@ -1271,7 +1272,7 @@ def test_add_value_grows_each_rejecting_condition_by_the_example_value(draw):
             conds[ci] = Condition(j, conds[ci].values + (int(xrow[j]),))
             grown = rules[:mi] + (Rule(tuple(conds)),) + rules[mi + 1:]
             expected.append(normalize(RuleSet(grown), vocab_sizes).rules)
-        assert [materialized(e) for e in _edits_add_value(prop, xrow)] == expected
+        assert [materialized(prop, e) for e in _edits_add_value(prop, xrow)] == expected
 
 
 def test_add_value_drops_condition_that_reaches_full_vocabulary():
@@ -1282,11 +1283,11 @@ def test_add_value_drops_condition_that_reaches_full_vocabulary():
     lone = Rule.of({0: (0,)})
     pair = Rule.of({0: (0,), 1: (0, 1)})
     # growing x0 to {0, 1} leaves nothing of `lone`: the rule goes
-    edits = _edits_add_value(Proposal.of((lone.pairs,), data, h), data.rows[1])
-    assert [materialized(e) for e in edits] == [()]
+    prop = Proposal.of((lone.pairs,), data, h)
+    assert [materialized(prop, e) for e in _edits_add_value(prop, data.rows[1])] == [()]
     # growing x1 to {0, 1, 2} leaves {x0: 0}, which duplicates `lone`
-    edits = _edits_add_value(Proposal.of((lone.pairs, pair.pairs), data, h), data.rows[1])
-    assert (lone,) in [materialized(e) for e in edits]
+    prop = Proposal.of((lone.pairs, pair.pairs), data, h)
+    assert (lone,) in [materialized(prop, e) for e in _edits_add_value(prop, data.rows[1])]
 
 
 def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
@@ -1296,9 +1297,9 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
     chosen = []
 
     def recording(fn):
-        def wrapper(*args, **kwargs):
-            pick = fn(*args, **kwargs)
-            chosen.append(pick)
+        def wrapper(state, example):
+            pick = fn(state, example)
+            chosen.append((state.current, pick))
             return pick
         return wrapper
 
@@ -1312,10 +1313,10 @@ def test_chosen_proposal_score_equals_full_rescore(monkeypatch):
         chosen.clear()
         for _ in range(cfg.n_iter):
             anneal_step(state)
-        picks = [pick for pick in chosen if pick is not None]  # None is a stall
+        picks = [(current, pick) for current, pick in chosen if pick is not None]  # None: a stall
         assert picks
-        for pick in picks:
-            prop = pick.proposal()
+        for current, pick in picks:
+            prop = current.apply(pick.candidate)
             assert prop.score == score(prop.rules, data, h)  # floats compared exactly
             # the float the step compares is the materialized proposal's
             assert pick.log_posterior == prop.score.log_posterior
@@ -1339,8 +1340,8 @@ def test_rejected_steps_build_no_proposal(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # every candidate, a growth included, materializes through _Edit.proposal
-    monkeypatch.setattr(search._Edit, "proposal", counting(search._Edit.proposal))
+    # every candidate, a growth included, materializes through Proposal.apply
+    monkeypatch.setattr(search.Proposal, "apply", counting(search.Proposal.apply))
     rejected = 0
     for seed in range(20):
         data = tiny_instance(seed)
@@ -1359,3 +1360,57 @@ def test_rejected_steps_build_no_proposal(monkeypatch):
         # one proposal per kept step, even one both accepted and a new best
         assert len(built) == kept
     assert rejected
+
+
+def test_candidates_and_picks_hold_no_proposal(monkeypatch):
+    """A candidate is data that the current proposal scores and applies: an
+    edit ``(mi, pairs, k, mask)`` or a growth ``(table, feature, x)``.
+    Nothing ``propose`` or a move builder returns refers to a Proposal, so a
+    kept candidate keeps no rule set alive."""
+    import gc
+    import types
+
+    import mars.search as search
+    from mars.search import _Edit, _GrowthTable
+
+    def reaches_proposal(root):
+        # the objects ``root`` refers to, and theirs, short of code and
+        # modules, which reach everything
+        seen, stack = set(), [root]
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen or isinstance(obj, (type, types.ModuleType, types.FunctionType)):
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, Proposal):
+                return True
+            stack.extend(gc.get_referents(obj))
+        return False
+
+    returned = []
+    for name in ("_edits_add_value", "_edits_remove_condition", "_seed_moves",
+                 "_growth_moves", "_edits_remove_rule", "propose"):
+        def recording(*args, build=getattr(search, name)):
+            returned.append(build(*args))
+            return returned[-1]
+        monkeypatch.setattr(search, name, recording)
+
+    kinds = Counter()
+    for seed in range(6):
+        data = tiny_instance(seed)
+        state = init_state(data, hypers(data), small_cfg(n_iter=100, random_seed=seed,
+                                                         explore_prob=0.3))
+        for _ in range(100):
+            anneal_step(state)
+        assert reaches_proposal([state])  # the walk finds a Proposal that is there
+    for moves in returned:
+        for c in moves if isinstance(moves, list) else [moves.candidate] if moves else []:
+            if c.__class__ is tuple:
+                table, feature, x = c
+                assert table.__class__ is _GrowthTable and type(feature) is type(x) is int
+            else:
+                assert c.__class__ is _Edit
+            kinds[c.__class__] += 1
+    assert kinds[tuple] and kinds[_Edit]
+    assert _Edit._fields == ("mi", "pairs", "k", "mask")
+    assert not reaches_proposal(returned)
