@@ -295,7 +295,11 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
     ``scheme`` is "width" (equal-width bins over the observed min/max) or
     "frequency" (quantile bins).  Both schemes collapse duplicate edges, as
     repeated quantiles or a range only a few floats wide give, so the
-    vocabulary may end up smaller than ``n_bins``.
+    vocabulary may end up smaller than ``n_bins``.  Quantile edges that
+    leave one interval, as a column with a rare value gives, are replaced
+    by one cut halfway between the extreme the inner quantiles sit on (the
+    minimum, unless they all sit on the maximum) and its nearest other
+    value.
     """
     if not 2 <= n_bins <= MAX_BINS:
         raise ValueError(f"n_bins must lie in [2, {MAX_BINS}]")
@@ -361,7 +365,14 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
     if scheme == "width":
         edges = np.unique(np.linspace(lo, hi, n_bins + 1))
     else:
-        edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)))
+        quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
+        edges = np.unique(quantiles)
+        if len(edges) < 3:
+            if (quantiles[1:-1] == hi).all():
+                end, near = hi, values[values < hi].max()
+            else:
+                end, near = lo, values[values > lo].min()
+            edges = np.unique([lo, end + (near - end) / 2, hi])
     if len(edges) < 3:
         raise DataFormatError(
             f"column {name!r}: equal-{scheme} binning collapsed to a single interval"

@@ -196,15 +196,6 @@ class _PriorConstants:
         # rule count -> log p(M = count)
         self.count_terms: dict[int, float] = {}
 
-    def length_pair(self, length: int, hyper: Hyperparams) -> tuple[float, float]:
-        pair = self.length_terms.get(length)
-        if pair is None:
-            pair = self.length_terms[length] = (
-                log_rule_length_prior(length, hyper),
-                self.lgamma_theta_sum - lgamma(length + self.theta_sum),
-            )
-        return pair
-
 
 def log_omega(hyper: Hyperparams) -> float:
     """log of the prior-penalty constant entering both pruning bounds."""
@@ -255,8 +246,13 @@ def prior_terms_from_counts(
         if item is None:
             item = dm_items[(j, l_mj)] = lgamma(l_mj + theta[j]) - c.lgamma_theta[j]
         dm += item
-    length_term, dm_norm = c.length_pair(length, hyper)
-    return length_term, dm_norm + dm
+    pair = c.length_terms.get(length)
+    if pair is None:
+        pair = c.length_terms[length] = (
+            log_rule_length_prior(length, hyper),
+            c.lgamma_theta_sum - lgamma(length + c.theta_sum),
+        )
+    return pair[0], pair[1] + dm
 
 
 # per-rule entry: (coverage mask, log p(L_m) term, log p(z_m) term)

@@ -37,11 +37,12 @@ equal to another current rule as ``normalize`` does, so every edit makes
 a normalized rule set, and equal edits make equal rule sets.
 
 A neighbor, a candidate, is plain data that holds no proposal: an edit
-``(mi, pairs, k, mask)`` or a growth ``(table, feature, x)``.  The current
-proposal scores a candidate with ``posterior_of`` and applies it with
-``apply``.  It scores and applies an edit from the same pieces: one
-``_splice`` puts the new rule's entry into its entries, and the rule's
-pairs into its rules, ``scoring.prior_of_entries`` sums the entries'
+``(mi, pairs, k, mask)`` or a growth ``(table, feature, x)``.  Only the
+current proposal looks inside one: ``posterior_of``, the one scorer,
+scores either kind, and ``apply`` applies it, so the step loop treats
+every candidate alike.  An edit is scored and applied from the same
+pieces: one ``_splice`` puts the new rule's entry into the entries, and
+its pairs into the rules, ``scoring.prior_of_entries`` sums the entries'
 prior, and ``scoring.log_likelihood`` scores the confusion counted from
 the other rules' cached union OR the new rule's mask.  ``scoring.score``
 calls the same two functions, so an edit's posterior is the float it gives
@@ -50,12 +51,13 @@ counts instead, so that a step scores its narrowings without building a
 mask for each: a rule's ``_GrowthTable`` packs, per (feature, value), the
 value's bit and the positive and negative rows among those the rule alone
 covers into one int, so a value set is the sum ``x`` of its values' ints
-and carries its counts.  It takes its prior from ``prior_of_entries``.  A
-table follows from the rules alone, so it is built whole, once per chain,
-for each (rules, rule index) a step narrows, and kept in the chain's
-growth memo, where a rule set the chain comes back to finds it.  The
-proposal applies a growth as the edit it makes, its values decoded from
-``x``.
+and carries its counts; its prior comes from ``prior_of_entries``.  A
+growth's score is read from its table's ``scores``, and the table's
+``score`` computes only the ones missing there.  A table follows from
+the rules alone, so it is built whole, once per chain, for each (rules,
+rule index) a step narrows, and kept in the chain's growth memo, where a
+rule set the chain comes back to finds it.  The proposal applies a growth
+as the edit it makes, its values decoded from ``x``.
 
 The search draws its value sets and its samples with two samplers of its
 own, ``_ValueSets.pick`` and ``_sample``, each a partial Fisher–Yates
@@ -194,7 +196,8 @@ class Proposal:
     ``growth`` the memo's growth tables of these rules, by rule index: a
     chain that comes back to a rule set finds them there.  A proposal
     scores a candidate, a one-rule change of it, with ``posterior_of`` and
-    applies it with ``apply``.  A proposal compares by identity."""
+    applies it with ``apply``, the only two methods that look inside a
+    candidate.  A proposal compares by identity."""
 
     keys: tuple[Pairs, ...]
     entries: tuple[RuleEntry, ...]
@@ -202,7 +205,6 @@ class Proposal:
     data: Dataset = field(repr=False)
     hyper: Hyperparams = field(repr=False)
     score: Score = field(init=False)
-    misclassified: list[int] | None = field(default=None, repr=False)
     memo: dict[tuple[Pairs, ...], dict[int, _GrowthTable]] = field(
         default_factory=dict, repr=False
     )
@@ -229,6 +231,10 @@ class Proposal:
         for pairs in keys:
             prop = prop.apply(prop.edit(len(prop.keys), pairs))
         return prop
+
+    @cached_property
+    def misclassified(self) -> list[int]:
+        return indices(self.union_mask ^ self.data.pos_mask)
 
     @cached_property
     def rules(self) -> RuleSet:
@@ -274,7 +280,8 @@ class Proposal:
         """The posterior of the rule set candidate ``c`` makes of this one."""
         if c.__class__ is tuple:
             table, feature, x = c
-            return table.posterior(feature, x)
+            score = table.scores[feature].get(x)
+            return table.score(feature, x) if score is None else score
         data, hyper = self.data, self.hyper
         prior = prior_of_entries(_splice(self.entries, c.mi, self._entry(c), c.k), hyper)
         union = self.others(c.mi) | c.mask
@@ -353,9 +360,10 @@ class _GrowthTable:
     ``tp`` and ``fp`` the other rules cover plus those, and its prior is
     ``prior_of_entries`` of the rules' ``entries`` with the grown rule's
     terms, from its (feature, value count) pairs, spliced in at ``mi``.  So
-    a move's score equals that of the rule set it makes exactly; ``priors``
-    and ``scores`` (one dict per feature, keyed by ``x``) keep each one
-    computed.  ``collisions`` maps a ``(feature, x)`` whose grown rule is
+    a move's score equals that of the rule set it makes exactly.  ``score``
+    computes one and keeps it in ``scores`` (one dict per feature, keyed by
+    ``x``), which ``Proposal.posterior_of`` reads first, and its prior in
+    ``priors``.  ``collisions`` maps a ``(feature, x)`` whose grown rule is
     another of the rules to that rule's pairs.  The table holds no
     proposal, and reads the entries for their prior terms only.
     """
@@ -393,28 +401,24 @@ class _GrowthTable:
                 packed = next(p for f, _, p, _ in self.free if f == j)
                 self.collisions[j, sum(packed[v] for v in values)] = other
 
-    def prior(self, feature: int, n_values: int) -> float:
+    def score(self, feature: int, x: int) -> float:
+        """The posterior of the growth ``(self, feature, x)``, kept in ``scores``."""
+        data, hyper = self.data, self.hyper
+        lo, width = data.vocab_sizes[feature], data.n_rows.bit_length()
+        n_values = (x & (1 << lo) - 1).bit_count()
         prior = self.priors.get((feature, n_values))
         if prior is None:
             # the grown rule's pairs in feature order, as Rule sorts them
             grown = sorted([*((j, len(values)) for j, values in self.key), (feature, n_values)])
-            entry = (0, *prior_terms_from_counts(grown, self.hyper))
+            entry = (0, *prior_terms_from_counts(grown, hyper))
             prior = self.priors[feature, n_values] = prior_of_entries(
-                _splice(self.entries, self.mi, entry, None), self.hyper
+                _splice(self.entries, self.mi, entry, None), hyper
             )
-        return prior
-
-    def posterior(self, feature: int, x: int) -> float:
-        scores = self.scores[feature]
-        score = scores.get(x)
-        if score is None:
-            data = self.data
-            lo, width = data.vocab_sizes[feature], data.n_rows.bit_length()
-            tp = self.tp + (x >> lo + width)
-            fp = self.fp + (x >> lo & (1 << width) - 1)
-            score = scores[x] = self.prior(feature, (x & (1 << lo) - 1).bit_count()) + (
-                log_likelihood(tp, fp, data.n_neg - fp, data.n_pos - tp, self.hyper)
-            )
+        tp = self.tp + (x >> lo + width)
+        fp = self.fp + (x >> lo & (1 << width) - 1)
+        score = self.scores[feature][x] = prior + log_likelihood(
+            tp, fp, data.n_neg - fp, data.n_pos - tp, hyper
+        )
         return score
 
 
@@ -429,8 +433,9 @@ Candidate = _Edit | tuple
 
 class Pick(NamedTuple):
     """The candidate ``propose`` chose through ``action``, with its
-    posterior: the ``log_posterior`` of the proposal that the current one
-    makes when it applies the candidate."""
+    posterior as the current proposal's ``posterior_of`` gave it: the
+    ``log_posterior`` of the proposal that the current one makes when it
+    applies the candidate."""
 
     candidate: Candidate
     action: str
@@ -558,20 +563,15 @@ def sample_misclassified(state: SearchState) -> tuple[int, bool] | None:
     """Uniform draw from the rows the current rule set misclassifies.
 
     Returns (row_index, label) or None when training accuracy is 1.0.
-    Covered XOR positive is exactly the misclassified set (false positives
-    plus false negatives).  The current proposal lists those rows, in
-    ascending order, the first time it is asked and keeps the list, and
-    ``rng.choice`` draws the row from it.
+    The current proposal's ``misclassified`` lists those rows, covered XOR
+    positive, once, and ``rng.choice`` draws the row from it.
     """
     current = state.current
-    data = current.data
     rows = current.misclassified
-    if rows is None:
-        rows = current.misclassified = indices(current.union_mask ^ data.pos_mask)
     if not rows:
         return None
     idx = state.rng.choice(rows)
-    return idx, bool(data.labels[idx])
+    return idx, bool(current.data.labels[idx])
 
 
 # ---------------------------------------------------------------------------
@@ -694,7 +694,9 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
     order.  The first action with a neighbor gives the pick; None (a
     stall) is returned when none has any.  The pick is a uniform random
     candidate with probability ``explore_prob``, else the first candidate
-    of the highest posterior.
+    of the highest posterior.  The current proposal's ``posterior_of``
+    scores every candidate, edit or growth alike: ``propose`` never looks
+    inside one.
     """
     rng, cfg, current = state.rng, state.cfg, state.current
     if example is None:
@@ -732,17 +734,11 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
             chosen = rng.choice(candidates)
             return Pick(chosen, action, current.posterior_of(chosen))
         # the first candidate of the highest posterior, as max() picks: a
-        # copy comes after its first, so the copies need not be dropped.  A
-        # growth's score is read from its table's memo when it is there.
+        # copy comes after its first, so the copies need not be dropped
         chosen, posterior = None, -math.inf
+        posterior_of = current.posterior_of
         for c in edits:
-            if c.__class__ is tuple:
-                table, j, x = c
-                score = table.scores[j].get(x)
-                if score is None:
-                    score = table.posterior(j, x)
-            else:
-                score = current.posterior_of(c)
+            score = posterior_of(c)
             if score > posterior or chosen is None:
                 chosen, posterior = c, score
         return Pick(chosen, action, posterior)

@@ -279,6 +279,18 @@ def test_equal_width_binning_of_extreme_ranges_is_no_traceback(tmp_path, values,
         assert load_model(out).features[0].intervals == ((0.0, 5e-324), (5e-324, 1e-323))
 
 
+@pytest.mark.parametrize("bins", ["5", "10", "25"])
+@pytest.mark.parametrize("ones", [20, 380], ids=["5%-ones", "95%-ones"])
+def test_equal_frequency_binning_of_a_skewed_column_trains(tmp_path, capsys, ones, bins):
+    # every inner quantile of the 0/1 column is one value; it once collapsed
+    train = write_csv(tmp_path / "t.csv", ["b", "y"], [[int(i < ones), i % 2] for i in range(400)])
+    out = tmp_path / "m.json"
+    argv = ["train", train, "--label", "y", "--out", out, "--iters", "20",
+            "--scheme", "frequency", "--bins", bins]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert load_model(out).features[0].intervals == ((0.0, 0.5), (0.5, 1.0))
+
+
 def test_predict_missing_model_column_exits_4(trained, tmp_path):
     _, model = trained
     holdout = write_csv(tmp_path / "h.csv", ["x", "noise"], [["0.1", "0.2"]])

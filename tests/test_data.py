@@ -1,5 +1,7 @@
 """Ingestion and discretization: binning arithmetic, vocabularies, errors."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +13,6 @@ from mars.data import (
     Dataset,
     FeatureSpec,
     RawTable,
-    _bin_edges,
     condition_mask,
     discretize,
     encode_with_specs,
@@ -124,6 +125,23 @@ def test_equal_frequency_scheme_collapses_duplicates():
     spec = data.features[0]
     assert spec.kind == "numeric"
     assert 2 <= spec.vocab_size <= 5
+
+
+@pytest.mark.parametrize("n_bins", [5, 10, 25])
+@pytest.mark.parametrize("minority", ["5% ones", "95% ones", "3% spread over (0, 1]"])
+def test_equal_frequency_scheme_cuts_a_skewed_column_in_two(minority, n_bins):
+    # every inner quantile sits on one extreme: the cut lies halfway between
+    # it and its nearest other value, here always half the smallest non-zero
+    if minority.endswith("ones"):
+        ones = 20 if minority == "5% ones" else 380
+        values = [float(i < ones) for i in range(400)]
+    else:
+        values = [0.0] * 388 + np.random.default_rng(1).uniform(0.01, 1.0, 12).tolist()
+    data = discretize(table_of(["x", "y"], [(v, i % 2) for i, v in enumerate(values)]),
+                      n_bins=n_bins, scheme="frequency")
+    cut = min(v for v in values if v) / 2
+    assert data.features[0].intervals == ((0.0, cut), (cut, max(values)))
+    assert data.rows[:, 0].tolist() == [int(v > 0) for v in values]
 
 
 def test_bad_n_bins_rejected():
@@ -279,9 +297,9 @@ def test_csv_ragged_row_rejected(tmp_path):
 
 
 # -- the previous ingest code, kept as the reference for discretize ----------
-# Verbatim but for the two marked lines, and for reusing the helpers it
-# called (FeatureSpec, _bin_edges).  _bin_edges has since come to reject a
-# range that overflows, as one with an inf cell does.
+# Verbatim but for the three marked lines, and for reusing the helper it
+# called (FeatureSpec).  Its binning is the previous _bin_edges, which had
+# by then come to reject a range that overflows, as one with an inf cell does.
 
 
 def _ref_is_missing(cell) -> bool:
@@ -316,7 +334,32 @@ def _ref_try_floats(cells):
     return out
 
 
-def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finite_only):
+def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed):
+    lo, hi = float(values.min()), float(values.max())
+    if hi - lo == math.inf:
+        raise DataFormatError(f"column {name!r}: the range [{lo}, {hi}] is too wide to bin")
+    if scheme == "width":
+        edges = np.unique(np.linspace(lo, hi, n_bins + 1))
+    else:
+        quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
+        edges = np.unique(quantiles)
+        if cut_collapsed and len(edges) < 3:  # the third marked line
+            # halfway from the extreme the inner quantiles share (the top
+            # when they all sit there) to the distinct value next to it
+            distinct = np.unique(values)
+            end, near = distinct[-1], distinct[-2]
+            if not (quantiles[1:-1] == end).all():
+                end, near = distinct[0], distinct[1]
+            edges = np.unique([lo, end + (near - end) / 2, hi])
+    if len(edges) < 3:
+        raise DataFormatError(
+            f"column {name!r}: equal-{scheme} binning collapsed to a single interval"
+        )
+    return edges
+
+
+def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finite_only,
+                       cut_collapsed):
     present = [c for c in raw if not _ref_is_missing(c)]
     has_missing = len(present) < len(raw)
     numeric_values = _ref_try_floats(present)
@@ -332,7 +375,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
                                   f"{present[np.isfinite(values).argmin()]!r}; impute or drop it")
         if values.size == 0 or values.min() == values.max():
             raise DataFormatError(f"column {name!r} has a single distinct value")
-        edges = _bin_edges(values, n_bins, scheme, name)
+        edges = _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
         spec = FeatureSpec(name, intervals=intervals)
         return spec, spec._interval_codes(values)
@@ -347,7 +390,8 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
     return spec, spec.encode_column(raw)
 
 
-def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite_only=False):
+def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite_only=False,
+                         cut_collapsed=False):
     def column(name):
         idx = table.names.index(name)
         return [row[idx] for row in table.rows]
@@ -363,7 +407,7 @@ def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite
     specs, encoded = [], []
     for fid, name in enumerate(feature_names):
         spec, codes = _ref_build_feature(fid, name, column(name), n_bins, scheme,
-                                         literal_is_missing, finite_only)
+                                         literal_is_missing, finite_only, cut_collapsed)
         specs.append(spec)
         encoded.append(codes)
     return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
@@ -423,22 +467,30 @@ def raw_tables(draw):
     ("0", "1"), ("False", "0"), ("", "1"), (MISSING, "0")]), 2, "width"))
 @example((RawTable(names=("x", "y"), label_column="y", rows=[
     ("0.1", "1"), ("nan", "0"), ("0.5", "1"), ("0.7", "0")]), 2, "width"))
+@example((RawTable(names=("x", "y"), label_column="y", rows=[
+    ("0", "1"), ("0", "0"), ("0", "1"), ("1", "0")]), 2, "frequency"))
 def test_discretize_matches_the_previous_ingest(case):
     """Same features, codes and labels as the previous code, or the same
-    exception type and message, but for the two intended changes.  A
+    exception type and message, but for the three intended changes.  A
     literal MISSING cell in a categorical column is a missing cell: the
     previous code left the missing entry out of the vocabulary when no
     blank cell was there, then crashed in Dataset or found a single
     distinct value.  A non-finite number in a numeric column is a
     DataFormatError naming it: the previous code crashed building an
     interval from it, or blamed the binning or a single distinct value
-    (an inf cell now makes the range too wide to bin)."""
+    (an inf cell now makes the range too wide to bin).  Quantile edges
+    that leave a single interval are cut in two: the previous code said
+    the binning collapsed."""
     table, n_bins, scheme = case
-    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True))
+    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True, True))
     assert outcome(lambda: discretize(table, n_bins, scheme)) == expected
+    uncut = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True))
+    if uncut != expected:
+        assert scheme == "frequency"
+        assert uncut[0] is DataFormatError and "binning collapsed" in uncut[1]
     finite_any = outcome(lambda: reference_discretize(table, n_bins, scheme, True))
-    if finite_any != expected:
-        assert expected[0] is DataFormatError and "non-finite value" in expected[1]
+    if finite_any != uncut:
+        assert uncut[0] is DataFormatError and "non-finite value" in uncut[1]
         assert finite_any[0] is ValueError and "empty interval" in finite_any[1] or (
             finite_any[0] is DataFormatError
             and any(m in finite_any[1] for m in

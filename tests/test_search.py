@@ -413,6 +413,12 @@ def test_exploit_mode_returns_posterior_argmax(monkeypatch):
             built.append(build(*args))
             return built[-1]
         monkeypatch.setattr(search, name, recording)
+    # every candidate, edit or growth, is scored through posterior_of
+    scored = []
+    def recording_scores(self, c, posterior_of=search.Proposal.posterior_of):
+        scored.append(c)
+        return posterior_of(self, c)
+    monkeypatch.setattr(search.Proposal, "posterior_of", recording_scores)
 
     ties = 0
     # the second run's picks include tied maxima
@@ -426,9 +432,12 @@ def test_exploit_mode_returns_posterior_argmax(monkeypatch):
             if ex is None:
                 break
             rng_snapshot = state.rng.getstate()
+            scored.clear()
             pick = propose(state, ex)
             if pick is None:
                 continue
+            # each candidate once, in the order the action listed them
+            assert scored == built[-1]
             # every candidate's rule set scored in full: the pick reaches the
             # highest posterior, and is the first candidate that does
             assert len(built[-1]) <= cfg.neighbor_budget
