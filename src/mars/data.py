@@ -1,12 +1,12 @@
 """Tabular ingestion: column typing, discretization, encoded datasets.
 
 Numeric columns are binned into intervals over the observed training range
-(equal-width by default, equal-frequency as a variant) and then treated as
-categorical; categorical columns pass through with their observed
-vocabulary.  Missing categorical cells become an explicit vocabulary entry
-so rules can reason about missingness: a blank or ``?`` cell, and in a
-categorical column a cell spelled ``⟨missing⟩`` itself.  Every cell is the
-text a CSV holds.
+(equal-width, or equal-frequency with every inner edge halfway between two
+training values) and then treated as categorical; categorical columns pass
+through with their observed vocabulary.  Missing categorical cells become
+an explicit vocabulary entry so rules can reason about missingness: a blank
+or ``?`` cell, and in a categorical column a cell spelled ``⟨missing⟩``
+itself.  Every cell is the text a CSV holds.
 
 Training and prediction share one parser per kind of cell: ``parse_numbers``
 decides that a training column is numeric and encodes numeric columns;
@@ -292,14 +292,12 @@ def rule_mask(pairs: Pairs, data: Dataset) -> int:
 def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) -> Dataset:
     """Encode a raw table into a Dataset, binning numeric columns.
 
-    ``scheme`` is "width" (equal-width bins over the observed min/max) or
-    "frequency" (quantile bins).  Both schemes collapse duplicate edges, as
-    repeated quantiles or a range only a few floats wide give, so the
-    vocabulary may end up smaller than ``n_bins``.  Quantile edges that
-    leave one interval, as a column with a rare value gives, are replaced
-    by one cut halfway between the extreme the inner quantiles sit on (the
-    minimum, unless they all sit on the maximum) and its nearest other
-    value.
+    ``scheme`` is "width" or "frequency"; both put the first edge at the
+    training minimum and the last at the maximum.  "width" spaces the edges
+    evenly, so an interval may hold no training row.  "frequency" moves each
+    inner quantile to the midpoint of a gap between neighbouring distinct
+    training values, so every interval holds one.  Both schemes collapse
+    duplicate edges, so the vocabulary may end up smaller than ``n_bins``.
     """
     if not 2 <= n_bins <= MAX_BINS:
         raise ValueError(f"n_bins must lie in [2, {MAX_BINS}]")
@@ -365,14 +363,13 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
     if scheme == "width":
         edges = np.unique(np.linspace(lo, hi, n_bins + 1))
     else:
-        quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
-        edges = np.unique(quantiles)
-        if len(edges) < 3:
-            if (quantiles[1:-1] == hi).all():
-                end, near = hi, values[values < hi].max()
-            else:
-                end, near = lo, values[values > lo].min()
-            edges = np.unique([lo, end + (near - end) / 2, hi])
+        # each inner quantile cuts halfway across a gap between neighbouring
+        # training values: the gap it lies in; the gap below the value it lands
+        # on, so that value starts an interval; above the minimum, if on it
+        seen = np.unique(values)
+        q = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+        k = np.clip(np.searchsorted(seen, q), 1, len(seen) - 1)
+        edges = np.unique([lo, *(seen[k - 1] + (seen[k] - seen[k - 1]) / 2), hi])
     if len(edges) < 3:
         raise DataFormatError(
             f"column {name!r}: equal-{scheme} binning collapsed to a single interval"

@@ -127,11 +127,12 @@ def test_equal_frequency_scheme_collapses_duplicates():
     assert 2 <= spec.vocab_size <= 5
 
 
-@pytest.mark.parametrize("n_bins", [5, 10, 25])
+@pytest.mark.parametrize("n_bins", [5, 10, 20, 25])
 @pytest.mark.parametrize("minority", ["5% ones", "95% ones", "3% spread over (0, 1]"])
 def test_equal_frequency_scheme_cuts_a_skewed_column_in_two(minority, n_bins):
-    # every inner quantile sits on one extreme: the cut lies halfway between
-    # it and its nearest other value, here always half the smallest non-zero
+    # every inner quantile lies on an extreme or between the two smallest
+    # values, so each cuts halfway across the gap above the minimum: at half
+    # the smallest non-zero value
     if minority.endswith("ones"):
         ones = 20 if minority == "5% ones" else 380
         values = [float(i < ones) for i in range(400)]
@@ -142,6 +143,44 @@ def test_equal_frequency_scheme_cuts_a_skewed_column_in_two(minority, n_bins):
     cut = min(v for v in values if v) / 2
     assert data.features[0].intervals == ((0.0, cut), (cut, max(values)))
     assert data.rows[:, 0].tolist() == [int(v > 0) for v in values]
+
+
+def assert_halfway_edges(spec, values, codes):
+    """The equal-frequency properties of one numeric feature binned from
+    ``values``: the first and last edges are the training minimum and
+    maximum, every inner edge lies halfway between two neighbouring distinct
+    training values, and every interval holds a training row."""
+    seen = np.unique(values)
+    edges = [lo for lo, _ in spec.intervals] + [spec.intervals[-1][1]]
+    assert (edges[0], edges[-1]) == (seen[0], seen[-1])
+    # a + (b - a) / 2: halfway, in the order of operations that cannot overflow
+    assert set(edges[1:-1]) <= set((seen[:-1] + np.diff(seen) / 2).tolist())
+    assert sorted(set(codes)) == list(range(spec.vocab_size))
+
+
+@st.composite
+def tied_columns(draw):
+    """2-60 numbers drawn from a few distinct values, often with a large
+    tie group at the minimum or the maximum, and a bin count of 2-25."""
+    pool = draw(st.lists(st.floats(-1e3, 1e3).map(lambda x: round(x, 3)),
+                         min_size=2, max_size=10, unique=True))
+    values = pool[:2] + draw(st.lists(st.sampled_from(pool), max_size=58))
+    end = draw(st.sampled_from([None, min, max]))
+    if end is not None:
+        values += [end(pool)] * draw(st.integers(0, 60 - len(values)))
+    return draw(st.permutations(values)), draw(st.integers(2, 25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_columns())
+# np.quantile puts the fourth inner quantile 1.1e-16 above a training value
+@example((np.random.default_rng(0).random(6).tolist(), 5))
+@example(([0.0, 0.0, 1.0], 3))
+def test_equal_frequency_edges_lie_halfway_and_every_interval_holds_a_row(case):
+    values, n_bins = case
+    data = discretize(table_of(["x", "y"], [(v, i % 2) for i, v in enumerate(values)]),
+                      n_bins=n_bins, scheme="frequency")
+    assert_halfway_edges(data.features[0], values, data.rows[:, 0])
 
 
 def test_bad_n_bins_rejected():
@@ -297,7 +336,7 @@ def test_csv_ragged_row_rejected(tmp_path):
 
 
 # -- the previous ingest code, kept as the reference for discretize ----------
-# Verbatim but for the three marked lines, and for reusing the helper it
+# Verbatim but for the four marked lines, and for reusing the helper it
 # called (FeatureSpec).  Its binning is the previous _bin_edges, which had
 # by then come to reject a range that overflows, as one with an inf cell does.
 
@@ -334,7 +373,7 @@ def _ref_try_floats(cells):
     return out
 
 
-def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed):
+def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed, halfway):
     lo, hi = float(values.min()), float(values.max())
     if hi - lo == math.inf:
         raise DataFormatError(f"column {name!r}: the range [{lo}, {hi}] is too wide to bin")
@@ -343,6 +382,14 @@ def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed):
     else:
         quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
         edges = np.unique(quantiles)
+        if halfway:  # the fourth marked line
+            # each inner quantile moves halfway across the gap it lies in, or
+            # the gap below the value it lands on (above the minimum, if on it)
+            distinct = np.unique(values)
+            gaps = [min(max(1, int((distinct < q).sum())), len(distinct) - 1)
+                    for q in quantiles[1:-1]]
+            edges = np.unique([lo, *(distinct[g - 1] + (distinct[g] - distinct[g - 1]) / 2
+                                     for g in gaps), hi])
         if cut_collapsed and len(edges) < 3:  # the third marked line
             # halfway from the extreme the inner quantiles share (the top
             # when they all sit there) to the distinct value next to it
@@ -359,7 +406,7 @@ def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed):
 
 
 def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finite_only,
-                       cut_collapsed):
+                       cut_collapsed, halfway):
     present = [c for c in raw if not _ref_is_missing(c)]
     has_missing = len(present) < len(raw)
     numeric_values = _ref_try_floats(present)
@@ -375,7 +422,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
                                   f"{present[np.isfinite(values).argmin()]!r}; impute or drop it")
         if values.size == 0 or values.min() == values.max():
             raise DataFormatError(f"column {name!r} has a single distinct value")
-        edges = _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed)
+        edges = _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed, halfway)
         intervals = tuple((float(edges[i]), float(edges[i + 1])) for i in range(len(edges) - 1))
         spec = FeatureSpec(name, intervals=intervals)
         return spec, spec._interval_codes(values)
@@ -391,7 +438,7 @@ def _ref_build_feature(fid, name, raw, n_bins, scheme, literal_is_missing, finit
 
 
 def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite_only=False,
-                         cut_collapsed=False):
+                         cut_collapsed=False, halfway=False):
     def column(name):
         idx = table.names.index(name)
         return [row[idx] for row in table.rows]
@@ -407,7 +454,8 @@ def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite
     specs, encoded = [], []
     for fid, name in enumerate(feature_names):
         spec, codes = _ref_build_feature(fid, name, column(name), n_bins, scheme,
-                                         literal_is_missing, finite_only, cut_collapsed)
+                                         literal_is_missing, finite_only, cut_collapsed,
+                                         halfway)
         specs.append(spec)
         encoded.append(codes)
     return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
@@ -469,9 +517,13 @@ def raw_tables(draw):
     ("0.1", "1"), ("nan", "0"), ("0.5", "1"), ("0.7", "0")]), 2, "width"))
 @example((RawTable(names=("x", "y"), label_column="y", rows=[
     ("0", "1"), ("0", "0"), ("0", "1"), ("1", "0")]), 2, "frequency"))
+@example((RawTable(names=("x", "y"), label_column="y", rows=[
+    ("0", "1"), ("0", "0"), ("1", "1")]), 3, "frequency"))
+@example((RawTable(names=("x", "y"), label_column="y", rows=[
+    ("0.1", "1"), ("0.5", "0"), ("0.2", "1"), ("0.9", "0"), ("0.7", "1")]), 2, "frequency"))
 def test_discretize_matches_the_previous_ingest(case):
     """Same features, codes and labels as the previous code, or the same
-    exception type and message, but for the three intended changes.  A
+    exception type and message, but for the four intended changes.  A
     literal MISSING cell in a categorical column is a missing cell: the
     previous code left the missing entry out of the vocabulary when no
     blank cell was there, then crashed in Dataset or found a single
@@ -480,12 +532,27 @@ def test_discretize_matches_the_previous_ingest(case):
     interval from it, or blamed the binning or a single distinct value
     (an inf cell now makes the range too wide to bin).  Quantile edges
     that leave a single interval are cut in two: the previous code said
-    the binning collapsed."""
+    the binning collapsed.  Every inner quantile edge moves halfway across
+    a gap between training values: the previous edges could sit anywhere
+    in a gap, or on a value, and leave an interval without a training row;
+    on distinct values, more than twice as many as the bins, the codes
+    stay the same."""
     table, n_bins, scheme = case
-    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True, True))
+    expected = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True, True, True))
     assert outcome(lambda: discretize(table, n_bins, scheme)) == expected
+    unmoved = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True, True))
+    if unmoved != expected:
+        assert scheme == "frequency"
+        features, codes, _ = expected  # not an exception the previous rule did not raise
+        for j, spec in enumerate(features):
+            if spec.kind == "numeric":
+                values = [float(row[table.names.index(spec.name)]) for row in table.rows]
+                column = [row[j] for row in codes]
+                assert_halfway_edges(spec, values, column)
+                if len(set(values)) == len(values) > 2 * n_bins:
+                    assert column == [row[j] for row in unmoved[1]]
     uncut = outcome(lambda: reference_discretize(table, n_bins, scheme, True, True))
-    if uncut != expected:
+    if uncut != unmoved:
         assert scheme == "frequency"
         assert uncut[0] is DataFormatError and "binning collapsed" in uncut[1]
     finite_any = outcome(lambda: reference_discretize(table, n_bins, scheme, True))

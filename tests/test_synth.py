@@ -9,12 +9,14 @@ import pytest
 
 import mars.synth as synth
 from mars import cli
-from mars.data import SCHEMES, RawTable, discretize
+from mars.data import SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
 from mars.errors import DegenerateLabelError
 from mars.model import Rule, RuleSet
 from mars.scoring import Hyperparams
 from mars.search import SearchConfig
-from mars.synth import TRAIN_FRACTION, SweepSpec, SynthSpec, sweep, train_size
+from mars.synth import TRAIN_FRACTION, SweepSpec, SynthSpec, derived_seed, sweep, train_size
+
+from oracles import oracle_confusion
 
 
 def test_sweep_is_deterministic():
@@ -34,6 +36,33 @@ def test_sweep_is_deterministic():
         (r.beta_m, r.beta_l, r.replicate) for r in first
     )
     assert records() == first
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_holdout_error_is_the_recounted_error_of_the_records_rules(scheme):
+    # rebuild each replicate's split as sweep does, then recount the
+    # holdout errors of the record's rules row by row
+    spec = SynthSpec(n_rows=200, n_features=4, n_rules=2, max_conditions=2, seed=3)
+    grid = SweepSpec(beta_grid=(1.0, 100.0), replicates=2)
+    records = sweep(spec, grid, Hyperparams.defaults(spec.n_features),
+                    SearchConfig(n_iter=60, n_restarts=0, random_seed=5), n_bins=4, scheme=scheme)
+    holdouts = []
+    for replicate in range(grid.replicates):
+        data_seed = derived_seed(spec.seed, "dataset", replicate)
+        table, _ = synth.generate(dataclasses.replace(spec, seed=data_seed))
+        train_idx, test_idx = synth._split_indices(spec.n_rows, train_size(spec.n_rows), data_seed)
+        label = synth.LABEL_COLUMN
+        train = discretize(RawTable(table.names, [table.rows[i] for i in train_idx], label),
+                           n_bins=4, scheme=scheme)
+        test = RawTable(table.names, [table.rows[i] for i in test_idx]).columns()
+        holdouts.append((encode_with_specs(test, train.features, range(len(train.features))),
+                         parse_labels(test[label], label)))
+    assert len(records) == 8
+    for r in records:
+        rows, labels = holdouts[r.replicate]
+        _, fp, _, fn = oracle_confusion(r.rules, rows, labels)
+        assert r.holdout_error == (fp + fn) / len(labels)
+    assert any(r.holdout_error for r in records) and any(r.rules.rules for r in records)
 
 
 def test_one_row_cannot_hold_both_labels():
