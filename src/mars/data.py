@@ -294,9 +294,14 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
 
     ``scheme`` is "width" or "frequency"; both put the first edge at the
     training minimum and the last at the maximum.  "width" spaces the edges
-    evenly, so an interval may hold no training row.  "frequency" moves each
-    inner quantile to the midpoint of a gap between neighbouring distinct
-    training values, so every interval holds one.  Both schemes collapse
+    evenly, so an interval may hold no training row.  "frequency" cuts at
+    quantiles rounded up to training values: with the n training values
+    sorted, inner edge i lies halfway across the gap below the value at
+    position ceil(i * (n - 1) / n_bins), so that value starts an interval.
+    When that value is the minimum, the edge crosses the gap above it; when
+    halfway rounds onto the gap's lower value, the edge is the upper one.
+    So every interval holds a training row, and n distinct values give
+    ``n_bins`` intervals whenever ``n_bins < n``.  Both schemes collapse
     duplicate edges, so the vocabulary may end up smaller than ``n_bins``.
     """
     if not 2 <= n_bins <= MAX_BINS:
@@ -363,13 +368,16 @@ def _bin_edges(values: np.ndarray, n_bins: int, scheme: str, name: str) -> np.nd
     if scheme == "width":
         edges = np.unique(np.linspace(lo, hi, n_bins + 1))
     else:
-        # each inner quantile cuts halfway across a gap between neighbouring
-        # training values: the gap it lies in; the gap below the value it lands
-        # on, so that value starts an interval; above the minimum, if on it
+        # inner edge i cuts halfway across the gap below the sorted training
+        # value at position ceil(i * (n - 1) / n_bins), or above the minimum
+        # when that value is the minimum; a halfway point that rounds onto the
+        # gap's lower value moves up onto its upper one
         seen = np.unique(values)
-        q = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1)[1:-1])
+        q = np.sort(values)[-(-np.arange(1, n_bins) * (len(values) - 1) // n_bins)]
         k = np.clip(np.searchsorted(seen, q), 1, len(seen) - 1)
-        edges = np.unique([lo, *(seen[k - 1] + (seen[k] - seen[k - 1]) / 2), hi])
+        a, b = seen[k - 1], seen[k]
+        mid = a + (b - a) / 2
+        edges = np.unique([lo, *np.where(mid > a, mid, b), hi])
     if len(edges) < 3:
         raise DataFormatError(
             f"column {name!r}: equal-{scheme} binning collapsed to a single interval"

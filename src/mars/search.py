@@ -59,16 +59,17 @@ rule index) a step narrows, and kept in the chain's growth memo, where a
 rule set the chain comes back to finds it.  The proposal applies a growth
 as the edit it makes, its values decoded from ``x``.
 
-The search draws its value sets and its samples with two samplers of its
-own, ``_ValueSets.pick`` and ``_sample``, each a partial Fisher–Yates
-shuffle on ``getrandbits``; its other integers come from ``Random``'s
+The search draws every value set with one partial Fisher–Yates shuffle on
+``getrandbits``.  Chain starts and add-rule seeds draw theirs with
+``_sample``, which returns the items drawn and also trims a long
+candidate list to the neighbor budget; growths draw theirs with
+``_pick``, the same loop summing the packed entries of the values it
+draws.  A chain start's or growth's value set of an n-value vocabulary
+has a size uniform over 1..n-1, and its values are a uniform subset of
+that size.  The search's other integers come from ``Random``'s
 ``randrange``, ``randint``, ``choice`` and ``shuffle``, and only the
-explore and acceptance coin flips call ``Random.random``.  A value set of
-an n-value vocabulary has a size uniform over 1..n-1, and its values are a
-uniform subset of that size; ``pick`` returns the sum of the entries of
-the values it draws, packed ints for a growth and one-hot ints for a chain
-start's rules.  A test pins both samplers, draw for draw, to a reference
-partial shuffle.
+explore and acceptance coin flips call ``Random.random``.  A test pins
+both loops, draw for draw, to a reference partial shuffle.
 
 A chain's state is two proposals, the current one and the best one: a
 proposal carries its rules, its ``Score`` (with its ``Confusion``), its
@@ -355,17 +356,19 @@ class _GrowthTable:
     ``Dataset.value_masks`` among the rows the rule alone covers, and ``hi``
     is ``lo`` plus the row count's bit length, so no field of a sum of
     entries carries into the next.  A value set is the sum ``x`` of its
-    values' entries, which ``pick`` draws: the low field holds its values
-    as bits, the others its counts.  A move's confusion is the counts
-    ``tp`` and ``fp`` the other rules cover plus those, and its prior is
-    ``prior_of_entries`` of the rules' ``entries`` with the grown rule's
-    terms, from its (feature, value count) pairs, spliced in at ``mi``.  So
-    a move's score equals that of the rule set it makes exactly.  ``score``
-    computes one and keeps it in ``scores`` (one dict per feature, keyed by
-    ``x``), which ``Proposal.posterior_of`` reads first, and its prior in
-    ``priors``.  ``collisions`` maps a ``(feature, x)`` whose grown rule is
-    another of the rules to that rule's pairs.  The table holds no
-    proposal, and reads the entries for their prior terms only.
+    values' entries, which ``_pick`` draws, reading its draws' bit lengths
+    from ``index_bits`` (sized for the largest free vocabulary): the low
+    field holds its values as bits, the others its counts.  A move's
+    confusion is the counts ``tp`` and ``fp`` the other rules cover plus
+    those, and its prior is ``prior_of_entries`` of the rules' ``entries``
+    with the grown rule's terms, from its (feature, value count) pairs,
+    spliced in at ``mi``.  So a move's score equals that of the rule set it
+    makes exactly.  ``score`` computes one and keeps it in ``scores`` (one
+    dict per feature, keyed by ``x``), which ``Proposal.posterior_of`` reads
+    first, and its prior in ``priors``.  ``collisions`` maps a
+    ``(feature, x)`` whose grown rule is another of the rules to that
+    rule's pairs.  The table holds no proposal, and reads the entries for
+    their prior terms only.
     """
 
     def __init__(self, prop: Proposal, mi: int) -> None:
@@ -390,7 +393,8 @@ class _GrowthTable:
                 pos = (pos_only & m).bit_count()
                 packed.append(pos << hi | ((only & m).bit_count() - pos) << lo | 1 << v)
             self.free.append((j, lo, packed, sum(packed)))
-        self.pick = _ValueSets(max((lo for _, lo, _, _ in self.free), default=0)).pick
+        size = max((lo for _, lo, _, _ in self.free), default=0)
+        self.index_bits = [(i + 1).bit_length() for i in range(size)]
         self.priors: dict[tuple[int, int], float] = {}
         self.scores: list[dict[int, float]] = [{} for _ in data.vocab_sizes]
         self.collisions: dict[tuple[int, int], Pairs] = {}
@@ -460,42 +464,31 @@ def _sample(getrandbits, population: Sequence, k: int) -> list:
     return result
 
 
-class _ValueSets:
-    """Draws random proper value sets of vocabularies of up to ``size``
-    values, reading each index draw's bit length from ``index_bits``: at
-    each i the bit length of a draw of an index in 0..i,
-    ``(i + 1).bit_length()``."""
-
-    __slots__ = ("index_bits",)
-
-    def __init__(self, size: int) -> None:
-        self.index_bits = [(i + 1).bit_length() for i in range(size)]
-
-    def pick(self, getrandbits, entries: list[int], n: int) -> int:
-        """The sum of the entries of a random proper value set of an
-        ``n``-value vocabulary, n >= 2, whose value v has the entry
-        ``entries[v]``: its size uniform over 1..n-1, its values a uniform
-        subset of that size, drawn as ``_sample`` draws them.  The partial
-        shuffle adds each drawn entry to the sum and moves the pool's last
-        entry into its slot."""
-        index_bits = self.index_bits
-        last = n - 1
-        # the set's size less one, uniform over 0..n-2
-        bits = index_bits[n - 2]
+def _pick(getrandbits, entries: list[int], n: int, index_bits: list[int]) -> int:
+    """The sum of the entries of a random proper value set of an
+    ``n``-value vocabulary, n >= 2, whose value v has the entry
+    ``entries[v]``: its size uniform over 1..n-1, its values a uniform
+    subset of that size, drawn as ``_sample`` draws them.  ``index_bits``
+    holds at each i up to n - 1 the bit length of a draw of an index in
+    0..i, ``(i + 1).bit_length()``.  The partial shuffle adds each drawn
+    entry to the sum and moves the pool's last entry into its slot."""
+    last = n - 1
+    # the set's size less one, uniform over 0..n-2
+    bits = index_bits[n - 2]
+    k = getrandbits(bits)
+    while k >= last:
         k = getrandbits(bits)
-        while k >= last:
-            k = getrandbits(bits)
-        pool = entries[:n]
-        total = 0
-        for m in range(last, last - k - 1, -1):
-            # an index uniform over 0..m
-            bits = index_bits[m]
+    pool = entries[:n]
+    total = 0
+    for m in range(last, last - k - 1, -1):
+        # an index uniform over 0..m
+        bits = index_bits[m]
+        j = getrandbits(bits)
+        while j > m:
             j = getrandbits(bits)
-            while j > m:
-                j = getrandbits(bits)
-            total += pool[j]
-            pool[j] = pool[m]
-        return total
+        total += pool[j]
+        pool[j] = pool[m]
+    return total
 
 
 def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
@@ -506,15 +499,13 @@ def random_ruleset(data: Dataset, rng: random.Random) -> list[Pairs]:
     if not eligible:
         raise ValueError("no feature has at least two values; nothing to search")
     bits = rng.getrandbits
-    # one-hot entries: a picked set's sum holds its values as bits
-    one_hot = [1 << v for v in range(max(data.vocab_sizes))]
-    pick = _ValueSets(len(one_hot)).pick
     keys = []
     for _ in range(rng.randint(1, 3)):
         conds = []
         for j in _sample(bits, eligible, rng.randint(1, min(3, len(eligible)))):
             vocab = data.vocab_sizes[j]
-            conds.append((j, _values(pick(bits, one_hot, vocab), vocab)))
+            values = _sample(bits, range(vocab), rng.randint(1, vocab - 1))
+            conds.append((j, tuple(sorted(values))))
         conds.sort()  # by feature: the features are distinct
         keys.append(tuple(conds))
     return keys
@@ -665,11 +656,12 @@ def _growth_moves(current: Proposal, idx: int, xrow, rng: random.Random) -> list
         table = current.growth.get(mi)
         if table is None:
             table = current.growth[mi] = _GrowthTable(current, mi)
-        collisions, pick = table.collisions, table.pick
+        collisions, index_bits = table.collisions, table.index_bits
         for j, vocab, packed, total in table.free:
             # the vocabulary minus the example's value, then two random sets
             without = total - packed[xrow[j]]
-            for x in (without, pick(bits, packed, vocab), pick(bits, packed, vocab)):
+            for x in (without, _pick(bits, packed, vocab, index_bits),
+                      _pick(bits, packed, vocab, index_bits)):
                 other = collisions.get((j, x)) if collisions else None
                 moves.append((table, j, x) if other is None else current.edit(mi, other))
     return moves

@@ -153,8 +153,11 @@ def assert_halfway_edges(spec, values, codes):
     seen = np.unique(values)
     edges = [lo for lo, _ in spec.intervals] + [spec.intervals[-1][1]]
     assert (edges[0], edges[-1]) == (seen[0], seen[-1])
-    # a + (b - a) / 2: halfway, in the order of operations that cannot overflow
-    assert set(edges[1:-1]) <= set((seen[:-1] + np.diff(seen) / 2).tolist())
+    # a + (b - a) / 2: halfway, in the order of operations that cannot overflow;
+    # b itself only where that rounds onto a, as between neighbouring floats
+    a, b = seen[:-1], seen[1:]
+    halfway = a + (b - a) / 2
+    assert set(edges[1:-1]) <= set(np.where(halfway == a, b, halfway).tolist())
     assert sorted(set(codes)) == list(range(spec.vocab_size))
 
 
@@ -176,10 +179,30 @@ def tied_columns(draw):
 # np.quantile puts the fourth inner quantile 1.1e-16 above a training value
 @example((np.random.default_rng(0).random(6).tolist(), 5))
 @example(([0.0, 0.0, 1.0], 3))
+# halfway between 1.0 and the next float up rounds onto 1.0
+@example(([0.0] * 3 + [1.0] + [math.nextafter(1.0, 2.0)] * 5, 3))
 def test_equal_frequency_edges_lie_halfway_and_every_interval_holds_a_row(case):
     values, n_bins = case
     data = discretize(table_of(["x", "y"], [(v, i % 2) for i, v in enumerate(values)]),
                       n_bins=n_bins, scheme="frequency")
+    assert_halfway_edges(data.features[0], values, data.rows[:, 0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=60, unique=True)
+       .flatmap(lambda v: st.tuples(st.just(v), st.integers(2, len(v) - 1))))
+# np.quantile put the fourth inner quantile 1.1e-16 above a training value,
+# in the gap the fifth cut too
+@example((np.random.default_rng(0).random(6).tolist(), 5))
+@example(([0.0, 1.0, math.nextafter(1.0, 2.0), 2.0], 3))
+def test_equal_frequency_cuts_distinct_values_into_every_bin(case):
+    # n distinct values, 2 <= n_bins <= n - 1: edge i cuts the gap below the
+    # value at position ceil(i * (n - 1) / n_bins), which is distinct for
+    # each i and lies in 1..n - 2, so no edge meets another or an extreme
+    values, n_bins = case
+    data = discretize(table_of(["x", "y"], [(v, i % 2) for i, v in enumerate(values)]),
+                      n_bins=n_bins, scheme="frequency")
+    assert data.vocab_sizes == (n_bins,)
     assert_halfway_edges(data.features[0], values, data.rows[:, 0])
 
 
@@ -383,13 +406,19 @@ def _ref_bin_edges(values, n_bins, scheme, name, cut_collapsed, halfway):
         quantiles = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
         edges = np.unique(quantiles)
         if halfway:  # the fourth marked line
-            # each inner quantile moves halfway across the gap it lies in, or
-            # the gap below the value it lands on (above the minimum, if on it)
-            distinct = np.unique(values)
-            gaps = [min(max(1, int((distinct < q).sum())), len(distinct) - 1)
-                    for q in quantiles[1:-1]]
-            edges = np.unique([lo, *(distinct[g - 1] + (distinct[g] - distinct[g - 1]) / 2
-                                     for g in gaps), hi])
+            # inner edge i moves halfway across the gap below the sorted value
+            # at position ceil(i * (n - 1) / n_bins), or the gap above the
+            # minimum if it is the minimum; onto the gap's top value where
+            # halfway rounds onto its bottom one
+            distinct, ordered = np.unique(values), sorted(values)
+            edges = [lo, hi]
+            for i in range(1, n_bins):
+                at = ordered[(i * (len(values) - 1) + n_bins - 1) // n_bins]
+                g = min(max(1, int((distinct < at).sum())), len(distinct) - 1)
+                a, b = distinct[g - 1], distinct[g]
+                mid = a + (b - a) / 2
+                edges.append(mid if mid > a else b)
+            edges = np.unique(edges)
         if cut_collapsed and len(edges) < 3:  # the third marked line
             # halfway from the extreme the inner quantiles share (the top
             # when they all sit there) to the distinct value next to it

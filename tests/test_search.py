@@ -84,10 +84,11 @@ def test_config_validation():
 @example(seed=1, n_k=(100, 10))
 @example(seed=1, n_k=(31, 3))
 def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
-    from mars.search import _sample, _values, _ValueSets
+    from mars.search import _pick, _sample, _values
 
     n, k = n_k
-    pick = _ValueSets(100).pick
+    # the bit lengths of index draws in 0..i, for the vocabulary's i alone
+    index_bits = [(i + 1).bit_length() for i in range(n)]
     one_hot = [1 << v for v in range(100)]
     # arbitrary entries, negative ones included, more of them than the
     # vocabulary: a sum of 64-bit draws tells its summands apart
@@ -95,13 +96,18 @@ def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
     rng, ref = random.Random(seed), random.Random(seed)
     if n >= 2:
         # one-hot entries sum to the picked value set's bits
-        variant = _values(pick(rng.getrandbits, one_hot, n), n)
+        variant = _values(_pick(rng.getrandbits, one_hot, n, index_bits), n)
         want = sorted(partial_shuffle_sample(ref, range(n), ref.randint(1, n - 1)))
         assert variant == tuple(want)
         assert rng.getstate() == ref.getstate()
+        # a chain start's value set, a sorted sample of a size randint
+        # draws, is the one-hot pick of the same stream, draw for draw
+        start = sorted(_sample(rng.getrandbits, range(n), rng.randint(1, n - 1)))
+        assert tuple(start) == _values(_pick(ref.getrandbits, one_hot, n, index_bits), n)
+        assert rng.getstate() == ref.getstate()
         # any entries: the sum of exactly the entries of the values drawn
         before = list(entries)
-        got = pick(rng.getrandbits, entries, n)
+        got = _pick(rng.getrandbits, entries, n, index_bits)
         drawn = partial_shuffle_sample(ref, range(n), ref.randint(1, n - 1))
         assert got == sum(entries[v] for v in drawn)
         assert rng.getstate() == ref.getstate()
@@ -118,7 +124,7 @@ def test_samplers_make_the_partial_shuffle_draws(seed, n_k):
         rng, ref = random.Random(seed), random.Random(seed)
         if n >= 2:
             want = sorted(ref.sample(range(n), ref.randint(1, n - 1)))
-            assert _values(pick(rng.getrandbits, one_hot, n), n) == tuple(want)
+            assert _values(_pick(rng.getrandbits, one_hot, n, index_bits), n) == tuple(want)
         assert _sample(rng.getrandbits, letters, k) == ref.sample(letters, k)
         assert rng.getstate() == ref.getstate()
 
