@@ -218,7 +218,7 @@ def cmd_train(args) -> int:
     hyper = _hyperparams(args, data.n_features)
     rules, best, runlog = run(data, hyper, cfg)
 
-    meta = training_metadata(cfg.random_seed, cfg.n_iter, best, data.n_rows)
+    meta = training_metadata(cfg, best, data.n_rows)
     meta["discretization"] = {"n_bins": args.bins, "scheme": args.scheme}
     with _writing(args.out):
         save_model(args.out, data.features, rules, hyper, data.label_name, meta)

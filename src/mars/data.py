@@ -259,31 +259,18 @@ class Dataset:
         return len(self.features)
 
 
-def condition_mask(data: Dataset, feature_id: int, values: Collection[int]) -> int:
-    """Rows whose value of the feature is one of ``values``.
-
-    A feature's value masks partition the rows, so when ``values`` holds
-    more than half the vocabulary the mask is the full mask less the values
-    left out: fewer ORs over N-bit ints."""
-    per_value = data.value_masks[feature_id]
-    if 2 * len(values) <= len(per_value):
-        mask = 0
-        for v in values:
-            mask |= per_value[v]
-        return mask
-    mask = data.full_mask
-    for v in set(range(len(per_value))).difference(values):
-        mask ^= per_value[v]
-    return mask
-
-
 def rule_mask(pairs: Pairs, data: Dataset) -> int:
     """Rows the rule ``pairs`` covers, the rule given as the (feature,
-    values) pairs of its conditions: the AND of their condition masks.
-    Every rule mask is built here, the search's included."""
+    values) pairs of its conditions: the AND over its conditions of the
+    rows each accepts, which are the OR of its values' masks.  Every rule
+    mask is built here, the search's included."""
     mask = data.full_mask
     for j, values in pairs:
-        mask &= condition_mask(data, j, values)
+        per_value = data.value_masks[j]
+        accepted = 0
+        for v in values:
+            accepted |= per_value[v]
+        mask &= accepted
         if not mask:
             break
     return mask

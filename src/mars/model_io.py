@@ -10,6 +10,7 @@ from .data import FeatureSpec
 from .errors import ModelFormatError
 from .model import Condition, Rule, RuleSet
 from .scoring import HYPER_KEYS, Hyperparams, Score
+from .search import SearchConfig
 
 FORMAT_VERSION = 1
 
@@ -118,10 +119,11 @@ def load_model(path) -> Model:
     return Model(features=features, rules=rules, hyper=hyper, label_name=label, metadata=meta)
 
 
-def training_metadata(seed: int, n_iter: int, score: Score, n_rows: int) -> dict:
+def training_metadata(cfg: SearchConfig, score: Score, n_rows: int) -> dict:
+    """The model file's ``training`` block: every search setting, under its
+    ``SearchConfig`` field name, and the best rule set's score."""
     return {
-        "seed": seed,
-        "iterations": n_iter,
+        "search": asdict(cfg),
         "log_posterior": score.log_posterior,
         "log_prior": score.log_prior,
         "log_likelihood": score.log_likelihood,

@@ -22,7 +22,7 @@ from mars.data import MISSING, FeatureSpec, RawTable, encode_with_specs
 from mars.model import Condition, Rule, RuleSet, first_covering_rule
 from mars.model_io import load_model, save_model
 from mars.scoring import Hyperparams, score
-from mars.search import RunLog
+from mars.search import RunLog, SearchConfig
 
 from oracles import rule_covers
 
@@ -98,6 +98,22 @@ def test_train_prints_the_majority_class_rate(trained):
     printed = (tmp / "train.stdout").read_text().splitlines()
     at = next(i for i, line in enumerate(printed) if line.startswith("training accuracy:"))
     assert printed[at + 1] == f"majority-class rate: {rate:.4f}"
+
+
+def test_model_file_records_every_search_setting(trained, tmp_path):
+    """A model file's ``training.search`` holds every ``SearchConfig`` field
+    as ``mars train`` set it, so the search can be run again from the file."""
+    tmp, _ = trained
+    model = tmp_path / "m.json"
+    argv = ["train", tmp / "train.csv", "--label", "y", "--out", model, "--seed", "7",
+            "--iters", "40", "--restarts", "2", "--t0", "50", "--explore", "0.25",
+            "--neighbor-budget", "9"]
+    assert cli.main([str(a) for a in argv]) == 0
+    training = json.loads(model.read_text())["training"]
+    assert training["search"] == {"random_seed": 7, "n_iter": 40, "n_restarts": 2, "t0": 50.0,
+                                  "explore_prob": 0.25, "neighbor_budget": 9}
+    assert list(training["search"]) == sorted(f.name for f in fields(SearchConfig))
+    assert "seed" not in training and "iterations" not in training
 
 
 def test_train_warns_below_the_majority_class_rate(trained, tmp_path, monkeypatch, capsys,
@@ -331,6 +347,24 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
     proc = run_mars("evaluate", model, holdout)
     assert_clean_error(proc, 2, "no data rows")
     assert "Warning" not in proc.stderr and proc.stdout == ""
+    # training on it is the same error, not a single-class label column
+    out = tmp_path / "m.json"
+    assert_clean_error(run_mars("train", holdout, "--label", "y", "--out", out), 2,
+                       "no data rows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
+def test_duplicate_column_names_exit_2(trained, tmp_path, command):
+    _, model = trained
+    path = write_csv(tmp_path / "dup.csv", ["x", "c", "noise", "x", "y"],
+                     [row[:3] + row[:1] + row[3:] for row in holdout_rows()])
+    argv = {
+        "train": ["train", path, "--label", "y", "--out", tmp_path / "m.json", "--iters", "20"],
+        "predict": ["predict", model, path],
+        "evaluate": ["evaluate", model, path],
+    }[command]
+    assert_clean_error(run_mars(*argv), 2, str(path), "duplicate column names in header")
 
 
 @pytest.mark.parametrize(
@@ -360,6 +394,7 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
         (["--beta-l", "1e16"], None, "invalid hyperparameter"),  # log(0) in the prior
         (["--hyper-config", "{cfg}"], "alpha_l = 1e308\n", "invalid hyperparameter"),
         (["--t0", "inf"], None, "invalid search setting"),
+        (["--hyper-config", "{cfg}"], "alpha_m 2\n", "expected key=value"),
     ],
 )
 def test_bad_flag_or_config_is_an_error_not_a_traceback(trained, tmp_path, flags, config,
@@ -498,7 +533,6 @@ def test_flag_defaults_are_the_library_defaults():
 
     from mars import synth
     from mars.data import discretize
-    from mars.search import SearchConfig
 
     parser = cli.build_parser()
     binning = inspect.signature(discretize).parameters
@@ -531,6 +565,7 @@ def test_flag_defaults_are_the_library_defaults():
         # 75% of 2 rows rounds to both: the holdout would be empty
         ["sweep", "--rows", "2", "--iters", "5"],
         ["gen", "--seed", "-1", "--rows", "10"],
+        ["gen", "--rules", "0"],
     ],
 )
 def test_bad_gen_or_sweep_setting_is_an_error_not_a_traceback(tmp_path, argv):

@@ -13,12 +13,12 @@ from mars.data import (
     Dataset,
     FeatureSpec,
     RawTable,
-    condition_mask,
     discretize,
     encode_with_specs,
     indices,
     kth_set_bit,
     mask_from_bools,
+    rule_mask,
 )
 from mars.errors import DataFormatError, DegenerateLabelError, FeatureMismatchError
 from mars.model import Rule, RuleSet, first_covering_rule
@@ -602,7 +602,7 @@ def test_discretize_matches_the_previous_ingest(case):
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_condition_mask_equals_or_of_value_masks(draw):
-    # past half the vocabulary the mask is built from the values left out
+    # a one-condition rule covers the rows of any of its values
     vocab_sizes = draw.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
     rows = draw.draw(st.lists(
         st.tuples(*(st.integers(0, v - 1) for v in vocab_sizes)), min_size=1, max_size=150
@@ -613,7 +613,7 @@ def test_condition_mask_equals_or_of_value_masks(draw):
     plain = 0
     for v in values:
         plain |= data.value_masks[j][v]
-    assert condition_mask(data, j, tuple(values)) == plain
+    assert rule_mask(((j, tuple(values)),), data) == plain
 
 
 # every cell is a text, as a CSV gives them

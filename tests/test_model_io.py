@@ -92,6 +92,17 @@ def rewrite(path, edit):
     path.write_text(json.dumps(doc))
 
 
+def assert_corrupt(path, edit, capsys):
+    """The edited model file is corrupt to ``load_model`` and ``mars show``."""
+    rewrite(path, edit)
+    with pytest.raises(ModelFormatError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: corrupt model file (")
+    assert info.value.exit_code == 5
+    assert cli.main(["show", str(path)]) == 5
+    assert capsys.readouterr().err.startswith(f"error: {path}: corrupt model file (")
+
+
 def test_theta_of_the_wrong_length_rejected(saved, capsys):
     path = saved[0]
     rewrite(path, lambda doc: doc["hyperparams"].update(theta=[1.0] * 7))
@@ -123,6 +134,14 @@ def share_a_name(doc):
     doc["rules"] = [[["state", [0]]]]
 
 
+def set_unused_feature(k, **fields):
+    # no rule names feature k: only the feature's own checks can reject it
+    def edit(doc):
+        doc["features"][k].update(fields)
+        doc["rules"] = [[[doc["features"][1 - k]["name"], [0]]]]
+    return edit
+
+
 def rename_an_unused_feature(name):
     def edit(doc):
         # no rule names feature 0: its name reached no lookup before predict
@@ -146,17 +165,33 @@ def rename_an_unused_feature(name):
         pytest.param(set_feature(1, values="abc"), id="string-categories"),
         pytest.param(lambda doc: doc.update(features=[7]), id="feature-not-an-object"),
         pytest.param(set_feature(1, kind="weird"), id="unknown-kind"),
+        pytest.param(set_unused_feature(1, values=[]), id="empty-categories"),
+        pytest.param(set_feature(1, values=["CA", "TX", "CA"]), id="repeated-category"),
+        pytest.param(set_unused_feature(0, intervals=[]), id="empty-intervals"),
+        pytest.param(set_feature(0, intervals=[[0, 1], [1, 1], [1, 2]]), id="empty-interval"),
+        pytest.param(set_feature(0, intervals=[[0, 1], [2, 3], [3, 4]]),
+                     id="intervals-not-contiguous"),
     ],
 )
 def test_malformed_feature_list_rejected(saved, capsys, edit):
-    path = saved[0]
-    rewrite(path, edit)
-    with pytest.raises(ModelFormatError) as info:
-        load_model(path)
-    assert str(info.value).startswith(f"{path}: corrupt model file (")
-    assert info.value.exit_code == 5
-    assert cli.main(["show", str(path)]) == 5
-    assert capsys.readouterr().err.startswith(f"error: {path}: corrupt model file (")
+    assert_corrupt(saved[0], edit, capsys)
+
+
+def set_rule_values(values):
+    # rule 1 is [state = CA]; state's vocabulary is CA, TX and the missing entry
+    return lambda doc: doc["rules"][1][0].__setitem__(1, values)
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(set_rule_values([5]), id="value-past-the-vocabulary"),
+        pytest.param(set_rule_values([0, 1, 2]), id="every-value"),
+        pytest.param(set_rule_values([-1]), id="negative-value"),
+    ],
+)
+def test_malformed_rule_rejected(saved, capsys, edit):
+    assert_corrupt(saved[0], edit, capsys)
 
 
 def test_non_utf8_model_file_rejected(saved, capsys):
