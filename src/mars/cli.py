@@ -16,7 +16,7 @@ from . import synth
 from .data import MAX_BINS, N_BINS, SCHEMES, RawTable, discretize, encode_with_specs, parse_labels
 from .errors import DataFormatError, MarsError
 from .model import SIZES, first_covering_rule
-from .model_io import load_model, render_rules, save_model, training_metadata
+from .model_io import Model, load_model, render_rules, save_model, training_metadata
 from .scoring import HYPER_KEYS, Hyperparams
 from .search import SearchConfig, run
 
@@ -218,10 +218,9 @@ def cmd_train(args) -> int:
     hyper = _hyperparams(args, data.n_features)
     rules, best, runlog = run(data, hyper, cfg)
 
-    meta = training_metadata(cfg, best, data.n_rows)
-    meta["discretization"] = {"n_bins": args.bins, "scheme": args.scheme}
+    meta = training_metadata(cfg, best, data.n_rows, args.bins, args.scheme)
     with _writing(args.out):
-        save_model(args.out, data.features, rules, hyper, data.label_name, meta)
+        save_model(args.out, Model(data.features, rules, hyper, args.label, meta))
     with _writing(runlog_path):
         runlog.write(runlog_path)
 

@@ -227,12 +227,10 @@ class Dataset:
         features: Sequence[FeatureSpec],
         rows: np.ndarray,
         labels: np.ndarray,
-        label_name: str = "label",
     ) -> None:
         self.features = tuple(features)
         self.rows = np.ascontiguousarray(rows, dtype=np.int32)
         self.labels = np.ascontiguousarray(labels, dtype=bool)
-        self.label_name = label_name
         if self.rows.ndim != 2 or self.rows.shape[1] != len(self.features):
             raise ValueError("rows must be (N, n_features)")
         if self.labels.shape != (self.rows.shape[0],):
@@ -313,7 +311,7 @@ def discretize(table: RawTable, n_bins: int = N_BINS, scheme: str = SCHEMES[0]) 
     specs, encoded = zip(*(
         _build_feature(name, columns[name], n_bins, scheme) for name in feature_names
     ))
-    return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
+    return Dataset(specs, np.stack(encoded, axis=1), labels)
 
 
 def _build_feature(name: str, raw: Sequence[str], n_bins: int, scheme: str):

@@ -17,7 +17,7 @@ FORMAT_VERSION = 1
 
 @dataclass
 class Model:
-    """A trained classifier plus everything needed to reapply it."""
+    """A trained classifier, as ``save_model`` writes it and ``load_model`` reads it."""
 
     features: tuple[FeatureSpec, ...]
     rules: RuleSet
@@ -48,25 +48,32 @@ def _feature_from_json(fid: int, blob: dict) -> FeatureSpec:
     raise ValueError(f"feature {blob.get('name')!r}: unknown kind {kind!r}")
 
 
-def save_model(
-    path,
-    features: Sequence[FeatureSpec],
-    rules: RuleSet,
-    hyper: Hyperparams,
-    label_name: str,
-    training_meta: dict,
-) -> None:
-    """Write the model as a versioned, human-auditable JSON document."""
+def _condition_from_json(features: Sequence[FeatureSpec], fid: int, values) -> Condition:
+    spec = features[fid]
+    # the file's own list: Condition's set would merge true or 1.0 into an equal 1
+    if any(type(v) is not int for v in values):
+        raise TypeError(f"rule condition on {spec.name!r} has a non-integer value index")
+    cond = Condition(fid, tuple(values))
+    if cond.values[-1] >= spec.vocab_size or cond.n_values >= spec.vocab_size:
+        raise ValueError(f"rule condition on {spec.name!r} does not fit the feature's vocabulary")
+    return cond
+
+
+def save_model(path, model: Model) -> None:
+    """Write the model as a versioned, human-auditable JSON document.  Its
+    ``training`` block is ``model.metadata``, as ``training_metadata`` builds
+    it: ``search``, ``discretization``, the score terms, ``confusion`` and
+    ``n_rows``."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "label": label_name,
-        "features": [_feature_to_json(f) for f in features],
+        "label": model.label_name,
+        "features": [_feature_to_json(f) for f in model.features],
         "rules": [
-            [[features[c.feature_id].name, list(c.values)] for c in rule.conditions]
-            for rule in rules.rules
+            [[model.features[c.feature_id].name, list(c.values)] for c in rule.conditions]
+            for rule in model.rules.rules
         ],
-        "hyperparams": asdict(hyper),
-        "training": training_meta,
+        "hyperparams": asdict(model.hyper),
+        "training": model.metadata,
     }
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -92,38 +99,30 @@ def load_model(path) -> Model:
         fid_of = {f.name: fid for fid, f in enumerate(features)}
         if len(fid_of) != len(features):
             raise ValueError("two features share a name")
-        rules = RuleSet(
-            tuple(
-                Rule(tuple(Condition(fid_of[name], tuple(values)) for name, values in conds))
-                for conds in doc["rules"]
-            )
-        )
+        rules = RuleSet(tuple(
+            Rule(tuple(_condition_from_json(features, fid_of[name], values)
+                       for name, values in conds))
+            for conds in doc["rules"]
+        ))
         hyper = Hyperparams(**{k: doc["hyperparams"][k] for k in HYPER_KEYS})
         label = doc["label"]
         if not isinstance(label, str):
             raise TypeError(f"label {label!r} is not a string")
         meta = doc.get("training", {})
         hyper.check_features(len(features))
-        for rule in rules.rules:
-            for cond in rule.conditions:
-                name = features[cond.feature_id].name
-                if any(type(v) is not int for v in cond.values):
-                    raise TypeError(f"rule condition on {name!r} has a non-integer value index")
-                vocab = features[cond.feature_id].vocab_size
-                if cond.values[-1] >= vocab or cond.n_values >= vocab:
-                    raise ValueError(
-                        f"rule condition on {name!r} does not fit the feature's vocabulary"
-                    )
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelFormatError(f"{path}: corrupt model file ({exc})") from exc
     return Model(features=features, rules=rules, hyper=hyper, label_name=label, metadata=meta)
 
 
-def training_metadata(cfg: SearchConfig, score: Score, n_rows: int) -> dict:
-    """The model file's ``training`` block: every search setting, under its
-    ``SearchConfig`` field name, and the best rule set's score."""
+def training_metadata(cfg: SearchConfig, score: Score, n_rows: int,
+                      n_bins: int, scheme: str) -> dict:
+    """The model file's ``training`` block: ``search``, every search setting
+    under its ``SearchConfig`` field name; ``discretization``, the bin count
+    and scheme; the best rule set's score terms and ``confusion``; ``n_rows``."""
     return {
         "search": asdict(cfg),
+        "discretization": {"n_bins": n_bins, "scheme": scheme},
         "log_posterior": score.log_posterior,
         "log_prior": score.log_prior,
         "log_likelihood": score.log_likelihood,

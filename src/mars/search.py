@@ -738,7 +738,8 @@ def propose(state: SearchState, example: tuple[int, bool] | None) -> Pick | None
 
 
 def _accepts(rng: random.Random, delta: float, temp: float) -> bool:
-    """Annealing acceptance: probability min(1, exp(delta / temp))."""
+    """Annealing acceptance: probability min(1, exp(delta / temp)).  An uphill
+    move is accepted without a draw from ``rng``."""
     if delta >= 0:
         return True
     return rng.random() < math.exp(delta / temp)
@@ -759,8 +760,7 @@ def anneal_step(state: SearchState) -> SearchState:
     # the best-so-far tracks every pick, accepted or not
     improved = pick.log_posterior > state.best.score.log_posterior
     delta = pick.log_posterior - state.current.score.log_posterior
-    # an uphill pick is accepted without reading the schedule
-    accepted = delta >= 0 or _accepts(state.rng, delta, temperature(state.cfg, state.t))
+    accepted = _accepts(state.rng, delta, temperature(state.cfg, state.t))
     if improved or accepted:
         prop = state.current.apply(pick.candidate)
         if improved:

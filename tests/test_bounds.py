@@ -66,18 +66,26 @@ def test_upsilon_warns_when_above_one(caplog):
 
 
 def test_bounds_switching_off_warn_once_with_every_reason(caplog):
-    # beta_pos = 1e6 breaks alpha_pos > beta_pos and lifts upsilon past 1:
-    # one warning names both
     data = balanced_dataset(100)
-    with caplog.at_level("WARNING", logger="mars.bounds"):
-        state = initial_bounds(data, hypers(2, beta_pos=1e6))
-    assert not state.enabled
-    (record,) = caplog.records
-    assert record.levelname == "WARNING"
-    message = record.getMessage()
-    assert message.startswith("pruning bounds disabled: ")
-    assert "alpha_pos (100.0) must be > beta_pos (1000000.0)" in message
-    assert "upsilon = 25" in message
+    cases = [
+        # beta_pos = 1e6 breaks alpha_pos > beta_pos and lifts upsilon past 1
+        ({"beta_pos": 1e6}, ("alpha_pos (100.0) must be > beta_pos (1000000.0)", "upsilon = 25")),
+        # omega <= 1 needs a broken ordering: under the four, log omega is positive
+        ({"alpha_m": 1e6},
+         ("alpha_m (1000000.0) must be < beta_m (100.0)", "omega = 0.02061 <= 1")),
+    ]
+    for overrides, reasons in cases:
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="mars.bounds"):
+            state = initial_bounds(data, hypers(2, **overrides))
+        assert not state.enabled
+        # one warning names both reasons
+        (record,) = caplog.records
+        assert record.levelname == "WARNING"
+        message = record.getMessage()
+        assert message.startswith("pruning bounds disabled: ")
+        for reason in reasons:
+            assert reason in message
 
 
 def test_lemma_rule_deletion_bound_exhaustive():

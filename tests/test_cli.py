@@ -20,7 +20,7 @@ import mars
 from mars import cli
 from mars.data import MISSING, FeatureSpec, RawTable, encode_with_specs
 from mars.model import Condition, Rule, RuleSet, first_covering_rule
-from mars.model_io import load_model, save_model
+from mars.model_io import Model, load_model, save_model
 from mars.scoring import Hyperparams, score
 from mars.search import RunLog, SearchConfig
 
@@ -352,6 +352,43 @@ def test_evaluate_header_only_csv_exits_2(trained, tmp_path):
     assert_clean_error(run_mars("train", holdout, "--label", "y", "--out", out), 2,
                        "no data rows")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda path: path.write_bytes(b""), "error: {path}: empty file"),
+        (lambda path: None, "error: cannot read {path}: "),
+        (lambda path: path.mkdir(), "error: cannot read {path}: "),
+    ],
+    ids=["empty-file", "missing-path", "directory"],
+)
+def test_training_csv_that_cannot_be_read_exits_2(tmp_path, make, message):
+    path = tmp_path / "train.csv"
+    make(path)
+    out = tmp_path / "m.json"
+    proc = run_mars("train", path, "--label", "y", "--out", out)
+    assert_clean_error(proc, 2)
+    assert proc.stderr.startswith(message.format(path=path))
+    assert not out.exists()
+
+
+def test_blank_lines_between_csv_rows_are_skipped(trained, tmp_path):
+    tmp, model = trained
+    lines = (tmp / "train.csv").read_text().splitlines(keepends=True)
+    # a blank line after the header, after every 50th row and at the end
+    spaced = "".join(line + "\n" * (k % 50 == 0) for k, line in enumerate(lines)) + "\n"
+    assert spaced.splitlines().count("") == 8
+    train = tmp_path / "spaced.csv"
+    train.write_text(spaced)
+    spaced_model = tmp_path / "m.json"
+    argv = ["train", str(train), "--label", "y", "--out", str(spaced_model),
+            "--iters", "300", "--restarts", "0", "--bins", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    assert load_model(spaced_model).rules == load_model(model).rules
+    training = json.loads(spaced_model.read_text())["training"]
+    assert training["n_rows"] == json.loads(model.read_text())["training"]["n_rows"] == 300
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "evaluate"])
@@ -952,7 +989,7 @@ def reads_only_c(tmp_path):
     ]
     model = tmp_path / "reads_c.json"
     rules = RuleSet((Rule.of({1: [0, 1]}),))
-    save_model(model, features, rules, Hyperparams.defaults(4), "y", {})
+    save_model(model, Model(features, rules, Hyperparams.defaults(4), "y", {}))
     return model
 
 

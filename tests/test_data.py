@@ -487,7 +487,7 @@ def reference_discretize(table, n_bins, scheme, literal_is_missing=False, finite
                                          halfway)
         specs.append(spec)
         encoded.append(codes)
-    return Dataset(specs, np.stack(encoded, axis=1), labels, label_name=table.label_column)
+    return Dataset(specs, np.stack(encoded, axis=1), labels)
 
 
 def outcome(build):

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from mars import cli, errors
 from mars.data import MISSING, FeatureSpec
 from mars.model import Rule, RuleSet
-from mars.model_io import save_model
+from mars.model_io import Model, save_model
 from mars.scoring import Hyperparams
 
 EXIT_CODES = {0} | {
@@ -63,7 +63,8 @@ def models(tmp_path_factory):
     paths = {}
     for name, rules in RULE_SETS.items():
         paths[name] = tmp / f"{name}.json"
-        save_model(paths[name], FEATURES, rules, Hyperparams.defaults(len(FEATURES)), "y", {})
+        save_model(paths[name],
+                   Model(FEATURES, rules, Hyperparams.defaults(len(FEATURES)), "y", {}))
     return tmp, paths
 
 

@@ -9,7 +9,7 @@ from mars import cli
 from mars.data import FeatureSpec, RawTable, discretize
 from mars.errors import ModelFormatError
 from mars.model import Rule, RuleSet
-from mars.model_io import FORMAT_VERSION, load_model, save_model
+from mars.model_io import FORMAT_VERSION, Model, load_model, save_model
 from mars.scoring import HYPER_KEYS, Hyperparams
 
 
@@ -21,7 +21,7 @@ def saved(tmp_path):
     hyper = Hyperparams.defaults(2, beta_m=7.5, theta=(0.5, 2.0))
     meta = {"seed": 3, "n_rows": 4}
     path = tmp_path / "model.json"
-    save_model(path, data.features, rules, hyper, "y", meta)
+    save_model(path, Model(data.features, rules, hyper, "y", meta))
     return path, data.features, rules, hyper, meta
 
 
@@ -52,13 +52,13 @@ def test_show_prints_each_rule(tmp_path, capsys):
     path = tmp_path / "model.json"
     # x's bins 0, 2 and 3 merge into two intervals
     rules = RuleSet((Rule.of({0: (0, 2, 3)}), Rule.of({0: (1,), 1: (0, 1)})))
-    save_model(path, features, rules, hyper, "y", {})
+    save_model(path, Model(features, rules, hyper, "y", {}))
     assert cli.main(["show", str(path)]) == 0
     assert capsys.readouterr().out == (
         "rule 1: [x ∈ [0, 0.25) ∪ [0.5, 1)]\n"
         "rule 2: [x ∈ [0.25, 0.5)] AND [state = A or B]\n"
     )
-    save_model(path, features, RuleSet(()), hyper, "y", {})
+    save_model(path, Model(features, RuleSet(()), hyper, "y", {}))
     assert cli.main(["show", str(path)]) == 0
     out = capsys.readouterr().out
     assert out == "(empty rule set: every observation is classified negative)\n"
@@ -188,6 +188,9 @@ def set_rule_values(values):
         pytest.param(set_rule_values([5]), id="value-past-the-vocabulary"),
         pytest.param(set_rule_values([0, 1, 2]), id="every-value"),
         pytest.param(set_rule_values([-1]), id="negative-value"),
+        # true and 1.0 equal 1: the check reads the file's list, not its set
+        pytest.param(set_rule_values([1, True]), id="bool-beside-its-int"),
+        pytest.param(set_rule_values([1, 1.0]), id="float-beside-its-int"),
     ],
 )
 def test_malformed_rule_rejected(saved, capsys, edit):

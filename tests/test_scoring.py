@@ -77,26 +77,26 @@ def test_defaults_are_the_field_defaults_with_theta_one_per_feature():
 
 def test_saved_hyperparams_load_equal(tmp_path):
     from mars.data import FeatureSpec
-    from mars.model_io import load_model, save_model
+    from mars.model_io import Model, load_model, save_model
 
     features = tuple(FeatureSpec(f"c{j}", categories=("a", "b")) for j in range(2))
     rules = RuleSet((Rule.of({1: (0,)}),))
     hyper = hypers(2, alpha_m=2, theta=[0.5, 2])
     path = tmp_path / "model.json"
-    save_model(path, features, rules, hyper, "y", {})
+    save_model(path, Model(features, rules, hyper, "y", {}))
     model = load_model(path)
     assert (model.features, model.rules, model.hyper) == (features, rules, hyper)
 
 
 def test_a_numpy_integer_is_stored_saved_and_loaded_as_a_float(tmp_path):
     from mars.data import FeatureSpec
-    from mars.model_io import load_model, save_model
+    from mars.model_io import Model, load_model, save_model
 
     features = (FeatureSpec("c0", categories=("a", "b")),)
     hyper = hypers(1, alpha_m=np.int64(3))
     assert type(hyper.alpha_m) is float
     path = tmp_path / "model.json"
-    save_model(path, features, RuleSet((Rule.of({0: (0,)}),)), hyper, "y", {})
+    save_model(path, Model(features, RuleSet((Rule.of({0: (0,)}),)), hyper, "y", {}))
     assert load_model(path).hyper == hyper
     assert '"alpha_m": 3.0' in path.read_text()
 
